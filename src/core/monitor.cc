@@ -276,10 +276,7 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
     }
   });
 
-  exec::DriveOptions drive;
-  drive.ctx = &ctx;
-  drive.batch_size = options_.batch_size;
-  report.root_rows = exec::Drive(plan_, drive).root_rows;
+  report.root_rows = exec::Drive(plan_, {.ctx = &ctx}).root_rows;
   ctx.ClearWorkObserver();
 
   report.status = ctx.status();
@@ -374,10 +371,7 @@ ProgressReport ProgressMonitor::RunWithApproxCheckpoints(
   ctx.set_spill_manager(options_.spill_manager);
   ctx.set_worker_pool(options_.worker_pool);
   if (options_.fault_injector != nullptr) options_.fault_injector->Reset();
-  exec::DriveOptions drive;
-  drive.ctx = &ctx;
-  drive.batch_size = options_.batch_size;
-  exec::Drive(plan_, drive);
+  exec::Drive(plan_, {.ctx = &ctx});
   if (!ctx.ok()) return MakeAbortedReport(ctx);
   uint64_t total = ctx.work();
   uint64_t interval =

@@ -117,9 +117,10 @@ class ExecContext final : public WorkContext {
     }
   }
 
-  /// Batched CountRow: counts `n` rows at once (future vectorized operators).
-  /// A burst that crosses several observation intervals fires the observer
-  /// once per crossed interval, each time with the scheduled crossing point.
+  /// Burst CountRow: counts `n` rows at once. Exchange replays each producer
+  /// pipeline's per-node counts through this at its boundary. A burst that
+  /// crosses several observation intervals fires the observer once per
+  /// crossed interval, each time with the scheduled crossing point.
   void CountRows(int node_id, uint64_t n, bool is_root) {
     QPROG_DCHECK(node_id >= 0 &&
                  static_cast<size_t>(node_id) < rows_produced_.size());

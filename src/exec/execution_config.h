@@ -1,6 +1,6 @@
 // ExecutionConfig: the shared execution-tuning spine. MonitorOptions,
 // SessionOptions and ServerOptions used to each re-declare the same knobs
-// (worker pool, batch size); they now embed this struct as a base, so a new
+// (worker pool, partitions); they now embed this struct as a base, so a new
 // engine-wide knob — like Exchange's `partitions` — is added in exactly one
 // place and flows monitor → session → server without three copies drifting.
 
@@ -18,9 +18,6 @@ struct ExecutionConfig {
   /// sort merge, Grace partition joins, aggregate replay, and Exchange
   /// producer pipelines. Null = the reference serial engine.
   WorkerPool* worker_pool = nullptr;
-
-  /// Rows per RowBatch pulled by the batched driver; 0 = tuple-at-a-time.
-  size_t batch_size = 0;
 
   /// Partitioned-plan degree: when > 1, the planner splits eligible
   /// aggregation pipelines into `partitions` range-partitioned scan →

@@ -47,7 +47,7 @@ Status FaultInjector::OnHit(const char* site) {
     // Deterministic latency: a fixed busy-wait that slows the site down
     // without reading a clock (results and reports stay byte-identical).
     volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < spec.latency_spins; ++i) sink += i;
+    for (uint64_t i = 0; i < spec.latency_spins; ++i) sink = sink + i;
   }
   // A fired permanent fault latches: the site keeps failing until Disarm or
   // Reset. A transient fault keeps failing while its window is open, then

@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/batch.h"
 #include "exec/fault_injector.h"
 
 namespace qprog {
@@ -16,8 +15,6 @@ Filter::Filter(OperatorPtr child, ExprPtr predicate)
   QPROG_CHECK(predicate_ != nullptr);
   set_is_linear(true);
 }
-
-Filter::~Filter() = default;
 
 void Filter::DoOpen(ExecContext* ctx) {
   finished_ = false;
@@ -40,18 +37,6 @@ bool Filter::DoNext(ExecContext* ctx, Row* out) {
   if (!ctx->ok()) return false;  // child stopped on error, not end-of-stream
   finished_ = true;
   return false;
-}
-
-bool Filter::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  if (out->capacity() < kMinFusedCapacity) {
-    return PhysicalOperator::DoNextBatch(ctx, out);
-  }
-  if (!fused_checked_) {
-    fused_checked_ = true;
-    fused_ = FusedChain::TryBuild(this);
-  }
-  if (fused_ != nullptr) return fused_->Fill(ctx, out);
-  return PhysicalOperator::DoNextBatch(ctx, out);
 }
 
 void Filter::DoClose(ExecContext* ctx) { child_->Close(ctx); }
@@ -77,8 +62,6 @@ Project::Project(OperatorPtr child, std::vector<ExprPtr> exprs,
   set_is_linear(true);
 }
 
-Project::~Project() = default;
-
 void Project::DoOpen(ExecContext* ctx) {
   finished_ = false;
   child_->Open(ctx);
@@ -100,18 +83,6 @@ bool Project::DoNext(ExecContext* ctx, Row* out) {
   return true;
 }
 
-bool Project::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  if (out->capacity() < kMinFusedCapacity) {
-    return PhysicalOperator::DoNextBatch(ctx, out);
-  }
-  if (!fused_checked_) {
-    fused_checked_ = true;
-    fused_ = FusedChain::TryBuild(this);
-  }
-  if (fused_ != nullptr) return fused_->Fill(ctx, out);
-  return PhysicalOperator::DoNextBatch(ctx, out);
-}
-
 void Project::DoClose(ExecContext* ctx) { child_->Close(ctx); }
 
 std::string Project::label() const {
@@ -129,8 +100,6 @@ Limit::Limit(OperatorPtr child, uint64_t limit)
   QPROG_CHECK(child_ != nullptr);
   set_is_linear(true);
 }
-
-Limit::~Limit() = default;
 
 void Limit::DoOpen(ExecContext* ctx) {
   finished_ = false;
@@ -153,18 +122,6 @@ bool Limit::DoNext(ExecContext* ctx, Row* out) {
   ++produced_;
   Emit(ctx);
   return true;
-}
-
-bool Limit::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  if (out->capacity() < kMinFusedCapacity) {
-    return PhysicalOperator::DoNextBatch(ctx, out);
-  }
-  if (!fused_checked_) {
-    fused_checked_ = true;
-    fused_ = FusedChain::TryBuild(this);
-  }
-  if (fused_ != nullptr) return fused_->Fill(ctx, out);
-  return PhysicalOperator::DoNextBatch(ctx, out);
 }
 
 void Limit::DoClose(ExecContext* ctx) { child_->Close(ctx); }

@@ -16,11 +16,9 @@ namespace qprog {
 class Filter : public PhysicalOperator {
  public:
   Filter(OperatorPtr child, ExprPtr predicate);
-  ~Filter() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
-  bool DoNextBatch(ExecContext* ctx, RowBatch* out) override;
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kFilter; }
@@ -32,12 +30,8 @@ class Filter : public PhysicalOperator {
   std::string label() const override;
 
  private:
-  friend class FusedChain;
-
   OperatorPtr child_;
   ExprPtr predicate_;
-  std::unique_ptr<FusedChain> fused_;  // lazily built batch kernel
-  bool fused_checked_ = false;
 };
 
 /// π: computes a list of output expressions per input row.
@@ -48,11 +42,9 @@ class Project : public PhysicalOperator {
   /// typed); names are what matter for printing and SQL binding.
   Project(OperatorPtr child, std::vector<ExprPtr> exprs,
           std::vector<std::string> names);
-  ~Project() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
-  bool DoNextBatch(ExecContext* ctx, RowBatch* out) override;
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kProject; }
@@ -62,24 +54,18 @@ class Project : public PhysicalOperator {
   std::string label() const override;
 
  private:
-  friend class FusedChain;
-
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
-  std::unique_ptr<FusedChain> fused_;  // lazily built batch kernel
-  bool fused_checked_ = false;
 };
 
 /// LIMIT k: stops the plan after k rows (leaves the child undrained).
 class Limit : public PhysicalOperator {
  public:
   Limit(OperatorPtr child, uint64_t limit);
-  ~Limit() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
-  bool DoNextBatch(ExecContext* ctx, RowBatch* out) override;
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kLimit; }
@@ -93,13 +79,9 @@ class Limit : public PhysicalOperator {
                          ProgressState* state) const override;
 
  private:
-  friend class FusedChain;
-
   OperatorPtr child_;
   uint64_t limit_;
   uint64_t produced_ = 0;
-  std::unique_ptr<FusedChain> fused_;  // lazily built batch kernel
-  bool fused_checked_ = false;
 };
 
 }  // namespace qprog

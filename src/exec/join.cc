@@ -12,7 +12,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/batch.h"
 #include "exec/fault_injector.h"
 #include "exec/query_guard.h"
 #include "exec/worker_pool.h"
@@ -396,8 +395,6 @@ HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
   QPROG_CHECK(!probe_keys_.empty());
 }
 
-HashJoin::~HashJoin() = default;
-
 void HashJoin::DoOpen(ExecContext* ctx) {
   finished_ = false;
   build_done_ = false;
@@ -724,20 +721,9 @@ void HashJoin::UnloadPartition(ExecContext* ctx) {
 }
 
 bool HashJoin::PullProbe(ExecContext* ctx, Row* row) {
-  if (!spilled_) {
-    // Inside a NextBatch call, in-memory probe pulls go through the fused
-    // kernel — an exact emulation of probe_->Next (same fault consults, same
-    // CountRow order), minus the virtual dispatch and intermediate copies.
-    if (batch_active_ && fused_probe_ != nullptr) {
-      return fused_probe_->ProduceOne(ctx, row);
-    }
-    return probe_->Next(ctx, row);
-  }
-  if (!grace_leaves_[static_cast<size_t>(part_idx_)].probe->ReadNext(
-          ctx, node_id(), row)) {
-    return false;
-  }
-  return true;
+  if (!spilled_) return probe_->Next(ctx, row);
+  return grace_leaves_[static_cast<size_t>(part_idx_)].probe->ReadNext(
+      ctx, node_id(), row);
 }
 
 bool HashJoin::ParallelJoinPartitions(ExecContext* ctx, WorkerPool* pool) {
@@ -1043,24 +1029,6 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
     }
     probe_valid_ = false;
   }
-}
-
-bool HashJoin::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  // The probe/output side batches by looping DoNext through the base-class
-  // adapter (build, spill and parallel phases keep their exact tuple
-  // semantics for free); in-memory probe pulls inside the batch go through
-  // a fused kernel over the probe subtree via PullProbe.
-  if (!fused_probe_checked_) {
-    fused_probe_checked_ = true;
-    fused_probe_ = FusedChain::TryBuild(probe_.get());
-  }
-  batch_active_ = true;
-  bool more = PhysicalOperator::DoNextBatch(ctx, out);
-  batch_active_ = false;
-  if (fused_probe_ != nullptr) {
-    fused_probe_->FlushStats(out, ctx->telemetry() != nullptr);
-  }
-  return more;
 }
 
 void HashJoin::DoClose(ExecContext* ctx) {

@@ -146,15 +146,9 @@ class HashJoin : public PhysicalOperator {
   HashJoin(OperatorPtr probe, OperatorPtr build,
            std::vector<ExprPtr> probe_keys, std::vector<ExprPtr> build_keys,
            JoinType join_type = JoinType::kInner, ExprPtr residual = nullptr);
-  ~HashJoin() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
-  /// Batched probe/output side: the generic adapter loop over DoNext, with
-  /// in-memory probe pulls routed through a fused kernel over the probe
-  /// subtree when it fuses (Filter/Project/Limit over SeqScan). The blocking
-  /// build phase and every spill path are untouched.
-  bool DoNextBatch(ExecContext* ctx, RowBatch* out) override;
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kHashJoin; }
@@ -294,13 +288,6 @@ class HashJoin : public PhysicalOperator {
   bool part_loaded_ = false;
   uint64_t grace_rows_written_ = 0;  // rows appended to partition runs,
                                      // at every recursion level
-
-  // Batched-probe state: a fused kernel over the probe subtree, used by
-  // PullProbe only while a NextBatch call is on the stack (batch_active_)
-  // and only in memory mode — Grace partition reads stay per-row.
-  std::unique_ptr<FusedChain> fused_probe_;
-  bool fused_probe_checked_ = false;
-  bool batch_active_ = false;
 
   // Parallel-join state: per-partition outputs of ParallelJoinPartitions,
   // drained by DoNext in partition order (matches the serial replay order) —

@@ -57,52 +57,6 @@ bool PhysicalOperator::NextInstrumented(ExecContext* ctx, Row* out) {
   return produced;
 }
 
-bool PhysicalOperator::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  // Generic adapter: one emulated tuple-driver loop. `calls` counts every
-  // DoNext made, including the final end-observing one, so per-node
-  // next_calls telemetry matches the tuple engine exactly. A row produced
-  // concurrently with an error stays in the batch (the tuple driver, having
-  // passed its ok() check before the call, delivers such a row too).
-  uint64_t rows = 0;
-  uint64_t calls = 0;
-  bool more = true;
-  while (!out->full()) {
-    if (!ctx->ok()) {
-      more = false;
-      break;
-    }
-    Row* slot = out->AppendSlot();
-    ++calls;
-    if (!DoNext(ctx, slot)) {
-      out->PopLast();
-      more = false;
-      break;
-    }
-    ++rows;
-  }
-  if (ctx->telemetry() != nullptr && calls > 0) {
-    out->stats.push_back({node_id_, rows, calls});
-  }
-  return more;
-}
-
-bool PhysicalOperator::NextBatchInstrumented(ExecContext* ctx, RowBatch* out) {
-  TelemetryCollector* t = ctx->telemetry();
-  size_t stats_base = out->stats.size();
-  uint64_t start = MonotonicNanos();
-  bool more = DoNextBatch(ctx, out);
-  uint64_t end = MonotonicNanos();
-  uint64_t elapsed = end - start;
-  // Per-batch granularity: the batch's inclusive elapsed time is attributed
-  // to every node the batch crossed (times are inclusive of children by
-  // convention, so this is the coarsened analogue of the per-call clock).
-  for (size_t i = stats_base; i < out->stats.size(); ++i) {
-    const RowBatch::NodeStats& s = out->stats[i];
-    t->RecordNextBatch(s.node, s.rows, s.calls, elapsed, end);
-  }
-  return more;
-}
-
 void PhysicalOperator::CloseInstrumented(ExecContext* ctx) {
   TelemetryCollector* t = ctx->telemetry();
   uint64_t start = MonotonicNanos();

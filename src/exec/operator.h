@@ -11,13 +11,10 @@
 #include <vector>
 
 #include "exec/exec_context.h"
-#include "exec/row_batch.h"
 #include "types/schema.h"
 #include "types/value.h"
 
 namespace qprog {
-
-class FusedChain;
 
 enum class OpKind {
   kSeqScan,
@@ -116,21 +113,6 @@ class PhysicalOperator {
     return NextInstrumented(ctx, out);
   }
 
-  /// Appends rows to `out` until it is full, the stream ends, or the
-  /// execution errors; returns true iff it stopped because the batch filled
-  /// (the stream may have more rows). Work accounting is identical to
-  /// driving Next() row by row: a batch of k rows advances the getnext
-  /// counters by k at every node it crosses, in tuple order, so checkpoints,
-  /// guard trips and fault schedules land on the same row at every batch
-  /// size (DESIGN.md §15). The default implementation adapts DoNext();
-  /// streaming operators override DoNextBatch with fused kernels.
-  bool NextBatch(ExecContext* ctx, RowBatch* out) {
-    if (ctx->telemetry() == nullptr) [[likely]] {
-      return DoNextBatch(ctx, out);
-    }
-    return NextBatchInstrumented(ctx, out);
-  }
-
   void Close(ExecContext* ctx) {
     if (ctx->telemetry() == nullptr) [[likely]] {
       DoClose(ctx);
@@ -191,14 +173,6 @@ class PhysicalOperator {
   virtual bool DoNext(ExecContext* ctx, Row* out) = 0;
   virtual void DoClose(ExecContext* ctx) = 0;
 
-  /// Batched produce (see NextBatch). The default adapter loops DoNext(),
-  /// emulating the tuple driver exactly: the end-observing call is made (and
-  /// counted) like any other, and a row produced concurrently with an error
-  /// stays in the batch — the tuple driver delivers it too. Overrides must
-  /// preserve that contract and, when telemetry is attached, append their
-  /// per-node (rows, calls) deltas to out->stats.
-  virtual bool DoNextBatch(ExecContext* ctx, RowBatch* out);
-
   /// Counts the row this operator is about to return. Every Next
   /// implementation calls this exactly once per produced row.
   void Emit(ExecContext* ctx) const { ctx->CountRow(node_id_, is_root_); }
@@ -206,15 +180,10 @@ class PhysicalOperator {
   /// True once the operator has reported end-of-stream.
   bool finished_ = false;
 
-  /// The fused batch kernels poke operator internals (counters, finished_)
-  /// to emulate tuple execution exactly; see exec/batch.h.
-  friend class FusedChain;
-
  private:
   // Timed paths, out of line (operator.cc); only taken with telemetry.
   void OpenInstrumented(ExecContext* ctx);
   bool NextInstrumented(ExecContext* ctx, Row* out);
-  bool NextBatchInstrumented(ExecContext* ctx, RowBatch* out);
   void CloseInstrumented(ExecContext* ctx);
 
   int node_id_ = -1;

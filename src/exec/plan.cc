@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/row_batch.h"
 
 namespace qprog {
 
@@ -65,28 +64,14 @@ DriveResult Drive(PhysicalPlan* plan, const DriveOptions& opts) {
   ctx->Reset(plan->num_nodes());
   PhysicalOperator* root = plan->root();
   root->Open(ctx);
-  auto deliver = [&result, &opts](const Row& row) {
+  Row row;
+  // Stop on the first execution error; a row produced concurrently with a
+  // guard trip is dropped (the query is aborting). Close always runs so
+  // operators release buffered state even on an aborted run.
+  while (ctx->ok() && root->Next(ctx, &row)) {
     ++result.root_rows;
     if (opts.sink) opts.sink(row);
     if (opts.collect_rows) result.rows.push_back(row);
-  };
-  if (opts.batch_size == 0) {
-    Row row;
-    // Stop on the first execution error; a row produced concurrently with a
-    // guard trip is dropped (the query is aborting). Close always runs so
-    // operators release buffered state even on an aborted run.
-    while (ctx->ok() && root->Next(ctx, &row)) deliver(row);
-  } else {
-    RowBatch batch(opts.batch_size);
-    bool more = true;
-    // Same stop rule as the tuple loop: ok() is checked before each pull,
-    // and every row the root actually returned is delivered — a mid-batch
-    // error ends the batch at the exact row the tuple loop would stop at.
-    while (more && ctx->ok()) {
-      batch.Clear();
-      more = root->NextBatch(ctx, &batch);
-      for (size_t i = 0; i < batch.size(); ++i) deliver(batch.row(i));
-    }
   }
   root->Close(ctx);
   result.status = ctx->status();
@@ -95,41 +80,6 @@ DriveResult Drive(PhysicalPlan* plan, const DriveOptions& opts) {
 }
 
 }  // namespace exec
-
-uint64_t ExecutePlan(PhysicalPlan* plan, ExecContext* ctx,
-                     const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).root_rows;
-}
-
-Status RunPlan(PhysicalPlan* plan, ExecContext* ctx,
-               const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).status;
-}
-
-uint64_t ExecutePlanBatched(PhysicalPlan* plan, ExecContext* ctx,
-                            size_t batch_size,
-                            const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).root_rows;
-}
-
-Status RunPlanBatched(PhysicalPlan* plan, ExecContext* ctx, size_t batch_size,
-                      const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).status;
-}
 
 std::vector<Row> CollectRows(PhysicalPlan* plan, ExecContext* ctx) {
   exec::DriveOptions opts;
@@ -142,28 +92,6 @@ std::vector<Row> CollectRows(PhysicalPlan* plan) {
   exec::DriveOptions opts;
   opts.collect_rows = true;
   return std::move(exec::Drive(plan, opts).rows);
-}
-
-StatusOr<std::vector<Row>> TryCollectRows(PhysicalPlan* plan,
-                                          ExecContext* ctx) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.collect_rows = true;
-  exec::DriveResult r = exec::Drive(plan, opts);
-  if (!r.ok()) return r.status;
-  return std::move(r.rows);
-}
-
-StatusOr<std::vector<Row>> TryCollectRowsBatched(PhysicalPlan* plan,
-                                                 ExecContext* ctx,
-                                                 size_t batch_size) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.collect_rows = true;
-  exec::DriveResult r = exec::Drive(plan, opts);
-  if (!r.ok()) return r.status;
-  return std::move(r.rows);
 }
 
 uint64_t MeasureTotalWork(PhysicalPlan* plan) {

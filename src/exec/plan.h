@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/statusor.h"
+#include "common/status.h"
 #include "exec/operator.h"
 
 namespace qprog {
@@ -49,10 +49,9 @@ class TelemetryCollector;
 
 namespace exec {
 
-/// Options for the unified driver (exec::Drive). One struct replaces the old
-/// ExecutePlan/RunPlan/TryCollectRows × *Batched driver matrix: batch size,
-/// row delivery, and (for context-free runs) the full environment wiring are
-/// all knobs here instead of separate entry points.
+/// Options for exec::Drive, the one plan-execution driver: row delivery and
+/// (for context-free runs) the full environment wiring are knobs here
+/// instead of separate entry points.
 struct DriveOptions {
   /// Execution context to drive against. Null = Drive builds a throwaway
   /// context internally and wires the environment pointers below into it.
@@ -60,15 +59,13 @@ struct DriveOptions {
   /// pointers are ignored (the caller already wired what it wants).
   ExecContext* ctx = nullptr;
 
-  /// Rows per RowBatch pulled from the root; 0 = tuple-at-a-time. The batched
-  /// path produces byte-identical output, getnext counters, checkpoints, and
-  /// error rows to the tuple path — operators advance work accounting per row
-  /// at the exact tuple-at-a-time points, so a mid-batch fault/guard/cancel
-  /// surfaces at the same row and the batch is split there.
+  /// Ignored: Drive always runs tuple-at-a-time. The field remains only
+  /// because the end-to-end benchmark (e2ebench/suite.cc) still sets it for
+  /// its batch-vs-tuple ratio; drop it together with that variant.
   size_t batch_size = 0;
 
   /// Called with each root output row, in production order.
-  std::function<void(const Row&)> sink;
+  std::function<void(const Row&)> sink = nullptr;
 
   /// Collect root output rows into DriveResult::rows.
   bool collect_rows = false;
@@ -99,35 +96,10 @@ struct DriveResult {
 
 /// The single plan-execution entry point. Runs `plan` until completion or
 /// the context's first execution error (guard violation, injected fault,
-/// cancellation). Every other driver in this header is a thin forwarder.
+/// cancellation). The other drivers in this header are sugar over it.
 DriveResult Drive(PhysicalPlan* plan, const DriveOptions& opts = {});
 
 }  // namespace exec
-
-/// Deprecated driver matrix — thin forwarders onto exec::Drive, kept for one
-/// PR so out-of-tree callers migrate on their own schedule.
-[[deprecated("use exec::Drive")]] uint64_t ExecutePlan(
-    PhysicalPlan* plan, ExecContext* ctx,
-    const std::function<void(const Row&)>& sink = nullptr);
-
-[[deprecated("use exec::Drive")]] Status RunPlan(
-    PhysicalPlan* plan, ExecContext* ctx,
-    const std::function<void(const Row&)>& sink = nullptr);
-
-[[deprecated("use exec::Drive with batch_size")]] uint64_t ExecutePlanBatched(
-    PhysicalPlan* plan, ExecContext* ctx, size_t batch_size,
-    const std::function<void(const Row&)>& sink = nullptr);
-
-[[deprecated("use exec::Drive with batch_size")]] Status RunPlanBatched(
-    PhysicalPlan* plan, ExecContext* ctx, size_t batch_size,
-    const std::function<void(const Row&)>& sink = nullptr);
-
-[[deprecated("use exec::Drive with collect_rows")]] StatusOr<std::vector<Row>>
-TryCollectRows(PhysicalPlan* plan, ExecContext* ctx);
-
-[[deprecated("use exec::Drive with collect_rows + batch_size")]] StatusOr<
-    std::vector<Row>>
-TryCollectRowsBatched(PhysicalPlan* plan, ExecContext* ctx, size_t batch_size);
 
 /// Runs the plan and collects the root's output (sugar over exec::Drive).
 /// On an aborted run the returned rows are the prefix produced before the

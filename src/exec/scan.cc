@@ -1,7 +1,6 @@
 #include "exec/scan.h"
 
 #include "common/strings.h"
-#include "exec/batch.h"
 #include "exec/fault_injector.h"
 
 namespace qprog {
@@ -21,8 +20,6 @@ SeqScan::SeqScan(const Table* table, ExprPtr predicate, uint64_t begin,
       end_(end) {
   QPROG_CHECK(begin_ <= end_ && end_ <= table_->num_rows());
 }
-
-SeqScan::~SeqScan() = default;
 
 void SeqScan::DoOpen(ExecContext* ctx) {
   cursor_ = begin_;
@@ -53,17 +50,6 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
   }
   finished_ = true;
   return false;
-}
-
-bool SeqScan::DoNextBatch(ExecContext* ctx, RowBatch* out) {
-  if (out->capacity() < kMinFusedCapacity) {
-    return PhysicalOperator::DoNextBatch(ctx, out);
-  }
-  if (!fused_checked_) {
-    fused_checked_ = true;
-    fused_ = FusedChain::TryBuild(this);
-  }
-  return fused_->Fill(ctx, out);
 }
 
 void SeqScan::DoClose(ExecContext*) {}

@@ -28,11 +28,9 @@ class SeqScan : public PhysicalOperator {
   /// partition-relative, so per-partition getnext sums at the exchange
   /// boundary reproduce the serial scan's totals exactly.
   SeqScan(const Table* table, ExprPtr predicate, uint64_t begin, uint64_t end);
-  ~SeqScan() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
-  bool DoNextBatch(ExecContext* ctx, RowBatch* out) override;
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kSeqScan; }
@@ -57,16 +55,12 @@ class SeqScan : public PhysicalOperator {
   uint64_t partition_rows() const { return end_ - begin_; }
 
  private:
-  friend class FusedChain;
-
   const Table* table_;
   ExprPtr predicate_;
   uint64_t begin_ = 0;    // first row of this scan's range
   uint64_t end_ = 0;      // one past the last row of this scan's range
   uint64_t cursor_ = 0;   // table cursor within [begin_, end_)
   uint64_t emitted_ = 0;  // rows produced to the parent
-  std::unique_ptr<FusedChain> fused_;  // lazily built batch kernel
-  bool fused_checked_ = false;
 };
 
 /// Index seek over an ordered index. Two modes:

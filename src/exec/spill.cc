@@ -261,7 +261,7 @@ Status SpillManager::WithRetries(WorkContext* wc, int node, const char* site,
     // Deterministic doubling backoff: a busy-wait, not a sleep, so a seeded
     // run produces a byte-identical trace every time.
     volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < spins; ++i) sink += i;
+    for (uint64_t i = 0; i < spins; ++i) sink = sink + i;
     spins *= 2;
   }
 }

@@ -50,8 +50,12 @@ ExprPtr LiteralExpr::Clone() const {
 }
 
 std::string LiteralExpr::ToString() const {
-  if (value_.type() == TypeId::kString) return "'" + value_.ToString() + "'";
-  if (value_.type() == TypeId::kDate) return "DATE '" + value_.ToString() + "'";
+  if (value_.type() == TypeId::kString) {
+    return StringPrintf("'%s'", value_.ToString().c_str());
+  }
+  if (value_.type() == TypeId::kDate) {
+    return StringPrintf("DATE '%s'", value_.ToString().c_str());
+  }
   return value_.ToString();
 }
 
@@ -71,8 +75,8 @@ ExprPtr CompareExpr::Clone() const {
 }
 
 std::string CompareExpr::ToString() const {
-  return "(" + left_->ToString() + " " + CompareOpToString(op_) + " " +
-         right_->ToString() + ")";
+  return StringPrintf("(%s %s %s)", left_->ToString().c_str(),
+                      CompareOpToString(op_), right_->ToString().c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -135,7 +139,8 @@ std::string ArithExpr::ToString() const {
       op = "/";
       break;
   }
-  return "(" + left_->ToString() + " " + op + " " + right_->ToString() + ")";
+  return StringPrintf("(%s %s %s)", left_->ToString().c_str(), op,
+                      right_->ToString().c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -162,7 +167,7 @@ std::string AndExpr::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(children_.size());
   for (const ExprPtr& c : children_) parts.push_back(c->ToString());
-  return "(" + JoinStrings(parts, " AND ") + ")";
+  return StringPrintf("(%s)", JoinStrings(parts, " AND ").c_str());
 }
 
 Value OrExpr::Eval(const Row& row) const {
@@ -186,7 +191,7 @@ std::string OrExpr::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(children_.size());
   for (const ExprPtr& c : children_) parts.push_back(c->ToString());
-  return "(" + JoinStrings(parts, " OR ") + ")";
+  return StringPrintf("(%s)", JoinStrings(parts, " OR ").c_str());
 }
 
 Value NotExpr::Eval(const Row& row) const {
@@ -200,7 +205,7 @@ ExprPtr NotExpr::Clone() const {
 }
 
 std::string NotExpr::ToString() const {
-  return "(NOT " + child_->ToString() + ")";
+  return StringPrintf("(NOT %s)", child_->ToString().c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -241,8 +246,8 @@ ExprPtr LikeExpr::Clone() const {
 }
 
 std::string LikeExpr::ToString() const {
-  return "(" + input_->ToString() + (negated_ ? " NOT LIKE '" : " LIKE '") +
-         pattern_ + "')";
+  return StringPrintf("(%s %s '%s')", input_->ToString().c_str(),
+                      negated_ ? "NOT LIKE" : "LIKE", pattern_.c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -267,8 +272,9 @@ std::string InListExpr::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(list_.size());
   for (const Value& v : list_) parts.push_back(v.ToString());
-  return "(" + input_->ToString() + (negated_ ? " NOT IN (" : " IN (") +
-         JoinStrings(parts, ", ") + "))";
+  return StringPrintf("(%s %s (%s))", input_->ToString().c_str(),
+                      negated_ ? "NOT IN" : "IN",
+                      JoinStrings(parts, ", ").c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -284,8 +290,8 @@ ExprPtr IsNullExpr::Clone() const {
 }
 
 std::string IsNullExpr::ToString() const {
-  return "(" + input_->ToString() + (negated_ ? " IS NOT NULL" : " IS NULL") +
-         ")";
+  return StringPrintf("(%s %s)", input_->ToString().c_str(),
+                      negated_ ? "IS NOT NULL" : "IS NULL");
 }
 
 // --------------------------------------------------------------------------
@@ -314,9 +320,12 @@ ExprPtr CaseExpr::Clone() const {
 std::string CaseExpr::ToString() const {
   std::string out = "CASE";
   for (const Branch& b : branches_) {
-    out += " WHEN " + b.condition->ToString() + " THEN " + b.result->ToString();
+    out += StringPrintf(" WHEN %s THEN %s", b.condition->ToString().c_str(),
+                        b.result->ToString().c_str());
   }
-  if (else_result_ != nullptr) out += " ELSE " + else_result_->ToString();
+  if (else_result_ != nullptr) {
+    out += StringPrintf(" ELSE %s", else_result_->ToString().c_str());
+  }
   out += " END";
   return out;
 }
@@ -337,7 +346,7 @@ ExprPtr ExtractYearExpr::Clone() const {
 }
 
 std::string ExtractYearExpr::ToString() const {
-  return "EXTRACT(YEAR FROM " + input_->ToString() + ")";
+  return StringPrintf("EXTRACT(YEAR FROM %s)", input_->ToString().c_str());
 }
 
 // --------------------------------------------------------------------------

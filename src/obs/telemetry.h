@@ -37,11 +37,7 @@ inline uint64_t MonotonicNanos() {
 /// a join's next_ns contains the getnext time of its inputs.
 struct OperatorStats {
   uint64_t next_calls = 0;     // Next() invocations received from the parent
-                               // (batched runs: emulated per-row calls, so
-                               // the count matches tuple-at-a-time exactly)
   uint64_t rows_returned = 0;  // Next() calls that produced a row
-  uint64_t next_batches = 0;   // NextBatch() invocations covering this node
-                               // (0 on the tuple-at-a-time path)
   uint64_t opens = 0;          // Open() calls (rescanned inners open often)
   uint64_t closes = 0;
   uint64_t open_ns = 0;        // cumulative wall time inside Open()
@@ -125,26 +121,6 @@ class TelemetryCollector {
     s.next_ns += elapsed_ns;
     if (produced) {
       ++s.rows_returned;
-      uint64_t rel = end_ns - epoch_ns_;
-      if (rel == 0) rel = 1;  // keep 0 reserved for "no row yet"
-      if (s.first_row_ns == 0) s.first_row_ns = rel;
-      s.last_row_ns = rel;
-    }
-  }
-
-  /// Per-batch analogue of RecordNext: `rows` produced at the node and
-  /// `calls` emulated getnext invocations over one NextBatch, with the
-  /// batch's inclusive elapsed time. next_calls/rows_returned stay exactly
-  /// what a tuple-at-a-time run would record; only the clock is coarsened to
-  /// batch granularity (first_row_ns/last_row_ns land on batch boundaries).
-  void RecordNextBatch(int node, uint64_t rows, uint64_t calls,
-                       uint64_t elapsed_ns, uint64_t end_ns) {
-    OperatorStats& s = stats_[static_cast<size_t>(node)];
-    ++s.next_batches;
-    s.next_calls += calls;
-    s.rows_returned += rows;
-    s.next_ns += elapsed_ns;
-    if (rows > 0) {
       uint64_t rel = end_ns - epoch_ns_;
       if (rel == 0) rel = 1;  // keep 0 reserved for "no row yet"
       if (s.first_row_ns == 0) s.first_row_ns = rel;

@@ -241,7 +241,7 @@ void QueryServer::RunTicket(Ticket* t) {
   // wall-clock events into a query's byte-identical trace).
   EtaModel eta;
   sql::SessionOptions so;
-  // Engine-knob spine (worker_pool / batch_size / partitions) copies from
+  // Engine-knob spine (worker_pool / partitions) copies from
   // the server defaults in one assignment; a per-submission pool override
   // then wins over the fleet-wide default.
   static_cast<ExecutionConfig&>(so) = options_;

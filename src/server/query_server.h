@@ -60,7 +60,7 @@
 
 namespace qprog {
 
-/// Engine knobs (worker_pool, batch_size, partitions) ride on the shared
+/// Engine knobs (worker_pool, partitions) ride on the shared
 /// ExecutionConfig base and are forwarded to every session: worker_pool is
 /// the fleet-wide default pool (a per-submission SubmitOptions::worker_pool
 /// overrides it), and partitions > 1 plans decomposable aggregations as

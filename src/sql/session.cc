@@ -46,7 +46,6 @@ StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
   uint64_t start_ns = MonotonicNanos();
   exec::DriveOptions dopts;
   dopts.ctx = &ctx;
-  dopts.batch_size = options_.batch_size;
   dopts.collect_rows = true;
   exec::DriveResult result = exec::Drive(&plan, dopts);
   StatusOr<std::vector<Row>> rows =

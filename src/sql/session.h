@@ -39,7 +39,7 @@ namespace sql {
 
 /// Session-wide configuration: default estimator specs plus the borrowed
 /// execution environment (all pointers optional and caller-owned). The
-/// engine knobs — worker_pool, batch_size, partitions — live on the shared
+/// engine knobs — worker_pool, partitions — live on the shared
 /// ExecutionConfig base (exec/execution_config.h): `partitions > 1` makes
 /// the planner build partitioned scan → partial-agg → Exchange → final-agg
 /// pipelines for decomposable aggregations (sql/planner.h).

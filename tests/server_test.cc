@@ -626,7 +626,9 @@ TEST(WorkloadStatsConcurrencyTest, SnapshotIsConsistentUnderConcurrentFeedback) 
       for (const auto& entry : snap) {
         // Sorted, and every aggregate self-consistent: a torn read would
         // break runs >= completed_runs or the fixed per-record figures.
-        if (!first) EXPECT_GT(entry.fingerprint, prev_fp);
+        if (!first) {
+          EXPECT_GT(entry.fingerprint, prev_fp);
+        }
         first = false;
         prev_fp = entry.fingerprint;
         EXPECT_GE(entry.stats.runs, entry.stats.completed_runs);

@@ -98,7 +98,7 @@ TEST(SqlFuzzTest, MutatedValidQueriesNeverCrash) {
           mutated.insert(pos, 1, mutated[pos]);
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     auto plan = PlanSql(mutated, *db);
     if (plan.ok()) {

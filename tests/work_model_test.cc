@@ -155,6 +155,11 @@ TEST(WorkModelTest, MergedScanPredicateChangesWork) {
                                               std::move(aggs2));
   PhysicalPlan plan2(std::move(agg2));
   EXPECT_EQ(MeasureTotalWork(&plan2), 100u);
+
+  // The scan's own getnext counter tallies examined rows, not emitted ones.
+  ExecContext ctx;
+  exec::Drive(&plan2, {.ctx = &ctx});
+  EXPECT_EQ(ctx.rows_produced(1), 100u);
 }
 
 // Hash join work: both sides scanned once; total = |build| + |probe| +
