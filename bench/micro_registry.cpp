@@ -33,7 +33,6 @@ CrossRunObservation MakeObs(uint64_t fingerprint, int run) {
   CrossRunObservation obs;
   obs.fingerprint = fingerprint;
   obs.plan_signature = 0x5157a7u + fingerprint;
-  obs.completed = true;
   obs.workload.completed = true;
   obs.workload.work = 100000 + static_cast<uint64_t>(run);
   obs.workload.peak_buffered_rows = 4096;
@@ -134,7 +133,7 @@ int main() {
     QPROG_CHECK(reloaded.OpenLog(path, {}, &report).ok());
     double s2 = Seconds(start2);
     QPROG_CHECK(report.records_recovered == kTemplates);
-    QPROG_CHECK(reloaded.Lookup(1).runs == kRunsPerTemplate);
+    QPROG_CHECK(reloaded.Lookup(1).workload.runs == kRunsPerTemplate);
     phases.push_back({"load_compacted", s2, kTotal / s2});
   }
 

@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "server/query_server.h"
+#include "sql/fingerprint.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 
@@ -148,12 +149,14 @@ int main() {
   // 4. Drain and inspect what the fleet learned per template.
   server.Shutdown();
   std::printf("\n-- learned priors --\n");
-  for (const auto& s : server.workload_stats().Snapshot()) {
+  for (const char* q : {kReport, kTotal}) {
+    uint64_t fp = sql::TemplateFingerprint(q);
+    WorkloadStats s = server.registry().LookupWorkload(fp);
     std::printf("template %016llx: runs=%llu, max peak=%llu rows, mean wall=%.1f ms\n",
-                static_cast<unsigned long long>(s.fingerprint),
-                static_cast<unsigned long long>(s.stats.runs),
-                static_cast<unsigned long long>(s.stats.max_peak_buffered_rows),
-                static_cast<double>(s.stats.MeanWallNanos()) / 1e6);
+                static_cast<unsigned long long>(fp),
+                static_cast<unsigned long long>(s.runs),
+                static_cast<unsigned long long>(s.max_peak_buffered_rows),
+                static_cast<double>(s.MeanWallNanos()) / 1e6);
   }
   std::printf("\nfleet served %llu queries, shed %llu\n",
               static_cast<unsigned long long>(server.submitted()),

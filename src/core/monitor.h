@@ -123,7 +123,7 @@ struct ProgressReport {
   /// High-water mark of buffered rows over the run — the query's observed
   /// peak memory in the engine's buffered-row proxy. Together with the
   /// template fingerprint this is the admission predictor's training signal
-  /// (obs/workload_stats.h).
+  /// (obs/cross_run_registry.h).
   uint64_t peak_buffered_rows = 0;
   double mu = 0;                        // total(Q) / sum of scanned leaves
                                         // (0 when the run did not complete)

@@ -73,10 +73,18 @@ ChargeVerdict ExecContext::ChargeBufferedRowsOrSpill(uint64_t n) {
           static_cast<unsigned long long>(guard_->max_buffered_rows_kill()))));
       return ChargeVerdict::kFailed;
     }
+    // One read of the soft budget decides the charge. The governor may lower
+    // it concurrently; a charge that passed this check must not then fail
+    // against the newer value, which later charges see as kSpill.
     if (buffered_rows_ + n > guard_->max_buffered_rows()) {
       // Not charged: the operator spills instead of buffering these rows.
       return ChargeVerdict::kSpill;
     }
+    buffered_rows_ += n;
+    if (buffered_rows_ > peak_buffered_rows_) {
+      peak_buffered_rows_ = buffered_rows_;
+    }
+    return ChargeVerdict::kCharged;
   }
   return ChargeBufferedRows(n) ? ChargeVerdict::kCharged
                                : ChargeVerdict::kFailed;

@@ -265,7 +265,7 @@ class ExecContext final : public WorkContext {
   /// High-water mark of `buffered_rows()` over this execution — the query's
   /// observed peak memory in the engine's buffered-row proxy. Reset() clears
   /// it; the ProgressMonitor copies it onto the ProgressReport, where it
-  /// seeds the per-template admission priors (obs/workload_stats.h).
+  /// seeds the per-template admission priors (obs/cross_run_registry.h).
   uint64_t peak_buffered_rows() const { return peak_buffered_rows_; }
 
   // -- work observation -------------------------------------------------------

@@ -147,7 +147,6 @@ CrossRunObservation BuildCrossRunObservation(uint64_t fingerprint,
   CrossRunObservation obs;
   obs.fingerprint = fingerprint;
   obs.plan_signature = report.plan_signature;
-  obs.completed = report.completed();
   obs.workload.completed = report.completed();
   obs.workload.work = report.total_work;
   obs.workload.spill_work = report.spill_work;
@@ -202,7 +201,7 @@ std::string EncodeCrossRunObservation(const CrossRunObservation& obs) {
   PutU8(&out, kRecordVersion);
   PutU64(&out, obs.fingerprint);
   PutU64(&out, obs.plan_signature);
-  PutU8(&out, obs.completed ? 1 : 0);
+  PutU8(&out, obs.workload.completed ? 1 : 0);  // v1's duplicate slot
   PutWorkloadObservation(&out, obs.workload);
   PutU32(&out, static_cast<uint32_t>(obs.nodes.size()));
   for (const CrossRunObservation::Node& n : obs.nodes) {
@@ -224,14 +223,14 @@ std::string EncodeCrossRunObservation(const CrossRunObservation& obs) {
 bool DecodeCrossRunObservation(const std::string& payload,
                                CrossRunObservation* obs) {
   Cursor c(payload);
-  uint8_t type = 0, version = 0, completed = 0;
+  uint8_t type = 0, version = 0, duplicate_completed = 0;
   if (!c.GetU8(&type) || type != kRecordObservation) return false;
   if (!c.GetU8(&version) || version != kRecordVersion) return false;
   if (!c.GetU64(&obs->fingerprint) || !c.GetU64(&obs->plan_signature) ||
-      !c.GetU8(&completed) || !GetWorkloadObservation(&c, &obs->workload)) {
+      !c.GetU8(&duplicate_completed) ||
+      !GetWorkloadObservation(&c, &obs->workload)) {
     return false;
   }
-  obs->completed = completed != 0;
   uint32_t num_nodes = 0;
   if (!c.GetU32(&num_nodes)) return false;
   obs->nodes.clear();
@@ -268,8 +267,8 @@ std::string EncodeCrossRunAggregate(const CrossRunTemplateStats& stats) {
   PutU8(&out, kRecordVersion);
   PutU64(&out, stats.fingerprint);
   PutU64(&out, stats.plan_signature);
-  PutU64(&out, stats.runs);
-  PutU64(&out, stats.completed_runs);
+  PutU64(&out, stats.workload.runs);  // v1's duplicate slots
+  PutU64(&out, stats.workload.completed_runs);
   PutWorkloadStats(&out, stats.workload);
   PutU32(&out, static_cast<uint32_t>(stats.nodes.size()));
   for (const auto& [node_id, n] : stats.nodes) {
@@ -302,10 +301,11 @@ bool DecodeCrossRunAggregate(const std::string& payload,
                              CrossRunTemplateStats* stats) {
   Cursor c(payload);
   uint8_t type = 0, version = 0;
+  uint64_t duplicate_runs = 0, duplicate_completed_runs = 0;
   if (!c.GetU8(&type) || type != kRecordAggregate) return false;
   if (!c.GetU8(&version) || version != kRecordVersion) return false;
   if (!c.GetU64(&stats->fingerprint) || !c.GetU64(&stats->plan_signature) ||
-      !c.GetU64(&stats->runs) || !c.GetU64(&stats->completed_runs) ||
+      !c.GetU64(&duplicate_runs) || !c.GetU64(&duplicate_completed_runs) ||
       !GetWorkloadStats(&c, &stats->workload)) {
     return false;
   }
@@ -358,7 +358,8 @@ const std::vector<std::string>& CrossRunRegistry::SelectionCandidates() {
 void CrossRunRegistry::RecordLocked(const CrossRunObservation& obs) {
   CrossRunTemplateStats& stats = by_template_[obs.fingerprint];
   stats.fingerprint = obs.fingerprint;
-  if (stats.runs > 0 && obs.plan_signature != stats.plan_signature) {
+  WorkloadStats& w = stats.workload;
+  if (w.runs > 0 && obs.plan_signature != stats.plan_signature) {
     // The template's plan shape drifted (new index, reordered join): the old
     // shape's node and estimator history describes different operators, so
     // the template relearns from scratch. Workload figures stay — they
@@ -368,10 +369,7 @@ void CrossRunRegistry::RecordLocked(const CrossRunObservation& obs) {
     stats.estimators.clear();
   }
   stats.plan_signature = obs.plan_signature;
-  ++stats.runs;
-  if (obs.completed) ++stats.completed_runs;
 
-  WorkloadStats& w = stats.workload;
   ++w.runs;
   if (obs.workload.completed) ++w.completed_runs;
   w.total_work += obs.workload.work;
@@ -383,7 +381,8 @@ void CrossRunRegistry::RecordLocked(const CrossRunObservation& obs) {
       std::max(w.max_peak_buffered_rows, obs.workload.peak_buffered_rows);
   w.max_work = std::max(w.max_work, obs.workload.work);
 
-  if (!obs.completed) return;  // partial counts would bias the priors
+  // Partial counts would bias the priors.
+  if (!obs.workload.completed) return;
 
   for (const CrossRunObservation::Node& n : obs.nodes) {
     CrossRunNodeStats& ns = stats.nodes[n.node_id];
@@ -420,15 +419,13 @@ void CrossRunRegistry::MergeAggregateLocked(
     const CrossRunTemplateStats& incoming) {
   CrossRunTemplateStats& stats = by_template_[incoming.fingerprint];
   stats.fingerprint = incoming.fingerprint;
-  if (stats.runs > 0 && incoming.plan_signature != stats.plan_signature) {
+  WorkloadStats& w = stats.workload;
+  if (w.runs > 0 && incoming.plan_signature != stats.plan_signature) {
     stats.nodes.clear();
     stats.estimators.clear();
   }
   stats.plan_signature = incoming.plan_signature;
-  stats.runs += incoming.runs;
-  stats.completed_runs += incoming.completed_runs;
 
-  WorkloadStats& w = stats.workload;
   w.runs += incoming.workload.runs;
   w.completed_runs += incoming.workload.completed_runs;
   w.total_work += incoming.workload.total_work;
@@ -469,13 +466,13 @@ void CrossRunRegistry::MergeAggregateLocked(
 Status CrossRunRegistry::OpenLog(const std::string& path,
                                  RegistryLogOptions options,
                                  RegistryRecoveryReport* recovery) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> log_lock(log_mu_);
   if (log_ != nullptr) return Internal("cross-run registry log already open");
   auto visitor = [this](const std::string& payload) {
-    // Replay under mu_ (held by OpenLog). A record whose checksum passed but
-    // whose body does not decode — version skew, a short serialization — is
-    // skipped like checksum corruption: the registry never trusts bytes it
-    // cannot fully parse.
+    // A record whose checksum passed but whose body does not decode —
+    // version skew, a short serialization — is skipped like checksum
+    // corruption: the registry never trusts bytes it cannot fully parse.
+    std::lock_guard<std::mutex> lock(mu_);
     if (payload.empty()) {
       ++decode_skipped_;
       return;
@@ -502,8 +499,10 @@ Status CrossRunRegistry::OpenLog(const std::string& path,
 }
 
 Status CrossRunRegistry::RecordRun(const CrossRunObservation& obs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordLocked(obs);
+  // The fold happens under log_mu_ too, so a Compact cannot snapshot it
+  // and then have this append land a second copy behind the rewrite.
+  std::lock_guard<std::mutex> log_lock(log_mu_);
+  Record(obs);
   if (log_ == nullptr) return OkStatus();
   QPROG_RETURN_IF_ERROR(log_->Append(EncodeCrossRunObservation(obs)));
   return log_->Sync();
@@ -515,28 +514,31 @@ void CrossRunRegistry::Record(const CrossRunObservation& obs) {
 }
 
 Status CrossRunRegistry::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> log_lock(log_mu_);
   if (log_ == nullptr) return Internal("cross-run registry has no log");
   std::vector<std::string> records;
-  records.reserve(by_template_.size());
-  for (const auto& [fingerprint, stats] : by_template_) {
-    records.push_back(EncodeCrossRunAggregate(stats));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    records.reserve(by_template_.size());
+    for (const auto& [fingerprint, stats] : by_template_) {
+      records.push_back(EncodeCrossRunAggregate(stats));
+    }
   }
   return log_->Compact(records);
 }
 
 bool CrossRunRegistry::log_open() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr;
 }
 
 uint64_t CrossRunRegistry::log_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr ? log_->bytes() : 0;
 }
 
 uint64_t CrossRunRegistry::log_io_retries() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr ? log_->io_retries() : 0;
 }
 
@@ -553,15 +555,17 @@ CrossRunTemplateStats CrossRunRegistry::Lookup(uint64_t fingerprint,
   return it != by_template_.end() ? it->second : CrossRunTemplateStats();
 }
 
+WorkloadStats CrossRunRegistry::LookupWorkload(uint64_t fingerprint,
+                                               bool* found) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = by_template_.find(fingerprint);
+  if (found != nullptr) *found = it != by_template_.end();
+  return it != by_template_.end() ? it->second.workload : WorkloadStats();
+}
+
 size_t CrossRunRegistry::num_templates() const {
   std::lock_guard<std::mutex> lock(mu_);
   return by_template_.size();
-}
-
-uint64_t CrossRunRegistry::CompletedRunsFor(uint64_t fingerprint) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_template_.find(fingerprint);
-  return it != by_template_.end() ? it->second.completed_runs : 0;
 }
 
 std::string CrossRunRegistry::SelectLocked(uint64_t fingerprint,
@@ -597,7 +601,8 @@ CrossRunPriorReport CrossRunRegistry::ApplyPriors(uint64_t fingerprint,
   QPROG_CHECK(plan != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_template_.find(fingerprint);
-  if (it == by_template_.end() || it->second.completed_runs < min_runs) {
+  if (it == by_template_.end() ||
+      it->second.workload.completed_runs < min_runs) {
     return report;
   }
   const CrossRunTemplateStats& stats = it->second;
@@ -626,15 +631,6 @@ CrossRunPriorReport CrossRunRegistry::ApplyPriors(uint64_t fingerprint,
     ++report.nodes_reseeded;
   }
   return report;
-}
-
-void CrossRunRegistry::ExportWorkloadStats(WorkloadStatsRegistry* out) const {
-  QPROG_CHECK(out != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [fingerprint, stats] : by_template_) {
-    if (stats.workload.runs == 0) continue;
-    out->Merge(fingerprint, stats.workload);
-  }
 }
 
 std::vector<CrossRunRegistry::Offender> CrossRunRegistry::WorstOffenders(
@@ -667,8 +663,8 @@ std::string CrossRunRegistry::ToJson() const {
         "\"completed_runs\":%llu",
         static_cast<unsigned long long>(fingerprint),
         static_cast<unsigned long long>(stats.plan_signature),
-        static_cast<unsigned long long>(stats.runs),
-        static_cast<unsigned long long>(stats.completed_runs));
+        static_cast<unsigned long long>(stats.workload.runs),
+        static_cast<unsigned long long>(stats.workload.completed_runs));
     out += ",\"nodes\":[";
     bool first = true;
     for (const auto& [node_id, ns] : stats.nodes) {

@@ -23,10 +23,10 @@
 //    only by the estimators (never the BoundsTracker), so re-seeding cannot
 //    violate Curr <= LB <= UB.
 //
-//  * Admission priors: each template's WorkloadStats aggregate rides in the
-//    same records, so ExportWorkloadStats() rehydrates a
-//    WorkloadStatsRegistry after restart and the admission controller's
-//    predictions survive a crash.
+//  * Admission priors (LearnedWMP, PAPERS.md): every run, monitored or
+//    not, folds its resource figures into the template's WorkloadStats.
+//    The admission controller (server/admission.h) reads them back through
+//    LookupWorkload(); with a log attached they survive a restart.
 //
 // Persistence is a RegistryLog (storage/registry_log.h): every RecordRun
 // appends one observation record and fsyncs; Compact() rewrites the log as
@@ -35,7 +35,8 @@
 // — and the in-memory state is exactly the fold of the recovered records.
 //
 // Thread-safe: server sessions record concurrently while Submit-time
-// selection reads.
+// selection and admission read. Readers never wait on log I/O: the maps have
+// their own mutex, which is never held across an append, fsync or compaction.
 
 #ifndef QPROG_OBS_CROSS_RUN_REGISTRY_H_
 #define QPROG_OBS_CROSS_RUN_REGISTRY_H_
@@ -48,7 +49,6 @@
 #include <vector>
 
 #include "core/monitor.h"
-#include "obs/workload_stats.h"
 #include "storage/registry_log.h"
 
 namespace qprog {
@@ -58,6 +58,37 @@ class PhysicalPlan;
 /// True-progress deciles the estimator error series is bucketed into:
 /// bucket d covers (d/10, (d+1)/10].
 inline constexpr int kProgressDeciles = 10;
+
+/// One finished (or aborted) run's resource figures. Peak buffered rows is
+/// the engine's memory proxy; wall time is the only nondeterministic field,
+/// and admission decisions never read it.
+struct WorkloadObservation {
+  bool completed = false;
+  uint64_t work = 0;
+  uint64_t spill_work = 0;
+  uint64_t peak_buffered_rows = 0;
+  uint64_t root_rows = 0;
+  uint64_t wall_ns = 0;
+};
+
+/// Aggregate over every observation of one template — the admission
+/// controller's prior.
+struct WorkloadStats {
+  uint64_t runs = 0;  // observations recorded (completed + aborted)
+  uint64_t completed_runs = 0;
+  uint64_t total_work = 0;
+  uint64_t total_spill_work = 0;
+  uint64_t total_root_rows = 0;
+  uint64_t total_wall_ns = 0;
+  uint64_t total_peak_buffered_rows = 0;
+  uint64_t max_peak_buffered_rows = 0;
+  uint64_t max_work = 0;
+
+  /// Mean wall time per run in nanoseconds (0 with no runs).
+  uint64_t MeanWallNanos() const {
+    return runs > 0 ? total_wall_ns / runs : 0;
+  }
+};
 
 /// rstats-style cardinality-error aggregate for one (template, node) pair.
 /// Errors are |log(actual/est)| per run (LogScaleError, obs/accuracy.h).
@@ -122,18 +153,17 @@ struct CrossRunTemplateStats {
   /// a new plan's signature differs (plan shape drifted); the signature of
   /// the *latest* recorded run wins, so a changed template relearns.
   uint64_t plan_signature = 0;
-  uint64_t runs = 0;
-  uint64_t completed_runs = 0;
   std::map<int, CrossRunNodeStats> nodes;
   std::map<std::string, CrossRunEstimatorStats> estimators;
+  /// Every run's resource figures; also the template's run counters.
   WorkloadStats workload;
 };
 
 /// One run's contribution to the registry — the unit of the on-disk log.
+/// An unmonitored or aborted run carries workload figures only.
 struct CrossRunObservation {
   uint64_t fingerprint = 0;
   uint64_t plan_signature = 0;
-  bool completed = false;
   WorkloadObservation workload;
 
   struct Node {
@@ -203,8 +233,9 @@ class CrossRunRegistry {
 
   /// Folds one observation into memory and, with a log attached, appends
   /// and fsyncs it — after an OK return the observation survives kill-9.
-  /// A log-append failure leaves memory updated (this process still
-  /// benefits) and returns the error.
+  /// The fold is visible to readers before the append finishes. A
+  /// log-append failure leaves memory updated (this process still benefits)
+  /// and returns the error.
   Status RecordRun(const CrossRunObservation& obs);
 
   /// Memory-only fold (no log I/O) — the replay path and the memory-only
@@ -226,9 +257,12 @@ class CrossRunRegistry {
 
   CrossRunTemplateStats Lookup(uint64_t fingerprint,
                                bool* found = nullptr) const;
+  /// The template's workload aggregate alone — the admission path's cheap
+  /// point read (no node or estimator maps copied). An unseen template
+  /// returns a zero aggregate with `found` (optional) false.
+  WorkloadStats LookupWorkload(uint64_t fingerprint,
+                               bool* found = nullptr) const;
   size_t num_templates() const;
-  /// Completed runs recorded for `fingerprint` (selection's warmth gate).
-  uint64_t CompletedRunsFor(uint64_t fingerprint) const;
 
   /// König-style selection: the candidate with the lowest historical
   /// RmsError for this template, among candidates with >= `min_runs`
@@ -246,10 +280,6 @@ class CrossRunRegistry {
   /// counted). Never touches the BoundsTracker's inputs.
   CrossRunPriorReport ApplyPriors(uint64_t fingerprint, PhysicalPlan* plan,
                                   uint64_t min_runs = 3) const;
-
-  /// Merges every template's workload aggregate into `out` — the admission
-  /// controller's restart path.
-  void ExportWorkloadStats(WorkloadStatsRegistry* out) const;
 
   // --- reports -------------------------------------------------------------
 
@@ -270,6 +300,11 @@ class CrossRunRegistry {
   void MergeAggregateLocked(const CrossRunTemplateStats& stats);
   std::string SelectLocked(uint64_t fingerprint, uint64_t min_runs) const;
 
+  /// Taken before mu_. Serializes log I/O: RecordRun's fold-then-append
+  /// and Compact's snapshot-then-rewrite, so a compaction never sees a fold
+  /// whose append is still to come. Guards log_.
+  mutable std::mutex log_mu_;
+  /// Guards the in-memory state only; never held across log I/O.
   mutable std::mutex mu_;
   std::map<uint64_t, CrossRunTemplateStats> by_template_;
   std::unique_ptr<RegistryLog> log_;
@@ -280,6 +315,10 @@ class CrossRunRegistry {
 /// Wire format: [u8 record type][u8 version][LE body]. Type 1 = observation,
 /// type 2 = template aggregate (Compact output). Unknown types and versions
 /// are skipped on replay (forward compatibility), counted as decode skips.
+/// Version 1 carries the run counters twice: a slot ahead of the workload
+/// figures (observation: completed; aggregate: runs, completed_runs) and the
+/// workload figures themselves. Encoders fill the early slot from the
+/// workload figures; decoders read and discard it.
 std::string EncodeCrossRunObservation(const CrossRunObservation& obs);
 std::string EncodeCrossRunAggregate(const CrossRunTemplateStats& stats);
 bool DecodeCrossRunObservation(const std::string& payload,

@@ -34,14 +34,14 @@ const char* AdmissionActionToString(AdmissionAction action) {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions options,
-                                         const WorkloadStatsRegistry* priors)
+                                         const CrossRunRegistry* priors)
     : options_(options), priors_(priors) {}
 
 uint64_t AdmissionController::PredictPeakRows(uint64_t fingerprint,
                                               bool* from_prior) const {
   if (priors_ != nullptr) {
     bool found = false;
-    WorkloadStats stats = priors_->Lookup(fingerprint, &found);
+    WorkloadStats stats = priors_->LookupWorkload(fingerprint, &found);
     if (found && stats.runs > 0) {
       if (from_prior != nullptr) *from_prior = true;
       double padded =

@@ -5,8 +5,9 @@
 // Prediction follows the LearnedWMP observation (PAPERS.md): memory demand
 // clusters by query template. Every finished run feeds its template
 // fingerprint (sql/fingerprint.h) and peak buffered rows into the shared
-// WorkloadStatsRegistry; the controller predicts the next run of the same
-// template at max observed peak x a headroom factor. Templates never seen
+// CrossRunRegistry (obs/cross_run_registry.h); the controller reads the
+// template's WorkloadStats straight from it and predicts the next run at
+// max observed peak x a headroom factor. Templates never seen
 // before fall back to a *seeded* pseudo-random prior in
 // [fallback/2, 3*fallback/2): deterministic for a fixed (seed, fingerprint),
 // so a fixed-seed test replays the exact admission sequence while a fleet
@@ -29,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "obs/workload_stats.h"
+#include "obs/cross_run_registry.h"
 #include "server/tenant.h"
 
 namespace qprog {
@@ -75,7 +76,7 @@ class AdmissionController {
  public:
   /// `priors` is borrowed and may be null (every template is then cold).
   AdmissionController(AdmissionOptions options,
-                      const WorkloadStatsRegistry* priors);
+                      const CrossRunRegistry* priors);
 
   /// Predicted peak buffered rows for one run of `fingerprint`'s template.
   /// Sets `from_prior` (optional) to whether history existed.
@@ -99,7 +100,7 @@ class AdmissionController {
 
  private:
   AdmissionOptions options_;
-  const WorkloadStatsRegistry* priors_;
+  const CrossRunRegistry* priors_;
 };
 
 }  // namespace qprog

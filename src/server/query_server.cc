@@ -15,17 +15,13 @@ namespace qprog {
 QueryServer::QueryServer(const Database* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
+      registry_(options_.cross_run != nullptr ? options_.cross_run
+                                              : &local_registry_),
       governor_(options_.governor),
-      admission_(options_.admission, &priors_) {
+      admission_(options_.admission, registry_) {
   QPROG_CHECK(db_ != nullptr);
   QPROG_CHECK(options_.sessions > 0);
   QPROG_CHECK(options_.checkpoint_interval > 0);
-  if (options_.cross_run != nullptr) {
-    // Rehydrate the admission priors from the crash-safe registry: the
-    // controller predicts from the same per-template aggregates it had
-    // before the restart.
-    options_.cross_run->ExportWorkloadStats(&priors_);
-  }
   threads_.reserve(options_.sessions);
   for (size_t i = 0; i < options_.sessions; ++i) {
     threads_.emplace_back(&QueryServer::SessionLoop, this);
@@ -252,9 +248,10 @@ void QueryServer::RunTicket(Ticket* t) {
   so.fault_injector = t->opts.fault_injector;
   so.spill_manager = &spill;
   so.telemetry = t->opts.telemetry;
-  so.workload_stats = &priors_;
-  so.cross_run = options_.cross_run;
-  so.cross_run_feedback = options_.cross_run_feedback;
+  so.cross_run = registry_;
+  // Only a caller-attached registry is read back into runs; the server's
+  // own registry feeds admission alone.
+  so.cross_run_feedback = options_.cross_run != nullptr;
   so.cross_run_min_runs = options_.cross_run_min_runs;
   so.eta_model = &eta;
   sql::SqlSession session(db_, so);
@@ -374,7 +371,7 @@ FleetReport QueryServer::Fleet() const {
         // by how much of the queue is ahead of it per session thread. A
         // display hint only — decisions never read wall time.
         bool found = false;
-        WorkloadStats stats = priors_.Lookup(t.fingerprint, &found);
+        WorkloadStats stats = registry_->LookupWorkload(t.fingerprint, &found);
         uint64_t mean_ns = found ? stats.MeanWallNanos() : 0;
         info.predicted_wait_ns =
             mean_ns * (info.queue_position / options_.sessions + 1);

@@ -17,7 +17,7 @@
 //        fault, abort, or spill cannot touch another session's state
 //        (cross-query fault isolation); guardrail aborts come back as the
 //        report's status, engine faults as the ticket's status
-//     -> governor Release, priors updated, waiters notified
+//     -> governor Release, priors recorded, waiters notified
 //   Wait(ticket) returns the QueryResult; Fleet() snapshots every ticket's
 //   state — latest estimator output for running queries, queue position and
 //   predicted-wait hint for queued ones, pool occupancy for the whole fleet.
@@ -51,7 +51,7 @@
 
 #include "core/monitor.h"
 #include "obs/metrics_registry.h"
-#include "obs/workload_stats.h"
+#include "obs/cross_run_registry.h"
 #include "server/admission.h"
 #include "server/memory_governor.h"
 #include "server/tenant.h"
@@ -84,16 +84,17 @@ struct ServerOptions : ExecutionConfig {
   /// Quota for tenants never registered explicitly.
   TenantQuota default_quota;
 
-  /// Cross-run estimator registry (obs/cross_run_registry.h), shared and
-  /// caller-owned. When attached: its persisted workload aggregates seed the
-  /// admission priors at construction (predictions survive a restart),
-  /// every session threads it through for recording and prior feedback, and
-  /// an "auto" estimator spec is resolved per ticket at Submit time — the
-  /// pick rides on the ticket, so the fleet display and the run agree even
-  /// while concurrent runs keep learning.
+  /// Per-template store (obs/cross_run_registry.h), shared and
+  /// caller-owned. Every run records into it and admission predicts from
+  /// it, so with a log attached the predictions survive a restart. When
+  /// attached, sessions also read it back (prior feedback; see
+  /// sql/session.h), and an "auto" estimator spec is resolved per ticket at
+  /// Submit time — the pick rides on the ticket, so the fleet display and
+  /// the run agree even while concurrent runs keep learning. Null: the
+  /// server records into a memory-only registry of its own that feeds
+  /// admission alone, so runs never re-seed estimates or resolve "auto"
+  /// from history.
   CrossRunRegistry* cross_run = nullptr;
-  /// Forwarded to each session's SessionOptions (see sql/session.h).
-  bool cross_run_feedback = true;
   uint64_t cross_run_min_runs = 3;
 };
 
@@ -238,7 +239,9 @@ class QueryServer {
   void Shutdown();
 
   const ServerOptions& options() const { return options_; }
-  const WorkloadStatsRegistry& workload_stats() const { return priors_; }
+  /// The per-template store admission predicts from: options().cross_run
+  /// when attached, else the server's own memory-only registry.
+  const CrossRunRegistry& registry() const { return *registry_; }
   const MemoryGovernor& governor() const { return governor_; }
   uint64_t submitted() const;
   uint64_t shed_total() const;
@@ -289,7 +292,8 @@ class QueryServer {
 
   const Database* db_;
   ServerOptions options_;
-  WorkloadStatsRegistry priors_;
+  CrossRunRegistry local_registry_;  // used when options_.cross_run is null
+  CrossRunRegistry* registry_;       // options_.cross_run or &local_registry_
   MemoryGovernor governor_;
   AdmissionController admission_;
 

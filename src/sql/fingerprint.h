@@ -1,7 +1,7 @@
 // Query-template fingerprinting for the admission predictor (LearnedWMP
 // direction, PAPERS.md): two queries that differ only in their literal
 // values share a template, and per-template telemetry from past runs
-// (obs/workload_stats.h) is the prior for a new query's peak memory and
+// (obs/cross_run_registry.h) is the prior for a new query's peak memory and
 // work. The template is the lexed token stream with every literal replaced
 // by '?' — identifiers are already lower-cased by the lexer, so the mapping
 // is insensitive to case and whitespace but deliberately *not* to join

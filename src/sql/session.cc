@@ -16,19 +16,11 @@ SqlSession::SqlSession(const Database* db, SessionOptions options)
   QPROG_CHECK(options_.checkpoint_interval > 0);
 }
 
-void SqlSession::RecordWorkload(uint64_t fingerprint, bool completed,
-                                uint64_t work, uint64_t spill_work,
-                                uint64_t peak_buffered_rows,
-                                uint64_t root_rows, uint64_t wall_ns) {
-  if (options_.workload_stats == nullptr) return;
-  WorkloadObservation obs;
-  obs.completed = completed;
-  obs.work = work;
-  obs.spill_work = spill_work;
-  obs.peak_buffered_rows = peak_buffered_rows;
-  obs.root_rows = root_rows;
-  obs.wall_ns = wall_ns;
-  options_.workload_stats->Record(fingerprint, obs);
+void SqlSession::RecordRun(const CrossRunObservation& obs) {
+  Status recorded = options_.cross_run->RecordRun(obs);
+  if (!recorded.ok() && options_.metrics_registry != nullptr) {
+    options_.metrics_registry->IncrementCounter("cross_run.record_errors");
+  }
 }
 
 StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
@@ -51,10 +43,20 @@ StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
   StatusOr<std::vector<Row>> rows =
       result.ok() ? StatusOr<std::vector<Row>>(std::move(result.rows))
                   : StatusOr<std::vector<Row>>(result.status);
-  RecordWorkload(TemplateFingerprint(query), rows.ok(), ctx.work(),
-                 ctx.total_spill_work(), ctx.peak_buffered_rows(),
-                 rows.ok() ? rows.value().size() : 0,
-                 MonotonicNanos() - start_ns);
+  if (options_.cross_run != nullptr) {
+    // Workload figures only: an unmonitored run has no checkpoints to score
+    // estimators on and no per-node counts to learn cardinalities from.
+    CrossRunObservation obs;
+    obs.fingerprint = TemplateFingerprint(query);
+    obs.plan_signature = PlanSignature(plan);
+    obs.workload.completed = rows.ok();
+    obs.workload.work = ctx.work();
+    obs.workload.spill_work = ctx.total_spill_work();
+    obs.workload.peak_buffered_rows = ctx.peak_buffered_rows();
+    obs.workload.root_rows = rows.ok() ? rows.value().size() : 0;
+    obs.workload.wall_ns = MonotonicNanos() - start_ns;
+    RecordRun(obs);
+  }
   return rows;
 }
 
@@ -64,12 +66,14 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
   popts.partitions = options_.partitions;
   QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_, popts));
   const uint64_t fingerprint = TemplateFingerprint(query);
+  CrossRunRegistry* feedback =
+      options_.cross_run_feedback ? options_.cross_run : nullptr;
   // Cross-run prior feedback: re-seed the plan's estimated_rows from the
   // template's observed cardinalities before any estimator sees the plan.
   // Guarded inside ApplyPriors (plan-signature match, static-bound clamp);
   // rejected priors leave a metrics breadcrumb instead of touching the plan.
-  if (options_.cross_run != nullptr && options_.cross_run_feedback) {
-    CrossRunPriorReport priors = options_.cross_run->ApplyPriors(
+  if (feedback != nullptr) {
+    CrossRunPriorReport priors = feedback->ApplyPriors(
         fingerprint, &plan, options_.cross_run_min_runs);
     if (options_.metrics_registry != nullptr) {
       MetricsRegistry* m = options_.metrics_registry;
@@ -97,11 +101,11 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
     if (spec != "auto") continue;
     if (!q.auto_pick.empty()) {
       spec = "auto:" + q.auto_pick;
-    } else if (options_.cross_run != nullptr) {
-      spec = "auto:" + options_.cross_run->SelectEstimator(
-                           fingerprint, options_.cross_run_min_runs);
+    } else if (feedback != nullptr) {
+      spec = "auto:" + feedback->SelectEstimator(fingerprint,
+                                                 options_.cross_run_min_runs);
     }
-    // With no registry, bare "auto" stays — CreateEstimator wraps the
+    // Without feedback, bare "auto" stays — CreateEstimator wraps the
     // dne_bounded cold fallback.
   }
   std::vector<std::unique_ptr<ProgressEstimator>> estimators;
@@ -127,17 +131,8 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
   uint64_t start_ns = MonotonicNanos();
   ProgressReport report = monitor.Run(interval);
   uint64_t wall_ns = MonotonicNanos() - start_ns;
-  RecordWorkload(fingerprint, report.completed(), report.total_work,
-                 report.spill_work, report.peak_buffered_rows,
-                 report.root_rows, wall_ns);
   if (options_.cross_run != nullptr) {
-    // Recording is best-effort: a log I/O failure must not fail the query —
-    // the report is already in hand. The error is surfaced as a breadcrumb.
-    Status recorded = options_.cross_run->RecordRun(
-        BuildCrossRunObservation(fingerprint, report, wall_ns));
-    if (!recorded.ok() && options_.metrics_registry != nullptr) {
-      options_.metrics_registry->IncrementCounter("cross_run.record_errors");
-    }
+    RecordRun(BuildCrossRunObservation(fingerprint, report, wall_ns));
   }
   return report;
 }

@@ -13,9 +13,9 @@
 // which owns one SqlSession per connection and wires per-session guards and
 // spill managers into these options.
 //
-// When a WorkloadStatsRegistry is attached, every run (monitored or not)
-// records its template fingerprint and resource figures, growing the priors
-// the admission controller predicts from. The wall-clock figure is the only
+// When a CrossRunRegistry is attached, every run (monitored or not) records
+// its template fingerprint and resource figures, growing the priors the
+// admission controller predicts from. The wall-clock figure is the only
 // nondeterministic field; admission decisions never read it (it feeds the
 // predicted-wait *hint* only), so a fixed seed still yields fixed decisions.
 
@@ -30,7 +30,6 @@
 #include "common/statusor.h"
 #include "core/monitor.h"
 #include "obs/cross_run_registry.h"
-#include "obs/workload_stats.h"
 #include "sql/planner.h"
 #include "storage/catalog.h"
 
@@ -56,16 +55,15 @@ struct SessionOptions : ExecutionConfig {
   SpillManager* spill_manager = nullptr;
   TelemetryCollector* telemetry = nullptr;
   MetricsRegistry* metrics_registry = nullptr;
-  /// Per-template priors sink; shared across sessions (thread-safe).
-  WorkloadStatsRegistry* workload_stats = nullptr;
-  /// Cross-run estimator registry (obs/cross_run_registry.h); shared across
-  /// sessions (thread-safe). When attached, every monitored run records a
-  /// CrossRunObservation, plans are re-seeded from observed cardinality
-  /// priors before execution (unless cross_run_feedback is off), and an
-  /// "auto" estimator spec resolves to the template's historically-best
-  /// fixed estimator.
+  /// Per-template store (obs/cross_run_registry.h); shared across sessions
+  /// (thread-safe). When attached, every run records a CrossRunObservation:
+  /// a monitored run its full one, an unmonitored run its workload figures
+  /// only.
   CrossRunRegistry* cross_run = nullptr;
-  /// Re-seed estimated_rows from cross-run priors on plan construction.
+  /// Read the registry back into the run: re-seed estimated_rows from
+  /// observed cardinality priors on plan construction, and resolve an
+  /// "auto" estimator spec to the template's historically-best fixed
+  /// estimator. Off, the registry is only recorded into.
   bool cross_run_feedback = true;
   /// Completed runs a template needs before its priors are trusted — the k
   /// of both prior feedback and auto-selection warmth.
@@ -122,9 +120,9 @@ class SqlSession {
   uint64_t queries_run() const { return queries_run_; }
 
  private:
-  void RecordWorkload(uint64_t fingerprint, bool completed, uint64_t work,
-                      uint64_t spill_work, uint64_t peak_buffered_rows,
-                      uint64_t root_rows, uint64_t wall_ns);
+  /// Records into options_.cross_run (non-null). Best-effort: a log I/O
+  /// failure leaves a metrics breadcrumb, never fails the query.
+  void RecordRun(const CrossRunObservation& obs);
 
   const Database* db_;
   SessionOptions options_;

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,6 +31,7 @@
 #include <unistd.h>
 
 #include "common/macros.h"
+#include "common/strings.h"
 #include "core/estimators.h"
 #include "core/monitor.h"
 #include "exec/fault_injector.h"
@@ -36,7 +41,6 @@
 #include "exec/scan.h"
 #include "obs/cross_run_registry.h"
 #include "obs/metrics_registry.h"
-#include "obs/workload_stats.h"
 #include "server/query_server.h"
 #include "sql/fingerprint.h"
 #include "sql/session.h"
@@ -93,7 +97,6 @@ CrossRunObservation MakeObs(
   CrossRunObservation obs;
   obs.fingerprint = fingerprint;
   obs.plan_signature = PlanSignature(plan);
-  obs.completed = true;
   obs.workload.completed = true;
   obs.workload.work = 100;
   obs.workload.peak_buffered_rows = 10;
@@ -115,6 +118,19 @@ CrossRunObservation MakeObs(
     obs.estimators.push_back(std::move(e));
   }
   return obs;
+}
+
+/// Every WorkloadStats field, so a lost or misplaced figure cannot hide.
+void ExpectWorkloadEq(const WorkloadStats& got, const WorkloadStats& want) {
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_EQ(got.completed_runs, want.completed_runs);
+  EXPECT_EQ(got.total_work, want.total_work);
+  EXPECT_EQ(got.total_spill_work, want.total_spill_work);
+  EXPECT_EQ(got.total_root_rows, want.total_root_rows);
+  EXPECT_EQ(got.total_wall_ns, want.total_wall_ns);
+  EXPECT_EQ(got.total_peak_buffered_rows, want.total_peak_buffered_rows);
+  EXPECT_EQ(got.max_peak_buffered_rows, want.max_peak_buffered_rows);
+  EXPECT_EQ(got.max_work, want.max_work);
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +455,7 @@ TEST(WireFormatTest, ObservationRoundTrip) {
   ASSERT_TRUE(DecodeCrossRunObservation(EncodeCrossRunObservation(obs), &back));
   EXPECT_EQ(back.fingerprint, obs.fingerprint);
   EXPECT_EQ(back.plan_signature, obs.plan_signature);
-  EXPECT_EQ(back.completed, obs.completed);
+  EXPECT_EQ(back.workload.completed, obs.workload.completed);
   EXPECT_EQ(back.workload.work, obs.workload.work);
   EXPECT_EQ(back.workload.wall_ns, obs.workload.wall_ns);
   ASSERT_EQ(back.nodes.size(), obs.nodes.size());
@@ -449,6 +465,156 @@ TEST(WireFormatTest, ObservationRoundTrip) {
   EXPECT_EQ(back.estimators[0].name, "dne");
   EXPECT_DOUBLE_EQ(back.estimators[1].avg_abs_err, 0.05);
   EXPECT_DOUBLE_EQ(back.estimators[1].decile_err[9], 0.05);
+}
+
+std::string ToHex(const std::string& bytes) {
+  std::string hex;
+  for (char c : bytes) {
+    hex += StringPrintf("%02x", static_cast<unsigned char>(c));
+  }
+  return hex;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    int byte = std::stoi(hex.substr(i, 2), nullptr, 16);
+    bytes.push_back(static_cast<char>(byte));
+  }
+  return bytes;
+}
+
+// One v1 observation record and one v1 aggregate record, captured from the
+// encoder as it was before the run counters were folded into WorkloadStats
+// (the duplicate slots then had fields of their own). Logs written by older
+// builds must replay unchanged, and new logs must stay readable by them.
+const char kGoldenObservationHex[] =
+    "0101efcdab89674523011032547698badcfe0101e80300000000000014000000"
+    "000000004000000000000000070000000000000015cd5b070000000002000000"
+    "00000000f4010000000000000000000000506f40cd8101000000000001000000"
+    "0700000000000000000000000000f0bf00000000000000000200000003000000"
+    "646e65000000000000c03f000000000000e03f00000000000000000000000000"
+    "00b03f000000000000c03f000000000000c83f000000000000d03f0000000000"
+    "00f0bf000000000000f0bf000000000000f0bf000000000000f0bf0000000000"
+    "00f0bf0400000073616665000000000000d03f000000000000e83f0000000000"
+    "00a03f000000000000a03f000000000000a03f000000000000a03f0000000000"
+    "00a03f000000000000a03f000000000000a03f000000000000a03f0000000000"
+    "00a03f000000000000a03f";
+const char kGoldenAggregateHex[] =
+    "0201111100000000000022220000000000000500000000000000040000000000"
+    "0000050000000000000004000000000000008813000000000000640000000000"
+    "00002300000000000000e7030000000000004001000000000000500000000000"
+    "0000b00400000000000001000000030000000400000000000000000000000000"
+    "f83f000000000000e83f00000000000000400000000000001040000000000000"
+    "2040000000000000304004000000000000000000000000409f400000000000c0"
+    "82400100000004000000706d61780400000000000000000000000000e03f0000"
+    "00000000b03f000000000000d03f0000000000000000000000000000c03f0000"
+    "00000000d03f000000000000d83f000000000000e03f000000000000e43f0000"
+    "00000000e83f000000000000ec3f000000000000f03f000000000000f23f0000"
+    "0000000000000100000000000000020000000000000000000000000000000100"
+    "0000000000000200000000000000000000000000000001000000000000000200"
+    "0000000000000000000000000000";
+
+CrossRunObservation GoldenObservation() {
+  CrossRunObservation obs;
+  obs.fingerprint = 0x0123456789abcdefULL;
+  obs.plan_signature = 0xfedcba9876543210ULL;
+  obs.workload.completed = true;
+  obs.workload.work = 1000;
+  obs.workload.spill_work = 20;
+  obs.workload.peak_buffered_rows = 64;
+  obs.workload.root_rows = 7;
+  obs.workload.wall_ns = 123456789;
+  CrossRunObservation::Node scan;
+  scan.node_id = 0;
+  scan.actual_rows = 500;
+  scan.estimated_rows = 250.5;
+  scan.next_ns = 98765;
+  CrossRunObservation::Node root;
+  root.node_id = 1;
+  root.actual_rows = 7;
+  obs.nodes = {scan, root};
+  CrossRunObservation::Estimator dne;
+  dne.name = "dne";
+  dne.avg_abs_err = 0.125;
+  dne.max_abs_err = 0.5;
+  for (int d = 0; d < 5; ++d) dne.decile_err[d] = d * 0.0625;
+  CrossRunObservation::Estimator safe;
+  safe.name = "safe";
+  safe.avg_abs_err = 0.25;
+  safe.max_abs_err = 0.75;
+  for (double& d : safe.decile_err) d = 0.03125;
+  obs.estimators = {dne, safe};
+  return obs;
+}
+
+CrossRunTemplateStats GoldenAggregate() {
+  CrossRunTemplateStats stats;
+  stats.fingerprint = 0x1111;
+  stats.plan_signature = 0x2222;
+  stats.workload.runs = 5;
+  stats.workload.completed_runs = 4;
+  stats.workload.total_work = 5000;
+  stats.workload.total_spill_work = 100;
+  stats.workload.total_root_rows = 35;
+  stats.workload.total_wall_ns = 999;
+  stats.workload.total_peak_buffered_rows = 320;
+  stats.workload.max_peak_buffered_rows = 80;
+  stats.workload.max_work = 1200;
+  CrossRunNodeStats& node = stats.nodes[3];
+  node.runs = 4;
+  node.sum_log_err = 1.5;
+  node.sum_sq_log_err = 0.75;
+  node.sum_time_weighted = 2.0;
+  node.sum_time_weight = 4.0;
+  node.sum_cost_weighted = 8.0;
+  node.sum_cost_weight = 16.0;
+  node.rows_runs = 4;
+  node.sum_actual_rows = 2000;
+  node.max_actual_rows = 600;
+  CrossRunEstimatorStats& pmax = stats.estimators["pmax"];
+  pmax.runs = 4;
+  pmax.sum_avg_abs_err = 0.5;
+  pmax.sum_sq_avg_abs_err = 0.0625;
+  pmax.max_abs_err = 0.25;
+  for (int d = 0; d < kProgressDeciles; ++d) {
+    pmax.decile_sum[d] = d * 0.125;
+    pmax.decile_count[d] = static_cast<uint64_t>(d % 3);
+  }
+  return stats;
+}
+
+TEST(WireFormatTest, V1ObservationBytesAreStable) {
+  EXPECT_EQ(ToHex(EncodeCrossRunObservation(GoldenObservation())),
+            kGoldenObservationHex);
+
+  CrossRunObservation back;
+  ASSERT_TRUE(DecodeCrossRunObservation(FromHex(kGoldenObservationHex),
+                                        &back));
+  EXPECT_EQ(back.fingerprint, 0x0123456789abcdefULL);
+  EXPECT_TRUE(back.workload.completed);
+  EXPECT_EQ(back.workload.wall_ns, 123456789u);
+  ASSERT_EQ(back.nodes.size(), 2u);
+  EXPECT_DOUBLE_EQ(back.nodes[0].estimated_rows, 250.5);
+  ASSERT_EQ(back.estimators.size(), 2u);
+  EXPECT_EQ(back.estimators[1].name, "safe");
+  EXPECT_EQ(ToHex(EncodeCrossRunObservation(back)), kGoldenObservationHex);
+}
+
+TEST(WireFormatTest, V1AggregateBytesAreStable) {
+  EXPECT_EQ(ToHex(EncodeCrossRunAggregate(GoldenAggregate())),
+            kGoldenAggregateHex);
+
+  CrossRunTemplateStats back;
+  ASSERT_TRUE(DecodeCrossRunAggregate(FromHex(kGoldenAggregateHex), &back));
+  EXPECT_EQ(back.fingerprint, 0x1111u);
+  EXPECT_EQ(back.plan_signature, 0x2222u);
+  ExpectWorkloadEq(back.workload, GoldenAggregate().workload);
+  ASSERT_EQ(back.nodes.count(3), 1u);
+  EXPECT_DOUBLE_EQ(back.nodes.at(3).max_actual_rows, 600);
+  ASSERT_EQ(back.estimators.count("pmax"), 1u);
+  EXPECT_EQ(back.estimators.at("pmax").decile_count[2], 2u);
+  EXPECT_EQ(ToHex(EncodeCrossRunAggregate(back)), kGoldenAggregateHex);
 }
 
 TEST(WireFormatTest, DecodeRejectsTruncatedAndGarbage) {
@@ -492,7 +658,7 @@ TEST(CrossRunRegistryTest, BuildObservationFromMonitoredRun) {
   ASSERT_TRUE(r.completed());
 
   CrossRunObservation obs = BuildCrossRunObservation(0xabc, r, 1234567);
-  EXPECT_TRUE(obs.completed);
+  EXPECT_TRUE(obs.workload.completed);
   EXPECT_EQ(obs.plan_signature, PlanSignature(plan));
   EXPECT_EQ(obs.workload.work, r.total_work);
   EXPECT_EQ(obs.workload.wall_ns, 1234567u);
@@ -519,7 +685,7 @@ TEST(CrossRunRegistryTest, AbortedRunContributesWorkloadOnly) {
   ASSERT_FALSE(r.completed());
 
   CrossRunObservation obs = BuildCrossRunObservation(0xabc, r, 99);
-  EXPECT_FALSE(obs.completed);
+  EXPECT_FALSE(obs.workload.completed);
   EXPECT_TRUE(obs.nodes.empty());       // partial rows are a lower bound
   EXPECT_TRUE(obs.estimators.empty());  // true progress unknowable
   EXPECT_EQ(obs.workload.work, r.total_work);
@@ -531,29 +697,49 @@ TEST(CrossRunRegistryTest, PersistsAcrossReopen) {
   Table t = Numbers(1000);
   PhysicalPlan plan = ScanFilterPlan(&t);
   const uint64_t kFp = 0x5eed;
+  WorkloadStats before;
   {
     CrossRunRegistry registry;
     ASSERT_TRUE(registry.OpenLog(path).ok());
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(
-          registry.RecordRun(MakeObs(kFp, plan, 500, {{"pmax", 0.08}})).ok());
+      CrossRunObservation obs = MakeObs(kFp, plan, 500, {{"pmax", 0.08}});
+      // Distinct figures per run, so every sum and max is exercised.
+      uint64_t k = static_cast<uint64_t>(i) + 1;
+      obs.workload.work = 100 * k;
+      obs.workload.spill_work = 7 * k;
+      obs.workload.peak_buffered_rows = 10 + 3 * k;
+      obs.workload.root_rows = 500 + k;
+      obs.workload.wall_ns = 5000 * k;
+      ASSERT_TRUE(registry.RecordRun(obs).ok());
     }
+    // An aborted run: workload figures only.
+    CrossRunObservation aborted;
+    aborted.fingerprint = kFp;
+    aborted.plan_signature = PlanSignature(plan);
+    aborted.workload.work = 40;
+    aborted.workload.peak_buffered_rows = 99;
+    aborted.workload.wall_ns = 77;
+    ASSERT_TRUE(registry.RecordRun(aborted).ok());
+    before = registry.LookupWorkload(kFp);
   }
   CrossRunRegistry reopened;
   RegistryRecoveryReport report;
   ASSERT_TRUE(reopened.OpenLog(path, {}, &report).ok());
-  EXPECT_EQ(report.records_recovered, 4u);
+  EXPECT_EQ(report.records_recovered, 5u);
   EXPECT_EQ(reopened.decode_skipped(), 0u);
   bool found = false;
   CrossRunTemplateStats stats = reopened.Lookup(kFp, &found);
   ASSERT_TRUE(found);
-  EXPECT_EQ(stats.runs, 4u);
-  EXPECT_EQ(stats.completed_runs, 4u);
+  EXPECT_EQ(stats.workload.runs, 5u);
+  EXPECT_EQ(stats.workload.completed_runs, 4u);
+  EXPECT_EQ(stats.workload.max_peak_buffered_rows, 99u);
   EXPECT_EQ(stats.plan_signature, PlanSignature(plan));
   ASSERT_EQ(stats.estimators.count("pmax"), 1u);
   EXPECT_EQ(stats.estimators.at("pmax").runs, 4u);
   EXPECT_NEAR(stats.estimators.at("pmax").RmsError(), 0.08, 1e-12);
-  EXPECT_EQ(stats.workload.runs, 4u);
+  // The admission priors come back figure for figure.
+  ExpectWorkloadEq(stats.workload, before);
+  ExpectWorkloadEq(reopened.LookupWorkload(kFp), before);
   std::filesystem::remove(path);
 }
 
@@ -581,12 +767,11 @@ TEST(CrossRunRegistryTest, CompactCollapsesRunsAndPreservesAggregates) {
   EXPECT_EQ(reopened.num_templates(), 2u);
   CrossRunTemplateStats a = reopened.Lookup(11);
   CrossRunTemplateStats b = reopened.Lookup(22);
-  EXPECT_EQ(a.runs, 10u);
-  EXPECT_EQ(b.runs, 10u);
+  EXPECT_EQ(a.workload.runs, 10u);
+  EXPECT_EQ(b.workload.runs, 10u);
   EXPECT_NEAR(a.estimators.at("dne").AvgError(), 0.2, 1e-12);
   EXPECT_NEAR(b.estimators.at("safe").AvgError(), 0.1, 1e-12);
   EXPECT_NEAR(a.nodes.begin()->second.MeanActualRows(), 400.0, 1e-9);
-  EXPECT_EQ(a.workload.runs, 10u);
   std::filesystem::remove(path);
 }
 
@@ -622,11 +807,82 @@ TEST(CrossRunRegistryTest, ConcurrentRecordDuringCompactLosesNothing) {
   ASSERT_TRUE(reopened.OpenLog(path).ok());
   for (int w = 0; w < kThreads; ++w) {
     uint64_t fp = 100 + static_cast<uint64_t>(w);
-    EXPECT_EQ(registry.Lookup(fp).runs,
+    EXPECT_EQ(registry.Lookup(fp).workload.runs,
               static_cast<uint64_t>(kRunsPerThread));
-    EXPECT_EQ(reopened.Lookup(fp).runs,
+    EXPECT_EQ(reopened.Lookup(fp).workload.runs,
               static_cast<uint64_t>(kRunsPerThread));
   }
+  std::filesystem::remove(path);
+}
+
+TEST(CrossRunRegistryTest, ReadersNeverWaitOnLogIo) {
+  std::string path = TempPath("readers_vs_log_io");
+  std::filesystem::remove(path);
+  Table t = Numbers(1000);
+  PhysicalPlan plan = ScanFilterPlan(&t);
+  const uint64_t kFp = 0x1a7c;
+
+  // Once armed, the append fault hook parks the recording thread inside the
+  // log append — where a slow fsync would hold it — until released.
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool armed = false, parked = false, released = false;
+  RegistryLogOptions options;
+  options.fault_hook = [&](const char* site) {
+    if (std::strcmp(site, kRegistryAppendSite) == 0) {
+      std::unique_lock<std::mutex> lock(latch_mu);
+      if (armed && !released) {
+        parked = true;
+        latch_cv.notify_all();
+        latch_cv.wait(lock, [&] { return released; });
+      }
+    }
+    return OkStatus();
+  };
+  CrossRunRegistry registry;
+  ASSERT_TRUE(registry.OpenLog(path, options).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        registry.RecordRun(MakeObs(kFp, plan, 500, {{"pmax", 0.05}})).ok());
+  }
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    armed = true;
+  }
+
+  // No ASSERT between here and the release: every path unparks the
+  // recorder, so a regression fails the test instead of hanging it.
+  Status recorded;
+  std::thread recorder([&] {
+    recorded = registry.RecordRun(MakeObs(kFp, plan, 500, {{"pmax", 0.05}}));
+  });
+  bool recorder_parked = false;
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    recorder_parked = latch_cv.wait_for(lock, std::chrono::seconds(10),
+                                        [&] { return parked; });
+  }
+  std::future<std::pair<uint64_t, std::string>> reads =
+      std::async(std::launch::async, [&] {
+        WorkloadStats w = registry.LookupWorkload(kFp);
+        return std::make_pair(w.runs, registry.SelectEstimator(kFp));
+      });
+  bool reads_returned =
+      recorder_parked &&
+      reads.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  recorder.join();
+
+  EXPECT_TRUE(recorder_parked) << "append hook never reached";
+  EXPECT_TRUE(reads_returned) << "readers blocked behind a parked log append";
+  std::pair<uint64_t, std::string> seen = reads.get();
+  EXPECT_EQ(seen.first, 4u) << "the parked run is folded before its append";
+  EXPECT_EQ(seen.second, "pmax");
+  EXPECT_TRUE(recorded.ok()) << recorded;
   std::filesystem::remove(path);
 }
 
@@ -762,34 +1018,6 @@ TEST(CrossRunRegistryTest, ApplyPriorsColdTemplateIsANoOp) {
   EXPECT_EQ(report.nodes_reseeded, 0);
 }
 
-TEST(CrossRunRegistryTest, WorkloadStatsRoundTripMatchesDirectRecording) {
-  Table t = Numbers(1000);
-  PhysicalPlan plan = ScanFilterPlan(&t);
-  CrossRunRegistry registry;
-  WorkloadStatsRegistry direct;
-  for (int i = 0; i < 5; ++i) {
-    CrossRunObservation obs = MakeObs(3, plan, 100 + 10 * i);
-    obs.workload.work = 1000 + static_cast<uint64_t>(i);
-    obs.workload.peak_buffered_rows = 64 + static_cast<uint64_t>(8 * i);
-    registry.Record(obs);
-    direct.Record(3, obs.workload);
-  }
-  WorkloadStatsRegistry exported;
-  registry.ExportWorkloadStats(&exported);
-
-  WorkloadStats want = direct.Lookup(3);
-  WorkloadStats got = exported.Lookup(3);
-  // The admission controller predicts from these aggregates; recovery must
-  // reproduce them exactly, figure for figure.
-  EXPECT_EQ(got.runs, want.runs);
-  EXPECT_EQ(got.completed_runs, want.completed_runs);
-  EXPECT_EQ(got.total_work, want.total_work);
-  EXPECT_EQ(got.total_peak_buffered_rows, want.total_peak_buffered_rows);
-  EXPECT_EQ(got.max_peak_buffered_rows, want.max_peak_buffered_rows);
-  EXPECT_EQ(got.max_work, want.max_work);
-  EXPECT_EQ(got.MeanPeakBufferedRows(), want.MeanPeakBufferedRows());
-}
-
 TEST(CrossRunRegistryTest, WorstOffendersRankedByRmsLogError) {
   Table t = Numbers(1000);
   PhysicalPlan plan = ScanFilterPlan(&t);
@@ -915,7 +1143,7 @@ TEST_F(RegistrySqlTest, SessionSurvivesRegistryRestart) {
   // the selection history survived the process boundary.
   CrossRunRegistry recovered;
   ASSERT_TRUE(recovered.OpenLog(path).ok());
-  EXPECT_EQ(recovered.CompletedRunsFor(fp), 3u);
+  EXPECT_EQ(recovered.Lookup(fp).workload.completed_runs, 3u);
   EXPECT_EQ(recovered.SelectEstimator(fp), pick_before);
   std::filesystem::remove(path);
 }
@@ -949,6 +1177,46 @@ TEST_F(RegistrySqlTest, ServerResolvesAutoPickAtSubmitTime) {
   EXPECT_EQ(r.report.names[0], "auto");
   // The submit-time pick is stable against later registry updates.
   EXPECT_EQ(registry.SelectEstimator(fp), expected);
+}
+
+TEST_F(RegistrySqlTest, ServerRestartKeepsUnmonitoredPriors) {
+  std::string path = TempPath("server_restart_unmonitored");
+  std::filesystem::remove(path);
+  SubmitOptions plain;
+  plain.monitored = false;
+  uint64_t predicted = 0;
+  {
+    CrossRunRegistry registry;
+    ASSERT_TRUE(registry.OpenLog(path).ok());
+    ServerOptions opts;
+    opts.sessions = 1;
+    opts.cross_run = &registry;
+    QueryServer server(db_, opts);
+    QueryResult cold = server.Wait(server.Submit("acme", kRegistryQuery,
+                                                 plain));
+    ASSERT_TRUE(cold.status.ok()) << cold.status;
+    EXPECT_FALSE(cold.admission.predicted_from_prior);
+    QueryResult warm = server.Wait(server.Submit("acme", kRegistryQuery,
+                                                 plain));
+    ASSERT_TRUE(warm.status.ok()) << warm.status;
+    ASSERT_TRUE(warm.admission.predicted_from_prior);
+    predicted = warm.admission.predicted_peak_rows;
+    server.Shutdown();
+  }
+  // Restart on the reopened log: the template has only ever run
+  // unmonitored, and its memory prior must still be there.
+  CrossRunRegistry reopened;
+  ASSERT_TRUE(reopened.OpenLog(path).ok());
+  ServerOptions opts;
+  opts.sessions = 1;
+  opts.cross_run = &reopened;
+  QueryServer server(db_, opts);
+  QueryResult r = server.Wait(server.Submit("acme", kRegistryQuery, plain));
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_TRUE(r.admission.predicted_from_prior);
+  EXPECT_EQ(r.admission.predicted_peak_rows, predicted);
+  server.Shutdown();
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "exec/fault_injector.h"
 #include "exec/query_guard.h"
 #include "exec/spill.h"
+#include "obs/cross_run_registry.h"
 #include "server/admission.h"
 #include "server/memory_governor.h"
 #include "server/query_server.h"
@@ -199,14 +201,15 @@ TEST(AdmissionTest, ColdPredictionIsDeterministicPerSeed) {
 }
 
 TEST(AdmissionTest, PriorPredictionUsesMaxPeakWithHeadroom) {
-  WorkloadStatsRegistry priors;
-  uint64_t fp = sql::TemplateFingerprint("SELECT v FROM t WHERE k = 1");
-  WorkloadObservation obs;
-  obs.completed = true;
-  obs.peak_buffered_rows = 100;
-  priors.Record(fp, obs);
-  obs.peak_buffered_rows = 400;
-  priors.Record(fp, obs);
+  CrossRunRegistry priors;
+  CrossRunObservation obs;
+  obs.fingerprint = sql::TemplateFingerprint("SELECT v FROM t WHERE k = 1");
+  obs.workload.completed = true;
+  obs.workload.peak_buffered_rows = 100;
+  priors.Record(obs);
+  obs.workload.peak_buffered_rows = 400;
+  priors.Record(obs);
+  uint64_t fp = obs.fingerprint;
   AdmissionOptions opts;
   opts.headroom = 1.25;
   AdmissionController ctrl(opts, &priors);
@@ -305,7 +308,7 @@ TEST_F(QueryServerTest, MonitoredQueryCompletesAndFeedsPriors) {
   EXPECT_FALSE(r.report.checkpoints.empty());
   EXPECT_EQ(r.admission.action, AdmissionAction::kAdmit);
   EXPECT_FALSE(r.admission.predicted_from_prior);  // cold template
-  EXPECT_EQ(server.workload_stats().num_templates(), 1u);
+  EXPECT_EQ(server.registry().num_templates(), 1u);
 
   // The same template again: predicted from the recorded prior now.
   uint64_t second = server.Submit("acme", kGroupQuery);
@@ -313,6 +316,50 @@ TEST_F(QueryServerTest, MonitoredQueryCompletesAndFeedsPriors) {
   ASSERT_TRUE(r2.status.ok());
   EXPECT_TRUE(r2.admission.predicted_from_prior);
   EXPECT_GE(r2.admission.predicted_peak_rows, r.report.peak_buffered_rows);
+}
+
+/// Every checkpoint's work and estimates, bit for bit (%a is exact).
+std::string CheckpointBytes(const ProgressReport& report) {
+  std::string out;
+  char buf[64];
+  for (const Checkpoint& cp : report.checkpoints) {
+    std::snprintf(buf, sizeof(buf), "%llu:",
+                  static_cast<unsigned long long>(cp.work));
+    out += buf;
+    for (double e : cp.estimates) {
+      std::snprintf(buf, sizeof(buf), " %a", e);
+      out += buf;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST_F(QueryServerTest, OwnRegistryNeverFeedsBackIntoEstimates) {
+  // With no registry attached, the server's own store feeds admission only:
+  // a warm template is neither re-seeded from observed cardinalities nor
+  // resolved to a historical "auto" pick, so its estimates never drift from
+  // the first run's.
+  const char kQuery[] = "SELECT k, count(*) FROM t WHERE v < 777 GROUP BY k";
+  ServerOptions opts;
+  opts.sessions = 1;
+  opts.checkpoint_interval = 100;
+  opts.estimators = {"dne", "safe", "auto"};
+  QueryServer server(db_, opts);
+  std::vector<std::string> runs;
+  for (int i = 0; i < 4; ++i) {
+    QueryResult r = server.Wait(server.Submit("acme", kQuery));
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    ASSERT_TRUE(r.report.completed());
+    runs.push_back(CheckpointBytes(r.report));
+  }
+  ASSERT_FALSE(runs[0].empty());
+  EXPECT_EQ(runs[3], runs[0]);
+  // The template was learned all the same.
+  EXPECT_EQ(server.registry()
+                .LookupWorkload(sql::TemplateFingerprint(kQuery))
+                .completed_runs,
+            4u);
 }
 
 TEST_F(QueryServerTest, PlainRowsMatchDirectExecution) {
@@ -590,13 +637,14 @@ TEST_F(QueryServerTest, MidRunRevocationKeepsBoundsAndResult) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkloadStatsRegistry under concurrency (run under TSan in CI)
+// Per-template workload priors under concurrency (run under TSan in CI)
 
-TEST(WorkloadStatsConcurrencyTest, SnapshotIsConsistentUnderConcurrentFeedback) {
-  // Sessions record feedback while the admission path snapshots: every
-  // Snapshot() must observe internally consistent aggregates (no torn
-  // WorkloadStats), and the final state must contain every record.
-  WorkloadStatsRegistry registry;
+TEST(WorkloadStatsConcurrencyTest, ReadsAreConsistentUnderConcurrentFeedback) {
+  // Sessions record feedback while the admission path reads: every
+  // LookupWorkload() and ToJson() must observe internally consistent
+  // aggregates (no torn WorkloadStats), and the final state must contain
+  // every record.
+  CrossRunRegistry registry;
   constexpr int kWriters = 4;
   constexpr int kRecordsPerWriter = 500;
   constexpr uint64_t kTemplates = 8;
@@ -606,48 +654,60 @@ TEST(WorkloadStatsConcurrencyTest, SnapshotIsConsistentUnderConcurrentFeedback) 
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&registry, w] {
       for (int i = 0; i < kRecordsPerWriter; ++i) {
-        WorkloadObservation obs;
-        obs.completed = (i % 3) != 0;
-        obs.work = 100;
-        obs.peak_buffered_rows = 10;
-        obs.wall_ns = 1000;
-        registry.Record(static_cast<uint64_t>(w * kRecordsPerWriter + i) %
-                            kTemplates,
-                        obs);
+        CrossRunObservation obs;
+        obs.fingerprint =
+            static_cast<uint64_t>(w * kRecordsPerWriter + i) % kTemplates;
+        obs.workload.completed = (i % 3) != 0;
+        obs.workload.work = 100;
+        obs.workload.peak_buffered_rows = 10;
+        obs.workload.wall_ns = 1000;
+        registry.Record(obs);
       }
     });
   }
   std::thread reader([&registry, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
-      std::vector<WorkloadStatsRegistry::SnapshotEntry> snap =
-          registry.Snapshot();
+      // A torn read would break runs >= completed_runs or the fixed
+      // per-record figures.
+      for (uint64_t fp = 0; fp < kTemplates; ++fp) {
+        WorkloadStats stats = registry.LookupWorkload(fp);
+        EXPECT_GE(stats.runs, stats.completed_runs);
+        EXPECT_EQ(stats.total_work, stats.runs * 100);
+        EXPECT_EQ(stats.total_peak_buffered_rows, stats.runs * 10);
+      }
+      // The JSON dump walks every template under one lock: sorted, and
+      // each template's counters consistent.
+      std::string json = registry.ToJson();
       uint64_t prev_fp = 0;
       bool first = true;
-      for (const auto& entry : snap) {
-        // Sorted, and every aggregate self-consistent: a torn read would
-        // break runs >= completed_runs or the fixed per-record figures.
+      for (size_t pos = json.find("{\"fingerprint\":");
+           pos != std::string::npos;
+           pos = json.find("{\"fingerprint\":", pos + 1)) {
+        unsigned long long fp = 0, sig = 0, runs = 0, completed = 0;
+        ASSERT_EQ(std::sscanf(json.c_str() + pos,
+                              "{\"fingerprint\":%llu,\"plan_signature\":%llu,"
+                              "\"runs\":%llu,\"completed_runs\":%llu",
+                              &fp, &sig, &runs, &completed),
+                  4)
+            << json;
         if (!first) {
-          EXPECT_GT(entry.fingerprint, prev_fp);
+          EXPECT_GT(fp, prev_fp);
         }
         first = false;
-        prev_fp = entry.fingerprint;
-        EXPECT_GE(entry.stats.runs, entry.stats.completed_runs);
-        EXPECT_EQ(entry.stats.total_work, entry.stats.runs * 100);
-        EXPECT_EQ(entry.stats.total_peak_buffered_rows,
-                  entry.stats.runs * 10);
+        prev_fp = fp;
+        EXPECT_GE(runs, completed);
       }
-      registry.Lookup(0);  // concurrent point reads too
     }
   });
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  std::vector<WorkloadStatsRegistry::SnapshotEntry> final_snap =
-      registry.Snapshot();
-  ASSERT_EQ(final_snap.size(), kTemplates);
+  ASSERT_EQ(registry.num_templates(), kTemplates);
   uint64_t total_runs = 0;
-  for (const auto& entry : final_snap) total_runs += entry.stats.runs;
+  for (uint64_t fp = 0; fp < kTemplates; ++fp) {
+    total_runs += registry.LookupWorkload(fp).runs;
+  }
   EXPECT_EQ(total_runs, static_cast<uint64_t>(kWriters) * kRecordsPerWriter);
 }
 

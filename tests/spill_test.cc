@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -334,6 +336,47 @@ TEST(SpillTest, KillThresholdStillAbortsASpillingQuery) {
   EXPECT_EQ(spill.live_runs(), 0u);
   EXPECT_EQ(ctx.buffered_rows(), 0u);
   EXPECT_EQ(CountSpillFiles(dir), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpillTest, ConcurrentBudgetRevocationSpillsAndNeverFails) {
+  // A governor thread flips the query's soft budget between unlimited and
+  // zero while the query thread charges. Each charge must be decided
+  // against a single reading of the budget: a revocation that lands between
+  // the check and the charge means a spill, never a budget abort.
+  std::string dir = MakeSpillDir("revocation_race");
+  SpillManager spill(dir);
+  QueryGuard guard;
+  ExecContext ctx;
+  ctx.set_guard(&guard);
+  ctx.set_spill_manager(&spill);
+  std::atomic<bool> flipping{false};
+  std::atomic<bool> stop{false};
+  std::thread governor([&] {
+    for (bool open = true; !stop.load(std::memory_order_relaxed);
+         open = !open) {
+      guard.set_max_buffered_rows(open ? QueryGuard::kNoLimit : 0);
+      flipping.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!flipping.load(std::memory_order_relaxed)) std::this_thread::yield();
+  uint64_t charged = 0, spilled = 0;
+  ChargeVerdict verdict = ChargeVerdict::kCharged;
+  for (int i = 0; i < 4000000 && verdict != ChargeVerdict::kFailed; ++i) {
+    verdict = ctx.ChargeBufferedRowsOrSpill(1);
+    if (verdict == ChargeVerdict::kCharged) {
+      ++charged;
+      ctx.ReleaseBufferedRows(1);
+    } else if (verdict == ChargeVerdict::kSpill) {
+      ++spilled;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  governor.join();
+  EXPECT_NE(verdict, ChargeVerdict::kFailed)
+      << ctx.status() << " after " << charged << " charges and " << spilled
+      << " spills";
+  EXPECT_EQ(ctx.buffered_rows(), 0u);
   std::filesystem::remove_all(dir);
 }
 
