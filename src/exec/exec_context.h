@@ -262,6 +262,16 @@ class ExecContext final : public WorkContext {
   /// Rows currently buffered by blocking operators, plan-wide.
   uint64_t buffered_rows() const { return buffered_rows_; }
 
+  /// Rows the plan may still buffer before the guard's kill threshold trips:
+  /// kill - min(kill, buffered_rows()), or QueryGuard::kNoLimit when there is
+  /// no guard or no kill threshold.
+  uint64_t KillHeadroom() const {
+    const uint64_t kill = guard_ != nullptr ? guard_->max_buffered_rows_kill()
+                                            : QueryGuard::kNoLimit;
+    if (kill == QueryGuard::kNoLimit) return kill;
+    return kill - (buffered_rows_ < kill ? buffered_rows_ : kill);
+  }
+
   /// High-water mark of `buffered_rows()` over this execution — the query's
   /// observed peak memory in the engine's buffered-row proxy. Reset() clears
   /// it; the ProgressMonitor copies it onto the ProgressReport, where it

@@ -17,16 +17,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exec/grace.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
-#include "exec/spill.h"
 #include "expr/expr.h"
 
 namespace qprog {
 
 class TaskContext;
-class WorkerPool;
-struct OrderedTaskBudget;
 
 enum class JoinType {
   kInner,
@@ -117,28 +115,18 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 ///
 /// Memory-adaptive (Grace hash join): when the build table would exceed the
 /// guard's soft budget and a SpillManager is attached, both inputs are hash-
-/// partitioned to spill runs by join key and the join runs partition by
-/// partition, rebuilding a table that is ~1/kSpillFanout the size.
-/// Partitioning is *recursive*: a build partition that still exceeds the
-/// guard's kill headroom after one fanout-kSpillFanout pass is re-partitioned
-/// with a fresh per-level hash salt (both sides, on the query thread, so run
-/// identity stays deterministic), down to kMaxGraceDepth levels. The join
-/// then runs over the flattened leaf list in depth-first order. Only a
-/// partition whose rows all share one key/hash (no salt can spread it) or
-/// one still oversized at the depth cap aborts with kResourceExhausted.
+/// partitioned to spill runs by join key and the join runs leaf by leaf over
+/// the partition tree that exec/grace.h refines (DESIGN.md §9). The join
+/// holds rows, so a leaf that stays over the kill headroom — single-key skew,
+/// or the depth cap — aborts with kResourceExhausted.
 ///
-/// Parallel (DESIGN.md §10): with a WorkerPool attached, the Grace path
-/// fans out twice. Partition writes go through a PartitionWriter that
-/// batches rows per partition and appends each batch on a worker, one lane
-/// per partition so a run's writes stay ordered without locks. Then the
-/// kSpillFanout partition pairs are joined concurrently — each task owns
-/// its partition's build table and spill reads — and the query thread folds
-/// results in partition order, so output rows match the serial replay
-/// byte-for-byte at every pool size. Under a finite kill threshold the
-/// concurrent joins share one buffered-row budget (ordered all-or-nothing
-/// admission per partition) and bound their in-memory output to a fixed
-/// per-partition allowance, overflowing the rest to unaccounted side runs —
-/// aggregate memory honors the guard's contract just like the serial replay.
+/// Parallel (DESIGN.md §10): with a WorkerPool attached, partition writes
+/// go through a PartitionWriter that batches rows per partition and appends
+/// each batch on a worker, one lane per partition so a run's writes stay
+/// ordered without locks; then the leaves are joined concurrently through
+/// GracePartitions::RunLeaves, each task owning its leaf's build table and
+/// spill reads. Output rows match the serial replay byte-for-byte at every
+/// pool size.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -166,87 +154,31 @@ class HashJoin : public PhysicalOperator {
   /// True once this execution degraded to Grace partitioning.
   bool spilled() const { return spilled_; }
 
-  static constexpr int kSpillFanout = 8;
-  /// Deepest Grace re-partitioning level. A partition still exceeding the
-  /// kill headroom after kMaxGraceDepth re-salted passes aborts cleanly with
-  /// kResourceExhausted instead of partitioning forever.
-  static constexpr int kMaxGraceDepth = 4;
-
  private:
   /// Batches Grace partition writes into worker tasks, one lane per
   /// partition (defined in join.cc; pool-backed executions only).
   class PartitionWriter;
-  /// One parallel partition join's results, filled by a worker task. Output
-  /// rows up to the budget's allowance stay in `rows`; the remainder
-  /// overflows to an unaccounted side run so a high-multiplicity join's
-  /// output never breaks the bounded-memory contract.
-  /// One leaf of the (possibly recursive) Grace partition tree: a sealed
-  /// build/probe run pair ready to be joined. `depth` is the number of
-  /// re-partitioning passes that produced it (0 = first pass); `path` packs
-  /// the child index chosen at each level, 3 bits per level, level 0 lowest —
-  /// together they identify the leaf in the worker-pool task key, so forked
-  /// fault schedules and fold order stay data-derived under recursion.
-  struct GraceLeaf {
-    SpillRunPtr build;
-    SpillRunPtr probe;
-    int depth = 0;
-    uint64_t path = 0;
-  };
-  struct PartitionJoinOut {
-    size_t part = 0;          // leaf index (== admission order)
-    uint64_t reserved = 0;    // budget rows held while the task runs
-    std::vector<Row> rows;    // in-memory output prefix (<= allowance)
-    SpillRunPtr overflow;     // output beyond the allowance, if any
-    bool overflow_open = false;
-    uint64_t charged_rows = 0;  // prefix rows charged to the plan account
-    uint64_t max_bucket = 0;
-  };
 
   void BuildTable(ExecContext* ctx);
   bool AdvanceProbe(ExecContext* ctx);
   /// Evaluates `keys` over `row`; sets *has_null when any key value is NULL.
   Row KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
             bool* has_null) const;
-  /// Dumps the in-memory build table into kSpillFanout partition runs and
-  /// switches to Grace mode.
+  /// Dumps the in-memory build table into the build partitions and switches
+  /// to Grace mode.
   bool SpillBuildTable(ExecContext* ctx, PartitionWriter* writer);
-  /// Creates all kSpillFanout runs in `parts` if none exist yet.
-  bool EnsureRuns(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
-                  const char* phase);
-  /// Routes `row` to its hash partition: directly into the run when `writer`
-  /// is null (serial path), else buffered through the writer.
-  bool AppendToPartition(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
-                         const char* phase, const Row& key, const Row& row,
-                         PartitionWriter* writer);
+  /// Routes `row` to its depth-0 partition on `side`: directly into the run
+  /// when `writer` is null (serial path), else buffered through the writer.
+  bool AppendToPartition(ExecContext* ctx, size_t side, const Row& key,
+                         const Row& row, PartitionWriter* writer);
   /// Drains the probe child into probe partition runs (Grace mode only).
   void PartitionProbe(ExecContext* ctx);
-  /// Flattens the first-pass partition pairs into grace_leaves_, recursively
-  /// re-partitioning any build partition that exceeds the guard's kill
-  /// headroom (query thread only; see the class comment). Returns ctx->ok().
-  bool RefinePartitions(ExecContext* ctx);
-  /// Recursion step of RefinePartitions: either accepts (build, probe) as a
-  /// leaf or redistributes both runs into kSpillFanout children under the
-  /// next level's salt and recurses. `capacity` is the kill headroom in rows
-  /// (QueryGuard::kNoLimit disables refinement).
-  bool RefineOne(ExecContext* ctx, SpillRunPtr build, SpillRunPtr probe,
-                 int depth, uint64_t path, uint64_t capacity);
-  /// Joins all grace_leaves_ pairs on the pool, folding results
-  /// into par_outs_ in leaf order. Returns ctx->ok().
-  bool ParallelJoinPartitions(ExecContext* ctx, WorkerPool* pool);
-  /// Worker-side body of one partition join: admits `out->part` against the
-  /// shared budget, rebuilds the partition's table from `build_run`, probes
-  /// it with `probe_run`, collects output in `out` (overflowing to a side
-  /// run past the budget's allowance), and releases the unretained budget.
-  void JoinPartitionTask(TaskContext* tc, SpillRun* build_run,
-                         SpillRun* probe_run, SpillManager* spill,
-                         OrderedTaskBudget* budget,
-                         PartitionJoinOut* out) const;
-  /// Streams the next parallel-join output row: each partition's in-memory
-  /// prefix, then its overflow side run, releasing the partition's charge as
-  /// it drains. Returns false at end of output or on error.
-  bool NextParallelOutput(ExecContext* ctx, Row* out);
-  /// Rebuilds the hash table from grace_leaves_[part_idx_].build and rewinds
-  /// the matching probe run.
+  /// Worker-side body of one leaf join: rebuilds the leaf's table from its
+  /// build run, probes it with its probe run and emits through `out`.
+  void JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
+                         GraceLeafOutput* out, uint64_t* max_bucket) const;
+  /// Rebuilds the hash table from leaf part_idx_'s build run and rewinds the
+  /// matching probe run.
   bool LoadPartition(ExecContext* ctx);
   void UnloadPartition(ExecContext* ctx);
   /// Next probe row: the probe child in memory mode, the current probe
@@ -274,28 +206,12 @@ class HashJoin : public PhysicalOperator {
   size_t bucket_pos_ = 0;
 
   // Grace-mode state (unused until the build overflows the soft budget).
-  // The row counters are query-thread-only: worker tasks report theirs
-  // through the fold, so FillProgressState never reads a SpillRun that a
-  // task may own (see exec_context.h's threading contract).
+  // Side 0 is the build input, side 1 the probe input.
   bool spilled_ = false;
   bool probe_partitioned_ = false;
-  std::vector<SpillRunPtr> build_parts_;
-  std::vector<SpillRunPtr> probe_parts_;
-  // Flattened partition-tree leaves (filled by RefinePartitions; the replay
-  // loops — serial and parallel — iterate these, not build_parts_).
-  std::vector<GraceLeaf> grace_leaves_;
-  int part_idx_ = 0;
+  GracePartitions grace_;
+  int part_idx_ = 0;  // leaf the serial replay is on
   bool part_loaded_ = false;
-  uint64_t grace_rows_written_ = 0;  // rows appended to partition runs,
-                                     // at every recursion level
-
-  // Parallel-join state: per-partition outputs of ParallelJoinPartitions,
-  // drained by DoNext in partition order (matches the serial replay order) —
-  // in-memory prefix first, then the partition's overflow side run.
-  bool parallel_joined_ = false;
-  std::vector<PartitionJoinOut> par_outs_;
-  size_t par_part_ = 0;  // partition currently draining
-  size_t par_pos_ = 0;   // next row within that partition's prefix
 };
 
 /// ⋈merge: inner equi-join over inputs sorted ascending on the key

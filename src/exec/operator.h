@@ -71,6 +71,19 @@ struct ProgressState {
   // into [LB, UB] — spill passes revise total(Q) upward mid-query.
   uint64_t spill_work_done = 0;   // set by the base FillProgressState
   uint64_t spill_rows_pending = 0;
+  /// Sets spill_rows_pending for a node that has appended `rows_written`
+  /// rows to spill runs so far, at every level. Each is written once and
+  /// read back exactly once, so the node's total spill work is twice that.
+  /// Deriving the pending share from the same work counter a checkpoint just
+  /// advanced keeps (done + pending) consistent at every sampling instant: a
+  /// checkpoint can fire from inside a read, after the work is counted but
+  /// before any operator-side cursor moves, so a separate rows-read counter
+  /// would double-count the in-flight row. It also never reads SpillRun
+  /// counters a worker task may be mutating.
+  void SetSpillPending(uint64_t rows_written) {
+    const uint64_t total = 2 * rows_written;
+    spill_rows_pending = total > spill_work_done ? total - spill_work_done : 0;
+  }
   // HashAggregate only: spilled *rows* not yet re-aggregated. A row count,
   // not work units — feeds the group-cardinality upper bound (each unread
   // row may still open a fresh group), where spill_rows_pending would

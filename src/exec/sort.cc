@@ -7,7 +7,6 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/fault_injector.h"
-#include "exec/query_guard.h"
 #include "exec/worker_pool.h"
 
 namespace qprog {
@@ -198,13 +197,7 @@ void Sort::MaterializeParallel(ExecContext* ctx, WorkerPool* pool) {
     // and the guard config — never the pool size — so fold points (and the
     // trace) stay identical at every thread count. With kill == kNoLimit
     // (the default) the pipeline runs free, exactly as before.
-    const QueryGuard* guard = ctx->guard();
-    if (handoff_rows > 0 && guard != nullptr &&
-        guard->max_buffered_rows_kill() != QueryGuard::kNoLimit &&
-        ctx->buffered_rows() + handoff_rows >
-            guard->max_buffered_rows_kill()) {
-      if (!fold_pending()) return false;
-    }
+    if (handoff_rows > ctx->KillHeadroom() && !fold_pending()) return false;
     SpillRunPtr run =
         ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.run");
     if (run == nullptr) return false;
@@ -450,17 +443,8 @@ void Sort::FillProgressState(const ExecContext& ctx,
   PhysicalOperator::FillProgressState(ctx, state);
   state->build_done = materialized_;
   state->build_rows = merging_ ? input_spilled_rows_ : rows_.size();
-  // Every spilled row — level-0 and intermediate alike — is written once and
-  // read back exactly once, so this node's total spill work is 2x the rows
-  // written so far. Deriving the pending share from the same work counter a
-  // checkpoint just advanced keeps (done + pending) consistent at every
-  // sampling instant: a checkpoint can fire from inside a read, after the
-  // work is counted but before any operator-side cursor moves, so a separate
-  // rows-read counter would double-count the in-flight row.
-  uint64_t spill_total = 2 * spilled_rows_;
-  state->spill_rows_pending = spill_total > state->spill_work_done
-                                  ? spill_total - state->spill_work_done
-                                  : 0;
+  // Level-0 and intermediate merge runs alike.
+  state->SetSpillPending(spilled_rows_);
 }
 
 }  // namespace qprog

@@ -19,17 +19,6 @@ constexpr uint64_t kDeviceSleepChunkNs = 100 * 1000;
 
 }  // namespace
 
-size_t GracePartitionIndex(size_t hash, int level, int fanout) {
-  uint64_t x = static_cast<uint64_t>(hash);
-  if (level > 0) {
-    x += 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(level);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-  }
-  return static_cast<size_t>(x % static_cast<uint64_t>(fanout));
-}
-
 // --------------------------------------------------------------------------
 // SpillRun
 

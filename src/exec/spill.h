@@ -65,16 +65,6 @@ namespace qprog {
 
 class SpillManager;
 
-/// Depth-salted Grace partition routing, shared by every operator that
-/// recursively re-splits oversized spilled partitions (hash join since PR 5,
-/// hash aggregate since PR 6). Level 0 uses the raw row hash; each deeper
-/// level remixes the hash with a level-dependent increment and a 64-bit
-/// finalizer so rows that collided into one partition at level d spread
-/// across children at level d+1 — unless they literally share a hash
-/// (single-key skew), which no salt can separate and which callers detect as
-/// an ineffective split (biggest child as large as the parent).
-size_t GracePartitionIndex(size_t hash, int level, int fanout);
-
 /// Retry behavior for transient spill I/O failures.
 struct SpillRetryPolicy {
   /// Total tries per operation (first attempt + up to max_attempts-1

@@ -1,6 +1,5 @@
 #include "exec/worker_pool.h"
 
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -131,50 +130,6 @@ Status TaskGroup::Wait() {
   std::unique_lock<std::mutex> lock(sync_->mu);
   sync_->done_cv.wait(lock, [this] { return sync_->pending == 0; });
   return sync_->status;
-}
-
-// --------------------------------------------------------------------------
-// OrderedTaskBudget
-
-bool OrderedTaskBudget::Admit(size_t part, uint64_t need,
-                              const TaskContext* tc) {
-  if (unlimited) return true;
-  std::unique_lock<std::mutex> lock(mu);
-  for (;;) {
-    if (next_admit == part &&
-        (in_use + need <= capacity || in_use == retained)) {
-      in_use += need;
-      ++next_admit;
-      cv.notify_all();
-      return true;
-    }
-    if (!tc->ok()) {
-      // Keep the line moving so partitions behind a cancelled one do not
-      // wait forever for a turn that will never be taken.
-      if (next_admit == part) {
-        ++next_admit;
-        cv.notify_all();
-      }
-      return false;
-    }
-    cv.wait_for(lock, std::chrono::milliseconds(10));
-  }
-}
-
-void OrderedTaskBudget::Retain(uint64_t n) {
-  if (unlimited || n == 0) return;
-  std::lock_guard<std::mutex> lock(mu);
-  uint64_t active = in_use - retained;
-  retained += n < active ? n : active;
-  cv.notify_all();
-}
-
-void OrderedTaskBudget::Release(uint64_t n) {
-  if (unlimited || n == 0) return;
-  std::lock_guard<std::mutex> lock(mu);
-  uint64_t active = in_use - retained;
-  in_use -= n < active ? n : active;
-  cv.notify_all();
 }
 
 // --------------------------------------------------------------------------

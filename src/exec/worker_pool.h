@@ -146,64 +146,6 @@ class TaskGroup {
   std::shared_ptr<Sync> sync_;
 };
 
-class TaskContext;
-
-/// Shared buffered-row budget for concurrent partition tasks (the PR-4
-/// reservation protocol, hoisted out of the Grace join so HashAggregate's
-/// parallel partition replay admits against the same contract). The serial
-/// replay keeps one partition's state in memory at a time, all of it
-/// answering to the guard's kill threshold; with many tasks in flight the
-/// same contract must hold for their *sum*. Each task's need is known
-/// exactly before it runs (a sealed run's row count is an upper bound on
-/// what the task can buffer), so tasks make one all-or-nothing reservation
-/// in partition-index order — no incremental growth, hence no
-/// two-holders-stuck deadlock — and an admitted task runs to completion
-/// without blocking. A partition too big for the whole budget is admitted
-/// alone and then trips the task's kill tripwire exactly where the serial
-/// replay would. Admission order, reservations and the allowance are all
-/// data-derived, so memory placement is identical at every pool size. With
-/// kill == kNoLimit (unlimited) the budget is inert.
-struct OrderedTaskBudget {
-  const bool unlimited;
-  const uint64_t capacity;       // kill threshold minus the plan-wide base
-  const uint64_t out_allowance;  // caller-defined per-task in-memory quota
-                                 // (the join's output prefix; 0 if unused)
-
-  std::mutex mu;
-  std::condition_variable cv;
-  uint64_t in_use = 0;    // sum of live reservations; <= capacity
-  uint64_t retained = 0;  // floor of in_use held by finished tasks' kept
-                          // output prefixes until the post-barrier charge
-  size_t next_admit = 0;  // partition index next in line
-
-  OrderedTaskBudget(bool unlimited_in, uint64_t capacity_in,
-                    uint64_t allowance_in)
-      : unlimited(unlimited_in),
-        capacity(capacity_in),
-        out_allowance(allowance_in) {}
-
-  /// Blocks until partition `part` may hold `need` budget rows. Returns
-  /// false (without reserving) when the query fails or is cancelled while
-  /// waiting; polls so a guard cancel can't strand a waiter. A partition
-  /// that cannot fit beside the live reservations is admitted alone — i.e.
-  /// once every active reservation has drained and only the `retained`
-  /// floor is left — so kept prefixes can never wedge the admission line.
-  bool Admit(size_t part, uint64_t need, const TaskContext* tc);
-
-  /// Moves `n` rows of this task's reservation into the `retained` floor:
-  /// output rows the task keeps buffered past its own completion, paid for
-  /// by the fold's post-barrier charge. Leaves `in_use` unchanged. An
-  /// oversized partition admitted alone may transiently push the floor past
-  /// what a later solo admission adds on top of — that overshoot is bounded
-  /// by the per-task kill tripwires that already fired (or will fire) on
-  /// the oversized task itself.
-  void Retain(uint64_t n);
-
-  /// Returns `n` reserved rows to the pool (the task's unretained slack).
-  /// Clamped against the active (unretained) share of `in_use`.
-  void Release(uint64_t n);
-};
-
 /// The WorkContext a task runs against: accumulates the task's spill work,
 /// telemetry events, and error into a private log that FoldInto replays on
 /// the ExecContext after the barrier. Created on the query thread (it

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -541,7 +542,7 @@ std::vector<int64_t> PartitionZeroKeys(size_t want) {
   std::vector<int64_t> keys;
   for (int64_t k = 0; keys.size() < want; ++k) {
     if (RowHash()(Row{I(k)}) %
-            static_cast<size_t>(HashJoin::kSpillFanout) ==
+            static_cast<size_t>(kSpillFanout) ==
         0) {
       keys.push_back(k);
     }
@@ -623,7 +624,7 @@ TEST(RecursiveGraceTest, DepthTwoTracesCarryDepthAndMatchAcrossPoolSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel HashAggregate spilled-partition replay (DESIGN.md §9)
+// Recursive Grace partitioning in HashAggregate (DESIGN.md §9)
 // ---------------------------------------------------------------------------
 
 PhysicalPlan AggPlan(const Table* t) {
@@ -636,6 +637,233 @@ PhysicalPlan AggPlan(const Table* t) {
       std::make_unique<SeqScan>(t), std::move(groups),
       std::vector<std::string>{"g"}, std::move(aggs)));
 }
+
+/// Aggregate input engineered for depth-2 recursion under a 150-row kill
+/// threshold: 200 distinct partition-0 group keys x 8 rows each, key-major.
+/// The first keys fill the 64-group soft budget in memory; every later key's
+/// rows spill into depth-0 partition 0 (~1090 rows). Beside the ~64 resident
+/// groups only ~86 rows of kill headroom remain, so one salted re-split
+/// (~136-row children) is not enough and the run completes only through
+/// depth-2 leaves.
+Table AggRecursionTable() {
+  std::vector<Row> rows;
+  for (int64_t k : PartitionZeroKeys(200)) {
+    for (int64_t i = 0; i < 8; ++i) rows.push_back({I(k), I(i)});
+  }
+  return testutil::MakeTable("a", {"k", "v"}, std::move(rows));
+}
+
+/// 64 one-row filler groups fill the 64-row soft budget, then 400 rows of
+/// one further key spill into a single depth-0 partition that no salted
+/// re-split can spread.
+Table SingleKeySkewTable() {
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 64; ++k) rows.push_back({I(k), I(k)});
+  for (int64_t i = 0; i < 400; ++i) rows.push_back({I(1000), I(i)});
+  return testutil::MakeTable("s", {"k", "v"}, std::move(rows));
+}
+
+/// The plan's rows with nothing spilled: no guard, no spill manager.
+std::vector<Row> InMemoryRows(PhysicalPlan plan) {
+  ExecContext ctx;
+  StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  return rows.ok() ? std::move(rows).value() : std::vector<Row>{};
+}
+
+/// Drives `plan` under a spilling budget with telemetry only (no monitor, so
+/// no estimator doubles in the output) and returns the JSONL trace followed
+/// by the ordered result rows. Asserts the run completes and leaks nothing.
+std::string TraceAndRows(PhysicalPlan plan, uint64_t soft_budget,
+                         uint64_t kill_budget, int pool_threads,
+                         const std::string& tag) {
+  std::string dir = MakeSpillDir(tag);
+  SpillManager spill(dir);
+  QueryGuard guard;
+  guard.set_max_buffered_rows(soft_budget);
+  guard.set_max_buffered_rows_kill(kill_budget);
+  JsonlStringSink sink;
+  TelemetryCollector collector(&sink);
+  ExecContext ctx;
+  ctx.set_guard(&guard);
+  ctx.set_spill_manager(&spill);
+  ctx.set_telemetry(&collector);
+  std::unique_ptr<WorkerPool> pool;
+  if (pool_threads > 0) {
+    pool = std::make_unique<WorkerPool>(pool_threads);
+    ctx.set_worker_pool(pool.get());
+  }
+  StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
+  EXPECT_TRUE(rows.ok()) << tag << ": " << rows.status();
+  EXPECT_EQ(spill.live_runs(), 0u) << tag;
+  EXPECT_EQ(ctx.buffered_rows(), 0u) << tag;
+  EXPECT_EQ(CountSpillFiles(dir), 0) << tag;
+  std::filesystem::remove_all(dir);
+  return sink.data() + (rows.ok() ? testutil::RowsToString(rows.value()) : "");
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(RecursiveGraceTest, AggregateResplitMatchesInMemoryAndSerial) {
+  Table t = AggRecursionTable();
+  auto make = [&] { return AggPlan(&t); };
+  std::vector<Row> in_memory = InMemoryRows(make());
+  ASSERT_EQ(in_memory.size(), 200u);
+  StatusOr<std::vector<Row>> serial =
+      RunSpilling(make, 64, "aggrec_serial", 0, nullptr, 150);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_EQ(testutil::RowsToString(Sorted(serial.value())),
+            testutil::RowsToString(Sorted(in_memory)));
+  std::string expected = testutil::RowsToString(serial.value());
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StatusOr<std::vector<Row>> got = RunSpilling(
+        make, 64, "aggrec_p" + std::to_string(threads), threads, nullptr, 150);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(testutil::RowsToString(got.value()), expected);
+  }
+}
+
+TEST(RecursiveGraceTest, AggregateTracesCarryDepthAndMatchAcrossPoolSizes) {
+  Table t = AggRecursionTable();
+  std::string serial = TraceAndRows(AggPlan(&t), 64, 150, 0, "aggrec_trace");
+  EXPECT_NE(serial.find("\"depth\":1"), std::string::npos)
+      << "no depth-1 re-split in the serial trace";
+  EXPECT_NE(serial.find("\"depth\":2"), std::string::npos)
+      << "no depth-2 re-split in the serial trace";
+  std::string reference;
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string got = TraceAndRows(AggPlan(&t), 64, 150, threads,
+                                   "aggrec_trace_p" + std::to_string(threads));
+    if (reference.empty()) {
+      reference = got;
+      EXPECT_NE(reference.find("\"depth\":2"), std::string::npos);
+    } else {
+      EXPECT_EQ(got, reference) << "trace or rows diverged";
+    }
+  }
+}
+
+TEST(RecursiveGraceTest, AggregateAdmitsSingleKeySkewThatAbortsTheJoin) {
+  // The join holds rows, so a 400-row single-key partition over a 120-row
+  // kill threshold can never be processed: it aborts at refinement. The
+  // aggregate holds groups — that partition is one group — so the same skew
+  // is admitted alone and completes, at every pool size.
+  Table t = SingleKeySkewTable();
+  auto join = [&] { return JoinPlan(&t, &t, JoinType::kInner); };
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StatusOr<std::vector<Row>> aborted = RunSpilling(
+        join, 64, "skewjoin_p" + std::to_string(threads), threads, nullptr,
+        120);
+    ASSERT_FALSE(aborted.ok()) << "the join must refuse single-key skew";
+    EXPECT_EQ(aborted.status().code(), StatusCode::kResourceExhausted)
+        << aborted.status();
+  }
+  auto make = [&] { return AggPlan(&t); };
+  std::vector<Row> in_memory = InMemoryRows(make());
+  ASSERT_EQ(in_memory.size(), 65u);
+  StatusOr<std::vector<Row>> serial =
+      RunSpilling(make, 64, "skewagg_serial", 0, nullptr, 120);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_EQ(testutil::RowsToString(Sorted(serial.value())),
+            testutil::RowsToString(Sorted(in_memory)));
+  std::string expected = testutil::RowsToString(serial.value());
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StatusOr<std::vector<Row>> got = RunSpilling(
+        make, 64, "skewagg_p" + std::to_string(threads), threads, nullptr,
+        120);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(testutil::RowsToString(got.value()), expected);
+  }
+}
+
+TEST(RecursiveGraceTest, AggregateAdmitsLeavesAloneAtTheDepthCap) {
+  // 300 partition-0 group keys x 3 rows, key-major. The first 64 keys fill
+  // the soft budget, so a 68-row kill threshold leaves 4 rows of headroom.
+  // Two spilled keys that share their partition at every level down to
+  // kMaxGraceDepth form a 6-row leaf no further pass may split: the
+  // aggregate admits it alone (its 2 groups fit) where the join would abort.
+  std::vector<int64_t> keys = PartitionZeroKeys(300);
+  std::vector<Row> rows;
+  std::map<std::vector<size_t>, int> capped_leaves;
+  bool shared_leaf = false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (int64_t r = 0; r < 3; ++r) rows.push_back({I(keys[i]), I(r)});
+    std::vector<size_t> path;
+    for (int level = 1; level <= kMaxGraceDepth; ++level) {
+      path.push_back(GracePartitionOf(Row{I(keys[i])}, level));
+    }
+    if (i >= 64 && ++capped_leaves[path] > 1) shared_leaf = true;
+  }
+  ASSERT_TRUE(shared_leaf) << "no two spilled keys share a depth-cap leaf";
+  Table t = testutil::MakeTable("c", {"k", "v"}, std::move(rows));
+  auto make = [&] { return AggPlan(&t); };
+  std::vector<Row> in_memory = InMemoryRows(make());
+  ASSERT_EQ(in_memory.size(), 300u);
+  StatusOr<std::vector<Row>> serial =
+      RunSpilling(make, 64, "aggcap", 0, nullptr, 68);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_EQ(testutil::RowsToString(Sorted(serial.value())),
+            testutil::RowsToString(Sorted(in_memory)));
+  std::string trace = TraceAndRows(make(), 64, 68, 0, "aggcap_trace");
+  EXPECT_NE(trace.find("\"depth\":" + std::to_string(kMaxGraceDepth)),
+            std::string::npos)
+      << "no leaf reached the depth cap";
+  std::string expected = testutil::RowsToString(serial.value());
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StatusOr<std::vector<Row>> got = RunSpilling(
+        make, 64, "aggcap_p" + std::to_string(threads), threads, nullptr, 68);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(testutil::RowsToString(got.value()), expected);
+  }
+}
+
+TEST(RecursiveGraceTest, GoldenDigestsPinSerialAndPooledGraceRuns) {
+  // FNV-1a 64 over the telemetry trace plus the ordered rows of the depth-2
+  // Grace join and the depth-2 aggregate re-split, serial and on four
+  // workers. The digests were recorded before the join and the aggregate
+  // shared one Grace module; any change to routing, leaf order, task keys,
+  // spill accounting or the overflow drain shows up here. Without a monitor
+  // the trace holds no checkpoints, so serial and pooled digests coincide.
+  auto [build, probe] = DepthTwoTables();
+  Table agg_input = AggRecursionTable();
+  auto join = [&] { return JoinPlan(&probe, &build); };
+  auto agg = [&] { return AggPlan(&agg_input); };
+  struct Golden {
+    const char* name;
+    std::function<PhysicalPlan()> make;
+    int threads;
+    uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {"join_p0", join, 0, 0xe3506d1016d37a7cULL},
+      {"join_p4", join, 4, 0xe3506d1016d37a7cULL},
+      {"agg_p0", agg, 0, 0xde016025c16c7e54ULL},
+      {"agg_p4", agg, 4, 0xde016025c16c7e54ULL},
+  };
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(g.name);
+    uint64_t digest = Fnv1a64(TraceAndRows(g.make(), 64, 150, g.threads,
+                                           std::string("golden_") + g.name));
+    EXPECT_EQ(digest, g.digest)
+        << g.name << " digest 0x" << std::hex << digest;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel HashAggregate spilled-partition replay (DESIGN.md §9)
+// ---------------------------------------------------------------------------
 
 TEST(ParallelAggregateTest, ReplayRowsMatchSerialAtEveryPoolSize) {
   // 300 groups against a 60-group budget: most groups land in spilled

@@ -269,7 +269,7 @@ TEST(SoakRecursionTest, TightMemoryRecursiveGraceLeavesNoResidue) {
   std::vector<int64_t> keys;
   for (int64_t k = 0; keys.size() < 200; ++k) {
     if (RowHash()(Row{Value::Int64(k)}) %
-            static_cast<size_t>(HashJoin::kSpillFanout) ==
+            static_cast<size_t>(kSpillFanout) ==
         0) {
       keys.push_back(k);
     }
@@ -311,7 +311,7 @@ TEST(SoakRecursionTest, TightMemoryRecursiveGraceLeavesNoResidue) {
     ASSERT_TRUE(rows.ok()) << rows.status();
     EXPECT_EQ(rows.value().size(), 200u * 8);
     EXPECT_GT(spill.stats().runs_created,
-              static_cast<uint64_t>(2 * HashJoin::kSpillFanout))
+              static_cast<uint64_t>(2 * kSpillFanout))
         << "no recursive re-split happened";
     EXPECT_EQ(ctx.buffered_rows(), 0u) << "buffered-row account not drained";
     EXPECT_EQ(spill.live_runs(), 0u) << "live spill runs leaked";
