@@ -202,7 +202,7 @@ void HashAggregate::Build(ExecContext* ctx) {
   built_ = true;
 }
 
-bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
+void HashAggregate::ReleaseResidentGroups(ExecContext* ctx) {
   prior_groups_ += group_keys_.size();
   group_index_.clear();
   group_keys_.clear();
@@ -210,6 +210,10 @@ bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   cursor_ = 0;
+}
+
+bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
+  ReleaseResidentGroups(ctx);
   SpillRun* run = grace_.leaves()[part_next_].runs[0].get();
   if (!run->OpenRead(ctx, node_id())) return false;
   Row row;
@@ -299,6 +303,10 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
       return false;
     }
     if (ctx->worker_pool() != nullptr) {
+      // The resident groups are all emitted: release them before the leaf
+      // tasks size their budget and snapshot their kill tripwires, exactly
+      // as the serial replay does before loading its first leaf.
+      ReleaseResidentGroups(ctx);
       const size_t num_leaves = grace_.leaves().size();
       std::vector<uint64_t> leaf_groups(num_leaves, 0);
       std::vector<uint64_t> leaf_rows_read(num_leaves, 0);

@@ -107,6 +107,9 @@ class HashAggregate : public PhysicalOperator {
 
  private:
   void Build(ExecContext* ctx);
+  /// Drops the emitted in-memory groups and releases their charge, before
+  /// the spilled leaves are replayed.
+  void ReleaseResidentGroups(ExecContext* ctx);
   /// Aggregates leaf `part_next_` into a fresh group table and resets
   /// the emit cursor over it.
   bool LoadNextPartition(ExecContext* ctx);

@@ -1,5 +1,7 @@
 #include "exec/scan.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "exec/fault_injector.h"
 
@@ -9,16 +11,22 @@ namespace qprog {
 // SeqScan
 
 SeqScan::SeqScan(const Table* table, ExprPtr predicate)
-    : table_(table),
-      predicate_(std::move(predicate)),
-      begin_(0),
-      end_(table->num_rows()) {}
+    : SeqScan(table, std::move(predicate), 0, table->num_rows()) {}
 
 SeqScan::SeqScan(const Table* table, ExprPtr predicate, uint64_t begin,
                  uint64_t end)
     : table_(table), predicate_(std::move(predicate)), begin_(begin),
       end_(end) {
   QPROG_CHECK(begin_ <= end_ && end_ <= table_->num_rows());
+  if (predicate_ != nullptr) {
+    predicate_columns_ = ReferencedColumns(*predicate_);
+  }
+  for (size_t c = 0; c < table_->schema().num_fields(); ++c) {
+    if (!std::binary_search(predicate_columns_.begin(),
+                            predicate_columns_.end(), c)) {
+      other_columns_.push_back(c);
+    }
+  }
 }
 
 void SeqScan::DoOpen(ExecContext* ctx) {
@@ -32,8 +40,9 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
   if (!ctx->ok() || ctx->ConsultFault(faults::kSeqScanNext, node_id())) {
     return false;
   }
+  scratch_.resize(table_->schema().num_fields());
   while (cursor_ < end_) {
-    const Row& row = table_->row(cursor_++);
+    const uint64_t row = cursor_++;
     // Every examined row is one getnext at the leaf, merged predicate or
     // not — the accounting that makes the paper's Table 2 mu >= 1 (each
     // base tuple must be read once; Section 5.2's LB >= sum of leaf
@@ -41,11 +50,15 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
     ctx->CountRow(node_id(), is_root());
     if (!ctx->ok()) return false;  // guard tripped while counting
     if (predicate_ != nullptr) {
-      Value keep = predicate_->Eval(row);
+      table_->ReadColumns(row, predicate_columns_, &scratch_);
+      Value keep = predicate_->Eval(scratch_);
       if (keep.is_null() || !keep.bool_value()) continue;
     }
+    table_->ReadColumns(row, other_columns_, &scratch_);
     ++emitted_;
-    *out = row;
+    // The caller's buffer becomes the next scratch row, so neither side
+    // reallocates once both are warm, and `out` is untouched on false.
+    out->swap(scratch_);
     return true;
   }
   finished_ = true;
@@ -126,7 +139,7 @@ bool IndexSeek::DoNext(ExecContext* ctx, Row* out) {
     return false;
   }
   uint64_t row_id = current_.begin[pos_++];
-  *out = index_->table()->row(row_id);
+  index_->table()->ReadRow(row_id, out);
   Emit(ctx);
   return true;
 }

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exec/operator.h"
 #include "expr/expr.h"
@@ -16,7 +17,9 @@ namespace qprog {
 /// Sequential scan over a table, with an optional pushed-down residual
 /// predicate (a predicate evaluated inside the scan does not produce getnext
 /// calls for rejected rows — it changes the work model exactly as a merged
-/// scan+filter does in a commercial engine).
+/// scan+filter does in a commercial engine). Rows are built from the table's
+/// columns predicate-first: only the columns the predicate reads are filled
+/// in before it runs, and the others only for rows that pass.
 class SeqScan : public PhysicalOperator {
  public:
   /// `table` must outlive the operator; `predicate` may be null.
@@ -57,6 +60,9 @@ class SeqScan : public PhysicalOperator {
  private:
   const Table* table_;
   ExprPtr predicate_;
+  std::vector<size_t> predicate_columns_;  // columns the predicate reads
+  std::vector<size_t> other_columns_;      // built only for passing rows
+  Row scratch_;           // the row being built; swapped into the output
   uint64_t begin_ = 0;    // first row of this scan's range
   uint64_t end_ = 0;      // one past the last row of this scan's range
   uint64_t cursor_ = 0;   // table cursor within [begin_, end_)

@@ -1,5 +1,6 @@
 #include "expr/expr.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -371,6 +372,67 @@ ExprPtr SubstringExpr::Clone() const {
 std::string SubstringExpr::ToString() const {
   return StringPrintf("SUBSTRING(%s, %d, %d)", input_->ToString().c_str(),
                       start_, length_);
+}
+
+// --------------------------------------------------------------------------
+// Child traversal
+
+using ChildFn = std::function<void(const Expr&)>;
+
+void CompareExpr::ForEachChild(const ChildFn& fn) const {
+  fn(*left_);
+  fn(*right_);
+}
+
+void ArithExpr::ForEachChild(const ChildFn& fn) const {
+  fn(*left_);
+  fn(*right_);
+}
+
+void AndExpr::ForEachChild(const ChildFn& fn) const {
+  for (const ExprPtr& c : children_) fn(*c);
+}
+
+void OrExpr::ForEachChild(const ChildFn& fn) const {
+  for (const ExprPtr& c : children_) fn(*c);
+}
+
+void NotExpr::ForEachChild(const ChildFn& fn) const { fn(*child_); }
+
+void LikeExpr::ForEachChild(const ChildFn& fn) const { fn(*input_); }
+
+void InListExpr::ForEachChild(const ChildFn& fn) const { fn(*input_); }
+
+void IsNullExpr::ForEachChild(const ChildFn& fn) const { fn(*input_); }
+
+void CaseExpr::ForEachChild(const ChildFn& fn) const {
+  for (const Branch& b : branches_) {
+    fn(*b.condition);
+    fn(*b.result);
+  }
+  if (else_result_ != nullptr) fn(*else_result_);
+}
+
+void ExtractYearExpr::ForEachChild(const ChildFn& fn) const { fn(*input_); }
+
+void SubstringExpr::ForEachChild(const ChildFn& fn) const { fn(*input_); }
+
+void ForEachColumnRef(const Expr& expr,
+                      const std::function<void(const ColumnRefExpr&)>& fn) {
+  if (expr.kind() == ExprKind::kColumnRef) {
+    fn(static_cast<const ColumnRefExpr&>(expr));
+  }
+  expr.ForEachChild([&fn](const Expr& child) { ForEachColumnRef(child, fn); });
+}
+
+std::vector<size_t> ReferencedColumns(const Expr& expr) {
+  std::vector<size_t> columns;
+  ForEachColumnRef(expr, [&columns](const ColumnRefExpr& ref) {
+    columns.push_back(ref.index());
+  });
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  return columns;
 }
 
 // --------------------------------------------------------------------------

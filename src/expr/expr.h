@@ -7,6 +7,7 @@
 #ifndef QPROG_EXPR_EXPR_H_
 #define QPROG_EXPR_EXPR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +54,10 @@ class Expr {
   virtual std::string ToString() const = 0;
 
   virtual ExprKind kind() const = 0;
+
+  /// Calls `fn` on each direct child, left to right. Leaves (column
+  /// references and literals) have none.
+  virtual void ForEachChild(const std::function<void(const Expr&)>&) const {}
 };
 
 /// References input column `index`. `name` is used only for printing.
@@ -93,6 +98,8 @@ class CompareExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kCompare; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
   CompareOp op() const { return op_; }
   const Expr* left() const { return left_.get(); }
   const Expr* right() const { return right_.get(); }
@@ -111,6 +118,8 @@ class ArithExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kArith; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ArithOp op_;
@@ -126,6 +135,8 @@ class AndExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kAnd; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
   const std::vector<ExprPtr>& children() const { return children_; }
 
  private:
@@ -140,6 +151,8 @@ class OrExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kOr; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   std::vector<ExprPtr> children_;
@@ -152,6 +165,8 @@ class NotExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kNot; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ExprPtr child_;
@@ -168,6 +183,8 @@ class LikeExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kLike; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
   /// Standalone LIKE pattern matcher (exposed for tests).
   static bool Matches(const std::string& text, const std::string& pattern);
@@ -187,6 +204,8 @@ class InListExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kInList; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ExprPtr input_;
@@ -203,6 +222,8 @@ class IsNullExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kIsNull; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ExprPtr input_;
@@ -222,6 +243,8 @@ class CaseExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kCase; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   std::vector<Branch> branches_;
@@ -236,6 +259,8 @@ class ExtractYearExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kExtractYear; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ExprPtr input_;
@@ -250,12 +275,21 @@ class SubstringExpr : public Expr {
   ExprPtr Clone() const override;
   std::string ToString() const override;
   ExprKind kind() const override { return ExprKind::kSubstring; }
+  void ForEachChild(
+      const std::function<void(const Expr&)>& fn) const override;
 
  private:
   ExprPtr input_;
   int start_;
   int length_;
 };
+
+/// Calls `fn` on every column reference in `expr`'s tree, in pre-order.
+void ForEachColumnRef(const Expr& expr,
+                      const std::function<void(const ColumnRefExpr&)>& fn);
+
+/// The input columns `expr` reads, ascending and without duplicates.
+std::vector<size_t> ReferencedColumns(const Expr& expr);
 
 // ---------------------------------------------------------------------------
 // Builder helpers. `namespace eb` keeps plan-construction code readable:

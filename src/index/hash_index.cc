@@ -9,14 +9,16 @@ namespace qprog {
 HashIndex::HashIndex(const Table* table, size_t column)
     : table_(table), column_(column) {
   QPROG_CHECK(column < table->schema().num_fields());
-  for (uint64_t i = 0; i < table->num_rows(); ++i) {
-    const Value& key = table->at(i, column);
-    if (key.is_null()) continue;
-    auto& bucket = buckets_[key];
-    bucket.push_back(i);
-    max_key_multiplicity_ =
-        std::max<uint64_t>(max_key_multiplicity_, bucket.size());
-  }
+  const Column& col = table->column(column);
+  col.Visit([&](auto view) {
+    for (uint64_t i = 0; i < col.size(); ++i) {
+      if (col.is_null(i)) continue;
+      auto& bucket = buckets_[decltype(view)::Box(view[i])];
+      bucket.push_back(i);
+      max_key_multiplicity_ =
+          std::max<uint64_t>(max_key_multiplicity_, bucket.size());
+    }
+  });
 }
 
 const std::vector<uint64_t>& HashIndex::Lookup(const Value& key) const {

@@ -1,7 +1,9 @@
 #include "index/ordered_index.h"
 
 #include <algorithm>
-#include <numeric>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -10,39 +12,54 @@ namespace qprog {
 OrderedIndex::OrderedIndex(const Table* table, size_t column)
     : table_(table), column_(column) {
   QPROG_CHECK(column < table->schema().num_fields());
-  std::vector<uint64_t> ids;
-  ids.reserve(table->num_rows());
-  for (uint64_t i = 0; i < table->num_rows(); ++i) {
-    if (!table->at(i, column).is_null()) ids.push_back(i);
-  }
-  std::stable_sort(ids.begin(), ids.end(), [&](uint64_t a, uint64_t b) {
-    return table->at(a, column).Compare(table->at(b, column)) < 0;
-  });
-  keys_.reserve(ids.size());
-  row_ids_ = std::move(ids);
-  for (uint64_t id : row_ids_) keys_.push_back(table->at(id, column));
-
-  uint64_t run = 0;
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    if (i == 0 || keys_[i].Compare(keys_[i - 1]) != 0) {
-      run = 1;
-    } else {
-      ++run;
+  const Column& col = table->column(column);
+  col.Visit([&](auto view) {
+    using Key = typename decltype(view)::value_type;
+    // Sorting (key, row id) pairs orders equal keys by row id: the stable
+    // key order.
+    std::vector<std::pair<Key, uint64_t>> entries;
+    entries.reserve(col.size());
+    for (uint64_t i = 0; i < col.size(); ++i) {
+      if (!col.is_null(i)) entries.emplace_back(view[i], i);
     }
-    max_key_multiplicity_ = std::max(max_key_multiplicity_, run);
-  }
+    std::sort(entries.begin(), entries.end());
+    row_ids_.reserve(entries.size());
+    uint64_t run = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      row_ids_.push_back(entries[i].second);
+      run = i > 0 && entries[i].first == entries[i - 1].first ? run + 1 : 1;
+      max_key_multiplicity_ = std::max(max_key_multiplicity_, run);
+    }
+  });
+}
+
+size_t OrderedIndex::Bound(const Value& key, bool upper) const {
+  const Column& col = table_->column(column_);
+  return col.Visit([&](auto view) {
+    using Key = typename decltype(view)::value_type;
+    // Sign of Value::Compare(entry's key, key); strings compare unboxed.
+    auto compare = [&](uint64_t row_id) {
+      if constexpr (std::is_same_v<Key, std::string_view>) {
+        QPROG_CHECK(key.type() == TypeId::kString);
+        return view[row_id].compare(key.string_value());
+      } else {
+        return decltype(view)::Box(view[row_id]).Compare(key);
+      }
+    };
+    auto it = upper ? std::partition_point(
+                          row_ids_.begin(), row_ids_.end(),
+                          [&](uint64_t id) { return compare(id) <= 0; })
+                    : std::partition_point(
+                          row_ids_.begin(), row_ids_.end(),
+                          [&](uint64_t id) { return compare(id) < 0; });
+    return static_cast<size_t>(it - row_ids_.begin());
+  });
 }
 
 OrderedIndex::EntryRange OrderedIndex::EqualRange(const Value& key) const {
-  if (key.is_null() || keys_.empty()) return {};
-  auto lower = std::lower_bound(
-      keys_.begin(), keys_.end(), key,
-      [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  auto upper = std::upper_bound(
-      lower, keys_.end(), key,
-      [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  size_t lo = static_cast<size_t>(lower - keys_.begin());
-  size_t hi = static_cast<size_t>(upper - keys_.begin());
+  if (key.is_null() || row_ids_.empty()) return {};
+  const size_t lo = Bound(key, /*upper=*/false);
+  const size_t hi = Bound(key, /*upper=*/true);
   return {row_ids_.data() + lo, row_ids_.data() + hi};
 }
 
@@ -50,23 +67,16 @@ OrderedIndex::EntryRange OrderedIndex::Range(const Value& lo, bool lo_inclusive,
                                              bool lo_unbounded, const Value& hi,
                                              bool hi_inclusive,
                                              bool hi_unbounded) const {
-  if (keys_.empty()) return {};
-  auto cmp = [](const Value& a, const Value& b) { return a.Compare(b) < 0; };
+  if (row_ids_.empty()) return {};
   size_t begin = 0;
-  size_t end = keys_.size();
+  size_t end = row_ids_.size();
   if (!lo_unbounded) {
     QPROG_CHECK(!lo.is_null());
-    auto it = lo_inclusive
-                  ? std::lower_bound(keys_.begin(), keys_.end(), lo, cmp)
-                  : std::upper_bound(keys_.begin(), keys_.end(), lo, cmp);
-    begin = static_cast<size_t>(it - keys_.begin());
+    begin = Bound(lo, /*upper=*/!lo_inclusive);
   }
   if (!hi_unbounded) {
     QPROG_CHECK(!hi.is_null());
-    auto it = hi_inclusive
-                  ? std::upper_bound(keys_.begin(), keys_.end(), hi, cmp)
-                  : std::lower_bound(keys_.begin(), keys_.end(), hi, cmp);
-    end = static_cast<size_t>(it - keys_.begin());
+    end = Bound(hi, /*upper=*/hi_inclusive);
   }
   if (begin >= end) return {};
   return {row_ids_.data() + begin, row_ids_.data() + end};

@@ -1,16 +1,16 @@
 // OrderedIndex: a sorted secondary index over one column of a Table.
 //
-// Backing structure is a sorted array of (key, row id) pairs — the read-only
+// Backing structure is the array of row ids sorted by key — the read-only
 // equivalent of a B+-tree's leaf level, which is all the index-seek and
 // index-nested-loops operators of the paper require (equality and range
-// probes). NULL keys are excluded, matching SQL index-lookup semantics.
+// probes). Keys are not copied: the build sorts the column's typed payload
+// and probes read it through the row ids. NULL keys are excluded, matching
+// SQL index-lookup semantics.
 
 #ifndef QPROG_INDEX_ORDERED_INDEX_H_
 #define QPROG_INDEX_ORDERED_INDEX_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "storage/table.h"
@@ -29,7 +29,7 @@ class OrderedIndex {
 
   const Table* table() const { return table_; }
   size_t column() const { return column_; }
-  uint64_t num_entries() const { return keys_.size(); }
+  uint64_t num_entries() const { return row_ids_.size(); }
 
   /// Row ids whose key equals `key`, in key-then-row order. Returns the
   /// half-open range [begin, end) into entry storage.
@@ -50,10 +50,13 @@ class OrderedIndex {
   uint64_t max_key_multiplicity() const { return max_key_multiplicity_; }
 
  private:
+  // Index of the first entry whose key is not below `key` (upper = false),
+  // or the first whose key is above it (upper = true).
+  size_t Bound(const Value& key, bool upper) const;
+
   const Table* table_;
   size_t column_;
-  // Keys sorted ascending; row_ids_ parallel to keys_.
-  std::vector<Value> keys_;
+  // Row ids of the non-NULL keys, ascending by (key, row id).
   std::vector<uint64_t> row_ids_;
   uint64_t max_key_multiplicity_ = 0;
 };

@@ -13,41 +13,43 @@ Histogram Histogram::Build(const Table& table, size_t column,
                            size_t num_buckets) {
   QPROG_CHECK(num_buckets >= 1);
   Histogram h;
-  std::vector<Value> values;
-  values.reserve(table.num_rows());
-  for (uint64_t i = 0; i < table.num_rows(); ++i) {
-    const Value& v = table.at(i, column);
-    if (v.is_null()) {
-      ++h.null_rows_;
-    } else {
-      values.push_back(v);
-    }
-  }
   h.total_rows_ = table.num_rows();
-  if (values.empty()) return h;
-
-  std::sort(values.begin(), values.end(),
-            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-
-  const uint64_t n = values.size();
-  const uint64_t depth = std::max<uint64_t>(1, (n + num_buckets - 1) / num_buckets);
-  size_t begin = 0;
-  while (begin < n) {
-    size_t end = std::min<size_t>(begin + depth, n);
-    // Extend the bucket so equal values never straddle a boundary (keeps
-    // EstimateEquals consistent).
-    while (end < n && values[end].Compare(values[end - 1]) == 0) ++end;
-    Bucket b;
-    b.lower = values[begin];
-    b.upper = values[end - 1];
-    b.count = end - begin;
-    b.distinct = 1;
-    for (size_t i = begin + 1; i < end; ++i) {
-      if (values[i].Compare(values[i - 1]) != 0) ++b.distinct;
+  const Column& col = table.column(column);
+  col.Visit([&](auto view) {
+    using Key = typename decltype(view)::value_type;
+    // Sort the typed payload of the non-NULL rows; equal keys are
+    // indistinguishable, so the buckets match a sort of boxed Values.
+    std::vector<Key> values;
+    values.reserve(col.size());
+    for (uint64_t i = 0; i < col.size(); ++i) {
+      if (col.is_null(i)) {
+        ++h.null_rows_;
+      } else {
+        values.push_back(view[i]);
+      }
     }
-    h.buckets_.push_back(std::move(b));
-    begin = end;
-  }
+    std::sort(values.begin(), values.end());
+    const uint64_t n = values.size();
+    const uint64_t depth =
+        std::max<uint64_t>(1, (n + num_buckets - 1) / num_buckets);
+    size_t begin = 0;
+    while (begin < n) {
+      size_t end = std::min<size_t>(begin + depth, n);
+      // Extend the bucket so equal values never straddle a boundary (keeps
+      // EstimateEquals consistent).
+      while (end < n && values[end] == values[end - 1]) ++end;
+      Bucket b;
+      b.lower = decltype(view)::Box(values[begin]);
+      b.upper = decltype(view)::Box(values[end - 1]);
+      b.count = end - begin;
+      b.distinct = 1;
+      for (size_t i = begin + 1; i < end; ++i) {
+        if (values[i] != values[i - 1]) ++b.distinct;
+      }
+      h.buckets_.push_back(std::move(b));
+      begin = end;
+    }
+  });
   return h;
 }
 

@@ -1,5 +1,8 @@
 #include "stats/table_stats.h"
 
+#include <functional>
+#include <string_view>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/random.h"
@@ -37,31 +40,49 @@ std::unique_ptr<TableStats> SampleStatisticsGenerator::Generate(
   reservoir.reserve(sample_size_);
   for (uint64_t i = 0; i < table.num_rows(); ++i) {
     if (reservoir.size() < sample_size_) {
-      reservoir.push_back(table.row(i));
+      table.ReadRow(i, &reservoir.emplace_back());
     } else {
       uint64_t j = rng.Uniform(i + 1);
-      if (j < sample_size_) reservoir[j] = table.row(i);
+      if (j < sample_size_) table.ReadRow(i, &reservoir[j]);
     }
   }
   stats->set_sample(std::move(reservoir));
   // Column summaries (distinct/min/max) still come from a full pass so the
-  // sample generator remains usable by the cardinality estimator.
+  // sample generator remains usable by the cardinality estimator. The
+  // distinct count is the number of distinct Value::Hash results; for
+  // VARCHAR, std::hash<std::string_view> is that hash without boxing.
   const Schema& schema = table.schema();
   for (size_t c = 0; c < schema.num_fields(); ++c) {
     ColumnStats cs;
     cs.name = schema.field(c).name;
-    std::unordered_set<size_t> hashes;
-    for (uint64_t i = 0; i < table.num_rows(); ++i) {
-      const Value& v = table.at(i, c);
-      if (v.is_null()) {
-        ++cs.null_count;
-        continue;
+    const Column& col = table.column(c);
+    col.Visit([&](auto view) {
+      using Key = typename decltype(view)::value_type;
+      std::unordered_set<size_t> hashes;
+      bool any = false;
+      Key min{};
+      Key max{};
+      for (uint64_t i = 0; i < col.size(); ++i) {
+        if (col.is_null(i)) {
+          ++cs.null_count;
+          continue;
+        }
+        const Key v = view[i];
+        if constexpr (std::is_same_v<Key, std::string_view>) {
+          hashes.insert(std::hash<std::string_view>()(v));
+        } else {
+          hashes.insert(decltype(view)::Box(v).Hash());
+        }
+        if (!any || v < min) min = v;
+        if (!any || max < v) max = v;
+        any = true;
       }
-      hashes.insert(v.Hash());
-      if (cs.min.is_null() || v.Compare(cs.min) < 0) cs.min = v;
-      if (cs.max.is_null() || v.Compare(cs.max) > 0) cs.max = v;
-    }
-    cs.distinct = hashes.size();
+      cs.distinct = hashes.size();
+      if (any) {
+        cs.min = decltype(view)::Box(min);
+        cs.max = decltype(view)::Box(max);
+      }
+    });
     stats->AddColumn(std::move(cs));
   }
   return stats;

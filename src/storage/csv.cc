@@ -132,8 +132,9 @@ Status WriteCsv(const Table& table, const std::string& path,
     }
     out << "\n";
   }
+  Row row;
   for (uint64_t i = 0; i < table.num_rows(); ++i) {
-    const Row& row = table.row(i);
+    table.ReadRow(i, &row);
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out << options.delimiter;
       out << QuoteField(FieldOf(row[c]), options.delimiter);

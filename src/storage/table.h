@@ -1,7 +1,12 @@
-// Table: an in-memory row store. The workloads in this project are read-only
-// after bulk load, so the table is append-only and supports reordering its
-// rows (the paper's experiments depend critically on physical tuple order —
-// skew-first, skew-last, random — see Sections 4 and 5).
+// Table: an in-memory column store. The workloads in this project are
+// read-only after bulk load, so the table is append-only and supports
+// reordering its rows (the paper's experiments depend critically on physical
+// tuple order — skew-first, skew-last, random — see Sections 4 and 5).
+//
+// Each schema field is one typed Column (storage/column.h); there is no
+// row-major copy. Loaders append whole Rows, scans build Rows from the
+// columns (ReadRow / ReadColumns), and statistics and indexes read the typed
+// column payloads directly.
 
 #ifndef QPROG_STORAGE_TABLE_H_
 #define QPROG_STORAGE_TABLE_H_
@@ -10,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "storage/column.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -18,8 +23,7 @@ namespace qprog {
 
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  Table(std::string name, Schema schema);
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -28,34 +32,50 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  uint64_t num_rows() const { return rows_.size(); }
+  uint64_t num_rows() const { return num_rows_; }
 
-  /// Appends a row. Aborts if the arity does not match the schema (type
-  /// checking is the loader's job; NULLs are always admissible).
-  void AppendRow(Row row);
+  /// Appends a row, splitting it into the columns. Aborts if the arity does
+  /// not match the schema or a non-NULL value's type differs from its
+  /// field's type (NULLs are always admissible).
+  void AppendRow(const Row& row);
 
   /// Reserves capacity for bulk loads.
-  void Reserve(uint64_t n) { rows_.reserve(n); }
+  void Reserve(uint64_t n);
 
-  const Row& row(uint64_t i) const { return rows_[i]; }
-  Row* mutable_row(uint64_t i) { return &rows_[i]; }
-  const std::vector<Row>& rows() const { return rows_; }
+  const Column& column(size_t col) const { return columns_[col]; }
 
-  /// Value of column `col` in row `i`.
-  const Value& at(uint64_t i, size_t col) const { return rows_[i][col]; }
+  /// Overwrites `*out` with row `i` (resized to the schema's arity).
+  void ReadRow(uint64_t i, Row* out) const;
+
+  /// Overwrites only `columns` of `*out` with row `i`'s values; the other
+  /// entries are left as they are. `*out` must already have the schema's
+  /// arity.
+  void ReadColumns(uint64_t i, const std::vector<size_t>& columns,
+                   Row* out) const {
+    for (size_t c : columns) columns_[c].Read(i, &(*out)[c]);
+  }
+
+  /// Value of column `col` in row `i` (a copy).
+  Value at(uint64_t i, size_t col) const {
+    Value v;
+    columns_[col].Read(i, &v);
+    return v;
+  }
 
   /// Physically reorders the rows so that row i of the new table is
   /// `perm[i]` of the old one. `perm` must be a permutation of [0, n).
   void Reorder(const std::vector<size_t>& perm);
 
-  /// Stable-sorts rows by ascending values in `col` (used to lay data out in
-  /// "natural" clustered order, and by merge-join test fixtures).
+  /// Stable-sorts rows by ascending values in `col`, NULLs first (used to
+  /// lay data out in "natural" clustered order, and by merge-join test
+  /// fixtures).
   void SortByColumn(size_t col);
 
  private:
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
+  std::vector<Column> columns_;
+  uint64_t num_rows_ = 0;
 };
 
 }  // namespace qprog

@@ -32,66 +32,6 @@ bool IsNumericType(TypeId type) {
          type == TypeId::kDate;
 }
 
-Value Value::Bool(bool v) {
-  Value r;
-  r.type_ = TypeId::kBool;
-  r.u_.bool_ = v;
-  return r;
-}
-
-Value Value::Int64(int64_t v) {
-  Value r;
-  r.type_ = TypeId::kInt64;
-  r.u_.int64_ = v;
-  return r;
-}
-
-Value Value::Double(double v) {
-  Value r;
-  r.type_ = TypeId::kDouble;
-  r.u_.double_ = v;
-  return r;
-}
-
-Value Value::Date(int32_t days) {
-  Value r;
-  r.type_ = TypeId::kDate;
-  r.u_.date_ = days;
-  return r;
-}
-
-Value Value::String(std::string v) {
-  Value r;
-  r.type_ = TypeId::kString;
-  r.string_ = std::move(v);
-  return r;
-}
-
-bool Value::bool_value() const {
-  QPROG_CHECK(type_ == TypeId::kBool);
-  return u_.bool_;
-}
-
-int64_t Value::int64_value() const {
-  QPROG_CHECK(type_ == TypeId::kInt64);
-  return u_.int64_;
-}
-
-double Value::double_value() const {
-  QPROG_CHECK(type_ == TypeId::kDouble);
-  return u_.double_;
-}
-
-int32_t Value::date_value() const {
-  QPROG_CHECK(type_ == TypeId::kDate);
-  return u_.date_;
-}
-
-const std::string& Value::string_value() const {
-  QPROG_CHECK(type_ == TypeId::kString);
-  return string_;
-}
-
 double Value::AsDouble() const {
   switch (type_) {
     case TypeId::kBool:

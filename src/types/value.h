@@ -11,7 +11,11 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common/macros.h"
 
 namespace qprog {
 
@@ -36,22 +40,83 @@ class Value {
   /// SQL NULL.
   Value() : type_(TypeId::kNull) {}
 
+  // Factories, setters and accessors are inline: loads, scans and
+  // expression evaluation call them once per cell.
   static Value Null() { return Value(); }
-  static Value Bool(bool v);
-  static Value Int64(int64_t v);
-  static Value Double(double v);
-  static Value Date(int32_t days);
-  static Value String(std::string v);
+  static Value Bool(bool v) {
+    Value r(TypeId::kBool);
+    r.u_.bool_ = v;
+    return r;
+  }
+  static Value Int64(int64_t v) {
+    Value r(TypeId::kInt64);
+    r.u_.int64_ = v;
+    return r;
+  }
+  static Value Double(double v) {
+    Value r(TypeId::kDouble);
+    r.u_.double_ = v;
+    return r;
+  }
+  static Value Date(int32_t days) {
+    Value r(TypeId::kDate);
+    r.u_.date_ = days;
+    return r;
+  }
+  static Value String(std::string v) {
+    Value r(TypeId::kString);
+    r.string_ = std::move(v);
+    return r;
+  }
 
   TypeId type() const { return type_; }
   bool is_null() const { return type_ == TypeId::kNull; }
 
+  /// In-place assignment, equivalent to `*this = Value::Int64(v)` and so on
+  /// without a temporary. SetString reuses the string's capacity.
+  void SetNull() { Set(TypeId::kNull); }
+  void SetBool(bool v) {
+    Set(TypeId::kBool);
+    u_.bool_ = v;
+  }
+  void SetInt64(int64_t v) {
+    Set(TypeId::kInt64);
+    u_.int64_ = v;
+  }
+  void SetDouble(double v) {
+    Set(TypeId::kDouble);
+    u_.double_ = v;
+  }
+  void SetDate(int32_t days) {
+    Set(TypeId::kDate);
+    u_.date_ = days;
+  }
+  void SetString(std::string_view v) {
+    type_ = TypeId::kString;
+    string_.assign(v.data(), v.size());
+  }
+
   /// Typed accessors; abort on type mismatch (programmer error).
-  bool bool_value() const;
-  int64_t int64_value() const;
-  double double_value() const;
-  int32_t date_value() const;
-  const std::string& string_value() const;
+  bool bool_value() const {
+    QPROG_CHECK(type_ == TypeId::kBool);
+    return u_.bool_;
+  }
+  int64_t int64_value() const {
+    QPROG_CHECK(type_ == TypeId::kInt64);
+    return u_.int64_;
+  }
+  double double_value() const {
+    QPROG_CHECK(type_ == TypeId::kDouble);
+    return u_.double_;
+  }
+  int32_t date_value() const {
+    QPROG_CHECK(type_ == TypeId::kDate);
+    return u_.date_;
+  }
+  const std::string& string_value() const {
+    QPROG_CHECK(type_ == TypeId::kString);
+    return string_;
+  }
 
   /// Numeric view: BIGINT/DOUBLE/DATE/BOOL coerced to double; aborts
   /// otherwise. Used by arithmetic and aggregation.
@@ -79,6 +144,15 @@ class Value {
   }
 
  private:
+  explicit Value(TypeId type) : type_(type) {}
+
+  // Non-string types keep an empty string, so copies stay cheap.
+  void Set(TypeId type) {
+    type_ = type;
+    u_ = {};
+    string_.clear();
+  }
+
   TypeId type_;
   union {
     bool bool_;

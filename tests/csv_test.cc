@@ -57,7 +57,9 @@ TEST(CsvTest, RoundTripPreservesValues) {
        {I(3), N(), Dt("2000-02-29"), S("quote \" inside"), N()}});
   // Rebuild with a typed schema so ReadCsv knows what to parse.
   Table typed("t", MixedSchema());
-  for (uint64_t i = 0; i < t.num_rows(); ++i) typed.AppendRow(t.row(i));
+  for (uint64_t i = 0; i < t.num_rows(); ++i) {
+    typed.AppendRow(testutil::RowAt(t, i));
+  }
 
   std::string path = TempPath("roundtrip.csv");
   ASSERT_TRUE(WriteCsv(typed, path).ok());
@@ -65,8 +67,10 @@ TEST(CsvTest, RoundTripPreservesValues) {
   ASSERT_TRUE(back.ok()) << back.status();
   ASSERT_EQ(back->num_rows(), 3u);
   for (uint64_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(RowEq()(back->row(i), typed.row(i))) << "row " << i << ": "
-        << RowToString(back->row(i)) << " vs " << RowToString(typed.row(i));
+    Row got = testutil::RowAt(*back, i);
+    Row want = testutil::RowAt(typed, i);
+    EXPECT_TRUE(RowEq()(got, want)) << "row " << i << ": " << RowToString(got)
+                                    << " vs " << RowToString(want);
   }
 }
 

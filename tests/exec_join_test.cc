@@ -27,10 +27,10 @@ std::vector<Row> ReferenceJoin(const Table& left, const Table& right,
                                JoinType type) {
   std::vector<Row> out;
   for (uint64_t i = 0; i < left.num_rows(); ++i) {
-    const Row& l = left.row(i);
+    const Row l = testutil::RowAt(left, i);
     bool matched = false;
     for (uint64_t j = 0; j < right.num_rows(); ++j) {
-      const Row& r = right.row(j);
+      const Row r = testutil::RowAt(right, j);
       if (l[0].is_null() || r[0].is_null()) continue;
       if (l[0].Compare(r[0]) != 0) continue;
       matched = true;

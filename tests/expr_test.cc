@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "expr/expr.h"
 #include "tests/test_util.h"
 #include "types/date.h"
@@ -213,6 +217,54 @@ TEST(ExprTest, ToStringRenders) {
   EXPECT_EQ(eb::Str("x")->ToString(), "'x'");
   EXPECT_EQ(eb::DateLit("1995-01-01")->ToString(), "DATE '1995-01-01'");
   EXPECT_EQ(eb::Col(3)->ToString(), "$3");
+}
+
+TEST(ExprTest, ReferencedColumnsCoversEveryKind) {
+  std::vector<CaseExpr::Branch> branches;
+  branches.push_back({eb::Gt(eb::Col(1), eb::Int(10)), eb::Col(4)});
+  struct Case {
+    ExprPtr expr;
+    std::vector<size_t> columns;
+  };
+  std::vector<Case> cases;
+  cases.push_back({eb::Col(3), {3}});
+  cases.push_back({eb::Int(7), {}});
+  cases.push_back({eb::Lt(eb::Col(2), eb::Col(0)), {0, 2}});
+  cases.push_back({eb::Mul(eb::Col(5), eb::Sub(eb::Int(1), eb::Col(6))),
+                   {5, 6}});
+  std::vector<ExprPtr> conjuncts;
+  conjuncts.push_back(eb::Gt(eb::Col(1), eb::Int(0)));
+  conjuncts.push_back(eb::Lt(eb::Col(1), eb::Int(9)));
+  conjuncts.push_back(eb::Eq(eb::Col(8), eb::Int(2)));
+  cases.push_back({eb::And(std::move(conjuncts)), {1, 8}});
+  cases.push_back(
+      {eb::Or(eb::IsNull(eb::Col(4)), eb::Eq(eb::Col(2), eb::Int(1))), {2, 4}});
+  cases.push_back({eb::Not(eb::Gt(eb::Col(9), eb::Int(0))), {9}});
+  cases.push_back({eb::Like(eb::Col(7), "x%"), {7}});
+  cases.push_back({eb::In(eb::Col(3), {I(1), I(2)}), {3}});
+  cases.push_back({eb::IsNotNull(eb::Col(0)), {0}});
+  cases.push_back({std::make_unique<CaseExpr>(std::move(branches), eb::Col(0)),
+                   {0, 1, 4}});
+  cases.push_back({eb::Year(eb::Col(10)), {10}});
+  cases.push_back({eb::Substr(eb::Col(11), 1, 2), {11}});
+  std::set<ExprKind> kinds;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr->ToString());
+    kinds.insert(c.expr->kind());
+    EXPECT_EQ(ReferencedColumns(*c.expr), c.columns);
+  }
+  // One case per ExprKind, kColumnRef through kSubstring.
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(ExprKind::kSubstring) + 1);
+}
+
+TEST(ExprTest, ForEachColumnRefVisitsInPreOrder) {
+  ExprPtr e = eb::And(eb::Gt(eb::Col(4, "b"), eb::Col(1, "a")),
+                      eb::Eq(eb::Col(4, "b"), eb::Int(3)));
+  std::vector<std::string> seen;
+  ForEachColumnRef(*e, [&](const ColumnRefExpr& ref) {
+    seen.push_back(ref.ToString());
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{"b", "a", "b"}));
 }
 
 }  // namespace

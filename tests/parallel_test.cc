@@ -38,6 +38,7 @@
 namespace qprog {
 namespace {
 
+using testutil::Fnv1a64;
 using testutil::I;
 using testutil::S;
 using testutil::Sorted;
@@ -702,15 +703,6 @@ std::string TraceAndRows(PhysicalPlan plan, uint64_t soft_budget,
   return sink.data() + (rows.ok() ? testutil::RowsToString(rows.value()) : "");
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 TEST(RecursiveGraceTest, AggregateResplitMatchesInMemoryAndSerial) {
   Table t = AggRecursionTable();
   auto make = [&] { return AggPlan(&t); };
@@ -889,6 +881,33 @@ TEST(ParallelAggregateTest, ReplayRowsMatchSerialAtEveryPoolSize) {
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(testutil::RowsToString(got.value()), expected);
     }
+  }
+}
+
+TEST(ParallelAggregateTest, PooledReplayReleasesResidentGroupsFirst) {
+  // 2000 distinct keys, one row each, all routed to depth-0 partition 0.
+  // The first 64 groups fill the soft budget and stay resident; the rest
+  // spill. A 66-row kill threshold leaves room for the replay only once the
+  // resident groups are released, as the serial replay does before loading
+  // its first leaf. The pooled replay must do the same and finish with the
+  // serial rows, instead of sizing its task budget with those groups still
+  // charged and aborting on kResourceExhausted.
+  std::vector<Row> rows;
+  for (int64_t k : PartitionZeroKeys(2000)) rows.push_back({I(k), I(1)});
+  Table t = testutil::MakeTable("z", {"k", "v"}, std::move(rows));
+  auto make = [&] { return AggPlan(&t); };
+  StatusOr<std::vector<Row>> serial =
+      RunSpilling(make, 64, "aggrelease_serial", 0, nullptr, 66);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_EQ(serial.value().size(), 2000u);
+  std::string expected = testutil::RowsToString(serial.value());
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StatusOr<std::vector<Row>> got = RunSpilling(
+        make, 64, "aggrelease_p" + std::to_string(threads), threads, nullptr,
+        66);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(testutil::RowsToString(got.value()), expected);
   }
 }
 

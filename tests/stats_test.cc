@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "common/random.h"
+#include "skyserver/skyserver.h"
 #include "stats/histogram.h"
 #include "stats/selectivity.h"
 #include "stats/table_stats.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
+#include "tpch/dbgen.h"
 
 namespace qprog {
 namespace {
@@ -16,11 +21,15 @@ using testutil::I;
 using testutil::N;
 using testutil::S;
 
-Table UniformTable(int64_t n, int64_t domain, uint64_t seed) {
+std::vector<Row> UniformRows(int64_t n, int64_t domain, uint64_t seed) {
   Rng rng(seed);
   std::vector<Row> rows;
   for (int64_t i = 0; i < n; ++i) rows.push_back({I(rng.UniformInt(0, domain - 1))});
-  return testutil::MakeTable("t", {"a"}, std::move(rows));
+  return rows;
+}
+
+Table UniformTable(int64_t n, int64_t domain, uint64_t seed) {
+  return testutil::MakeTable("t", {"a"}, UniformRows(n, domain, seed));
 }
 
 TEST(HistogramTest, CountsAndNulls) {
@@ -99,19 +108,125 @@ TEST(HistogramTest, LossyUnderBucketBudget) {
   int64_t hi = b0.upper.int64_value();
   ASSERT_GT(hi, lo + 2);
   // Find a row in bucket 0 and nudge it within range.
-  Table t2 = UniformTable(10000, 10000, 45);
-  for (uint64_t i = 0; i < t2.num_rows(); ++i) {
-    int64_t v = t2.at(i, 0).int64_value();
+  std::vector<Row> rows = UniformRows(10000, 10000, 45);
+  for (Row& row : rows) {
+    int64_t v = row[0].int64_value();
     if (v > lo && v < hi) {
-      (*t2.mutable_row(i))[0] = I(v == lo + 1 ? lo + 2 : lo + 1);
+      row[0] = I(v == lo + 1 ? lo + 2 : lo + 1);
       break;
     }
   }
+  Table t2 = testutil::MakeTable("t", {"a"}, std::move(rows));
   Histogram h2 = Histogram::Build(t2, 0, 8);
   ASSERT_EQ(h1.num_buckets(), h2.num_buckets());
   for (size_t b = 0; b < h1.num_buckets(); ++b) {
     EXPECT_EQ(h1.bucket(b).count, h2.bucket(b).count);
   }
+}
+
+// FNV-1a 64 over Histogram::ToString() of every column (32 buckets), one
+// digest per table.
+std::map<std::string, uint64_t> HistogramDigests(const Database& db) {
+  std::map<std::string, uint64_t> digests;
+  for (const std::string& name : db.TableNames()) {
+    const Table& t = *db.GetTable(name);
+    std::string text;
+    for (size_t c = 0; c < t.schema().num_fields(); ++c) {
+      text += Histogram::Build(t, c, 32).ToString();
+      text += "\n";
+    }
+    digests[name] = testutil::Fnv1a64(text);
+  }
+  return digests;
+}
+
+void ExpectDigests(const std::map<std::string, uint64_t>& got,
+                   const std::map<std::string, uint64_t>& want) {
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [name, digest] : got) {
+    auto it = want.find(name);
+    ASSERT_NE(it, want.end()) << name;
+    EXPECT_EQ(digest, it->second) << name << " digest 0x" << std::hex << digest;
+  }
+}
+
+// The pins below were recorded from the row-store implementation, which
+// gathered each column into a std::vector<Value> sorted with Value::Compare.
+// The typed column sort must reproduce every statistic exactly; a changed pin
+// means the statistics changed, not the pin.
+class TpchStatsGoldenTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    tpch::TpchConfig config;
+    config.scale_factor = 0.01;
+    config.z = 2.0;
+    config.build_indexes = false;
+    config.collect_stats = false;
+    ASSERT_TRUE(tpch::GenerateTpch(config, db_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+  static Database* db_;
+};
+
+Database* TpchStatsGoldenTest::db_ = nullptr;
+
+TEST_F(TpchStatsGoldenTest, HistogramsMatchPinnedDigests) {
+  ExpectDigests(HistogramDigests(*db_), {
+      {"customer", 0x69d4a65d37168dceULL},
+      {"lineitem", 0x0e6d7c3aecaf1252ULL},
+      {"nation", 0xa0a00dff6f21495fULL},
+      {"orders", 0x4c3fce415f655d5aULL},
+      {"part", 0x4aadbb8d16f84303ULL},
+      {"partsupp", 0xd708355c0eb00538ULL},
+      {"region", 0xfdec15692d446f3aULL},
+      {"supplier", 0x7a1aef6fa876687dULL},
+  });
+}
+
+TEST_F(TpchStatsGoldenTest, SampleStatisticsMatchPinnedDigests) {
+  // The reservoir rows plus each column's null count, distinct-hash count,
+  // min and max.
+  std::map<std::string, uint64_t> digests;
+  for (const std::string& name : db_->TableNames()) {
+    auto stats =
+        SampleStatisticsGenerator(200, 5).Generate(*db_->GetTable(name));
+    std::string text;
+    for (const Row& row : stats->sample()) text += RowToString(row) + "\n";
+    for (size_t c = 0; c < stats->num_columns(); ++c) {
+      const ColumnStats& cs = stats->column(c);
+      text += cs.name + " " + std::to_string(cs.null_count) + " " +
+              std::to_string(cs.distinct) + " " + cs.min.ToString() + " " +
+              cs.max.ToString() + "\n";
+    }
+    digests[name] = testutil::Fnv1a64(text);
+  }
+  ExpectDigests(digests, {
+      {"customer", 0x409570115e192189ULL},
+      {"lineitem", 0xd070c8ba13ac1e05ULL},
+      {"nation", 0x9e0d2669330a9d7dULL},
+      {"orders", 0x5a09b48810a2d3d2ULL},
+      {"part", 0x29701e7de68dadbeULL},
+      {"partsupp", 0xd6b9b52b74c7a3bdULL},
+      {"region", 0xac7dfb81ee11d237ULL},
+      {"supplier", 0xddb3290fcfa935fbULL},
+  });
+}
+
+TEST(HistogramGoldenTest, SkyServerHistogramsMatchPinnedDigests) {
+  Database db;
+  skyserver::SkyServerConfig config;
+  config.collect_stats = false;
+  ASSERT_TRUE(skyserver::GenerateSkyServer(config, &db).ok());
+  ExpectDigests(HistogramDigests(db), {
+      {"neighbors", 0x43a012b50b6aae10ULL},
+      {"photoobj", 0x981200677e39b972ULL},
+      {"photoz", 0x844abb14ee43476dULL},
+      {"specobj", 0x328f6aca918a7449ULL},
+  });
 }
 
 TEST(StatsGeneratorTest, HistogramGeneratorBasics) {

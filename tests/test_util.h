@@ -5,7 +5,9 @@
 #define QPROG_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/table.h"
@@ -23,21 +25,43 @@ inline Value B(bool v) { return Value::Bool(v); }
 inline Value N() { return Value::Null(); }
 inline Value Dt(const char* ymd) { return Value::Date(ParseDate(ymd).value()); }
 
-/// Builds a table whose columns are all typed from the first row's values
-/// (NULL-typed when the name list is longer than the first row, which is fine
-/// for the dynamically typed engine).
+/// Builds a table whose columns are typed from each column's first non-NULL
+/// value (NULL-typed when a column holds only NULLs). A later value of
+/// another type aborts the append, as the typed columns require.
 inline Table MakeTable(std::string name, std::vector<std::string> columns,
                        std::vector<Row> rows) {
   std::vector<Field> fields;
   fields.reserve(columns.size());
   for (size_t i = 0; i < columns.size(); ++i) {
     TypeId type = TypeId::kNull;
-    if (!rows.empty() && i < rows[0].size()) type = rows[0][i].type();
+    for (const Row& row : rows) {
+      if (i < row.size() && !row[i].is_null()) {
+        type = row[i].type();
+        break;
+      }
+    }
     fields.emplace_back(columns[i], type);
   }
   Table table(std::move(name), Schema(std::move(fields)));
-  for (Row& row : rows) table.AppendRow(std::move(row));
+  for (const Row& row : rows) table.AppendRow(row);
   return table;
+}
+
+/// Row `i` of `table`, built from its columns.
+inline Row RowAt(const Table& table, uint64_t i) {
+  Row row;
+  table.ReadRow(i, &row);
+  return row;
+}
+
+/// 64-bit FNV-1a over `bytes`: the digest the golden-pin tests record.
+inline uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Sorts rows lexically by ToString for order-insensitive comparison.

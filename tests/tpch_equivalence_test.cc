@@ -9,6 +9,7 @@
 #include <map>
 
 #include "sql/planner.h"
+#include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -194,7 +195,8 @@ TEST_F(TpchEquivalenceTest, GeneratorIsSeedDeterministic) {
   const Table* lb = b.GetTable("lineitem");
   ASSERT_EQ(la->num_rows(), lb->num_rows());
   for (uint64_t i = 0; i < la->num_rows(); i += 97) {
-    ASSERT_TRUE(RowEq()(la->row(i), lb->row(i))) << "row " << i;
+    ASSERT_TRUE(RowEq()(testutil::RowAt(*la, i), testutil::RowAt(*lb, i)))
+        << "row " << i;
   }
   // A different seed produces different data.
   Database c;
@@ -204,7 +206,7 @@ TEST_F(TpchEquivalenceTest, GeneratorIsSeedDeterministic) {
   bool any_diff = lc->num_rows() != la->num_rows();
   for (uint64_t i = 0; !any_diff && i < std::min(la->num_rows(),
                                                  lc->num_rows()); ++i) {
-    any_diff = !RowEq()(la->row(i), lc->row(i));
+    any_diff = !RowEq()(testutil::RowAt(*la, i), testutil::RowAt(*lc, i));
   }
   EXPECT_TRUE(any_diff);
 }
