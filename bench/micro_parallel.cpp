@@ -2,10 +2,12 @@
 // external sort and Grace hash join swept over worker-pool sizes {1, 2, 4, 8}
 // with spill compression off and on. The SpillManager's device model charges
 // a fixed cost per spill byte on the thread doing the I/O, so run formation,
-// intermediate merges, partition writes and partition joins overlap their
-// device time across the pool exactly like bandwidth-bound disk I/O — which
-// is what makes parallel speedup measurable even on a single-core host, and
-// makes the codec's byte reduction show up as wall-clock time.
+// intermediate merges and Grace leaf joins overlap their device time across
+// the pool exactly like bandwidth-bound disk I/O — which is what makes
+// parallel speedup measurable even on a single-core host, and makes the
+// codec's byte reduction show up as wall-clock time. Grace partition writes
+// run on the query thread, so the join's write-side device time is serial;
+// e2ebench, not this model, decides whether a path earns its pool.
 //
 // Results (wall ms, speedup vs. the 1-thread pool, spill bytes pre/post
 // codec) are printed and written to BENCH_parallel.json.

@@ -14,12 +14,8 @@ namespace qprog {
 
 namespace {
 
-// Task-key registry entry (DESIGN.md §10): exchange producer tasks carry
-// 0x55 in the top byte and the producer partition index in the low bits, so
-// a partition's forked fault schedule is a pure function of its data
-// identity — identical at every pool size.
-constexpr uint64_t kExchangeProduceTaskTag = 0x55ULL << 56;
-
+// A producer partition's forked fault schedule is a pure function of its
+// data identity — identical at every pool size.
 uint64_t ExchangeTaskKey(size_t partition) {
   return kExchangeProduceTaskTag | static_cast<uint64_t>(partition);
 }

@@ -31,8 +31,8 @@
 //    rows in (partition, arrival) order — a total order derived from data,
 //    never from scheduling.
 //
-// Task-key registry entry (DESIGN.md §10): 0x55 in the top byte, producer
-// partition index in the low bits.
+// Producer task keys: kExchangeProduceTaskTag (exec/worker_pool.h) | the
+// producer partition index.
 
 #ifndef QPROG_EXEC_EXCHANGE_H_
 #define QPROG_EXEC_EXCHANGE_H_

@@ -45,10 +45,6 @@ inline constexpr int kSpillFanout = 8;
 /// OversizedLeaf policy instead of another pass.
 inline constexpr int kMaxGraceDepth = 4;
 
-/// Task-key tags of the per-leaf tasks (task-key registry, DESIGN.md §10).
-inline constexpr uint64_t kJoinPartitionTaskTag = 0x53ULL << 56;
-inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;
-
 /// The Grace partition of a routing key at recursion `level`. Level 0 uses
 /// the raw row hash; deeper levels remix it with a level-dependent salt.
 /// Rows that share a hash (single-key skew) land together at every level.
@@ -117,7 +113,6 @@ class GracePartitions {
 
   /// Creates `side`'s kSpillFanout depth-0 runs if none exist yet.
   bool EnsurePartitions(ExecContext* ctx, int node, size_t side);
-  std::vector<SpillRunPtr>* partitions(size_t side) { return &parts_[side]; }
   /// Routes `row` (routing key `key`) into `side`'s depth-0 partition.
   bool Append(ExecContext* ctx, int node, size_t side, const Row& key,
               const Row& row);
@@ -152,7 +147,6 @@ class GracePartitions {
   /// so 2x rows_written() is the node's total spill work.
   uint64_t rows_written() const { return rows_written_; }
   uint64_t rows_read() const { return rows_read_; }
-  void AddRowsWritten(uint64_t n) { rows_written_ += n; }
   void AddRowsRead(uint64_t n) { rows_read_ += n; }
 
  private:

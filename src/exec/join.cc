@@ -1,8 +1,6 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -15,22 +13,9 @@ namespace qprog {
 
 namespace {
 
-// Task-key layout for the parallel Grace partition writes (DESIGN.md §10):
-// batches are keyed by phase (bit 55: 0 = build, 1 = probe), partition index
-// and a per-partition batch sequence number — data identity, never pool size.
-// Leaf joins use kJoinPartitionTaskTag (exec/grace.h).
-constexpr uint64_t kJoinWriteTaskTag = 0x52ULL << 56;
-constexpr uint64_t kJoinProbePhaseBit = 1ULL << 55;
-
 // Grace sides: the build input sizes every leaf, so it goes first.
 constexpr size_t kBuildSide = 0;
 constexpr size_t kProbeSide = 1;
-
-// Rows buffered per partition before a write batch is handed to a worker,
-// and batches in flight before the query thread folds their op-logs. Both
-// bound the uncharged write-side overcommit (see DESIGN.md §10).
-constexpr size_t kBatchRows = 256;
-constexpr size_t kMaxInflightBatches = 16;
 
 Row ConcatRows(const Row& left, const Row& right) {
   Row out;
@@ -263,98 +248,6 @@ std::string IndexNestedLoopsJoin::label() const {
 // --------------------------------------------------------------------------
 // HashJoin
 
-// Pool-backed Grace partition writes. Rows buffer per partition on the query
-// thread; every kBatchRows a batch task appends them to the partition's run
-// on a worker, submitted into that partition's lane so a run's appends stay
-// in input order without a lock. Every kMaxInflightBatches the query thread
-// barriers and folds batch op-logs in submission order — a data-derived
-// cadence, so spill-work checkpoints land identically at every pool size.
-// The operator's written-row counter advances only after a batch's log is
-// folded, keeping (Curr, LB, UB) consistent at mid-fold checkpoints.
-class HashJoin::PartitionWriter {
- public:
-  PartitionWriter(HashJoin* join, ExecContext* ctx, WorkerPool* pool,
-                  std::vector<SpillRunPtr>* parts, uint64_t phase_tag)
-      : join_(join), ctx_(ctx), parts_(parts), phase_tag_(phase_tag),
-        group_(pool) {}
-
-  /// Buffers `row` for `part`, flushing a batch task when full.
-  bool Add(size_t part, const Row& row) {
-    // A batch task that hit a write error flags it so the operator stops
-    // consuming input now, not up to kMaxInflightBatches batches later (a
-    // permanent failure like disk-full would otherwise keep collecting rows
-    // into doomed batches). The fold surfaces the task's sticky error.
-    if (write_failed_.load(std::memory_order_relaxed)) return FoldBatches();
-    buf_[part].push_back(row);
-    if (buf_[part].size() >= kBatchRows) return FlushPartition(part);
-    return ctx_->ok();
-  }
-
-  /// Flushes every residual buffer (partition order), barriers, folds.
-  bool Finish() {
-    for (size_t p = 0; p < buf_.size(); ++p) {
-      if (!buf_[p].empty() && !FlushPartition(p)) return false;
-    }
-    return FoldBatches();
-  }
-
- private:
-  struct PendingBatch {
-    std::unique_ptr<TaskContext> tc;
-    uint64_t rows = 0;
-  };
-
-  bool FlushPartition(size_t part) {
-    auto tc = std::make_unique<TaskContext>(
-        ctx_, phase_tag_ | (static_cast<uint64_t>(part) << 20) |
-                  batch_seq_[part]++);
-    TaskContext* tcp = tc.get();
-    SpillRun* run = (*parts_)[part].get();
-    uint64_t n = buf_[part].size();
-    group_.SubmitToLane(
-        part, [join = join_, tcp, run, failed = &write_failed_,
-               rows = std::move(buf_[part])] {
-          for (const Row& row : rows) {
-            if (!run->Append(tcp, join->node_id(), row)) {
-              failed->store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        });
-    buf_[part] = std::vector<Row>();
-    pending_.push_back(PendingBatch{std::move(tc), n});
-    if (pending_.size() >= kMaxInflightBatches) return FoldBatches();
-    return ctx_->ok();
-  }
-
-  bool FoldBatches() {
-    Status escaped = group_.Wait();
-    for (PendingBatch& b : pending_) {
-      if (!ctx_->ok()) break;
-      b.tc->FoldInto(ctx_);
-      if (!ctx_->ok()) break;
-      join_->grace_.AddRowsWritten(b.rows);
-    }
-    pending_.clear();
-    if (ctx_->ok() && !escaped.ok()) ctx_->RaiseError(std::move(escaped));
-    return ctx_->ok();
-  }
-
-  HashJoin* join_;
-  ExecContext* ctx_;
-  std::vector<SpillRunPtr>* parts_;
-  uint64_t phase_tag_;
-  std::array<std::vector<Row>, kSpillFanout> buf_;
-  std::array<uint64_t, kSpillFanout> batch_seq_{};
-  std::vector<PendingBatch> pending_;
-  // Set (relaxed) by a batch task on write failure, polled by Add: a hint to
-  // fold early — correctness still comes from the fold's error replay.
-  std::atomic<bool> write_failed_{false};
-  // Declared last: destroyed first, so the destructor's implicit Wait()
-  // drains in-flight tasks while the TaskContexts in pending_ still live.
-  TaskGroup group_;
-};
-
 HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
                    std::vector<ExprPtr> probe_keys,
                    std::vector<ExprPtr> build_keys, JoinType join_type,
@@ -409,20 +302,10 @@ Row HashJoin::KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
   return key;
 }
 
-bool HashJoin::AppendToPartition(ExecContext* ctx, size_t side,
-                                 const Row& key, const Row& row,
-                                 PartitionWriter* writer) {
-  if (writer == nullptr) return grace_.Append(ctx, node_id(), side, key, row);
-  if (!grace_.EnsurePartitions(ctx, node_id(), side)) return false;
-  return writer->Add(GracePartitionOf(key, 0), row);
-}
-
-bool HashJoin::SpillBuildTable(ExecContext* ctx, PartitionWriter* writer) {
+bool HashJoin::SpillBuildTable(ExecContext* ctx) {
   for (const auto& [key, bucket] : table_) {
     for (const Row& row : bucket) {
-      if (!AppendToPartition(ctx, kBuildSide, key, row, writer)) {
-        return false;
-      }
+      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return false;
     }
   }
   table_.clear();
@@ -434,20 +317,6 @@ bool HashJoin::SpillBuildTable(ExecContext* ctx, PartitionWriter* writer) {
 }
 
 void HashJoin::BuildTable(ExecContext* ctx) {
-  // With a pool attached, Grace partition writes batch through a
-  // PartitionWriter (created lazily at the first spill). Charge verdicts are
-  // untouched — they fire per input row on the query thread either way — so
-  // the spill decision sequence is identical to the serial engine's.
-  std::unique_ptr<PartitionWriter> writer;
-  auto grace_writer = [&]() -> PartitionWriter* {
-    if (ctx->worker_pool() == nullptr) return nullptr;
-    if (writer == nullptr) {
-      writer = std::make_unique<PartitionWriter>(
-          this, ctx, ctx->worker_pool(), grace_.partitions(kBuildSide),
-          kJoinWriteTaskTag);
-    }
-    return writer.get();
-  };
   Row row;
   while (ctx->ok() && build_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashJoinBuild, node_id())) return;
@@ -456,19 +325,15 @@ void HashJoin::BuildTable(ExecContext* ctx) {
     if (has_null) continue;  // NULL keys never match
     if (spilled_) {
       // Already in Grace mode: route straight to a partition run.
-      if (!AppendToPartition(ctx, kBuildSide, key, row, grace_writer())) {
-        return;
-      }
+      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return;
       ++build_rows_;
       continue;
     }
     ChargeVerdict verdict = ctx->ChargeBufferedRowsOrSpill(1);
     if (verdict == ChargeVerdict::kFailed) return;
     if (verdict == ChargeVerdict::kSpill) {
-      if (!SpillBuildTable(ctx, grace_writer())) return;
-      if (!AppendToPartition(ctx, kBuildSide, key, row, grace_writer())) {
-        return;
-      }
+      if (!SpillBuildTable(ctx)) return;
+      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return;
       ++build_rows_;
       continue;
     }
@@ -479,7 +344,6 @@ void HashJoin::BuildTable(ExecContext* ctx) {
     max_bucket_ = std::max<uint64_t>(max_bucket_, bucket.size());
   }
   if (!ctx->ok()) return;  // partial build: not usable for probing
-  if (writer != nullptr && !writer->Finish()) return;
   build_done_ = true;
 }
 
@@ -488,12 +352,6 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   // probe partitions mirroring the build partitions, or refinement would
   // index an empty vector.
   if (!grace_.EnsurePartitions(ctx, node_id(), kProbeSide)) return;
-  std::unique_ptr<PartitionWriter> writer;
-  if (ctx->worker_pool() != nullptr) {
-    writer = std::make_unique<PartitionWriter>(
-        this, ctx, ctx->worker_pool(), grace_.partitions(kProbeSide),
-        kJoinWriteTaskTag | kJoinProbePhaseBit);
-  }
   // Route every probe row — including NULL-key rows — through the runs so
   // outer/anti joins still see (and preserve) the unmatched rows when the
   // partition is replayed.
@@ -501,12 +359,9 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   while (ctx->ok() && probe_->Next(ctx, &row)) {
     bool has_null = false;
     Row key = KeyOf(row, probe_keys_, &has_null);
-    if (!AppendToPartition(ctx, kProbeSide, key, row, writer.get())) {
-      return;
-    }
+    if (!grace_.Append(ctx, node_id(), kProbeSide, key, row)) return;
   }
   if (!ctx->ok()) return;
-  if (writer != nullptr && !writer->Finish()) return;
   probe_partitioned_ = true;
 }
 

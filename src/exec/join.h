@@ -120,13 +120,12 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 /// holds rows, so a leaf that stays over the kill headroom — single-key skew,
 /// or the depth cap — aborts with kResourceExhausted.
 ///
-/// Parallel (DESIGN.md §10): with a WorkerPool attached, partition writes
-/// go through a PartitionWriter that batches rows per partition and appends
-/// each batch on a worker, one lane per partition so a run's writes stay
-/// ordered without locks; then the leaves are joined concurrently through
-/// GracePartitions::RunLeaves, each task owning its leaf's build table and
-/// spill reads. Output rows match the serial replay byte-for-byte at every
-/// pool size.
+/// Parallel (DESIGN.md §10): partition writes go through
+/// GracePartitions::Append on the query thread at every pool size, as
+/// HashAggregate's do. With a WorkerPool attached, only the leaves are
+/// joined concurrently, through GracePartitions::RunLeaves, each task owning
+/// its leaf's build table and spill reads. Output rows match the serial
+/// replay byte-for-byte at every pool size.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -155,10 +154,6 @@ class HashJoin : public PhysicalOperator {
   bool spilled() const { return spilled_; }
 
  private:
-  /// Batches Grace partition writes into worker tasks, one lane per
-  /// partition (defined in join.cc; pool-backed executions only).
-  class PartitionWriter;
-
   void BuildTable(ExecContext* ctx);
   bool AdvanceProbe(ExecContext* ctx);
   /// Evaluates `keys` over `row`; sets *has_null when any key value is NULL.
@@ -166,11 +161,7 @@ class HashJoin : public PhysicalOperator {
             bool* has_null) const;
   /// Dumps the in-memory build table into the build partitions and switches
   /// to Grace mode.
-  bool SpillBuildTable(ExecContext* ctx, PartitionWriter* writer);
-  /// Routes `row` to its depth-0 partition on `side`: directly into the run
-  /// when `writer` is null (serial path), else buffered through the writer.
-  bool AppendToPartition(ExecContext* ctx, size_t side, const Row& key,
-                         const Row& row, PartitionWriter* writer);
+  bool SpillBuildTable(ExecContext* ctx);
   /// Drains the probe child into probe partition runs (Grace mode only).
   void PartitionProbe(ExecContext* ctx);
   /// Worker-side body of one leaf join: rebuilds the leaf's table from its

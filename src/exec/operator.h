@@ -103,10 +103,10 @@ class PhysicalOperator {
 
   // The public iterator interface is a set of non-virtual wrappers around
   // DoOpen/DoNext/DoClose: with no telemetry attached they add exactly one
-  // null-pointer branch (the zero-cost contract checked by
-  // bench/micro_trace_overhead.cpp); with a TelemetryCollector attached they
-  // time the call and record per-node stats. Parents call these wrappers on
-  // their children, so instrumentation covers the whole tree.
+  // null-pointer branch (the zero-cost contract); with a TelemetryCollector
+  // attached they time the call and record per-node stats (e2ebench's
+  // obs.trace_overhead reports that cost end to end). Parents call these
+  // wrappers on their children, so instrumentation covers the whole tree.
 
   void Open(ExecContext* ctx) {
     if (ctx->telemetry() == nullptr) [[likely]] {

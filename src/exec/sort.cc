@@ -13,12 +13,6 @@ namespace qprog {
 
 namespace {
 
-// Task-key tags (DESIGN.md §10 task-key registry): the high byte names the
-// task kind, the low bits its data identity, so forked fault-injector
-// schedules replay identically at every thread count.
-constexpr uint64_t kSortRunTaskTag = 0x50ULL << 56;    // | level-0 run index
-constexpr uint64_t kSortMergeTaskTag = 0x51ULL << 56;  // | merge group index
-
 // Run-formation tasks in flight between barriers. A fixed constant — never
 // the pool size — so the fold points (and with them the trace) depend only
 // on the data. Also the memory bound: at most this many handed-off sort

@@ -65,47 +65,6 @@ void TaskGroup::Submit(std::function<void()> fn) {
       [sync = sync_, fn = std::move(fn)] { RunTask(sync, fn); });
 }
 
-void TaskGroup::SubmitToLane(uint64_t lane, std::function<void()> fn) {
-  std::function<void()> to_start;
-  {
-    std::lock_guard<std::mutex> lock(sync_->mu);
-    ++sync_->pending;
-    Lane& state = sync_->lanes[lane];
-    if (state.running) {
-      state.queued.push_back(std::move(fn));
-      return;
-    }
-    state.running = true;
-    to_start = std::move(fn);
-  }
-  StartLaneTask(pool_, sync_, lane, std::move(to_start));
-}
-
-void TaskGroup::StartLaneTask(WorkerPool* pool,
-                              const std::shared_ptr<Sync>& sync, uint64_t lane,
-                              std::function<void()> fn) {
-  pool->Enqueue([pool, sync, lane, fn = std::move(fn)] {
-    RunTask(sync, fn);
-    // Promote the lane's next task, if any. Runs on the finishing worker and
-    // only ever enqueues — never executes inline, never blocks — so lanes
-    // make progress on any pool size without deadlock. The promoted task was
-    // already in `pending`, so Wait() cannot return before it runs; `sync`
-    // is co-owned, so this is safe even after the TaskGroup is gone.
-    std::function<void()> next;
-    {
-      std::lock_guard<std::mutex> lock(sync->mu);
-      Lane& state = sync->lanes[lane];
-      if (state.queued.empty()) {
-        state.running = false;
-        return;
-      }
-      next = std::move(state.queued.front());
-      state.queued.pop_front();
-    }
-    StartLaneTask(pool, sync, lane, std::move(next));
-  });
-}
-
 void TaskGroup::RunTask(const std::shared_ptr<Sync>& sync,
                         const std::function<void()>& fn) {
   Status escaped;

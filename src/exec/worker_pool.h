@@ -3,8 +3,9 @@
 // A WorkerPool is a fixed set of threads with a shared FIFO task queue,
 // attached to an ExecContext (set_worker_pool) and borrowed by spill-heavy
 // operators: external Sort fans out run formation and run merging, Grace
-// HashJoin fans out partition writes and per-partition joins. Everything
-// else in the engine stays single-threaded.
+// HashJoin and HashAggregate fan out their per-leaf replays, and Exchange
+// runs its producer partitions. Grace partition writes stay on the query
+// thread, as does everything else in the engine.
 //
 // The design problem is not speed — it is keeping the paper's progress
 // model deterministic while work happens concurrently. The solution has
@@ -21,18 +22,12 @@
 //     (Curr, LB, UB) snapshots because counters only move on its thread.
 //
 //  2. Data-derived task decomposition. Operators split work by fixed
-//     constants (merge fan-in, batch size, partition count), never by
-//     pool size. Adding threads changes who executes a task, not which
-//     tasks exist.
+//     constants (merge fan-in, partition count), never by pool size.
+//     Adding threads changes who executes a task, not which tasks exist.
 //
 //  3. Deterministic fault forking. A task consults a FaultInjector::Fork
 //     seeded from the task's data identity (run index, partition index),
 //     so injected-fault schedules replay identically at every thread count.
-//
-// Lanes: SubmitToLane(k, fn) serializes tasks sharing lane k (they run in
-// submission order, one at a time) while different lanes proceed in
-// parallel. The Grace join uses one lane per spill partition so writes to a
-// partition's run stay ordered without a lock around the run.
 //
 // Error model: a task that fails keeps running its op-log locally (its
 // SpillRun methods return false and it unwinds); the fold raises the first
@@ -51,7 +46,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -89,9 +83,9 @@ class WorkerPool {
   std::vector<std::thread> threads_;
 };
 
-/// One barrier's worth of tasks on a pool. Submit (optionally into lanes),
-/// then Wait() — the destructor also waits, so a group can never leak
-/// running tasks past its scope.
+/// One barrier's worth of tasks on a pool. Submit, then Wait() — the
+/// destructor also waits, so a group can never leak running tasks past its
+/// scope.
 class TaskGroup {
  public:
   explicit TaskGroup(WorkerPool* pool);
@@ -103,48 +97,45 @@ class TaskGroup {
   /// Enqueues `fn` to run on some pool thread.
   void Submit(std::function<void()> fn);
 
-  /// Enqueues `fn` into `lane`: tasks sharing a lane run one at a time in
-  /// submission order; distinct lanes run concurrently. Lane promotion
-  /// happens on the finishing worker thread and never blocks, so lanes
-  /// cannot deadlock a small pool.
-  void SubmitToLane(uint64_t lane, std::function<void()> fn);
-
   /// Blocks until every submitted task has finished. Returns OK, or
   /// kInternal describing the first exception that escaped a task.
   /// Idempotent; safe to call with nothing submitted.
   Status Wait();
 
  private:
-  struct Lane {
-    std::deque<std::function<void()>> queued;
-    bool running = false;
-  };
-
   // The group's synchronization state lives in a block co-owned by every
-  // in-flight task closure: a finishing task may signal done_cv (and promote
-  // the next lane task) strictly after Wait() observed pending == 0 and the
-  // TaskGroup itself was destroyed. The shared_ptr keeps the block alive
-  // until the last such task lets go.
+  // in-flight task closure: a finishing task may signal done_cv strictly
+  // after Wait() observed pending == 0 and the TaskGroup itself was
+  // destroyed. The shared_ptr keeps the block alive until the last such
+  // task lets go.
   struct Sync {
     std::mutex mu;
     std::condition_variable done_cv;
-    uint64_t pending = 0;  // submitted, not finished (queued lane tasks incl.)
+    uint64_t pending = 0;  // submitted, not finished
     Status status;         // first escaped exception, as kInternal
-    std::unordered_map<uint64_t, Lane> lanes;
   };
 
   /// Runs `fn` with exception containment, then retires it (status capture,
   /// pending decrement, done_cv signal).
   static void RunTask(const std::shared_ptr<Sync>& sync,
                       const std::function<void()>& fn);
-  /// Enqueues a lane task: run, then promote the lane's next queued task.
-  static void StartLaneTask(WorkerPool* pool,
-                            const std::shared_ptr<Sync>& sync, uint64_t lane,
-                            std::function<void()> fn);
 
   WorkerPool* pool_;
   std::shared_ptr<Sync> sync_;
 };
+
+/// Task-key registry (DESIGN.md §10). A task's key is `tag | data index`:
+/// the tag names the task kind in the top byte, the low bits its data
+/// identity, so a forked fault-injector schedule replays identically at
+/// every pool size. The values are part of every recorded fault schedule:
+/// never renumber one, and never reuse a retired one.
+inline constexpr uint64_t kSortRunTaskTag = 0x50ULL << 56;    // | run index
+inline constexpr uint64_t kSortMergeTaskTag = 0x51ULL << 56;  // | merge group
+// 0x52: retired (the join's pooled partition-write batches).
+inline constexpr uint64_t kJoinPartitionTaskTag = 0x53ULL << 56;  // | leaf id
+inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;      // | leaf id
+inline constexpr uint64_t kExchangeProduceTaskTag = 0x55ULL << 56;  // | part
+// A Grace leaf id is depth << 48 | path (exec/grace.cc, LeafTaskKey).
 
 /// The WorkContext a task runs against: accumulates the task's spill work,
 /// telemetry events, and error into a private log that FoldInto replays on

@@ -1,6 +1,6 @@
 // MetricsRegistry: named counters and histograms for the engine's own
 // machinery — checkpoint latency, estimator evaluation cost, bound
-// refinements — dumpable as JSON for the bench harness (BENCH_obs.json).
+// refinements — dumpable as JSON or Prometheus text.
 //
 // Header-only so qprog_core can record into a registry without a link
 // dependency on the observability library. Not thread-safe by design: one

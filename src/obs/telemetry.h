@@ -3,10 +3,10 @@
 //
 // The collector is attached to an ExecContext (borrowed). When it is absent
 // the executor's instrumented wrappers reduce to a single null-pointer branch
-// per getnext call — the zero-cost contract verified by
-// bench/micro_trace_overhead.cpp. When present, every operator's Open/Next/
-// Close is timed with a monotonic clock and counted per plan node, and typed
-// TraceEvents flow to the collector's TraceSink (if one is attached).
+// per getnext call — the zero-cost contract. When present, every operator's
+// Open/Next/Close is timed with a monotonic clock and counted per plan node,
+// and typed TraceEvents flow to the collector's TraceSink (if one is
+// attached); e2ebench's obs.trace_overhead reports that cost end to end.
 //
 // Everything here is header-only on purpose: qprog_exec instruments against
 // these types without linking the observability library, which keeps the

@@ -1,8 +1,9 @@
-// Intra-query parallelism tests (DESIGN.md §10): worker-pool and lane
-// primitives, bit-identical results and byte-identical traces at every pool
-// size, consistent and monotone (Curr, LB, UB) under concurrency, clean
-// cancellation mid-merge, the two-level parallel sort merge, and the spill
-// block codec (round trips, corruption handling, stored-raw fallback).
+// Intra-query parallelism tests (DESIGN.md §10): worker-pool primitives,
+// bit-identical results and byte-identical traces at every pool size
+// (transient write-fault retries included), consistent and monotone
+// (Curr, LB, UB) under concurrency, clean cancellation mid-merge, the
+// two-level parallel sort merge, and the spill block codec (round trips,
+// corruption handling, stored-raw fallback).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -163,33 +164,6 @@ TEST(WorkerPoolTest, EscapedExceptionSurfacesAsInternal) {
   EXPECT_NE(s.message().find("task blew up"), std::string::npos) << s;
 }
 
-TEST(WorkerPoolTest, LanesSerializeInSubmissionOrder) {
-  // Tasks in one lane run one at a time in submission order, so each lane's
-  // log — appended without any locking by the tasks themselves — must come
-  // out exactly 0,1,2,... even with more lanes than threads.
-  WorkerPool pool(3);
-  constexpr int kLanes = 8;
-  constexpr int kPerLane = 50;
-  std::vector<std::vector<int>> logs(kLanes);
-  {
-    TaskGroup group(&pool);
-    for (int i = 0; i < kPerLane; ++i) {
-      for (int lane = 0; lane < kLanes; ++lane) {
-        group.SubmitToLane(static_cast<uint64_t>(lane),
-                           [&logs, lane, i] { logs[lane].push_back(i); });
-      }
-    }
-    EXPECT_TRUE(group.Wait().ok());
-  }
-  for (int lane = 0; lane < kLanes; ++lane) {
-    ASSERT_EQ(logs[lane].size(), static_cast<size_t>(kPerLane)) << lane;
-    for (int i = 0; i < kPerLane; ++i) {
-      ASSERT_EQ(logs[lane][static_cast<size_t>(i)], i)
-          << "lane " << lane << " ran out of order";
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Determinism: identical rows, totals, and traces at every pool size
 // ---------------------------------------------------------------------------
@@ -237,6 +211,68 @@ TEST(ParallelDeterminismTest, GraceJoinRowsMatchSerialForEveryJoinType) {
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(testutil::RowsToString(got.value()), expected);
     }
+  }
+}
+
+TEST(ParallelDeterminismTest, TransientGraceWriteFaultRetriesAlikeAtEveryPoolSize) {
+  // A transient spill.write fault at hit 37 of a spilling Grace join. The join
+  // writes every partition row on the query thread at every pool size, so the
+  // site is consulted on the query thread's injector alone: one retry, at the
+  // same work counter, with or without a pool. No kill threshold, so leaf
+  // tasks keep their whole output in memory and never write a side run.
+  Table probe = Keyed(400, 60);
+  Table build = Keyed(500, 60);
+  std::string reference_retries;
+  std::string reference_rows;
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string dir = MakeSpillDir("wretry_p" + std::to_string(threads));
+    SpillManager spill(dir);
+    QueryGuard guard;
+    guard.set_max_buffered_rows(64);
+    FaultInjector fi(5);
+    FaultSpec spec;
+    spec.site = faults::kSpillWrite;
+    spec.fail_on_hit = 37;
+    spec.fault_class = FaultClass::kTransient;
+    fi.Arm(std::move(spec));
+    JsonlStringSink sink;
+    TelemetryCollector collector(&sink);
+    PhysicalPlan plan = JoinPlan(&probe, &build);
+    ExecContext ctx;
+    ctx.set_guard(&guard);
+    ctx.set_spill_manager(&spill);
+    ctx.set_fault_injector(&fi);
+    ctx.set_telemetry(&collector);
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 0) {
+      pool = std::make_unique<WorkerPool>(threads);
+      ctx.set_worker_pool(pool.get());
+    }
+    StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(spill.stats().io_retries, 1u);
+    EXPECT_EQ(spill.live_runs(), 0u);
+    EXPECT_EQ(CountSpillFiles(dir), 0);
+    StatusOr<std::vector<TraceEvent>> events = ParseTraceJsonl(sink.data());
+    ASSERT_TRUE(events.ok()) << events.status();
+    std::string retries;
+    for (const TraceEvent& ev : events.value()) {
+      if (ev.kind != TraceEventKind::kIoRetry) continue;
+      retries += std::to_string(ev.node) + " " + ev.name + " " +
+                 std::to_string(static_cast<uint64_t>(ev.a)) + " " +
+                 std::to_string(ev.work) + "\n";
+    }
+    std::string got_rows = testutil::RowsToString(rows.value());
+    if (threads == 0) {
+      ASSERT_FALSE(retries.empty()) << "the transient fault never fired";
+      reference_retries = retries;
+      reference_rows = got_rows;
+    } else {
+      EXPECT_EQ(retries, reference_retries) << "io_retry events diverged";
+      EXPECT_EQ(got_rows, reference_rows) << "rows diverged";
+    }
+    std::filesystem::remove_all(dir);
   }
 }
 
@@ -498,10 +534,10 @@ TEST(ParallelMemoryBoundTest, SortKillThresholdBoundsHandedOffBuffers) {
 }
 
 TEST(ParallelMemoryBoundTest, PermanentWriteFaultFailsFastAndCleans) {
-  // A permanent spill.write fault (the disk-full model) fires in the first
-  // write batch of every forked task injector: the PartitionWriter's failed
-  // flag must stop the operator from feeding further doomed batches, surface
-  // the injected error, and leave no charges, runs or temp files behind.
+  // A permanent spill.write fault (the disk-full model) fires at the first
+  // Grace partition write, which runs on the query thread at every pool size:
+  // the join must stop consuming input at once, surface the injected error,
+  // and leave no charges, runs or temp files behind.
   Table probe = Keyed(400, 60);
   Table build = Keyed(500, 60);
   for (int threads : kPoolSizes) {
