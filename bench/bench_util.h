@@ -1,13 +1,17 @@
 // Shared helpers for the reproduction benches: series and table printing in
-// the shape of the paper's figures/tables.
+// the shape of the paper's figures/tables, and the provenance header a
+// BENCH_*.json records next to its numbers.
 
 #ifndef QPROG_BENCH_BENCH_UTIL_H_
 #define QPROG_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/monitor.h"
 
 namespace qprog {
@@ -50,6 +54,64 @@ inline void PrintMetrics(const ProgressReport& report) {
 inline void PrintHeader(const char* title, const char* paper_context) {
   std::printf("=== %s ===\n", title);
   std::printf("paper: %s\n\n", paper_context);
+}
+
+#ifndef QPROG_BENCH_BUILD_TYPE
+#define QPROG_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef QPROG_BENCH_SOURCE_DIR
+#define QPROG_BENCH_SOURCE_DIR "."
+#endif
+
+/// The commit the bench was built from, or "unknown" outside a git checkout.
+inline std::string GitSha() {
+  std::string sha;
+  std::FILE* pipe = popen(
+      "git -C '" QPROG_BENCH_SOURCE_DIR "' rev-parse HEAD 2>/dev/null", "r");
+  if (pipe != nullptr) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
+/// The `"provenance":{...}` member of a BENCH_*.json: host cores, build
+/// type, git sha and how many times each scenario was repeated.
+inline std::string ProvenanceJson(int repetitions) {
+  return StringPrintf(
+      "\"provenance\":{\"nproc\":%u,\"build_type\":\"%s\","
+      "\"git_sha\":\"%s\",\"repetitions\":%d}",
+      std::max(1u, std::thread::hardware_concurrency()),
+      QPROG_BENCH_BUILD_TYPE, GitSha().c_str(), repetitions);
+}
+
+/// Minimum, median and maximum of repeated measurements of one scenario.
+struct Spread {
+  double min = 0;
+  double median = 0;
+  double max = 0;
+};
+
+inline Spread SpreadOf(std::vector<double> samples) {
+  Spread s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  size_t n = samples.size();
+  s.min = samples.front();
+  s.max = samples.back();
+  s.median = n % 2 == 1 ? samples[n / 2]
+                        : (samples[n / 2 - 1] + samples[n / 2]) / 2;
+  return s;
+}
+
+/// `"<name>_min":..,"<name>_median":..,"<name>_max":..` for a JSON object.
+inline std::string SpreadJson(const char* name, const Spread& s) {
+  return StringPrintf("\"%s_min\":%.1f,\"%s_median\":%.1f,\"%s_max\":%.1f",
+                      name, s.min, name, s.median, name, s.max);
 }
 
 }  // namespace bench

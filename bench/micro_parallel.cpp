@@ -1,16 +1,18 @@
 // Quantifies intra-query parallelism (DESIGN.md §10): the spill-heavy
-// external sort and Grace hash join swept over worker-pool sizes {1, 2, 4, 8}
-// with spill compression off and on. The SpillManager's device model charges
-// a fixed cost per spill byte on the thread doing the I/O, so run formation,
-// intermediate merges and Grace leaf joins overlap their device time across
-// the pool exactly like bandwidth-bound disk I/O — which is what makes
-// parallel speedup measurable even on a single-core host, and makes the
-// codec's byte reduction show up as wall-clock time. Grace partition writes
-// run on the query thread, so the join's write-side device time is serial;
-// e2ebench, not this model, decides whether a path earns its pool.
+// external sort and Grace hash join swept over worker-pool sizes {1, 2, 4, 8}.
+// The SpillManager's device model charges a fixed cost per spill byte on the
+// thread doing the I/O, so run formation, intermediate merges and Grace leaf
+// joins overlap their device time across the pool exactly like
+// bandwidth-bound disk I/O — which is what makes parallel speedup measurable
+// even on a single-core host. Grace partition writes run on the query
+// thread, so the join's write-side device time is serial; e2ebench, not this
+// model, decides whether a path earns its pool.
 //
-// Results (wall ms, speedup vs. the 1-thread pool, spill bytes pre/post
-// codec) are printed and written to BENCH_parallel.json.
+// Results (min/median/max wall ms over kReps runs, median speedup vs. the
+// 1-thread pool, spill bytes and runs) are printed and written, under a
+// provenance header, to BENCH_parallel.json in the working directory:
+//
+//   ./build/bench/micro_parallel
 
 #include <chrono>
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/join.h"
@@ -36,15 +39,14 @@ namespace qprog {
 namespace {
 
 constexpr int64_t kRows = 40000;
-constexpr int kReps = 2;  // best-of to shed scheduler noise
+constexpr int kReps = 3;
 // ~row-serialization-sized payloads at a plausible flash-era byte cost; big
 // enough that device time dominates the CPU work of sorting/hashing.
 constexpr uint64_t kNsPerByte = 160;
 const int kThreads[] = {1, 2, 4, 8};
 
-/// Anti-sorted keys plus a repetitive TPC-H-ish string payload: the sort and
-/// merges do real comparisons, and the spill codec has real redundancy to
-/// find (compressed runs should be well under half the raw bytes).
+/// Anti-sorted keys plus a TPC-H-ish string payload: the sort and merges do
+/// real comparisons, and every spilled row carries ~100 bytes to the device.
 Table Payload(int64_t n, int64_t buckets) {
   Table table("t", Schema({Field("k", TypeId::kInt64),
                            Field("pad", TypeId::kString)}));
@@ -77,31 +79,23 @@ PhysicalPlan JoinPlan(const Table* probe, const Table* build) {
 
 struct Result {
   std::string name;
-  int threads = 0;
-  bool compress = false;
-  double wall_ms = 0;
-  double speedup = 1.0;        // vs. threads=1 at the same codec setting
-  uint64_t spill_bytes = 0;    // raw serialized bytes (pre-codec)
-  uint64_t disk_bytes = 0;     // bytes that hit the simulated device
+  bench::Spread wall_ms;
+  double speedup = 1.0;        // median vs. threads=1
+  uint64_t spill_bytes = 0;    // serialized row bytes
   uint64_t spill_runs = 0;
 };
 
-/// Best-of-kReps execution of `make_plan` under a tight budget with a
+/// kReps executions of `make_plan` under a tight budget with a
 /// `threads`-wide pool and the device model charging every spill byte.
 Result Measure(const std::string& name,
                const std::function<PhysicalPlan()>& make_plan,
-               uint64_t soft_budget, int threads, bool compress) {
+               uint64_t soft_budget, int threads) {
   Result r;
   r.name = name;
-  r.threads = threads;
-  r.compress = compress;
-  double best_ns = 0;
+  std::vector<double> wall_ms;
   for (int rep = 0; rep < kReps; ++rep) {
     PhysicalPlan plan = make_plan();
     SpillManager spill;
-    SpillFileOptions options;
-    options.compress = compress;
-    spill.set_file_options(options);
     spill.set_device_model({kNsPerByte, kNsPerByte});
     QueryGuard guard;
     guard.set_max_buffered_rows(soft_budget);
@@ -116,15 +110,12 @@ Result Measure(const std::string& name,
     QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
     QPROG_CHECK(spill.live_runs() == 0);
     QPROG_CHECK(spill.stats().runs_created > 0);  // must exercise the pool
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-    if (rep == 0 || ns < best_ns) best_ns = ns;
+    wall_ms.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
     r.spill_bytes = spill.stats().bytes_written;
-    r.disk_bytes = spill.stats().disk_bytes_written;
     r.spill_runs = spill.stats().runs_created;
   }
-  r.wall_ms = best_ns / 1e6;
+  r.wall_ms = bench::SpreadOf(std::move(wall_ms));
   return r;
 }
 
@@ -133,8 +124,8 @@ Result Measure(const std::string& name,
 
 int main() {
   using namespace qprog;  // NOLINT(build/namespaces)
-  std::printf("=== micro_parallel: worker-pool speedup x spill codec ===\n");
-  std::printf("rows=%lld, device=%llu ns/byte each way, best of %d runs\n\n",
+  std::printf("=== micro_parallel: worker-pool speedup ===\n");
+  std::printf("rows=%lld, device=%llu ns/byte each way, %d runs each\n\n",
               static_cast<long long>(kRows),
               static_cast<unsigned long long>(kNsPerByte), kReps);
 
@@ -146,58 +137,46 @@ int main() {
   auto sweep = [&](const char* family,
                    const std::function<PhysicalPlan()>& make_plan,
                    uint64_t budget) {
-    for (bool compress : {false, true}) {
-      double base_ms = 0;
-      for (int threads : kThreads) {
-        Result r = Measure(StringPrintf("%s/t%d/%s", family, threads,
-                                        compress ? "codec_on" : "codec_off"),
-                           make_plan, budget, threads, compress);
-        if (threads == 1) base_ms = r.wall_ms;
-        r.speedup = base_ms / r.wall_ms;
-        results.push_back(r);
-      }
+    double base_ms = 0;
+    for (int threads : kThreads) {
+      Result r = Measure(StringPrintf("%s/t%d", family, threads), make_plan,
+                         budget, threads);
+      if (threads == 1) base_ms = r.wall_ms.median;
+      r.speedup = base_ms / r.wall_ms.median;
+      results.push_back(r);
     }
   };
 
   sweep("sort", [&] { return SortPlan(&sort_t); }, kRows / 32);
   sweep("join", [&] { return JoinPlan(&probe_t, &build_t); }, kRows / 32);
 
-  std::printf("%-24s %-10s %-9s %-14s %-14s %-6s\n", "scenario", "wall_ms",
-              "speedup", "spill_bytes", "disk_bytes", "runs");
+  std::printf("%-10s %-10s %-10s %-10s %-9s %-14s %-6s\n", "scenario",
+              "min_ms", "median_ms", "max_ms", "speedup", "spill_bytes",
+              "runs");
   for (const Result& r : results) {
-    std::printf("%-24s %-10.1f %-9.2f %-14llu %-14llu %-6llu\n",
-                r.name.c_str(), r.wall_ms, r.speedup,
+    std::printf("%-10s %-10.1f %-10.1f %-10.1f %-9.2f %-14llu %-6llu\n",
+                r.name.c_str(), r.wall_ms.min, r.wall_ms.median,
+                r.wall_ms.max, r.speedup,
                 static_cast<unsigned long long>(r.spill_bytes),
-                static_cast<unsigned long long>(r.disk_bytes),
                 static_cast<unsigned long long>(r.spill_runs));
-  }
-  for (const Result& r : results) {
-    if (r.compress && r.threads == 1) {
-      std::printf("\n%s codec ratio: %.2fx (%llu -> %llu bytes)\n",
-                  r.name.c_str(),
-                  static_cast<double>(r.spill_bytes) /
-                      static_cast<double>(r.disk_bytes),
-                  static_cast<unsigned long long>(r.spill_bytes),
-                  static_cast<unsigned long long>(r.disk_bytes));
-    }
   }
 
   std::string json =
-      "{\"bench\":\"micro_parallel\",\"rows\":" +
-      StringPrintf("%lld", static_cast<long long>(kRows)) +
+      "{\"bench\":\"micro_parallel\"," + bench::ProvenanceJson(kReps) +
+      ",\"rows\":" + StringPrintf("%lld", static_cast<long long>(kRows)) +
       StringPrintf(",\"device_ns_per_byte\":%llu",
                    static_cast<unsigned long long>(kNsPerByte)) +
       ",\"scenarios\":{";
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     if (i > 0) json += ',';
-    json += StringPrintf(
-        "\"%s\":{\"wall_ms\":%.1f,\"speedup_vs_t1\":%.3f,"
-        "\"spill_bytes\":%llu,\"disk_bytes\":%llu,\"spill_runs\":%llu}",
-        r.name.c_str(), r.wall_ms, r.speedup,
-        static_cast<unsigned long long>(r.spill_bytes),
-        static_cast<unsigned long long>(r.disk_bytes),
-        static_cast<unsigned long long>(r.spill_runs));
+    json += StringPrintf("\"%s\":{", r.name.c_str()) +
+            bench::SpreadJson("wall_ms", r.wall_ms) +
+            StringPrintf(",\"speedup_vs_t1\":%.3f,\"spill_bytes\":%llu,"
+                         "\"spill_runs\":%llu}",
+                         r.speedup,
+                         static_cast<unsigned long long>(r.spill_bytes),
+                         static_cast<unsigned long long>(r.spill_runs));
   }
   json += "}}\n";
   std::FILE* out = std::fopen("BENCH_parallel.json", "w");

@@ -46,21 +46,7 @@ namespace exec {
 DriveResult Drive(PhysicalPlan* plan, const DriveOptions& opts) {
   DriveResult result;
   ExecContext local;
-  ExecContext* ctx = opts.ctx;
-  if (ctx == nullptr) {
-    // Context-free run: wire the caller's environment into a throwaway
-    // context. A caller-provided context keeps whatever it already wired.
-    ctx = &local;
-    if (opts.guard != nullptr) local.set_guard(opts.guard);
-    if (opts.fault_injector != nullptr) {
-      local.set_fault_injector(opts.fault_injector);
-    }
-    if (opts.spill_manager != nullptr) {
-      local.set_spill_manager(opts.spill_manager);
-    }
-    if (opts.worker_pool != nullptr) local.set_worker_pool(opts.worker_pool);
-    if (opts.telemetry != nullptr) local.set_telemetry(opts.telemetry);
-  }
+  ExecContext* ctx = opts.ctx != nullptr ? opts.ctx : &local;
   ctx->Reset(plan->num_nodes());
   PhysicalOperator* root = plan->root();
   root->Open(ctx);

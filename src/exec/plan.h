@@ -41,22 +41,14 @@ class PhysicalPlan {
   std::vector<PhysicalOperator*> nodes_;
 };
 
-class QueryGuard;
-class FaultInjector;
-class SpillManager;
-class WorkerPool;
-class TelemetryCollector;
-
 namespace exec {
 
-/// Options for exec::Drive, the one plan-execution driver: row delivery and
-/// (for context-free runs) the full environment wiring are knobs here
-/// instead of separate entry points.
+/// Options for exec::Drive, the one plan-execution driver: the context to
+/// run against and how root output rows are delivered.
 struct DriveOptions {
-  /// Execution context to drive against. Null = Drive builds a throwaway
-  /// context internally and wires the environment pointers below into it.
-  /// When non-null, the caller's context is used as-is and the environment
-  /// pointers are ignored (the caller already wired what it wants).
+  /// Execution context to drive against, as the caller wired it (guard,
+  /// fault injector, spill manager, worker pool, telemetry). Null = Drive
+  /// runs against a plain throwaway context.
   ExecContext* ctx = nullptr;
 
   /// Ignored: Drive always runs tuple-at-a-time. The field remains only
@@ -69,13 +61,6 @@ struct DriveOptions {
 
   /// Collect root output rows into DriveResult::rows.
   bool collect_rows = false;
-
-  // -- environment wiring, applied only when `ctx` is null --------------------
-  QueryGuard* guard = nullptr;
-  FaultInjector* fault_injector = nullptr;
-  SpillManager* spill_manager = nullptr;
-  WorkerPool* worker_pool = nullptr;
-  TelemetryCollector* telemetry = nullptr;
 };
 
 /// Outcome of one Drive call.

@@ -81,15 +81,14 @@ bool SpillRun::Append(WorkContext* wc, int node, const Row& row) {
 
 bool SpillRun::FinishWrite(WorkContext* wc, int node) {
   if (!wc->ok()) return false;
-  // Seal flushes the final codec block, so the spill_end byte count below is
-  // the run's true on-disk size (identical to bytes_written in record mode).
-  Status status = manager_->WithRetries(
-      wc, node, faults::kSpillWrite, [&]() -> Status { return file_->Seal(); });
+  // Records reach the file as they are appended, so there is nothing left to
+  // write. The spill.write consult stays: fault schedules number it.
+  Status status = manager_->WithRetries(wc, node, faults::kSpillWrite,
+                                        [] { return OkStatus(); });
   if (!status.ok()) {
     manager_->RaiseIoError(wc, node, faults::kSpillWrite, std::move(status));
     return false;
   }
-  ChargeDevice();
   if (accounted_) {
     manager_->stats_.disk_bytes_written += file_->bytes_written();
     wc->OnSpillEnd(node, phase_, rows_written_, file_->bytes_written());
@@ -107,7 +106,7 @@ bool SpillRun::OpenRead(WorkContext* wc, int node) {
     manager_->RaiseIoError(wc, node, faults::kSpillOpen, std::move(status));
     return false;
   }
-  ChargeDevice();  // rewind may have flushed a final block
+  ChargeDevice();  // resyncs the read counter, which the rewind zeroed
   // A rewind puts every row back in front of the reader: pending work (and
   // with it LB/UB) grows again, which is exactly what a re-read pass costs.
   rows_read_ = 0;
@@ -186,8 +185,7 @@ SpillRunPtr SpillManager::CreateRun(ExecContext* ctx, int node,
   if (!ctx->ok()) return nullptr;
   std::unique_ptr<SpillFile> file;
   Status status = WithRetries(ctx, node, faults::kSpillOpen, [&]() -> Status {
-    StatusOr<std::unique_ptr<SpillFile>> created =
-        SpillFile::Create(dir_, file_options_);
+    StatusOr<std::unique_ptr<SpillFile>> created = SpillFile::Create(dir_);
     if (!created.ok()) return created.status();
     file = std::move(created).value();
     return OkStatus();
@@ -206,14 +204,13 @@ SpillRunPtr SpillManager::CreateRun(ExecContext* ctx, int node,
 
 SpillRunPtr SpillManager::CreateSideRun(WorkContext* wc, int node) {
   // Thread-safe, unlike CreateRun: SpillFile::Create names files off an
-  // atomic counter, the stats bump is atomic, and the manager's options are
-  // frozen during execution. Deliberately silent — no spill_begin, and the
-  // run is marked unaccounted so its I/O never touches the work model.
+  // atomic counter and the stats bump is atomic. Deliberately silent — no
+  // spill_begin, and the run is marked unaccounted so its I/O never touches
+  // the work model.
   if (!wc->ok()) return nullptr;
   std::unique_ptr<SpillFile> file;
   Status status = WithRetries(wc, node, faults::kSpillOpen, [&]() -> Status {
-    StatusOr<std::unique_ptr<SpillFile>> created =
-        SpillFile::Create(dir_, file_options_);
+    StatusOr<std::unique_ptr<SpillFile>> created = SpillFile::Create(dir_);
     if (!created.ok()) return created.status();
     file = std::move(created).value();
     return OkStatus();

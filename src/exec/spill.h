@@ -96,11 +96,10 @@ struct SpillStats {
   std::atomic<uint64_t> runs_deleted{0};
   std::atomic<uint64_t> rows_written{0};
   std::atomic<uint64_t> rows_read{0};
-  /// Raw serialized row bytes appended to runs (pre-codec).
+  /// Serialized row bytes appended to runs, without record framing.
   std::atomic<uint64_t> bytes_written{0};
-  /// Bytes that actually hit the device, post-codec, accumulated when each
-  /// run's write phase seals. bytes_written / disk_bytes_written is the
-  /// manager-wide compression ratio.
+  /// Bytes written to disk, record framing included, accumulated when each
+  /// run's write phase finishes.
   std::atomic<uint64_t> disk_bytes_written{0};
   std::atomic<uint64_t> io_retries{0};
 };
@@ -124,9 +123,8 @@ class SpillRun {
   /// Serializes and appends one row; counts one unit of spill work at `node`.
   bool Append(WorkContext* wc, int node, const Row& row);
 
-  /// Seals the write phase (flushing the final codec block, so byte counts
-  /// are true on-disk sizes) and emits the spill_end trace event carrying
-  /// this run's row and byte counts. Call once, after the last Append.
+  /// Ends the write phase and emits the spill_end trace event carrying this
+  /// run's row and byte counts. Call once, after the last Append.
   bool FinishWrite(WorkContext* wc, int node);
 
   /// Rewinds to the first row for reading. May be called again to re-read.
@@ -147,9 +145,6 @@ class SpillRun {
   /// not be read from the query thread; operators keep their own query-
   /// thread-side pending counters for FillProgressState (DESIGN.md §10).
   uint64_t rows_pending() const { return rows_written_ - rows_read_; }
-
-  /// On-disk size of the sealed run (post-codec), for telemetry/benchmarks.
-  uint64_t disk_bytes() const { return file_->bytes_written(); }
 
   /// False for side runs (SpillManager::CreateSideRun): I/O on an
   /// unaccounted run moves no work counters, no stats and no trace events.
@@ -231,13 +226,6 @@ class SpillManager {
   const std::string& dir() const { return dir_; }
   const SpillRetryPolicy& policy() const { return policy_; }
 
-  /// Framing/codec for runs created from now on (existing runs keep theirs).
-  /// Compression is off by default; flip `compress` to write LZ4-style
-  /// compressed blocks (storage/spill_codec.h). Configure before execution,
-  /// not concurrently with it.
-  void set_file_options(SpillFileOptions options) { file_options_ = options; }
-  const SpillFileOptions& file_options() const { return file_options_; }
-
   /// Simulated device bandwidth (see SpillDeviceModel). Benchmarks only;
   /// configure before execution.
   void set_device_model(SpillDeviceModel model) { device_model_ = model; }
@@ -265,7 +253,6 @@ class SpillManager {
   std::string dir_;
   SpillRetryPolicy policy_;
   SpillStats stats_;
-  SpillFileOptions file_options_;
   SpillDeviceModel device_model_;
   mutable std::mutex live_files_mu_;
   std::unordered_set<std::string> live_files_;

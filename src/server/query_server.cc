@@ -85,10 +85,8 @@ uint64_t QueryServer::Submit(const std::string& tenant,
   tickets_.emplace(id, std::move(owned));
 
   if (draining_) {
-    t->result.status = Unavailable("server draining: submission rejected");
-    t->result.report.names = t->estimator_names;
-    t->result.report.termination = TerminationReason::kCancelled;
-    t->result.report.status = t->result.status;
+    SetStubResult(t, Unavailable("server draining: submission rejected"),
+                  TerminationReason::kCancelled);
     t->state = FleetQueryInfo::State::kDone;
     t->done = true;
     t->result.admission = t->admission;
@@ -111,12 +109,11 @@ uint64_t QueryServer::Submit(const std::string& tenant,
     // Shed: the query never touches the engine. The result carries
     // kResourceExhausted plus a *sanitized* partial report — estimator
     // names, termination, status; no checkpoints, no plan figures.
-    t->result.status = ResourceExhausted(
-        std::string("query shed at admission (") + t->admission.reason +
-        "); retry after hint in decision");
-    t->result.report.names = t->estimator_names;
-    t->result.report.termination = TerminationReason::kBudgetExhausted;
-    t->result.report.status = t->result.status;
+    SetStubResult(t,
+                  ResourceExhausted(std::string("query shed at admission (") +
+                                    t->admission.reason +
+                                    "); retry after hint in decision"),
+                  TerminationReason::kBudgetExhausted);
     t->state = FleetQueryInfo::State::kDone;
     t->done = true;
     ++ten.shed;
@@ -132,6 +129,14 @@ uint64_t QueryServer::Submit(const std::string& tenant,
   queue_.push_back(id);
   work_cv_.notify_one();
   return id;
+}
+
+void QueryServer::SetStubResult(Ticket* t, Status status,
+                                TerminationReason termination) {
+  t->result.status = std::move(status);
+  t->result.report.names = t->estimator_names;
+  t->result.report.termination = termination;
+  t->result.report.status = t->result.status;
 }
 
 void QueryServer::FinishLocked(Ticket* t, FleetQueryInfo::State state) {
@@ -162,10 +167,8 @@ void QueryServer::SessionLoop() {
       queue_.pop_front();
       t = tickets_.at(id).get();
       if (t->cancel_requested) {
-        t->result.status = Cancelled("query cancelled while queued");
-        t->result.report.names = t->estimator_names;
-        t->result.report.termination = TerminationReason::kCancelled;
-        t->result.report.status = t->result.status;
+        SetStubResult(t, Cancelled("query cancelled while queued"),
+                      TerminationReason::kCancelled);
         FinishLocked(t, FleetQueryInfo::State::kDone);
         continue;
       }
@@ -206,10 +209,8 @@ void QueryServer::RunTicket(Ticket* t) {
   }
   MemoryGovernor::Grant grant = governor_.Acquire(&guard, want);
   if (grant.id == 0 && guard.cancel_requested()) {
-    t->result.status = Cancelled("query cancelled awaiting memory grant");
-    t->result.report.names = t->estimator_names;
-    t->result.report.termination = TerminationReason::kCancelled;
-    t->result.report.status = t->result.status;
+    SetStubResult(t, Cancelled("query cancelled awaiting memory grant"),
+                  TerminationReason::kCancelled);
     std::lock_guard<std::mutex> lock(mu_);
     t->running_guard = nullptr;
     return;
@@ -283,11 +284,7 @@ void QueryServer::RunTicket(Ticket* t) {
       t->result.status = t->result.report.status;
     } else {
       // Parse/plan/spec failure: no report beyond the sanitized stub.
-      t->result.status = report.status();
-      t->result.report.names = t->estimator_names;
-      t->result.report.termination =
-          TerminationFromStatus(t->result.status);
-      t->result.report.status = t->result.status;
+      SetStubResult(t, report.status(), TerminationFromStatus(report.status()));
     }
   } else {
     StatusOr<std::vector<Row>> rows = session.Execute(t->query);

@@ -283,6 +283,11 @@ class QueryServer {
 
   void SessionLoop();
   void RunTicket(Ticket* t);
+  /// Fills a result for a query that produced no report of its own (drain,
+  /// shed, cancel before running, parse/plan failure): the status plus a
+  /// sanitized report stub of estimator names, termination and status.
+  static void SetStubResult(Ticket* t, Status status,
+                            TerminationReason termination);
   /// Finalizes a ticket under mu_: ledger, tenant accounting, wakeups.
   void FinishLocked(Ticket* t, FleetQueryInfo::State state);
   /// Estimator display names ("hybrid:2.5" -> "hybrid") for sanitized

@@ -17,6 +17,12 @@ namespace {
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32 size + u32 checksum
 
+// Transient-fault retry budget, matching the spill layer's default policy:
+// up to kMaxAttempts tries in all, busy-waiting kInitialBackoffSpins before
+// the first retry and doubling per retry.
+constexpr int kMaxAttempts = 4;
+constexpr uint64_t kInitialBackoffSpins = 512;
+
 void PutU32(std::string* out, uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);
@@ -61,10 +67,9 @@ RegistryLog::~RegistryLog() {
 
 Status RegistryLog::ConsultFault(const char* site) {
   if (!options_.fault_hook) return OkStatus();
-  uint64_t backoff = options_.retry.backoff_spins;
-  int attempts = options_.retry.max_attempts < 1 ? 1 : options_.retry.max_attempts;
+  uint64_t backoff = kInitialBackoffSpins;
   Status last = OkStatus();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt > 0) {
       ++io_retries_;
       BusyWait(backoff);
@@ -198,7 +203,6 @@ Status RegistryLog::Append(const std::string& payload) {
   }
   bytes_ += frame.size();
   ++records_appended_;
-  if (options_.sync_each_append) return Sync();
   return OkStatus();
 }
 

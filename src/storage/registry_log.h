@@ -50,28 +50,13 @@ inline constexpr char kRegistryOpenSite[] = "registry.open";
 inline constexpr char kRegistryAppendSite[] = "registry.append";
 inline constexpr char kRegistryCompactSite[] = "registry.compact";
 
-/// Retry behavior for transient registry I/O failures — the registry-side
-/// twin of SpillRetryPolicy (exec/spill.h), redeclared here because storage
-/// sits below exec.
-struct RegistryRetryPolicy {
-  /// Total tries per operation (first attempt + up to max_attempts-1
-  /// retries). Must be >= 1.
-  int max_attempts = 4;
-  /// Busy-wait spins before the first retry; doubles per retry.
-  /// Deterministic (no clock), like spill backoff.
-  uint64_t backoff_spins = 512;
-};
-
 struct RegistryLogOptions {
   /// Consulted before every real file operation with the site name
-  /// (kRegistry*Site). A kUnavailable return is transient (retried per
-  /// `retry`); any other non-OK return is permanent and surfaces after the
-  /// operation's state is rolled back. Null = no faults.
+  /// (kRegistry*Site). A kUnavailable return is transient (retried with
+  /// doubling backoff, four tries in all); any other non-OK return is
+  /// permanent and surfaces after the operation's state is rolled back.
+  /// Null = no faults.
   std::function<Status(const char* site)> fault_hook;
-  RegistryRetryPolicy retry;
-  /// fsync after every Append. Slower but crash-safe per record; off, the
-  /// caller chooses when to Sync() (e.g. once per recorded run).
-  bool sync_each_append = false;
 };
 
 /// What Open() found and repaired.
@@ -111,7 +96,8 @@ class RegistryLog {
   Status Append(const std::string& payload);
 
   /// Flushes and fsyncs everything appended so far. After an OK Sync every
-  /// prior Append survives kill-9.
+  /// prior Append survives kill-9. Append never syncs; the caller chooses
+  /// when to (e.g. once per recorded run).
   Status Sync();
 
   /// Atomically replaces the log's contents with `records`: writes them to

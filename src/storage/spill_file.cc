@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/strings.h"
-#include "storage/spill_codec.h"
 
 #if defined(_WIN32)
 #include <process.h>
@@ -156,17 +155,14 @@ Status ParseRowBytes(const std::string& bytes, Row* out) {
 // --------------------------------------------------------------------------
 // SpillFile
 
-SpillFile::SpillFile(std::FILE* file, std::string path,
-                     SpillFileOptions options)
-    : file_(file), path_(std::move(path)), options_(options) {}
+SpillFile::SpillFile(std::FILE* file, std::string path)
+    : file_(file), path_(std::move(path)) {}
 
 SpillFile::~SpillFile() { CloseAndDelete(); }
 
-StatusOr<std::unique_ptr<SpillFile>> SpillFile::Create(
-    const std::string& dir, SpillFileOptions options) {
+StatusOr<std::unique_ptr<SpillFile>> SpillFile::Create(const std::string& dir) {
   static std::atomic<uint64_t> counter{0};
   const std::string base = dir.empty() ? DefaultSpillDir() : dir;
-  if (options.block_bytes == 0) options.block_bytes = 1;
   // The pid+counter name is unique within a process; the "x" (exclusive)
   // mode turns a cross-process collision into a clean retry.
   for (int attempt = 0; attempt < 8; ++attempt) {
@@ -177,8 +173,7 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::Create(
             counter.fetch_add(1, std::memory_order_relaxed)));
     std::FILE* file = std::fopen(path.c_str(), "wb+x");
     if (file != nullptr) {
-      return std::unique_ptr<SpillFile>(
-          new SpillFile(file, std::move(path), options));
+      return std::unique_ptr<SpillFile>(new SpillFile(file, std::move(path)));
     }
     if (errno != EEXIST) {
       return Internal(StringPrintf("cannot create spill file \"%s\": %s",
@@ -191,138 +186,30 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::Create(
 
 Status SpillFile::AppendRecord(const void* data, size_t size) {
   if (file_ == nullptr) return Internal("spill file already closed");
-  if (!options_.compress) {
-    uint32_t header[2] = {static_cast<uint32_t>(size),
-                          SpillChecksum(data, size)};
-    if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header) ||
-        (size > 0 && std::fwrite(data, 1, size, file_) != size)) {
-      return Internal(StringPrintf("spill write failed on \"%s\": %s",
-                                   path_.c_str(), std::strerror(errno)));
-    }
-    ++records_written_;
-    bytes_written_ += sizeof(header) + size;
-    raw_bytes_written_ += sizeof(header) + size;
-    return OkStatus();
-  }
-  // Block mode: pack [u32 size][payload] into the outgoing block.
-  AppendU32(&block_, static_cast<uint32_t>(size));
-  block_.append(static_cast<const char*>(data), size);
-  ++records_written_;
-  raw_bytes_written_ += 4 + size;
-  sealed_ = false;
-  if (block_.size() >= options_.block_bytes) return FlushBlock();
-  return OkStatus();
-}
-
-Status SpillFile::FlushBlock() {
-  if (block_.empty()) return OkStatus();
-  scratch_.clear();
-  size_t comp_size = SpillCompressBlock(block_.data(), block_.size(), &scratch_);
-  // Store whichever representation is smaller; stored_size == raw_size marks
-  // a stored-raw block (incompressible data costs only the frame header).
-  const std::string& stored = comp_size < block_.size() ? scratch_ : block_;
-  uint32_t header[3] = {static_cast<uint32_t>(block_.size()),
-                        static_cast<uint32_t>(stored.size()),
-                        SpillChecksum(stored.data(), stored.size())};
+  uint32_t header[2] = {static_cast<uint32_t>(size),
+                        SpillChecksum(data, size)};
   if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header) ||
-      std::fwrite(stored.data(), 1, stored.size(), file_) != stored.size()) {
+      (size > 0 && std::fwrite(data, 1, size, file_) != size)) {
     return Internal(StringPrintf("spill write failed on \"%s\": %s",
                                  path_.c_str(), std::strerror(errno)));
   }
-  bytes_written_ += sizeof(header) + stored.size();
-  block_.clear();
-  return OkStatus();
-}
-
-Status SpillFile::Seal() {
-  if (file_ == nullptr) return Internal("spill file already closed");
-  if (sealed_) return OkStatus();
-  if (options_.compress) {
-    Status s = FlushBlock();
-    if (!s.ok()) return s;
-  }
-  sealed_ = true;
+  ++records_written_;
+  bytes_written_ += sizeof(header) + size;
   return OkStatus();
 }
 
 Status SpillFile::SeekToStart() {
   if (file_ == nullptr) return Internal("spill file already closed");
-  Status s = Seal();
-  if (!s.ok()) return s;
   if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
     return Internal(StringPrintf("spill rewind failed on \"%s\": %s",
                                  path_.c_str(), std::strerror(errno)));
   }
-  block_.clear();
-  block_cursor_ = 0;
   bytes_read_ = 0;
   return OkStatus();
 }
 
-StatusOr<bool> SpillFile::ReadBlock() {
-  uint32_t header[3];
-  size_t n = std::fread(header, 1, sizeof(header), file_);
-  if (n == 0 && std::feof(file_)) return false;
-  if (n != sizeof(header)) {
-    return Internal(
-        StringPrintf("spill block header torn on \"%s\"", path_.c_str()));
-  }
-  const uint64_t raw_size = header[0], stored_size = header[1];
-  // No block can exceed what this file was written with; reject corrupt
-  // lengths before they turn into huge allocations.
-  if (raw_size > raw_bytes_written_ || stored_size > bytes_written_ ||
-      stored_size > SpillCompressBound(raw_size)) {
-    return Internal(
-        StringPrintf("spill block length corrupt on \"%s\"", path_.c_str()));
-  }
-  scratch_.resize(stored_size);
-  if (stored_size > 0 &&
-      std::fread(scratch_.data(), 1, scratch_.size(), file_) !=
-          scratch_.size()) {
-    return Internal(
-        StringPrintf("spill block payload torn on \"%s\"", path_.c_str()));
-  }
-  if (SpillChecksum(scratch_.data(), scratch_.size()) != header[2]) {
-    return Internal(StringPrintf("spill block checksum mismatch on \"%s\"",
-                                 path_.c_str()));
-  }
-  bytes_read_ += sizeof(header) + stored_size;
-  block_.clear();
-  block_cursor_ = 0;
-  if (stored_size == raw_size) {
-    block_ = scratch_;  // stored raw
-    return true;
-  }
-  Status s = SpillDecompressBlock(scratch_.data(), scratch_.size(), raw_size,
-                                  &block_);
-  if (!s.ok()) {
-    return Internal(StringPrintf("spill block corrupt on \"%s\": %s",
-                                 path_.c_str(), s.message().c_str()));
-  }
-  return true;
-}
-
 StatusOr<bool> SpillFile::ReadRecord(std::string* out) {
   if (file_ == nullptr) return Internal("spill file already closed");
-  if (options_.compress) {
-    if (block_cursor_ >= block_.size()) {
-      StatusOr<bool> more = ReadBlock();
-      if (!more.ok()) return more.status();
-      if (!more.value()) return false;
-    }
-    const char* p = block_.data() + block_cursor_;
-    const char* end = block_.data() + block_.size();
-    uint32_t size = 0;
-    if (!ReadU32(p, end, &size, &p) ||
-        static_cast<size_t>(end - p) < size) {
-      return Internal(
-          StringPrintf("spill record torn inside block on \"%s\"",
-                       path_.c_str()));
-    }
-    out->assign(p, size);
-    block_cursor_ += 4 + size;
-    return true;
-  }
   uint32_t header[2];
   size_t n = std::fread(header, 1, sizeof(header), file_);
   if (n == 0 && std::feof(file_)) return false;

@@ -3,18 +3,9 @@
 // checksummed records; created under a spill directory and deleted on
 // destruction, so a run can never leak past its owner.
 //
-// Two on-disk framings, selected at Create time:
+// One on-disk framing, one frame per record:
 //
-//  * Record framing (default):   [u32 payload_size][u32 fnv1a32(payload)][payload]
-//  * Block framing (compressed): records are packed as [u32 size][payload]
-//    into blocks of ~options.block_bytes, each block written as
-//
-//      [u32 raw_size][u32 stored_size][u32 fnv1a32(stored bytes)][stored bytes]
-//
-//    where the stored bytes are the SpillCompressBlock stream when it is
-//    smaller than the raw block, and the raw block itself otherwise
-//    (stored_size == raw_size marks a stored-raw block, so incompressible
-//    data costs 12 bytes of framing and nothing else).
+//   [u32 payload_size][u32 fnv1a32(payload)][payload]
 //
 // A checksum mismatch on read is data corruption — a *permanent* failure
 // (kInternal), never retried. Transient failures (kUnavailable) are only ever
@@ -49,23 +40,12 @@ void AppendRowBytes(const Row& row, std::string* out);
 /// bit rot, but the caller treats both as permanent spill corruption.
 Status ParseRowBytes(const std::string& bytes, Row* out);
 
-/// Framing/codec selection for one spill file.
-struct SpillFileOptions {
-  /// Compress with the block codec (storage/spill_codec.h). When false the
-  /// original per-record framing is used and `block_bytes` is ignored.
-  bool compress = false;
-  /// Target uncompressed block size. A single record larger than this still
-  /// works — it becomes one oversized block.
-  size_t block_bytes = 64 * 1024;
-};
-
 class SpillFile {
  public:
   /// Creates a fresh spill file under `dir` (empty = $TMPDIR, else /tmp).
   /// File names carry the kFilePrefix so tests can audit a directory for
   /// leaked spill files.
-  static StatusOr<std::unique_ptr<SpillFile>> Create(
-      const std::string& dir, SpillFileOptions options = SpillFileOptions());
+  static StatusOr<std::unique_ptr<SpillFile>> Create(const std::string& dir);
 
   static constexpr const char* kFilePrefix = "qprog-spill-";
 
@@ -74,22 +54,15 @@ class SpillFile {
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
 
-  /// Appends one record. Write phase only. In block mode the record is
-  /// buffered until the current block fills.
+  /// Appends one record. Write phase only.
   Status AppendRecord(const void* data, size_t size);
-
-  /// Ends the write phase: in block mode, flushes the final partial block so
-  /// bytes_written() is the file's true on-disk size. Idempotent; implied by
-  /// SeekToStart for callers that skip it.
-  Status Seal();
 
   /// Flushes buffered writes and rewinds to the first record for reading.
   /// May be called again to re-read from the start.
   Status SeekToStart();
 
   /// Reads the next record into `*out`. Returns false at end of file; a
-  /// checksum mismatch, torn record or corrupt compressed block is a
-  /// kInternal error.
+  /// checksum mismatch or torn record is a kInternal error.
   StatusOr<bool> ReadRecord(std::string* out);
 
   /// Closes and deletes the backing file. Idempotent; also runs at
@@ -97,38 +70,20 @@ class SpillFile {
   void CloseAndDelete();
 
   uint64_t records_written() const { return records_written_; }
-  /// Bytes physically written to disk (framing included). With compression
-  /// this is what the device saw, not the raw record payload.
+  /// Bytes written to disk (framing included).
   uint64_t bytes_written() const { return bytes_written_; }
-  /// Raw record bytes accepted by AppendRecord (payload + record headers),
-  /// before compression — the denominator of the compression ratio.
-  uint64_t raw_bytes_written() const { return raw_bytes_written_; }
   /// Bytes physically read from disk so far (framing included).
   uint64_t bytes_read() const { return bytes_read_; }
   const std::string& path() const { return path_; }
-  bool compressed() const { return options_.compress; }
 
  private:
-  SpillFile(std::FILE* file, std::string path, SpillFileOptions options);
-
-  Status FlushBlock();
-  /// Loads and verifies the next block into block_; false at end of file.
-  StatusOr<bool> ReadBlock();
+  SpillFile(std::FILE* file, std::string path);
 
   std::FILE* file_;
   std::string path_;
-  SpillFileOptions options_;
   uint64_t records_written_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t raw_bytes_written_ = 0;
   uint64_t bytes_read_ = 0;
-  bool sealed_ = false;
-
-  // Block-mode state: the current uncompressed block (outgoing while
-  // writing, decoded while reading) plus the read cursor into it.
-  std::string block_;
-  size_t block_cursor_ = 0;
-  std::string scratch_;  // compressed bytes, reused across blocks
 };
 
 }  // namespace qprog

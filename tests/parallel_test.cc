@@ -1,9 +1,8 @@
 // Intra-query parallelism tests (DESIGN.md §10): worker-pool primitives,
 // bit-identical results and byte-identical traces at every pool size
 // (transient write-fault retries included), consistent and monotone
-// (Curr, LB, UB) under concurrency, clean cancellation mid-merge, the
-// two-level parallel sort merge, and the spill block codec (round trips,
-// corruption handling, stored-raw fallback).
+// (Curr, LB, UB) under concurrency, clean cancellation mid-merge, and the
+// two-level parallel sort merge.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "core/monitor.h"
 #include "exec/aggregate.h"
 #include "exec/fault_injector.h"
@@ -32,7 +30,6 @@
 #include "exec/worker_pool.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "storage/spill_codec.h"
 #include "storage/spill_file.h"
 #include "tests/test_util.h"
 
@@ -981,241 +978,6 @@ TEST(ParallelAggregateTest, TracesAndScoresMatchAcrossPoolSizes) {
     }
     std::filesystem::remove_all(dir);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Spill block codec
-// ---------------------------------------------------------------------------
-
-std::string RandomBytes(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::string s;
-  s.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    s.push_back(static_cast<char>(rng.Uniform(256)));
-  }
-  return s;
-}
-
-TEST(SpillCodecTest, RoundTripsEveryShapeOfInput) {
-  std::vector<std::pair<const char*, std::string>> cases;
-  cases.emplace_back("empty", "");
-  cases.emplace_back("tiny", "abc");
-  cases.emplace_back("zeros", std::string(4096, '\0'));
-  std::string repeated;
-  for (int i = 0; i < 500; ++i) {
-    repeated += "orderkey=" + std::to_string(i % 13) + "|status=OK|";
-  }
-  cases.emplace_back("repetitive", repeated);
-  cases.emplace_back("random", RandomBytes(8192, 42));
-  for (const auto& [name, raw] : cases) {
-    SCOPED_TRACE(name);
-    std::string compressed;
-    size_t n = SpillCompressBlock(raw.data(), raw.size(), &compressed);
-    ASSERT_EQ(n, compressed.size());
-    EXPECT_LE(n, SpillCompressBound(raw.size()));
-    std::string back;
-    Status s = SpillDecompressBlock(compressed.data(), compressed.size(),
-                                    raw.size(), &back);
-    ASSERT_TRUE(s.ok()) << s;
-    EXPECT_EQ(back, raw);
-  }
-  // The whole point: repetitive row data compresses hard.
-  std::string compressed;
-  SpillCompressBlock(repeated.data(), repeated.size(), &compressed);
-  EXPECT_LT(compressed.size() * 2, repeated.size())
-      << "repetitive input did not compress 2x";
-}
-
-TEST(SpillCodecTest, MalformedStreamsFailCleanly) {
-  std::string raw;
-  for (int i = 0; i < 300; ++i) raw += "pattern-" + std::to_string(i % 9);
-  std::string compressed;
-  SpillCompressBlock(raw.data(), raw.size(), &compressed);
-  std::string out;
-  // Truncation at every prefix length must fail, never crash or hang.
-  for (size_t cut : {size_t{0}, size_t{1}, compressed.size() / 2,
-                     compressed.size() - 1}) {
-    SCOPED_TRACE(cut);
-    out.clear();
-    Status s = SpillDecompressBlock(compressed.data(), cut, raw.size(), &out);
-    EXPECT_EQ(s.code(), StatusCode::kInternal) << "cut=" << cut;
-  }
-  // A declared size that disagrees with the stream is corruption.
-  out.clear();
-  EXPECT_EQ(SpillDecompressBlock(compressed.data(), compressed.size(),
-                                 raw.size() - 1, &out)
-                .code(),
-            StatusCode::kInternal);
-  out.clear();
-  EXPECT_EQ(SpillDecompressBlock(compressed.data(), compressed.size(),
-                                 raw.size() + 1, &out)
-                .code(),
-            StatusCode::kInternal);
-  // A match offset pointing before the start of the window: token with
-  // lit_len=1, match_len=4+1, literal 'A', offset 5 > 1 byte produced.
-  const unsigned char bad_offset[] = {0x11, 'A', 0x05, 0x00};
-  out.clear();
-  Status s =
-      SpillDecompressBlock(bad_offset, sizeof(bad_offset), 6, &out);
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find("offset"), std::string::npos) << s;
-}
-
-TEST(SpillCodecTest, CompressedSpillFileRoundTripsAndCountsDiskBytes) {
-  std::string dir = MakeSpillDir("codecfile");
-  SpillFileOptions options;
-  options.compress = true;
-  options.block_bytes = 4 * 1024;  // several blocks worth of records
-  auto file = SpillFile::Create(dir, options);
-  ASSERT_TRUE(file.ok()) << file.status();
-  EXPECT_TRUE(file.value()->compressed());
-  std::vector<std::string> records;
-  for (int i = 0; i < 400; ++i) {
-    records.push_back("record-" + std::to_string(i) +
-                      "|payload=aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa|");
-    ASSERT_TRUE(
-        file.value()->AppendRecord(records.back().data(), records.back().size())
-            .ok());
-  }
-  ASSERT_TRUE(file.value()->Seal().ok());
-  EXPECT_LT(file.value()->bytes_written() * 2,
-            file.value()->raw_bytes_written())
-      << "compressible records did not shrink 2x on disk";
-  for (int pass = 0; pass < 2; ++pass) {
-    ASSERT_TRUE(file.value()->SeekToStart().ok());
-    std::string payload;
-    for (const std::string& expected : records) {
-      StatusOr<bool> more = file.value()->ReadRecord(&payload);
-      ASSERT_TRUE(more.ok()) << more.status();
-      ASSERT_TRUE(more.value());
-      EXPECT_EQ(payload, expected) << "pass " << pass;
-    }
-    StatusOr<bool> eof = file.value()->ReadRecord(&payload);
-    ASSERT_TRUE(eof.ok()) << eof.status();
-    EXPECT_FALSE(eof.value());
-  }
-  file.value()->CloseAndDelete();
-  EXPECT_EQ(CountSpillFiles(dir), 0);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillCodecTest, IncompressibleBlocksAreStoredRawWithBoundedOverhead) {
-  std::string dir = MakeSpillDir("storedraw");
-  SpillFileOptions options;
-  options.compress = true;
-  options.block_bytes = 8 * 1024;
-  auto file = SpillFile::Create(dir, options);
-  ASSERT_TRUE(file.ok()) << file.status();
-  std::vector<std::string> records;
-  for (int i = 0; i < 16; ++i) {
-    records.push_back(RandomBytes(1024, 1000 + static_cast<uint64_t>(i)));
-    ASSERT_TRUE(
-        file.value()->AppendRecord(records.back().data(), records.back().size())
-            .ok());
-  }
-  ASSERT_TRUE(file.value()->Seal().ok());
-  // Random bytes cannot compress: blocks are stored raw, so the only cost
-  // over the raw record bytes is the 12-byte block header per block.
-  uint64_t raw = file.value()->raw_bytes_written();
-  uint64_t disk = file.value()->bytes_written();
-  EXPECT_GE(disk, raw);
-  EXPECT_LE(disk, raw + 12 * (raw / options.block_bytes + 2))
-      << "stored-raw fallback exceeded framing overhead";
-  ASSERT_TRUE(file.value()->SeekToStart().ok());
-  std::string payload;
-  for (const std::string& expected : records) {
-    StatusOr<bool> more = file.value()->ReadRecord(&payload);
-    ASSERT_TRUE(more.ok()) << more.status();
-    ASSERT_TRUE(more.value());
-    EXPECT_EQ(payload, expected);
-  }
-  file.value()->CloseAndDelete();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillCodecTest, CorruptedCompressedBlockIsCleanPermanentError) {
-  for (const char* mode : {"flip", "truncate"}) {
-    SCOPED_TRACE(mode);
-    std::string dir = MakeSpillDir(std::string("corrupt_") + mode);
-    SpillFileOptions options;
-    options.compress = true;
-    auto file = SpillFile::Create(dir, options);
-    ASSERT_TRUE(file.ok()) << file.status();
-    std::string rec(512, 'x');
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(file.value()->AppendRecord(rec.data(), rec.size()).ok());
-    }
-    // SeekToStart seals and flushes, so the block is on disk before we
-    // corrupt it behind the file's back.
-    ASSERT_TRUE(file.value()->SeekToStart().ok());
-    {
-      std::FILE* raw = std::fopen(file.value()->path().c_str(), "rb+");
-      ASSERT_NE(raw, nullptr);
-      if (std::string(mode) == "flip") {
-        std::fseek(raw, 14, SEEK_SET);  // inside the stored bytes
-        int c = std::fgetc(raw);
-        std::fseek(raw, 14, SEEK_SET);
-        std::fputc(c ^ 0x5A, raw);
-      } else {
-        long size = 0;
-        std::fseek(raw, 0, SEEK_END);
-        size = std::ftell(raw);
-        ASSERT_EQ(ftruncate(fileno(raw), size / 2), 0);
-      }
-      std::fflush(raw);
-      std::fclose(raw);
-    }
-    ASSERT_TRUE(file.value()->SeekToStart().ok());
-    std::string payload;
-    StatusOr<bool> read = file.value()->ReadRecord(&payload);
-    ASSERT_FALSE(read.ok()) << "corruption not detected";
-    EXPECT_EQ(read.status().code(), StatusCode::kInternal) << read.status();
-    file.value()->CloseAndDelete();
-    std::filesystem::remove_all(dir);
-  }
-}
-
-TEST(SpillCodecTest, CompressedExecutionMatchesUncompressed) {
-  // End to end: the codec slots under the spilling engine without changing a
-  // single row, and the manager-wide stats show the on-disk saving.
-  std::vector<Row> rows;
-  for (int64_t i = 999; i >= 0; --i) {
-    rows.push_back({I(i % 89), S("padpadpadpadpadpadpadpad-" +
-                                 std::to_string(i % 7))});
-  }
-  Table t = testutil::MakeTable("t", {"k", "pad"}, std::move(rows));
-  auto run = [&](bool compress) {
-    std::string dir = MakeSpillDir(compress ? "codec_on" : "codec_off");
-    SpillManager spill(dir);
-    SpillFileOptions options;
-    options.compress = compress;
-    spill.set_file_options(options);
-    QueryGuard guard;
-    guard.set_max_buffered_rows(64);
-    WorkerPool pool(4);
-    PhysicalPlan plan = SortPlan(&t);
-    ExecContext ctx;
-    ctx.set_guard(&guard);
-    ctx.set_spill_manager(&spill);
-    ctx.set_worker_pool(&pool);
-    StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
-    EXPECT_TRUE(got.ok()) << got.status();
-    EXPECT_GT(spill.stats().runs_created, 0u);
-    uint64_t raw = spill.stats().bytes_written;
-    uint64_t disk = spill.stats().disk_bytes_written;
-    if (compress) {
-      EXPECT_LT(disk * 2, raw) << "codec saved less than 2x on spill bytes";
-    } else {
-      EXPECT_GE(disk, raw);  // record framing only adds headers
-    }
-    std::filesystem::remove_all(dir);
-    return got.ok() ? testutil::RowsToString(got.value()) : std::string();
-  };
-  std::string uncompressed = run(false);
-  std::string compressed = run(true);
-  ASSERT_FALSE(uncompressed.empty());
-  EXPECT_EQ(compressed, uncompressed);
 }
 
 }  // namespace

@@ -674,62 +674,69 @@ TEST(SpillTest, PermanentFaultFailsCleanlyAtEverySpillSite) {
   }
 }
 
-TEST(SpillTest, ChecksumMismatchIsPermanentCorruption) {
-  std::string dir = MakeSpillDir("checksum");
-  auto file = SpillFile::Create(dir);
-  ASSERT_TRUE(file.ok()) << file.status();
-  ASSERT_TRUE(file.value()->AppendRecord("hello", 5).ok());
-  // SeekToStart flushes the stdio buffer, so the record is on disk before we
-  // corrupt it behind the file's back.
-  ASSERT_TRUE(file.value()->SeekToStart().ok());
-  {
-    std::FILE* raw = std::fopen(file.value()->path().c_str(), "rb+");
+TEST(SpillTest, CorruptRecordFramingIsCleanPermanentError) {
+  // Each case damages one "hello" record ([u32 size][u32 checksum][5 bytes],
+  // 13 bytes on disk) behind the file's back. Every kind of damage must come
+  // back as kInternal corruption; a garbage length in particular must be
+  // rejected before resize() attempts a multi-GiB allocation (regression:
+  // bad_alloc on an untrusted header length).
+  struct Case {
+    const char* name;
+    std::function<void(const std::string& path)> damage;
+    const char* error;
+  };
+  auto overwrite = [](const std::string& path, long offset, const void* bytes,
+                      size_t size) {
+    std::FILE* raw = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(raw, nullptr);
-    std::fseek(raw, 8, SEEK_SET);  // past [size][checksum]
-    std::fputc('X', raw);
+    std::fseek(raw, offset, SEEK_SET);
+    std::fwrite(bytes, 1, size, raw);
     std::fflush(raw);
     std::fclose(raw);
+  };
+  const uint32_t huge = 0xFFFFFFF0u;
+  const Case cases[] = {
+      {"flipped payload byte",
+       [&](const std::string& path) { overwrite(path, 8, "X", 1); },
+       "checksum"},
+      {"huge length",
+       [&](const std::string& path) {
+         overwrite(path, 0, &huge, sizeof(huge));
+       },
+       "length corrupt"},
+      {"truncated header",
+       [](const std::string& path) {
+         std::filesystem::resize_file(path, 4);
+       },
+       "header torn"},
+      {"truncated payload",
+       [](const std::string& path) {
+         std::filesystem::resize_file(path, 10);
+       },
+       "payload torn"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string dir = MakeSpillDir("corrupt");
+    auto file = SpillFile::Create(dir);
+    ASSERT_TRUE(file.ok()) << file.status();
+    ASSERT_TRUE(file.value()->AppendRecord("hello", 5).ok());
+    // SeekToStart flushes the stdio buffer, so the record is on disk before
+    // it is damaged.
+    ASSERT_TRUE(file.value()->SeekToStart().ok());
+    ASSERT_EQ(std::filesystem::file_size(file.value()->path()), 13u);
+    c.damage(file.value()->path());
+    ASSERT_TRUE(file.value()->SeekToStart().ok());
+    std::string payload;
+    StatusOr<bool> read = file.value()->ReadRecord(&payload);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInternal);
+    EXPECT_NE(read.status().message().find(c.error), std::string::npos)
+        << read.status();
+    file.value()->CloseAndDelete();
+    EXPECT_EQ(CountSpillFiles(dir), 0);
+    std::filesystem::remove_all(dir);
   }
-  ASSERT_TRUE(file.value()->SeekToStart().ok());
-  std::string payload;
-  StatusOr<bool> read = file.value()->ReadRecord(&payload);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kInternal);
-  EXPECT_NE(read.status().message().find("checksum"), std::string::npos)
-      << read.status();
-  file.value()->CloseAndDelete();
-  EXPECT_EQ(CountSpillFiles(dir), 0);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillTest, CorruptRecordLengthIsCleanCorruptionError) {
-  // A torn/garbage length field must be rejected as kInternal corruption
-  // before resize() attempts a multi-GiB allocation (regression: bad_alloc
-  // on untrusted header length).
-  std::string dir = MakeSpillDir("badlen");
-  auto file = SpillFile::Create(dir);
-  ASSERT_TRUE(file.ok()) << file.status();
-  ASSERT_TRUE(file.value()->AppendRecord("hello", 5).ok());
-  ASSERT_TRUE(file.value()->SeekToStart().ok());
-  {
-    std::FILE* raw = std::fopen(file.value()->path().c_str(), "rb+");
-    ASSERT_NE(raw, nullptr);
-    uint32_t huge = 0xFFFFFFF0u;
-    std::fseek(raw, 0, SEEK_SET);  // clobber the [size] field
-    std::fwrite(&huge, sizeof(huge), 1, raw);
-    std::fflush(raw);
-    std::fclose(raw);
-  }
-  ASSERT_TRUE(file.value()->SeekToStart().ok());
-  std::string payload;
-  StatusOr<bool> read = file.value()->ReadRecord(&payload);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kInternal);
-  EXPECT_NE(read.status().message().find("length corrupt"), std::string::npos)
-      << read.status();
-  file.value()->CloseAndDelete();
-  EXPECT_EQ(CountSpillFiles(dir), 0);
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
