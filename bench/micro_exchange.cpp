@@ -17,9 +17,14 @@
 // single-core machine).
 //
 // The headline claim this harness checks: the 4-thread partitioned run is
-// >= 2x faster than the serial plan. Results are printed and written to
-// BENCH_exchange.json. `--quick` runs one rep and exits non-zero when the
-// claim fails — CI's tier-1 tripwire.
+// >= 2x faster than the serial plan, on median wall times. Results
+// (min/median/max wall ms over the reps) are printed and written, under a
+// provenance header, to BENCH_exchange.json in the working directory:
+//
+//   ./build/bench/micro_exchange [--quick]
+//
+// `--quick` runs one rep and exits non-zero when the claim fails — CI's
+// tier-1 tripwire.
 
 #include <chrono>
 #include <cstdio>
@@ -29,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/aggregate.h"
@@ -64,10 +70,10 @@ Table Keyed(int64_t n) {
                            Field("v", TypeId::kInt64),
                            Field("pad", TypeId::kString)}));
   for (int64_t i = 0; i < n; ++i) {
+    std::string pad = StringPrintf("lineitem|status=%d|shipmode=TRUCK",
+                                   static_cast<int>(i % 7));
     table.AppendRow(
-        {Value::Int64(i % kGroups), Value::Int64(i),
-         Value::String(StringPrintf("lineitem|status=%d|shipmode=TRUCK",
-                                    static_cast<int>(i % 7)))});
+        {Value::Int64(i % kGroups), Value::Int64(i), Value::String(pad)});
   }
   return table;
 }
@@ -112,22 +118,22 @@ PhysicalPlan PartitionedPlan(const Table* t, size_t partitions) {
 struct Result {
   std::string name;
   int threads = 0;  // 0 = serial plan, no pool
-  double wall_ms = 0;
-  double speedup = 1.0;  // vs. the serial plan
+  bench::Spread wall_ms;
+  double speedup = 1.0;  // median vs. the serial plan's median
   uint64_t root_rows = 0;
   uint64_t spill_bytes = 0;
   uint64_t spill_runs = 0;
 };
 
-/// Best-of-`reps` execution under the tight budget with the device model
-/// charging every spill byte. `threads` 0 runs without a pool.
+/// `reps` executions under the tight budget with the device model charging
+/// every spill byte. `threads` 0 runs without a pool.
 Result Measure(const std::string& name,
                const std::function<PhysicalPlan()>& make_plan, int threads,
                int reps) {
   Result r;
   r.name = name;
   r.threads = threads;
-  double best_ns = 0;
+  std::vector<double> wall_ms;
   for (int rep = 0; rep < reps; ++rep) {
     PhysicalPlan plan = make_plan();
     SpillManager spill;
@@ -147,15 +153,13 @@ Result Measure(const std::string& name,
     QPROG_CHECK(dr.root_rows == static_cast<uint64_t>(kGroups));
     QPROG_CHECK(spill.live_runs() == 0);
     QPROG_CHECK(spill.stats().runs_created > 0);  // budget must bind
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-    if (rep == 0 || ns < best_ns) best_ns = ns;
+    wall_ms.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
     r.root_rows = dr.root_rows;
     r.spill_bytes = spill.stats().bytes_written;
     r.spill_runs = spill.stats().runs_created;
   }
-  r.wall_ms = best_ns / 1e6;
+  r.wall_ms = bench::SpreadOf(std::move(wall_ms));
   return r;
 }
 
@@ -165,12 +169,12 @@ Result Measure(const std::string& name,
 int main(int argc, char** argv) {
   using namespace qprog;  // NOLINT(build/namespaces)
   bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const int reps = quick ? 1 : 2;
+  const int reps = quick ? 1 : 3;
 
   std::printf("=== micro_exchange: partitioned pipeline scale-out ===\n");
   std::printf(
       "rows=%lld, groups=%lld, budget=%llu rows, device=%llu ns/byte, "
-      "best of %d runs\n\n",
+      "%d runs each\n\n",
       static_cast<long long>(kRows), static_cast<long long>(kGroups),
       static_cast<unsigned long long>(kBudget),
       static_cast<unsigned long long>(kNsPerByte), reps);
@@ -180,27 +184,29 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   results.push_back(
       Measure("serial", [&] { return SerialPlan(&t); }, 0, reps));
-  double serial_ms = results[0].wall_ms;
+  double serial_ms = results[0].wall_ms.median;
   double t1_ms = 0;
   double t4_ms = 0;
   double speedup_t4 = 0;
   for (int threads : kThreads) {
     Result r = Measure(StringPrintf("partitioned/t%d", threads),
                        [&] { return PartitionedPlan(&t, 4); }, threads, reps);
-    r.speedup = serial_ms / r.wall_ms;
-    if (threads == 1) t1_ms = r.wall_ms;
+    r.speedup = serial_ms / r.wall_ms.median;
+    if (threads == 1) t1_ms = r.wall_ms.median;
     if (threads == 4) {
-      t4_ms = r.wall_ms;
+      t4_ms = r.wall_ms.median;
       speedup_t4 = r.speedup;
     }
     results.push_back(r);
   }
 
-  std::printf("%-16s %-10s %-12s %-8s %-14s %-6s\n", "scenario", "wall_ms",
-              "vs_serial", "rows", "spill_bytes", "runs");
+  std::printf("%-16s %-10s %-10s %-10s %-12s %-8s %-14s %-6s\n", "scenario",
+              "min_ms", "median_ms", "max_ms", "vs_serial", "rows",
+              "spill_bytes", "runs");
   for (const Result& r : results) {
-    std::printf("%-16s %-10.1f %-12.2f %-8llu %-14llu %-6llu\n",
-                r.name.c_str(), r.wall_ms, r.speedup,
+    std::printf("%-16s %-10.1f %-10.1f %-10.1f %-12.2f %-8llu %-14llu %-6llu\n",
+                r.name.c_str(), r.wall_ms.min, r.wall_ms.median,
+                r.wall_ms.max, r.speedup,
                 static_cast<unsigned long long>(r.root_rows),
                 static_cast<unsigned long long>(r.spill_bytes),
                 static_cast<unsigned long long>(r.spill_runs));
@@ -211,7 +217,7 @@ int main(int argc, char** argv) {
       speedup_t4, t1_ms / t4_ms);
 
   std::string json =
-      "{\"bench\":\"micro_exchange\"," +
+      "{\"bench\":\"micro_exchange\"," + bench::ProvenanceJson(reps) + "," +
       StringPrintf("\"rows\":%lld,\"groups\":%lld,\"budget_rows\":%llu,"
                    "\"device_ns_per_byte\":%llu,\"scenarios\":{",
                    static_cast<long long>(kRows),
@@ -221,12 +227,13 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     if (i > 0) json += ',';
-    json += StringPrintf(
-        "\"%s\":{\"wall_ms\":%.1f,\"speedup_vs_serial\":%.3f,"
-        "\"spill_bytes\":%llu,\"spill_runs\":%llu}",
-        r.name.c_str(), r.wall_ms, r.speedup,
-        static_cast<unsigned long long>(r.spill_bytes),
-        static_cast<unsigned long long>(r.spill_runs));
+    json += StringPrintf("\"%s\":{", r.name.c_str()) +
+            bench::SpreadJson("wall_ms", r.wall_ms) +
+            StringPrintf(",\"speedup_vs_serial\":%.3f,\"spill_bytes\":%llu,"
+                         "\"spill_runs\":%llu}",
+                         r.speedup,
+                         static_cast<unsigned long long>(r.spill_bytes),
+                         static_cast<unsigned long long>(r.spill_runs));
   }
   json += StringPrintf(
       "},\"speedup_t4_vs_serial\":%.3f,\"scaling_t1_to_t4\":%.3f}\n",

@@ -51,12 +51,11 @@ Table Payload(int64_t n, int64_t buckets) {
   Table table("t", Schema({Field("k", TypeId::kInt64),
                            Field("pad", TypeId::kString)}));
   for (int64_t i = n - 1; i >= 0; --i) {
-    table.AppendRow(
-        {Value::Int64(i % buckets),
-         Value::String(StringPrintf("orderstatus=OK|priority=%d|comment="
-                                    "final deps unwound along the regular "
-                                    "instructions",
-                                    static_cast<int>(i % 5)))});
+    std::string pad = StringPrintf(
+        "orderstatus=OK|priority=%d|comment="
+        "final deps unwound along the regular instructions",
+        static_cast<int>(i % 5));
+    table.AppendRow({Value::Int64(i % buckets), Value::String(pad)});
   }
   return table;
 }

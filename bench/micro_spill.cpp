@@ -4,9 +4,14 @@
 // join, and partition-spilled aggregation — plus the raw SpillFile record
 // write/read throughput that bounds them all.
 //
-// Results (ns per unit of work, spill run/byte counts, slowdown vs. the
-// in-memory path) are printed and written to BENCH_spill.json in the working
-// directory. A final scenario times the HashAggregate's spilled-partition
+// Results (min/median/max ns per unit of work over kReps runs, spill
+// run/byte counts, median slowdown vs. the in-memory path) are printed and
+// written, under a provenance header, to BENCH_spill.json in the working
+// directory:
+//
+//   ./build/bench/micro_spill
+//
+// A final scenario times the HashAggregate's spilled-partition
 // replay serially and on a 4-thread worker pool under the SpillManager's
 // device model (DESIGN.md §9): replay reads overlap their simulated device
 // time across the pool, so the speedup is measurable even on one core, and
@@ -20,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/aggregate.h"
@@ -31,6 +37,7 @@
 #include "exec/spill.h"
 #include "exec/worker_pool.h"
 #include "storage/spill_file.h"
+#include "types/string_arena.h"
 #include "storage/table.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -39,7 +46,7 @@ namespace qprog {
 namespace {
 
 constexpr int64_t kRows = 100000;
-constexpr int kReps = 3;  // best-of to shed scheduler noise
+constexpr int kReps = 3;
 
 Table Numbers(int64_t n) {
   Table table("t", Schema({Field("v", TypeId::kInt64)}));
@@ -85,21 +92,21 @@ PhysicalPlan AggPlan(const Table* t) {
 
 struct Result {
   std::string name;
-  double ns_per_work = 0;     // wall time / final work counter
-  double slowdown = 1.0;      // vs. the scenario's in-memory baseline
+  bench::Spread ns_per_work;  // wall time / final work counter
+  double slowdown = 1.0;      // median wall time vs. the in-memory baseline
   uint64_t work = 0;          // revised total(Q)
   uint64_t spill_runs = 0;
   uint64_t spill_rows = 0;
   uint64_t spill_bytes = 0;
 };
 
-/// Best-of-kReps execution under `soft_budget` (0 = unconstrained).
+/// kReps executions under `soft_budget` (0 = unconstrained).
 Result Measure(const std::string& name,
                const std::function<PhysicalPlan()>& make_plan,
                uint64_t soft_budget) {
   Result r;
   r.name = name;
-  double best_ns = 0;
+  std::vector<double> ns_per_work;
   for (int rep = 0; rep < kReps; ++rep) {
     PhysicalPlan plan = make_plan();
     SpillManager spill;
@@ -118,13 +125,13 @@ Result Measure(const std::string& name,
     double ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count());
-    if (rep == 0 || ns < best_ns) best_ns = ns;
     r.work = ctx.work();
+    ns_per_work.push_back(ns / static_cast<double>(r.work));
     r.spill_runs = spill.stats().runs_created;
     r.spill_rows = spill.stats().rows_written;
     r.spill_bytes = spill.stats().bytes_written;
   }
-  r.ns_per_work = best_ns / static_cast<double>(r.work);
+  r.ns_per_work = bench::SpreadOf(std::move(ns_per_work));
   return r;
 }
 
@@ -143,22 +150,24 @@ Table AggPayload(int64_t n, int64_t buckets) {
                            Field("v", TypeId::kInt64),
                            Field("pad", TypeId::kString)}));
   for (int64_t i = n - 1; i >= 0; --i) {
+    std::string pad = StringPrintf(
+        "orderstatus=OK|priority=%d|comment="
+        "final deps unwound along the regular instructions",
+        static_cast<int>(i % 5));
     table.AppendRow(
-        {Value::Int64(i % buckets), Value::Int64(i),
-         Value::String(StringPrintf("orderstatus=OK|priority=%d|comment="
-                                    "final deps unwound along the regular "
-                                    "instructions",
-                                    static_cast<int>(i % 5)))});
+        {Value::Int64(i % buckets), Value::Int64(i), Value::String(pad)});
   }
   return table;
 }
 
-/// Best-of-kReps aggregate run under a tight budget with the device model
-/// charging every spill byte; `threads` == 0 runs the serial replay. Output
-/// rows from the last rep land in `rows_out` for the identity check.
-double MeasureAggReplay(const Table* t, uint64_t soft_budget, int threads,
-                        uint64_t* spill_runs, std::vector<Row>* rows_out) {
-  double best_ns = 0;
+/// kReps aggregate runs (wall ms) under a tight budget with the device
+/// model charging every spill byte; `threads` == 0 runs the serial replay.
+/// Output rows from the last rep land in `rows_out` for the identity check;
+/// they hold only integers, so they outlive the rep's spill manager.
+bench::Spread MeasureAggReplay(const Table* t, uint64_t soft_budget,
+                               int threads, uint64_t* spill_runs,
+                               std::vector<Row>* rows_out) {
+  std::vector<double> wall_ms;
   for (int rep = 0; rep < kReps; ++rep) {
     PhysicalPlan plan = AggPlan(t);
     SpillManager spill;
@@ -182,17 +191,15 @@ double MeasureAggReplay(const Table* t, uint64_t soft_budget, int threads,
     QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
     QPROG_CHECK(spill.live_runs() == 0);
     QPROG_CHECK(spill.stats().runs_created > 0);  // must exercise the replay
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-    if (rep == 0 || ns < best_ns) best_ns = ns;
+    wall_ms.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
     *spill_runs = spill.stats().runs_created;
   }
-  return best_ns / 1e6;
+  return bench::SpreadOf(std::move(wall_ms));
 }
 
 /// Raw SpillFile throughput: rows serialized+written then re-read, ns/row.
-std::pair<double, double> MeasureFileThroughput(int64_t rows) {
+std::pair<double, double> MeasureFileThroughputOnce(int64_t rows) {
   auto file = SpillFile::Create("");
   QPROG_CHECK(file.ok());
   Row row = {Value::Int64(123456789), Value::Int64(987654321)};
@@ -206,6 +213,7 @@ std::pair<double, double> MeasureFileThroughput(int64_t rows) {
   auto w1 = std::chrono::steady_clock::now();
   QPROG_CHECK(file.value()->SeekToStart().ok());
   std::string payload;
+  StringArena strings;
   int64_t read = 0;
   auto r0 = std::chrono::steady_clock::now();
   while (true) {
@@ -213,7 +221,7 @@ std::pair<double, double> MeasureFileThroughput(int64_t rows) {
     QPROG_CHECK(more.ok());
     if (!more.value()) break;
     Row back;
-    QPROG_CHECK(ParseRowBytes(payload, &back).ok());
+    QPROG_CHECK(ParseRowBytes(payload, &strings, &back).ok());
     ++read;
   }
   auto r1 = std::chrono::steady_clock::now();
@@ -226,13 +234,25 @@ std::pair<double, double> MeasureFileThroughput(int64_t rows) {
           ns(r0, r1) / static_cast<double>(rows)};
 }
 
+/// kReps MeasureFileThroughputOnce runs: write and read ns/row spreads.
+std::pair<bench::Spread, bench::Spread> MeasureFileThroughput(int64_t rows) {
+  std::vector<double> write_ns, read_ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto [w, r] = MeasureFileThroughputOnce(rows);
+    write_ns.push_back(w);
+    read_ns.push_back(r);
+  }
+  return {bench::SpreadOf(std::move(write_ns)),
+          bench::SpreadOf(std::move(read_ns))};
+}
+
 }  // namespace
 }  // namespace qprog
 
 int main() {
   using namespace qprog;  // NOLINT(build/namespaces)
   std::printf("=== micro_spill: cost of memory-adaptive execution ===\n");
-  std::printf("rows=%lld, best of %d runs per scenario\n\n",
+  std::printf("rows=%lld, %d runs per scenario\n\n",
               static_cast<long long>(kRows), kReps);
 
   Table sort_t = Numbers(kRows);
@@ -249,10 +269,11 @@ int main() {
         Measure(std::string(family) + "/spill_mild", make_plan, mild);
     Result spill_harsh =
         Measure(std::string(family) + "/spill_harsh", make_plan, harsh);
-    spill_mild.slowdown = spill_mild.ns_per_work * spill_mild.work /
-                          (mem.ns_per_work * mem.work);
-    spill_harsh.slowdown = spill_harsh.ns_per_work * spill_harsh.work /
-                           (mem.ns_per_work * mem.work);
+    auto wall = [](const Result& r) {
+      return r.ns_per_work.median * static_cast<double>(r.work);
+    };
+    spill_mild.slowdown = wall(spill_mild) / wall(mem);
+    spill_harsh.slowdown = wall(spill_harsh) / wall(mem);
     results.push_back(mem);
     results.push_back(spill_mild);
     results.push_back(spill_harsh);
@@ -264,11 +285,13 @@ int main() {
   run_family("hashagg", [&] { return AggPlan(&agg_t); }, kRows / 16,
              kRows / 128);
 
-  std::printf("%-22s %-10s %-10s %-8s %-8s %-12s %-10s\n", "scenario",
-              "ns/work", "work", "runs", "rows", "bytes", "slowdown");
+  std::printf("%-22s %-21s %-10s %-8s %-8s %-12s %-10s\n", "scenario",
+              "ns/work min/med/max", "work", "runs", "rows", "bytes",
+              "slowdown");
   for (const Result& r : results) {
-    std::printf("%-22s %-10.2f %-10llu %-8llu %-8llu %-12llu %.2fx\n",
-                r.name.c_str(), r.ns_per_work,
+    std::printf("%-22s %6.1f/%6.1f/%6.1f %-10llu %-8llu %-8llu %-12llu %.2fx\n",
+                r.name.c_str(), r.ns_per_work.min, r.ns_per_work.median,
+                r.ns_per_work.max,
                 static_cast<unsigned long long>(r.work),
                 static_cast<unsigned long long>(r.spill_runs),
                 static_cast<unsigned long long>(r.spill_rows),
@@ -276,60 +299,65 @@ int main() {
   }
 
   auto [write_ns, read_ns] = MeasureFileThroughput(kRows);
-  std::printf("\nspill file: write=%.1f ns/row, read=%.1f ns/row\n", write_ns,
-              read_ns);
+  std::printf("\nspill file (median): write=%.1f ns/row, read=%.1f ns/row\n",
+              write_ns.median, read_ns.median);
 
   // Parallel spilled-partition replay: serial vs. a 4-thread pool on the
   // same device-modelled aggregate, outputs required identical.
   Table replay_t = AggPayload(kReplayRows, kReplayGroups);
   std::vector<Row> serial_rows, parallel_rows;
   uint64_t serial_runs = 0, parallel_runs = 0;
-  double serial_ms = MeasureAggReplay(&replay_t, kReplayGroups / 8, 0,
-                                      &serial_runs, &serial_rows);
-  double parallel_ms = MeasureAggReplay(&replay_t, kReplayGroups / 8, 4,
-                                        &parallel_runs, &parallel_rows);
+  bench::Spread serial_ms = MeasureAggReplay(&replay_t, kReplayGroups / 8, 0,
+                                             &serial_runs, &serial_rows);
+  bench::Spread parallel_ms = MeasureAggReplay(
+      &replay_t, kReplayGroups / 8, 4, &parallel_runs, &parallel_rows);
   QPROG_CHECK(serial_rows.size() == parallel_rows.size());
   for (size_t i = 0; i < serial_rows.size(); ++i) {
     QPROG_CHECK_MSG(
         RowToString(serial_rows[i]) == RowToString(parallel_rows[i]),
         "parallel replay diverged from serial at row %zu", i);
   }
-  double replay_speedup = serial_ms / parallel_ms;
+  double replay_speedup = serial_ms.median / parallel_ms.median;
   std::printf(
-      "\nagg replay (device=%llu ns/byte, %lld rows, %lld groups): "
+      "\nagg replay (device=%llu ns/byte, %lld rows, %lld groups, median): "
       "serial=%.1f ms, t4=%.1f ms, speedup=%.2fx, output identical "
       "(%zu rows)\n",
       static_cast<unsigned long long>(kReplayNsPerByte),
       static_cast<long long>(kReplayRows),
-      static_cast<long long>(kReplayGroups), serial_ms, parallel_ms,
-      replay_speedup, serial_rows.size());
+      static_cast<long long>(kReplayGroups), serial_ms.median,
+      parallel_ms.median, replay_speedup, serial_rows.size());
 
-  std::string json =
-      "{\"bench\":\"micro_spill\",\"rows\":" +
-      StringPrintf("%lld", static_cast<long long>(kRows)) + ",\"scenarios\":{";
+  std::string json = "{\"bench\":\"micro_spill\"," +
+                     bench::ProvenanceJson(kReps) + ",\"rows\":" +
+                     StringPrintf("%lld", static_cast<long long>(kRows)) +
+                     ",\"scenarios\":{";
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     if (i > 0) json += ',';
-    json += StringPrintf(
-        "\"%s\":{\"ns_per_work\":%.2f,\"work\":%llu,\"spill_runs\":%llu,"
-        "\"spill_rows\":%llu,\"spill_bytes\":%llu,\"slowdown\":%.3f}",
-        r.name.c_str(), r.ns_per_work, static_cast<unsigned long long>(r.work),
-        static_cast<unsigned long long>(r.spill_runs),
-        static_cast<unsigned long long>(r.spill_rows),
-        static_cast<unsigned long long>(r.spill_bytes), r.slowdown);
+    json += StringPrintf("\"%s\":{", r.name.c_str()) +
+            bench::SpreadJson("ns_per_work", r.ns_per_work) +
+            StringPrintf(
+                ",\"work\":%llu,\"spill_runs\":%llu,\"spill_rows\":%llu,"
+                "\"spill_bytes\":%llu,\"slowdown\":%.3f}",
+                static_cast<unsigned long long>(r.work),
+                static_cast<unsigned long long>(r.spill_runs),
+                static_cast<unsigned long long>(r.spill_rows),
+                static_cast<unsigned long long>(r.spill_bytes), r.slowdown);
   }
-  json += StringPrintf(
-      "},\"spill_file\":{\"write_ns_per_row\":%.1f,\"read_ns_per_row\":%.1f},",
-      write_ns, read_ns);
-  json += StringPrintf(
-      "\"agg_replay\":{\"device_ns_per_byte\":%llu,\"rows\":%lld,"
-      "\"groups\":%lld,\"serial_ms\":%.1f,\"t4_ms\":%.1f,"
-      "\"speedup_vs_serial\":%.3f,\"spill_runs\":%llu,"
-      "\"output_identical\":true}}\n",
-      static_cast<unsigned long long>(kReplayNsPerByte),
-      static_cast<long long>(kReplayRows),
-      static_cast<long long>(kReplayGroups), serial_ms, parallel_ms,
-      replay_speedup, static_cast<unsigned long long>(parallel_runs));
+  json += "},\"spill_file\":{" +
+          bench::SpreadJson("write_ns_per_row", write_ns) + "," +
+          bench::SpreadJson("read_ns_per_row", read_ns) + "},";
+  json += StringPrintf("\"agg_replay\":{\"device_ns_per_byte\":%llu,"
+                       "\"rows\":%lld,\"groups\":%lld,",
+                       static_cast<unsigned long long>(kReplayNsPerByte),
+                       static_cast<long long>(kReplayRows),
+                       static_cast<long long>(kReplayGroups)) +
+          bench::SpreadJson("serial_ms", serial_ms) + "," +
+          bench::SpreadJson("t4_ms", parallel_ms) +
+          StringPrintf(",\"speedup_vs_serial\":%.3f,\"spill_runs\":%llu,"
+                       "\"output_identical\":true}}\n",
+                       replay_speedup,
+                       static_cast<unsigned long long>(parallel_runs));
   std::FILE* out = std::fopen("BENCH_spill.json", "w");
   if (out != nullptr) {
     std::fwrite(json.data(), 1, json.size(), out);

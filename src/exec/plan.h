@@ -61,6 +61,10 @@ struct DriveOptions {
 
   /// Collect root output rows into DriveResult::rows.
   bool collect_rows = false;
+
+  // Both deliver rows without copying their strings: a VARCHAR views bytes
+  // owned by the Database, the plan or the context's SpillManager, and is
+  // valid while those live (DESIGN.md §2, "String ownership").
 };
 
 /// Outcome of one Drive call.

@@ -106,10 +106,10 @@ IndexSeek::IndexSeek(const OrderedIndex* index, Value lo, bool lo_inclusive,
                      bool hi_unbounded)
     : index_(index),
       range_mode_(true),
-      lo_(std::move(lo)),
+      lo_(bounds_.Own(lo)),
       lo_inclusive_(lo_inclusive),
       lo_unbounded_(lo_unbounded),
-      hi_(std::move(hi)),
+      hi_(bounds_.Own(hi)),
       hi_inclusive_(hi_inclusive),
       hi_unbounded_(hi_unbounded) {}
 

@@ -11,6 +11,7 @@
 #include "expr/expr.h"
 #include "index/ordered_index.h"
 #include "storage/table.h"
+#include "types/string_arena.h"
 
 namespace qprog {
 
@@ -80,7 +81,7 @@ class IndexSeek : public PhysicalOperator {
   explicit IndexSeek(const OrderedIndex* index);
 
   /// Static range seek. NULL `lo`/`hi` Values with the unbounded flags make
-  /// either end open.
+  /// either end open. VARCHAR bounds are copied into the seek.
   IndexSeek(const OrderedIndex* index, Value lo, bool lo_inclusive,
             bool lo_unbounded, Value hi, bool hi_inclusive, bool hi_unbounded);
 
@@ -106,6 +107,7 @@ class IndexSeek : public PhysicalOperator {
  private:
   const OrderedIndex* index_;
   bool range_mode_ = false;
+  StringArena bounds_;  // owns lo_'s and hi_'s VARCHAR bytes
   Value lo_;
   bool lo_inclusive_ = false, lo_unbounded_ = true;
   Value hi_;

@@ -36,6 +36,7 @@ void SpillRun::Discard() {
     file_.reset();  // closes and deletes the temp file
     manager_->UnregisterLiveFile(path_);
     ++manager_->stats_.runs_deleted;
+    manager_->AdoptStrings(&strings_);
   }
 }
 
@@ -128,7 +129,7 @@ bool SpillRun::ReadNext(WorkContext* wc, int node, Row* row) {
     return false;
   }
   if (!got_record) return false;  // clean end of run
-  status = ParseRowBytes(scratch_, row);
+  status = ParseRowBytes(scratch_, &strings_, row);
   if (!status.ok()) {
     manager_->RaiseIoError(wc, node, faults::kSpillRead, std::move(status));
     return false;
@@ -178,6 +179,11 @@ void SpillManager::RegisterLiveFile(const std::string& path) {
 void SpillManager::UnregisterLiveFile(const std::string& path) {
   std::lock_guard<std::mutex> lock(live_files_mu_);
   live_files_.erase(path);
+}
+
+void SpillManager::AdoptStrings(StringArena* strings) {
+  std::lock_guard<std::mutex> lock(strings_mu_);
+  strings_.Adopt(strings);
 }
 
 SpillRunPtr SpillManager::CreateRun(ExecContext* ctx, int node,

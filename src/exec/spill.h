@@ -30,6 +30,12 @@
 // register, Discard unregisters, live_files() lets tests audit for leaks,
 // and ~SpillManager unlinks anything still registered.
 //
+// String ownership: a row read back from a run views VARCHAR bytes in the
+// run's own arena, filled without a lock because one thread at a time owns
+// the run. Discard moves the arena's chunks to the manager, so the rows an
+// operator built from a run stay valid after the run is gone, until the
+// manager — one per query — is destroyed (DESIGN.md §9).
+//
 // Threading: runs perform their I/O against a WorkContext — the ExecContext
 // itself on the serial path, a per-task TaskContext (exec/worker_pool.h) on
 // a pool thread. One run is owned by exactly one context at a time; the
@@ -59,6 +65,7 @@
 #include "exec/exec_context.h"
 #include "exec/work_context.h"
 #include "storage/spill_file.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -132,9 +139,12 @@ class SpillRun {
 
   /// Reads the next row; counts one unit of spill work at `node`. Returns
   /// false at end of run *or* on error — check wc->ok() to tell them apart.
+  /// The row's VARCHARs view this run's string arena, which Discard hands
+  /// to the manager: they stay valid until the SpillManager is destroyed.
   bool ReadNext(WorkContext* wc, int node, Row* row);
 
-  /// Deletes the backing file now (idempotent; destructor does it too).
+  /// Deletes the backing file now and hands the decoded strings to the
+  /// manager (idempotent; destructor does it too).
   void Discard();
 
   uint64_t rows_written() const { return rows_written_; }
@@ -168,6 +178,7 @@ class SpillRun {
   uint64_t rows_written_ = 0;
   uint64_t rows_read_ = 0;
   std::string scratch_;  // serialization buffer, reused across rows
+  StringArena strings_;  // bytes of the VARCHARs ReadNext decoded
   // Device-model bookkeeping: file byte counters as of the last charge, and
   // unslept debt in nanoseconds. All zero-cost when the model is off.
   uint64_t device_written_seen_ = 0;
@@ -249,6 +260,8 @@ class SpillManager {
 
   void RegisterLiveFile(const std::string& path);
   void UnregisterLiveFile(const std::string& path);
+  /// Keeps a discarded run's decoded strings until the manager dies.
+  void AdoptStrings(StringArena* strings);
 
   std::string dir_;
   SpillRetryPolicy policy_;
@@ -256,6 +269,8 @@ class SpillManager {
   SpillDeviceModel device_model_;
   mutable std::mutex live_files_mu_;
   std::unordered_set<std::string> live_files_;
+  std::mutex strings_mu_;
+  StringArena strings_;  // strings read back from discarded runs
 };
 
 }  // namespace qprog

@@ -212,10 +212,10 @@ std::string NotExpr::ToString() const {
 // --------------------------------------------------------------------------
 // LikeExpr
 
-bool LikeExpr::Matches(const std::string& text, const std::string& pattern) {
+bool LikeExpr::Matches(std::string_view text, std::string_view pattern) {
   // Iterative wildcard matching with backtracking over the last '%'.
   size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() &&
         (pattern[p] == '_' || pattern[p] == text[t])) {
@@ -224,7 +224,7 @@ bool LikeExpr::Matches(const std::string& text, const std::string& pattern) {
     } else if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;
     } else {
@@ -356,7 +356,7 @@ std::string ExtractYearExpr::ToString() const {
 Value SubstringExpr::Eval(const Row& row) const {
   Value v = input_->Eval(row);
   if (v.is_null()) return Value::Null();
-  const std::string& s = v.string_value();
+  std::string_view s = v.string_value();
   if (start_ < 1 || static_cast<size_t>(start_ - 1) >= s.size() ||
       length_ <= 0) {
     return Value::String("");
@@ -446,7 +446,7 @@ ExprPtr Col(size_t index, std::string name) {
 ExprPtr Lit(Value v) { return std::make_unique<LiteralExpr>(std::move(v)); }
 ExprPtr Int(int64_t v) { return Lit(Value::Int64(v)); }
 ExprPtr Dbl(double v) { return Lit(Value::Double(v)); }
-ExprPtr Str(std::string v) { return Lit(Value::String(std::move(v))); }
+ExprPtr Str(std::string_view v) { return Lit(Value::String(v)); }
 
 ExprPtr DateLit(const char* ymd) {
   auto days = ParseDate(ymd);

@@ -10,10 +10,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types/compare_op.h"
 #include "types/schema.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -77,9 +79,12 @@ class ColumnRefExpr : public Expr {
   std::string name_;
 };
 
+/// A constant. A VARCHAR literal keeps its own copy of the bytes, so the
+/// Values it produces live as long as the expression (and its clones, which
+/// copy again).
 class LiteralExpr : public Expr {
  public:
-  explicit LiteralExpr(Value value) : value_(std::move(value)) {}
+  explicit LiteralExpr(const Value& value) : value_(bytes_.Own(value)) {}
   Value Eval(const Row& row) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -87,6 +92,7 @@ class LiteralExpr : public Expr {
   const Value& value() const { return value_; }
 
  private:
+  StringArena bytes_;  // declared first: value_ is initialized from it
   Value value_;
 };
 
@@ -187,7 +193,7 @@ class LikeExpr : public Expr {
       const std::function<void(const Expr&)>& fn) const override;
 
   /// Standalone LIKE pattern matcher (exposed for tests).
-  static bool Matches(const std::string& text, const std::string& pattern);
+  static bool Matches(std::string_view text, std::string_view pattern);
 
  private:
   ExprPtr input_;
@@ -195,11 +201,14 @@ class LikeExpr : public Expr {
   bool negated_;
 };
 
-/// `input IN (v1, v2, ...)`; optional NOT.
+/// `input IN (v1, v2, ...)`; optional NOT. Keeps its own copy of the
+/// list's VARCHAR bytes, like LiteralExpr.
 class InListExpr : public Expr {
  public:
   InListExpr(ExprPtr input, std::vector<Value> list, bool negated)
-      : input_(std::move(input)), list_(std::move(list)), negated_(negated) {}
+      : input_(std::move(input)), list_(std::move(list)), negated_(negated) {
+    for (Value& v : list_) v = bytes_.Own(v);
+  }
   Value Eval(const Row& row) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
@@ -209,6 +218,7 @@ class InListExpr : public Expr {
 
  private:
   ExprPtr input_;
+  StringArena bytes_;
   std::vector<Value> list_;
   bool negated_;
 };
@@ -266,7 +276,8 @@ class ExtractYearExpr : public Expr {
   ExprPtr input_;
 };
 
-/// SUBSTRING(str, start, length) with 1-based start (SQL semantics).
+/// SUBSTRING(str, start, length) with 1-based start (SQL semantics). The
+/// result views its input's bytes.
 class SubstringExpr : public Expr {
  public:
   SubstringExpr(ExprPtr input, int start, int length)
@@ -301,7 +312,7 @@ ExprPtr Col(size_t index, std::string name = "");
 ExprPtr Lit(Value v);
 ExprPtr Int(int64_t v);
 ExprPtr Dbl(double v);
-ExprPtr Str(std::string v);
+ExprPtr Str(std::string_view v);
 /// Date literal from "YYYY-MM-DD"; aborts on malformed input (builder use).
 ExprPtr DateLit(const char* ymd);
 

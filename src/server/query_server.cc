@@ -287,9 +287,10 @@ void QueryServer::RunTicket(Ticket* t) {
       SetStubResult(t, report.status(), TerminationFromStatus(report.status()));
     }
   } else {
-    StatusOr<std::vector<Row>> rows = session.Execute(t->query);
+    StatusOr<sql::QueryRows> rows = session.Execute(t->query);
     if (rows.ok()) {
-      t->result.rows = std::move(rows).value();
+      t->result.rows = std::move(rows->rows);
+      t->result.strings = std::move(rows->strings);
       t->result.status = OkStatus();
     } else {
       t->result.status = rows.status();
@@ -311,7 +312,15 @@ QueryResult QueryServer::Wait(uint64_t ticket) {
   QPROG_CHECK(it != tickets_.end());
   Ticket* t = it->second.get();
   done_cv_.wait(lock, [&] { return t->done; });
-  return t->result;
+  // The rows and their strings leave the ticket; the status, report and
+  // counters stay for Fleet() and later Waits.
+  std::vector<Row> rows = std::move(t->result.rows);
+  t->result.rows.clear();
+  std::shared_ptr<const StringArena> strings = std::move(t->result.strings);
+  QueryResult result = t->result;
+  result.rows = std::move(rows);
+  result.strings = std::move(strings);
+  return result;
 }
 
 void QueryServer::Cancel(uint64_t ticket) {

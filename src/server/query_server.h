@@ -57,6 +57,7 @@
 #include "server/tenant.h"
 #include "sql/session.h"
 #include "storage/catalog.h"
+#include "types/string_arena.h"
 
 namespace qprog {
 
@@ -139,6 +140,9 @@ struct QueryResult {
   ProgressReport report;
   /// Plain (monitored == false) successful runs only.
   std::vector<Row> rows;
+  /// Owns the bytes of every VARCHAR in `rows`: the rows stay valid after
+  /// the query's plan and spill manager are gone.
+  std::shared_ptr<const StringArena> strings;
   uint64_t granted_rows = 0;  // governor grant the run started with
 };
 
@@ -224,7 +228,9 @@ class QueryServer {
                   SubmitOptions opts = SubmitOptions());
 
   /// Blocks until the ticket finishes (done, shed, or cancelled), then
-  /// returns a copy of its result. Repeatable.
+  /// returns its result. The rows and their strings move out of the ticket,
+  /// so a finished ticket holds no result rows: a repeated Wait returns the
+  /// same status, report and counters with no rows.
   QueryResult Wait(uint64_t ticket);
 
   /// Cooperative cancel: a queued ticket finishes kCancelled without

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "types/compare_op.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -30,6 +31,7 @@ enum class SqlExprKind {
   kBetween,   // BETWEEN lo AND hi
   kIsNull,    // IS [NOT] NULL
   kFunc,      // count/sum/avg/min/max(expr | *), [DISTINCT]
+  kSubstring,  // substring(expr, start, length), integer start and length
 };
 
 struct SqlExpr {
@@ -41,6 +43,8 @@ struct SqlExpr {
 
   // kLiteral
   Value literal;
+  // Owns the VARCHAR bytes of `literal` and `in_list`.
+  StringArena bytes;
 
   // kCompare / kArith operator spelled as text: "=", "<>", "+", ...
   std::string op;
@@ -55,6 +59,10 @@ struct SqlExpr {
 
   // kInList
   std::vector<Value> in_list;
+
+  // kSubstring: 1-based start and length
+  int start = 0;
+  int length = 0;
 
   // kFunc
   std::string func_name;  // lower-case

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 
@@ -249,8 +250,8 @@ class Parser {
       node->negated = negated;
       node->children.push_back(std::move(left));
       for (;;) {
-        QPROG_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-        node->in_list.push_back(std::move(v));
+        QPROG_ASSIGN_OR_RETURN(Value v, ParseLiteralValue(node.get()));
+        node->in_list.push_back(v);
         if (!Cur().Is(",")) break;
         Advance();
       }
@@ -331,7 +332,8 @@ class Parser {
     return left;
   }
 
-  StatusOr<Value> ParseLiteralValue() {
+  /// A VARCHAR literal's bytes are copied into `owner`.
+  StatusOr<Value> ParseLiteralValue(SqlExpr* owner) {
     if (Cur().Is(TokenType::kInteger)) {
       Value v = Value::Int64(std::strtoll(Cur().text.c_str(), nullptr, 10));
       Advance();
@@ -343,7 +345,7 @@ class Parser {
       return v;
     }
     if (Cur().Is(TokenType::kString)) {
-      Value v = Value::String(Cur().text);
+      Value v = Value::String(owner->bytes.Copy(Cur().text));
       Advance();
       return v;
     }
@@ -365,8 +367,8 @@ class Parser {
     if (Cur().Is("-") &&
         (Peek().Is(TokenType::kInteger) || Peek().Is(TokenType::kFloat))) {
       Advance();
-      QPROG_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
       auto node = std::make_unique<SqlExpr>();
+      QPROG_ASSIGN_OR_RETURN(Value v, ParseLiteralValue(node.get()));
       node->kind = SqlExprKind::kLiteral;
       node->literal = v.type() == TypeId::kInt64
                           ? Value::Int64(-v.int64_value())
@@ -384,7 +386,7 @@ class Parser {
         (Cur().Is("date") && Peek().Is(TokenType::kString))) {
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kLiteral;
-      QPROG_ASSIGN_OR_RETURN(node->literal, ParseLiteralValue());
+      QPROG_ASSIGN_OR_RETURN(node->literal, ParseLiteralValue(node.get()));
       return node;
     }
     if (Cur().Is(TokenType::kIdentifier)) {
@@ -408,6 +410,27 @@ class Parser {
           }
           QPROG_ASSIGN_OR_RETURN(SqlExprPtr arg, ParseExpr());
           node->children.push_back(std::move(arg));
+        }
+        QPROG_RETURN_IF_ERROR(Expect(")"));
+        return node;
+      }
+      if (Peek().Is("(") && name == "substring") {
+        Advance();  // name
+        Advance();  // (
+        auto node = std::make_unique<SqlExpr>();
+        node->kind = SqlExprKind::kSubstring;
+        QPROG_ASSIGN_OR_RETURN(SqlExprPtr arg, ParseExpr());
+        node->children.push_back(std::move(arg));
+        for (int* bound : {&node->start, &node->length}) {
+          QPROG_RETURN_IF_ERROR(Expect(","));
+          long long v = Cur().Is(TokenType::kInteger)
+                            ? std::strtoll(Cur().text.c_str(), nullptr, 10)
+                            : -1;
+          if (v < 0 || v > INT32_MAX) {
+            return Error("substring expects integer start and length");
+          }
+          *bound = static_cast<int>(v);
+          Advance();
         }
         QPROG_RETURN_IF_ERROR(Expect(")"));
         return node;

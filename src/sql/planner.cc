@@ -114,6 +114,9 @@ std::string Render(const SqlExpr& e) {
     case SqlExprKind::kIsNull:
       return "(" + Render(*e.children[0]) +
              (e.negated ? " is not null)" : " is null)");
+    case SqlExprKind::kSubstring:
+      return StringPrintf("substring(%s,%d,%d)",
+                          Render(*e.children[0]).c_str(), e.start, e.length);
     case SqlExprKind::kFunc: {
       std::string out = e.func_name + "(";
       if (e.star) {
@@ -200,6 +203,10 @@ StatusOr<ExprPtr> Bind(const SqlExpr& e, const Scope& scope) {
     case SqlExprKind::kIsNull: {
       QPROG_ASSIGN_OR_RETURN(ExprPtr c, Bind(*e.children[0], scope));
       return e.negated ? eb::IsNotNull(std::move(c)) : eb::IsNull(std::move(c));
+    }
+    case SqlExprKind::kSubstring: {
+      QPROG_ASSIGN_OR_RETURN(ExprPtr c, Bind(*e.children[0], scope));
+      return eb::Substr(std::move(c), e.start, e.length);
     }
     case SqlExprKind::kFunc:
       return InvalidArgument(StringPrintf(
@@ -764,10 +771,12 @@ StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db,
   return PlanSelect(stmt, db, options);
 }
 
-StatusOr<std::vector<Row>> ExecuteSql(const std::string& query,
-                                      const Database& db) {
+StatusOr<QueryRows> ExecuteSql(const std::string& query, const Database& db) {
   QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, db));
-  return CollectRows(&plan);
+  QueryRows result;
+  result.rows = CollectRows(&plan);
+  result.strings = OwnStrings(&result.rows);
+  return result;
 }
 
 }  // namespace sql

@@ -15,12 +15,15 @@
 #ifndef QPROG_SQL_PLANNER_H_
 #define QPROG_SQL_PLANNER_H_
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/statusor.h"
 #include "exec/plan.h"
 #include "sql/ast.h"
 #include "storage/catalog.h"
+#include "types/string_arena.h"
 
 namespace qprog {
 namespace sql {
@@ -46,9 +49,16 @@ StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db);
 StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db,
                                const PlanOptions& options);
 
+/// Result rows that outlive their query: `strings` owns the bytes of every
+/// VARCHAR in `rows`, so the rows stay valid after the plan, its spill
+/// manager and the session are gone (DESIGN.md §2, "String ownership").
+struct QueryRows {
+  std::vector<Row> rows;
+  std::shared_ptr<const StringArena> strings;
+};
+
 /// Parse + plan + execute, returning the result rows.
-StatusOr<std::vector<Row>> ExecuteSql(const std::string& query,
-                                      const Database& db);
+StatusOr<QueryRows> ExecuteSql(const std::string& query, const Database& db);
 
 }  // namespace sql
 }  // namespace qprog

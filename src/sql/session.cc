@@ -23,7 +23,21 @@ void SqlSession::RecordRun(const CrossRunObservation& obs) {
   }
 }
 
-StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
+namespace {
+
+// Copies the collected rows' strings out of the plan, the tables and the
+// spill manager they view.
+StatusOr<QueryRows> OwnedRows(exec::DriveResult result) {
+  if (!result.ok()) return result.status;
+  QueryRows owned;
+  owned.strings = OwnStrings(&result.rows);
+  owned.rows = std::move(result.rows);
+  return owned;
+}
+
+}  // namespace
+
+StatusOr<QueryRows> SqlSession::Execute(const std::string& query) {
   PlanOptions popts;
   popts.partitions = options_.partitions;
   QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_, popts));
@@ -40,9 +54,7 @@ StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
   dopts.ctx = &ctx;
   dopts.collect_rows = true;
   exec::DriveResult result = exec::Drive(&plan, dopts);
-  StatusOr<std::vector<Row>> rows =
-      result.ok() ? StatusOr<std::vector<Row>>(std::move(result.rows))
-                  : StatusOr<std::vector<Row>>(result.status);
+  StatusOr<QueryRows> rows = OwnedRows(std::move(result));
   if (options_.cross_run != nullptr) {
     // Workload figures only: an unmonitored run has no checkpoints to score
     // estimators on and no per-node counts to learn cardinalities from.
@@ -53,7 +65,7 @@ StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
     obs.workload.work = ctx.work();
     obs.workload.spill_work = ctx.total_spill_work();
     obs.workload.peak_buffered_rows = ctx.peak_buffered_rows();
-    obs.workload.root_rows = rows.ok() ? rows.value().size() : 0;
+    obs.workload.root_rows = rows.ok() ? rows.value().rows.size() : 0;
     obs.workload.wall_ns = MonotonicNanos() - start_ns;
     RecordRun(obs);
   }

@@ -102,8 +102,9 @@ class SqlSession {
   SqlSession& operator=(const SqlSession&) = delete;
 
   /// Parse + plan + execute under the session's guard/spill environment,
-  /// returning the result rows (no progress monitoring).
-  StatusOr<std::vector<Row>> Execute(const std::string& query);
+  /// returning the result rows (no progress monitoring). The rows own their
+  /// strings: they outlive the session and its spill manager.
+  StatusOr<QueryRows> Execute(const std::string& query);
 
   /// Parse + plan + monitored run: resolves the estimator specs (per-query
   /// override first, else the session defaults) through CreateEstimator —

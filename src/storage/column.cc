@@ -18,9 +18,7 @@ void PermuteVector(const std::vector<size_t>& perm, std::vector<T>* v) {
 
 }  // namespace
 
-Column::Column(TypeId type) : type_(type) {
-  if (type_ == TypeId::kString) offsets_.push_back(0);
-}
+Column::Column(TypeId type) : type_(type) {}
 
 void Column::Reserve(uint64_t n) {
   switch (type_) {
@@ -34,7 +32,7 @@ void Column::Reserve(uint64_t n) {
       bools_.reserve(n);
       break;
     case TypeId::kString:
-      offsets_.reserve(n + 1);
+      strings_.reserve(n);
       break;
     case TypeId::kNull:
     case TypeId::kInt64:
@@ -63,8 +61,8 @@ bool Column::Append(const Value& v) {
       bools_.push_back(!null && v.bool_value() ? 1 : 0);
       break;
     case TypeId::kString:
-      if (!null) chars_.append(v.string_value());
-      offsets_.push_back(chars_.size());
+      strings_.push_back(
+          chars_.Copy(null ? std::string_view() : v.string_value()));
       break;
     case TypeId::kNull:
     case TypeId::kInt64:
@@ -89,20 +87,9 @@ void Column::Permute(const std::vector<size_t>& perm) {
     case TypeId::kBool:
       PermuteVector(perm, &bools_);
       break;
-    case TypeId::kString: {
-      std::string chars;
-      chars.reserve(chars_.size());
-      std::vector<uint64_t> offsets;
-      offsets.reserve(offsets_.size());
-      offsets.push_back(0);
-      for (size_t src : perm) {
-        chars.append(chars_, offsets_[src], offsets_[src + 1] - offsets_[src]);
-        offsets.push_back(chars.size());
-      }
-      chars_ = std::move(chars);
-      offsets_ = std::move(offsets);
+    case TypeId::kString:
+      PermuteVector(perm, &strings_);
       break;
-    }
     case TypeId::kNull:
     case TypeId::kInt64:
       PermuteVector(perm, &bigints_);

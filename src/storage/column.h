@@ -2,10 +2,11 @@
 // layout").
 //
 // The payload is a plain array in the field's SQL type: int64_t for BIGINT,
-// double for DOUBLE, int32_t days for DATE, one byte per BOOLEAN, and one
-// byte buffer plus offsets for VARCHAR. NULL slots hold a zero (or empty)
-// payload and are flagged in a byte-per-row null mask, which is allocated
-// only when the first NULL arrives. Statistics and indexes sort the payload
+// double for DOUBLE, int32_t days for DATE, one byte per BOOLEAN, and for
+// VARCHAR one string view per row into the column's own StringArena, whose
+// bytes never move. NULL slots hold a zero (or empty) payload and are
+// flagged in a byte-per-row null mask, which is allocated only when the
+// first NULL arrives. Statistics and indexes sort the payload
 // through the typed views below instead of sorting Values.
 
 #ifndef QPROG_STORAGE_COLUMN_H_
@@ -16,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -52,14 +54,12 @@ struct BooleanView {
   static Value Box(bool v) { return Value::Bool(v); }
 };
 
+/// Box views the column's bytes, which never move (see Column).
 struct VarcharView {
   using value_type = std::string_view;
-  const char* chars;
-  const uint64_t* offsets;  // row i is chars[offsets[i], offsets[i + 1])
-  std::string_view operator[](uint64_t i) const {
-    return std::string_view(chars + offsets[i], offsets[i + 1] - offsets[i]);
-  }
-  static Value Box(std::string_view v) { return Value::String(std::string(v)); }
+  const std::string_view* strings;
+  std::string_view operator[](uint64_t i) const { return strings[i]; }
+  static Value Box(std::string_view v) { return Value::String(v); }
 };
 
 class Column {
@@ -78,32 +78,24 @@ class Column {
   /// nor of the column's type.
   bool Append(const Value& v);
 
-  /// Overwrites `*out` with row `i`'s value, reusing its string capacity.
-  /// Inline: scans call it for every cell they build.
-  void Read(uint64_t i, Value* out) const {
-    if (is_null(i)) {
-      out->SetNull();
-      return;
-    }
+  /// Row `i`'s value; a VARCHAR views the column's bytes. Inline: scans
+  /// call it for every cell they build.
+  Value Read(uint64_t i) const {
+    if (is_null(i)) return Value::Null();
     switch (type_) {
       case TypeId::kDouble:
-        out->SetDouble(doubles_[i]);
-        return;
+        return Value::Double(doubles_[i]);
       case TypeId::kDate:
-        out->SetDate(dates_[i]);
-        return;
+        return Value::Date(dates_[i]);
       case TypeId::kBool:
-        out->SetBool(bools_[i] != 0);
-        return;
+        return Value::Bool(bools_[i] != 0);
       case TypeId::kString:
-        out->SetString(std::string_view(chars_.data() + offsets_[i],
-                                        offsets_[i + 1] - offsets_[i]));
-        return;
+        return Value::String(strings_[i]);
       case TypeId::kNull:
       case TypeId::kInt64:
-        out->SetInt64(bigints_[i]);
-        return;
+        break;
     }
+    return Value::Int64(bigints_[i]);
   }
 
   /// Calls `fn` with the typed view of this column's payload and returns its
@@ -118,7 +110,7 @@ class Column {
       case TypeId::kBool:
         return fn(BooleanView{bools_.data()});
       case TypeId::kString:
-        return fn(VarcharView{chars_.data(), offsets_.data()});
+        return fn(VarcharView{strings_.data()});
       case TypeId::kNull:
       case TypeId::kInt64:
         break;
@@ -127,7 +119,8 @@ class Column {
   }
 
   /// Reorders the rows so that new row k is old row `perm[k]`. `perm` must
-  /// be a permutation of [0, size()).
+  /// be a permutation of [0, size()). VARCHAR bytes stay where they are:
+  /// only the per-row views are permuted.
   void Permute(const std::vector<size_t>& perm);
 
  private:
@@ -141,8 +134,12 @@ class Column {
   std::vector<double> doubles_;
   std::vector<int32_t> dates_;
   std::vector<uint8_t> bools_;
-  std::string chars_;
-  std::vector<uint64_t> offsets_;  // size_ + 1 entries for VARCHAR
+  // VARCHAR: row i is strings_[i], a view into chars_. Once a byte is
+  // copied into chars_ it never moves (appends add chunks, Permute moves
+  // only the views), so every Value read from the column stays valid for
+  // the column's lifetime.
+  StringArena chars_;
+  std::vector<std::string_view> strings_;
 };
 
 }  // namespace qprog

@@ -81,7 +81,7 @@ void AppendRowBytes(const Row& row, std::string* out) {
         break;
       }
       case TypeId::kString: {
-        const std::string& s = v.string_value();
+        std::string_view s = v.string_value();
         AppendU32(out, static_cast<uint32_t>(s.size()));
         out->append(s);
         break;
@@ -90,7 +90,8 @@ void AppendRowBytes(const Row& row, std::string* out) {
   }
 }
 
-Status ParseRowBytes(const std::string& bytes, Row* out) {
+Status ParseRowBytes(const std::string& bytes, StringArena* strings,
+                     Row* out) {
   const char* p = bytes.data();
   const char* end = p + bytes.size();
   uint32_t nfields = 0;
@@ -139,7 +140,7 @@ Status ParseRowBytes(const std::string& bytes, Row* out) {
         if (!ReadU32(p, end, &len, &p) || end - p < len) {
           return Internal("spill row: truncated string");
         }
-        out->push_back(Value::String(std::string(p, len)));
+        out->push_back(Value::String(strings->Copy(std::string_view(p, len))));
         p += len;
         break;
       }

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/statusor.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -38,7 +39,9 @@ void AppendRowBytes(const Row& row, std::string* out);
 /// Parses a buffer produced by AppendRowBytes. Fails with kInternal on any
 /// malformed byte — a failed parse after a passing checksum means a bug, not
 /// bit rot, but the caller treats both as permanent spill corruption.
-Status ParseRowBytes(const std::string& bytes, Row* out);
+/// VARCHAR bytes are copied into `strings`, which the row's strings view.
+Status ParseRowBytes(const std::string& bytes, StringArena* strings,
+                     Row* out);
 
 class SpillFile {
  public:

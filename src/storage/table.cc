@@ -33,7 +33,7 @@ void Table::Reserve(uint64_t n) {
 
 void Table::ReadRow(uint64_t i, Row* out) const {
   out->resize(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Read(i, &(*out)[c]);
+  for (size_t c = 0; c < columns_.size(); ++c) (*out)[c] = columns_[c].Read(i);
 }
 
 void Table::Reorder(const std::vector<size_t>& perm) {

@@ -52,15 +52,11 @@ class Table {
   /// arity.
   void ReadColumns(uint64_t i, const std::vector<size_t>& columns,
                    Row* out) const {
-    for (size_t c : columns) columns_[c].Read(i, &(*out)[c]);
+    for (size_t c : columns) (*out)[c] = columns_[c].Read(i);
   }
 
-  /// Value of column `col` in row `i` (a copy).
-  Value at(uint64_t i, size_t col) const {
-    Value v;
-    columns_[col].Read(i, &v);
-    return v;
-  }
+  /// Value of column `col` in row `i`; a VARCHAR views the column's bytes.
+  Value at(uint64_t i, size_t col) const { return columns_[col].Read(i); }
 
   /// Physically reorders the rows so that row i of the new table is
   /// `perm[i]` of the old one. `perm` must be a permutation of [0, n).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <iterator>
 #include <utility>
 
@@ -118,6 +119,17 @@ class TpchGenerator {
                         static_cast<int>(rng_.UniformInt(1000, 9999)));
   }
 
+  // A VARCHAR cell of the row being generated: Values only view bytes, so
+  // the string is kept until Append has copied the row into its table.
+  Value Str(std::string s) {
+    return Value::String(row_strings_.emplace_back(std::move(s)));
+  }
+
+  void Append(Table* table, const Row& row) {
+    table->AppendRow(row);
+    row_strings_.clear();
+  }
+
   // zipf-skewed choice in [0, n): rank drawn from the distribution, mapped
   // through a fixed pseudo-random permutation-ish multiplier so that the
   // popular keys are spread across the key domain (as the skewed dbgen does).
@@ -132,8 +144,8 @@ class TpchGenerator {
   Status GenRegion() {
     Table table("region", RegionSchema());
     for (int64_t i = 0; i < 5; ++i) {
-      table.AppendRow({Value::Int64(i), Value::String(kRegions[i]),
-                       Value::String(Comment(3, 8))});
+      Append(&table, {Value::Int64(i), Value::String(kRegions[i]),
+                      Str(Comment(3, 8))});
     }
     return db_->AddTable(std::move(table)).status();
   }
@@ -141,9 +153,8 @@ class TpchGenerator {
   Status GenNation() {
     Table table("nation", NationSchema());
     for (int64_t i = 0; i < 25; ++i) {
-      table.AppendRow({Value::Int64(i), Value::String(kNations[i]),
-                       Value::Int64(kNationRegion[i]),
-                       Value::String(Comment(3, 8))});
+      Append(&table, {Value::Int64(i), Value::String(kNations[i]),
+                      Value::Int64(kNationRegion[i]), Str(Comment(3, 8))});
     }
     return db_->AddTable(std::move(table)).status();
   }
@@ -153,14 +164,12 @@ class TpchGenerator {
     table.Reserve(suppliers_);
     for (int64_t i = 1; i <= static_cast<int64_t>(suppliers_); ++i) {
       int64_t nation = SkewedKey(nation_zipf_, 25);
-      table.AppendRow({Value::Int64(i),
-                       Value::String(StringPrintf("Supplier#%09lld",
-                                                  static_cast<long long>(i))),
-                       Value::String(Comment(2, 4)),
-                       Value::Int64(nation),
-                       Value::String(Phone(nation)),
-                       Value::Double(rng_.UniformDouble(-999.99, 9999.99)),
-                       Value::String(Comment(5, 12))});
+      Append(&table,
+             {Value::Int64(i),
+              Str(StringPrintf("Supplier#%09lld", static_cast<long long>(i))),
+              Str(Comment(2, 4)), Value::Int64(nation), Str(Phone(nation)),
+              Value::Double(rng_.UniformDouble(-999.99, 9999.99)),
+              Str(Comment(5, 12))});
     }
     return db_->AddTable(std::move(table)).status();
   }
@@ -180,16 +189,15 @@ class TpchGenerator {
       std::string container =
           std::string(kContainerSyllable1[rng_.Uniform(5)]) + " " +
           kContainerSyllable2[rng_.Uniform(8)];
-      table.AppendRow(
-          {Value::Int64(i), Value::String(std::move(name)),
-           Value::String(StringPrintf("Manufacturer#%d", m)),
-           Value::String(StringPrintf("Brand#%d%d", m, nbrand)),
-           Value::String(std::move(type)),
-           Value::Int64(1 + static_cast<int64_t>(qty_zipf_.Sample(&rng_))),
-           Value::String(std::move(container)),
-           Value::Double(900.0 + static_cast<double>(i % 1000) + 0.01 *
-                                     static_cast<double>(i % 100)),
-           Value::String(Comment(2, 6))});
+      Append(&table,
+             {Value::Int64(i), Value::String(name),
+              Str(StringPrintf("Manufacturer#%d", m)),
+              Str(StringPrintf("Brand#%d%d", m, nbrand)), Value::String(type),
+              Value::Int64(1 + static_cast<int64_t>(qty_zipf_.Sample(&rng_))),
+              Value::String(container),
+              Value::Double(900.0 + static_cast<double>(i % 1000) +
+                            0.01 * static_cast<double>(i % 100)),
+              Str(Comment(2, 6))});
     }
     return db_->AddTable(std::move(table)).status();
   }
@@ -200,10 +208,10 @@ class TpchGenerator {
     for (int64_t pk = 1; pk <= static_cast<int64_t>(parts_); ++pk) {
       for (int64_t j = 0; j < kPartsuppPerPart; ++j) {
         int64_t sk = 1 + SkewedKey(supp_zipf_, static_cast<int64_t>(suppliers_));
-        table.AppendRow({Value::Int64(pk), Value::Int64(sk),
-                         Value::Int64(rng_.UniformInt(1, 9999)),
-                         Value::Double(rng_.UniformDouble(1.0, 1000.0)),
-                         Value::String(Comment(10, 20))});
+        Append(&table, {Value::Int64(pk), Value::Int64(sk),
+                        Value::Int64(rng_.UniformInt(1, 9999)),
+                        Value::Double(rng_.UniformDouble(1.0, 1000.0)),
+                        Str(Comment(10, 20))});
       }
     }
     return db_->AddTable(std::move(table)).status();
@@ -214,15 +222,13 @@ class TpchGenerator {
     table.Reserve(customers_);
     for (int64_t i = 1; i <= static_cast<int64_t>(customers_); ++i) {
       int64_t nation = SkewedKey(nation_zipf_, 25);
-      table.AppendRow(
-          {Value::Int64(i),
-           Value::String(StringPrintf("Customer#%09lld",
-                                      static_cast<long long>(i))),
-           Value::String(Comment(2, 4)), Value::Int64(nation),
-           Value::String(Phone(nation)),
-           Value::Double(rng_.UniformDouble(-999.99, 9999.99)),
-           Value::String(kSegments[rng_.Uniform(5)]),
-           Value::String(Comment(6, 16))});
+      Append(&table,
+             {Value::Int64(i),
+              Str(StringPrintf("Customer#%09lld", static_cast<long long>(i))),
+              Str(Comment(2, 4)), Value::Int64(nation), Str(Phone(nation)),
+              Value::Double(rng_.UniformDouble(-999.99, 9999.99)),
+              Value::String(kSegments[rng_.Uniform(5)]),
+              Str(Comment(6, 16))});
     }
     return db_->AddTable(std::move(table)).status();
   }
@@ -261,25 +267,24 @@ class TpchGenerator {
                                                 : "N";
         const char* lstatus = sdate > DaysFromCivil(1995, 6, 17) ? "O" : "F";
         total += price * (1 - discount) * (1 + tax);
-        lineitem.AppendRow(
-            {Value::Int64(ok), Value::Int64(pk), Value::Int64(sk),
-             Value::Int64(ln), Value::Double(qty), Value::Double(price),
-             Value::Double(discount), Value::Double(tax), Value::String(rflag),
-             Value::String(lstatus), Value::Date(sdate), Value::Date(cdate),
-             Value::Date(rdate),
-             Value::String(kInstructions[rng_.Uniform(4)]),
-             Value::String(kShipmodes[rng_.Uniform(7)]),
-             Value::String(Comment(4, 10))});
+        Append(&lineitem,
+               {Value::Int64(ok), Value::Int64(pk), Value::Int64(sk),
+                Value::Int64(ln), Value::Double(qty), Value::Double(price),
+                Value::Double(discount), Value::Double(tax),
+                Value::String(rflag), Value::String(lstatus),
+                Value::Date(sdate), Value::Date(cdate), Value::Date(rdate),
+                Value::String(kInstructions[rng_.Uniform(4)]),
+                Value::String(kShipmodes[rng_.Uniform(7)]),
+                Str(Comment(4, 10))});
       }
-      orders.AppendRow(
-          {Value::Int64(ok), Value::Int64(ck), Value::String(std::move(status)),
-           Value::Double(total), Value::Date(odate),
-           Value::String(kPriorities[rng_.Uniform(5)]),
-           Value::String(StringPrintf("Clerk#%09d",
-                                      static_cast<int>(rng_.UniformInt(
-                                          1, std::max<int64_t>(
-                                                 1, orders_ / 1000))))),
-           Value::Int64(0), Value::String(Comment(6, 16))});
+      Append(&orders,
+             {Value::Int64(ok), Value::Int64(ck), Value::String(status),
+              Value::Double(total), Value::Date(odate),
+              Value::String(kPriorities[rng_.Uniform(5)]),
+              Str(StringPrintf("Clerk#%09d",
+                               static_cast<int>(rng_.UniformInt(
+                                   1, std::max<int64_t>(1, orders_ / 1000))))),
+              Value::Int64(0), Str(Comment(6, 16))});
     }
     QPROG_RETURN_IF_ERROR(db_->AddTable(std::move(orders)).status());
     return db_->AddTable(std::move(lineitem)).status();
@@ -319,6 +324,7 @@ class TpchGenerator {
   ZipfDistribution cust_zipf_;
   ZipfDistribution nation_zipf_;
   ZipfDistribution qty_zipf_;
+  std::deque<std::string> row_strings_;  // deque: elements never move
 };
 
 }  // namespace

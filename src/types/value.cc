@@ -55,7 +55,7 @@ int Value::Compare(const Value& other) const {
         type_ == TypeId::kString && other.type_ == TypeId::kString,
         "comparing %s with %s", TypeIdToString(type_),
         TypeIdToString(other.type_));
-    return string_.compare(other.string_);
+    return string_value().compare(other.string_value());
   }
   if (type_ == TypeId::kBool || other.type_ == TypeId::kBool) {
     QPROG_CHECK(type_ == TypeId::kBool && other.type_ == TypeId::kBool);
@@ -79,7 +79,7 @@ int Value::Compare(const Value& other) const {
 bool Value::EqualsForGrouping(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
   if (type_ == TypeId::kString || other.type_ == TypeId::kString) {
-    return type_ == other.type_ && string_ == other.string_;
+    return type_ == other.type_ && string_value() == other.string_value();
   }
   if (type_ == TypeId::kBool || other.type_ == TypeId::kBool) {
     return type_ == other.type_ && u_.bool_ == other.u_.bool_;
@@ -94,7 +94,7 @@ size_t Value::Hash() const {
     case TypeId::kBool:
       return u_.bool_ ? 0x5BD1E995u : 0xC2B2AE35u;
     case TypeId::kString:
-      return std::hash<std::string>()(string_);
+      return std::hash<std::string_view>()(string_value());
     default: {
       // Hash numerics through double so 1 and 1.0 collide (they are equal
       // under EqualsForGrouping).
@@ -118,7 +118,7 @@ std::string Value::ToString() const {
     case TypeId::kDate:
       return FormatDate(u_.date_);
     case TypeId::kString:
-      return string_;
+      return std::string(string_value());
   }
   return "?";
 }

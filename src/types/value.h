@@ -12,7 +12,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -34,14 +34,18 @@ const char* TypeIdToString(TypeId type);
 /// True for BIGINT, DOUBLE and DATE (types that order numerically).
 bool IsNumericType(TypeId type);
 
-/// A dynamically typed scalar. Copyable; strings are owned.
+/// A dynamically typed scalar: a 16-byte, trivially copyable cell (DESIGN.md
+/// §2, "String ownership"). A VARCHAR is a view: a pointer and a 32-bit
+/// length into bytes that someone else owns — a table column, a plan
+/// constant, a spill run's arena or a result's StringArena
+/// (types/string_arena.h). Copying a Value never copies string bytes.
 class Value {
  public:
   /// SQL NULL.
-  Value() : type_(TypeId::kNull) {}
+  Value() = default;
 
-  // Factories, setters and accessors are inline: loads, scans and
-  // expression evaluation call them once per cell.
+  // Factories and accessors are inline: loads, scans and expression
+  // evaluation call them once per cell.
   static Value Null() { return Value(); }
   static Value Bool(bool v) {
     Value r(TypeId::kBool);
@@ -63,38 +67,21 @@ class Value {
     r.u_.date_ = days;
     return r;
   }
-  static Value String(std::string v) {
+  /// A VARCHAR viewing `v`'s bytes, which must outlive every copy of the
+  /// result. A temporary std::string does not, so that overload is deleted.
+  static Value String(std::string_view v) {
+    QPROG_DCHECK(v.size() <= UINT32_MAX);
     Value r(TypeId::kString);
-    r.string_ = std::move(v);
+    r.len_ = static_cast<uint32_t>(v.size());
+    r.u_.chars_ = v.data();
     return r;
   }
+  template <typename S>
+    requires std::is_same_v<S, std::string>
+  static Value String(S&&) = delete;
 
   TypeId type() const { return type_; }
   bool is_null() const { return type_ == TypeId::kNull; }
-
-  /// In-place assignment, equivalent to `*this = Value::Int64(v)` and so on
-  /// without a temporary. SetString reuses the string's capacity.
-  void SetNull() { Set(TypeId::kNull); }
-  void SetBool(bool v) {
-    Set(TypeId::kBool);
-    u_.bool_ = v;
-  }
-  void SetInt64(int64_t v) {
-    Set(TypeId::kInt64);
-    u_.int64_ = v;
-  }
-  void SetDouble(double v) {
-    Set(TypeId::kDouble);
-    u_.double_ = v;
-  }
-  void SetDate(int32_t days) {
-    Set(TypeId::kDate);
-    u_.date_ = days;
-  }
-  void SetString(std::string_view v) {
-    type_ = TypeId::kString;
-    string_.assign(v.data(), v.size());
-  }
 
   /// Typed accessors; abort on type mismatch (programmer error).
   bool bool_value() const {
@@ -113,9 +100,9 @@ class Value {
     QPROG_CHECK(type_ == TypeId::kDate);
     return u_.date_;
   }
-  const std::string& string_value() const {
+  std::string_view string_value() const {
     QPROG_CHECK(type_ == TypeId::kString);
-    return string_;
+    return std::string_view(u_.chars_, len_);
   }
 
   /// Numeric view: BIGINT/DOUBLE/DATE/BOOL coerced to double; aborts
@@ -132,7 +119,9 @@ class Value {
   /// 1 (BIGINT) equals 1.0 (DOUBLE), strings compare bytewise.
   bool EqualsForGrouping(const Value& other) const;
 
-  /// Hash consistent with EqualsForGrouping.
+  /// Hash consistent with EqualsForGrouping. A VARCHAR hashes its bytes
+  /// through std::hash<std::string_view>, which equals std::hash<std::string>
+  /// on the same bytes.
   size_t Hash() const;
 
   /// SQL-text rendering (strings unquoted; dates as YYYY-MM-DD).
@@ -146,22 +135,18 @@ class Value {
  private:
   explicit Value(TypeId type) : type_(type) {}
 
-  // Non-string types keep an empty string, so copies stay cheap.
-  void Set(TypeId type) {
-    type_ = type;
-    u_ = {};
-    string_.clear();
-  }
-
-  TypeId type_;
+  TypeId type_ = TypeId::kNull;
+  uint32_t len_ = 0;  // VARCHAR byte length
   union {
-    bool bool_;
     int64_t int64_;
     double double_;
+    bool bool_;
     int32_t date_;
-  } u_ = {};
-  std::string string_;
+    const char* chars_;  // VARCHAR bytes, owned elsewhere
+  } u_ = {0};
 };
+
+static_assert(sizeof(Value) == 16 && std::is_trivially_copyable_v<Value>);
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

@@ -81,15 +81,15 @@ TEST_F(EmptyTpchTest, SqlOverEmptyTables) {
   auto rows = sql::ExecuteSql(
       "SELECT count(*), sum(l_quantity) FROM lineitem", *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][0].int64_value(), 0);
-  EXPECT_TRUE((*rows)[0][1].is_null());
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 0);
+  EXPECT_TRUE(rows->rows[0][1].is_null());
 
   auto grouped = sql::ExecuteSql(
       "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag",
       *db_);
   ASSERT_TRUE(grouped.ok());
-  EXPECT_TRUE(grouped->empty());
+  EXPECT_TRUE(grouped->rows.empty());
 }
 
 TEST(EdgeCaseTest, SingleRowJoinWorkloads) {

@@ -444,7 +444,7 @@ TEST_F(ExchangeSqlTest, PartitionedSessionMatchesSerialOnGroupBy) {
       "SELECT k, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS mn, MAX(v) AS mx "
       "FROM k GROUP BY k";
   sql::SqlSession serial(&db_);
-  StatusOr<std::vector<Row>> want = serial.Execute(query);
+  StatusOr<sql::QueryRows> want = serial.Execute(query);
   ASSERT_TRUE(want.ok()) << want.status();
 
   WorkerPool pool(4);
@@ -452,12 +452,12 @@ TEST_F(ExchangeSqlTest, PartitionedSessionMatchesSerialOnGroupBy) {
   opts.partitions = 4;
   opts.worker_pool = &pool;
   sql::SqlSession partitioned(&db_, opts);
-  StatusOr<std::vector<Row>> got = partitioned.Execute(query);
+  StatusOr<sql::QueryRows> got = partitioned.Execute(query);
   ASSERT_TRUE(got.ok()) << got.status();
   // Serial HashAggregate emits first-seen order; FinalAggregate emits
   // key-sorted order — compare as sets.
-  EXPECT_EQ(testutil::RowsToString(Sorted(got.value())),
-            testutil::RowsToString(Sorted(want.value())));
+  EXPECT_EQ(testutil::RowsToString(Sorted(got->rows)),
+            testutil::RowsToString(Sorted(want->rows)));
 }
 
 TEST_F(ExchangeSqlTest, PartitionedPlanActuallyContainsAnExchange) {
@@ -491,12 +491,12 @@ TEST_F(ExchangeSqlTest, NonDecomposableQueriesFallBackToSerialPlans) {
   popts2.partitions = 4;
   sql::SqlSession partitioned(&db_, popts2);
   const std::string q = "SELECT k, COUNT(DISTINCT v) AS c FROM k GROUP BY k";
-  StatusOr<std::vector<Row>> want = serial.Execute(q);
-  StatusOr<std::vector<Row>> got = partitioned.Execute(q);
+  StatusOr<sql::QueryRows> want = serial.Execute(q);
+  StatusOr<sql::QueryRows> got = partitioned.Execute(q);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(testutil::RowsToString(Sorted(got.value())),
-            testutil::RowsToString(Sorted(want.value())));
+  EXPECT_EQ(testutil::RowsToString(Sorted(got->rows)),
+            testutil::RowsToString(Sorted(want->rows)));
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ PhysicalPlan StreamAggPlan(const Table* t) {
 void CheckSalesAggregates(const std::vector<Row>& rows) {
   ASSERT_EQ(rows.size(), 3u);
   for (const Row& r : rows) {
-    const std::string& g = r[0].string_value();
+    std::string_view g = r[0].string_value();
     if (g == "a") {
       EXPECT_EQ(r[1].int64_value(), 3);  // COUNT(*)
       EXPECT_DOUBLE_EQ(r[2].double_value(), 60.0);

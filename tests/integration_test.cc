@@ -41,12 +41,12 @@ TEST_F(IntegrationTest, SqlAggregateMatchesHandPlanOnQ6) {
   auto hand = tpch::BuildQuery(6, *db_);
   ASSERT_TRUE(hand.ok());
   auto hand_rows = CollectRows(&hand.value());
-  ASSERT_EQ(sql_rows->size(), 1u);
+  ASSERT_EQ(sql_rows->rows.size(), 1u);
   ASSERT_EQ(hand_rows.size(), 1u);
-  if ((*sql_rows)[0][0].is_null()) {
+  if (sql_rows->rows[0][0].is_null()) {
     EXPECT_TRUE(hand_rows[0][0].is_null());
   } else {
-    EXPECT_NEAR((*sql_rows)[0][0].double_value(),
+    EXPECT_NEAR(sql_rows->rows[0][0].double_value(),
                 hand_rows[0][0].double_value(), 1e-6);
   }
 }
@@ -62,13 +62,13 @@ TEST_F(IntegrationTest, SqlAggregateMatchesHandPlanOnQ1) {
   auto hand = tpch::BuildQuery(1, *db_);
   ASSERT_TRUE(hand.ok());
   auto hand_rows = CollectRows(&hand.value());
-  ASSERT_EQ(sql_rows->size(), hand_rows.size());
+  ASSERT_EQ(sql_rows->rows.size(), hand_rows.size());
   for (size_t i = 0; i < hand_rows.size(); ++i) {
-    EXPECT_TRUE((*sql_rows)[i][0].EqualsForGrouping(hand_rows[i][0]));
-    EXPECT_TRUE((*sql_rows)[i][1].EqualsForGrouping(hand_rows[i][1]));
-    EXPECT_NEAR((*sql_rows)[i][2].double_value(),
+    EXPECT_TRUE(sql_rows->rows[i][0].EqualsForGrouping(hand_rows[i][0]));
+    EXPECT_TRUE(sql_rows->rows[i][1].EqualsForGrouping(hand_rows[i][1]));
+    EXPECT_NEAR(sql_rows->rows[i][2].double_value(),
                 hand_rows[i][2].double_value(), 1e-6);
-    EXPECT_EQ((*sql_rows)[i][3].int64_value(),
+    EXPECT_EQ(sql_rows->rows[i][3].int64_value(),
               hand_rows[i][9].int64_value());  // count_order is col 9 in Q1
   }
 }
@@ -80,7 +80,7 @@ TEST_F(IntegrationTest, SqlJoinCountMatchesCatalog) {
       "o.o_orderkey",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ((*rows)[0][0].int64_value(),
+  EXPECT_EQ(rows->rows[0][0].int64_value(),
             static_cast<int64_t>(db_->GetTable("lineitem")->num_rows()));
 }
 

@@ -887,6 +887,97 @@ TEST(RecursiveGraceTest, GoldenDigestsPinSerialAndPooledGraceRuns) {
 }
 
 // ---------------------------------------------------------------------------
+// VARCHAR rows read back from spill runs (DESIGN.md §2, "String ownership")
+// ---------------------------------------------------------------------------
+
+/// Distinct VARCHAR keys whose key row hashes into depth-0 Grace partition 0,
+/// the string twin of PartitionZeroKeys.
+std::vector<std::string> PartitionZeroStringKeys(size_t want) {
+  std::vector<std::string> keys;
+  for (int64_t k = 0; keys.size() < want; ++k) {
+    std::string key = "key-" + std::to_string(k);
+    if (RowHash()(Row{Value::String(key)}) %
+            static_cast<size_t>(kSpillFanout) ==
+        0) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+TEST(SpilledStringTest, SortJoinAndAggregateRowsOutliveTheirRuns) {
+  // VARCHAR keys and payloads through a spilling Sort, a depth-2 Grace join
+  // and a HashAggregate replay, serial and on four workers. When Drive
+  // returns every run is discarded; the rows still view the strings the
+  // runs decoded, now held by the manager, and must equal the in-memory
+  // reference.
+  std::vector<std::string> keys = PartitionZeroStringKeys(200);
+  std::vector<Row> sort_rows, build_rows, probe_rows;
+  for (int64_t i = 1999; i >= 0; --i) {
+    sort_rows.push_back({S(keys[i % 200]), S("pay-" + std::to_string(i))});
+  }
+  for (const std::string& k : keys) {
+    for (int i = 0; i < 8; ++i) build_rows.push_back({S(k), S("b" + k)});
+    for (int i = 0; i < 2; ++i) probe_rows.push_back({S(k), S("p" + k)});
+  }
+  Table sort_t = testutil::MakeTable("s", {"k", "v"}, std::move(sort_rows));
+  Table build = testutil::MakeTable("b", {"k", "v"}, std::move(build_rows));
+  Table probe = testutil::MakeTable("p", {"k", "v"}, std::move(probe_rows));
+  auto agg_plan = [&] {
+    std::vector<ExprPtr> groups;
+    groups.push_back(eb::Col(0));
+    std::vector<AggregateDesc> aggs;
+    aggs.emplace_back(AggFunc::kMin, eb::Col(1), "lo");
+    aggs.emplace_back(AggFunc::kMax, eb::Col(1), "hi");
+    return PhysicalPlan(std::make_unique<HashAggregate>(
+        std::make_unique<SeqScan>(&sort_t), std::move(groups),
+        std::vector<std::string>{"g"}, std::move(aggs)));
+  };
+  struct Case {
+    const char* name;
+    std::function<PhysicalPlan()> make;
+    uint64_t kill;
+    bool ordered;  // compare in output order, not sorted
+  };
+  const Case kCases[] = {
+      {"sort", [&] { return SortPlan(&sort_t); }, QueryGuard::kNoLimit, true},
+      {"join", [&] { return JoinPlan(&probe, &build); }, 150, false},
+      {"agg", agg_plan, QueryGuard::kNoLimit, false},
+  };
+  for (const Case& c : kCases) {
+    std::vector<Row> reference = InMemoryRows(c.make());
+    ASSERT_FALSE(reference.empty()) << c.name;
+    for (int threads : {0, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      std::string dir = MakeSpillDir(std::string("strings_") + c.name +
+                                     std::to_string(threads));
+      SpillManager spill(dir);
+      QueryGuard guard;
+      guard.set_max_buffered_rows(64);
+      guard.set_max_buffered_rows_kill(c.kill);
+      PhysicalPlan plan = c.make();
+      ExecContext ctx;
+      ctx.set_guard(&guard);
+      ctx.set_spill_manager(&spill);
+      std::unique_ptr<WorkerPool> pool;
+      if (threads > 0) {
+        pool = std::make_unique<WorkerPool>(threads);
+        ctx.set_worker_pool(pool.get());
+      }
+      StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      EXPECT_GT(spill.stats().runs_created, 0u) << "nothing spilled";
+      ASSERT_EQ(spill.live_runs(), 0u);
+      EXPECT_EQ(testutil::RowsToString(c.ordered ? rows.value()
+                                                 : Sorted(rows.value())),
+                testutil::RowsToString(c.ordered ? reference
+                                                 : Sorted(reference)));
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Parallel HashAggregate spilled-partition replay (DESIGN.md §9)
 // ---------------------------------------------------------------------------
 

@@ -241,9 +241,9 @@ TEST_F(ServerSoakTest, FleetRunsAreByteIdenticalToSoloRuns) {
           so.spill_manager = &spill;
           so.worker_pool = solo_pool.get();
           sql::SqlSession session(db_, so);
-          StatusOr<std::vector<Row>> rows = session.Execute(setups[qi].sql);
+          StatusOr<sql::QueryRows> rows = session.Execute(setups[qi].sql);
           ASSERT_TRUE(rows.ok()) << rows.status();
-          solo_rows[qi] = testutil::RowsToString(rows.value());
+          solo_rows[qi] = testutil::RowsToString(rows->rows);
         }
         ASSERT_EQ(CountSpillFiles(dir.string()), 0);
 
@@ -382,9 +382,9 @@ TEST_F(ServerSoakTest, RevocationUnderLoadKeepsBoundsAndResults) {
   // Solo row counts for the result check.
   std::vector<uint64_t> solo_root_rows;
   for (const char* sql : kQueries) {
-    StatusOr<std::vector<Row>> rows = sql::ExecuteSql(sql, *db_);
+    StatusOr<sql::QueryRows> rows = sql::ExecuteSql(sql, *db_);
     ASSERT_TRUE(rows.ok()) << rows.status();
-    solo_root_rows.push_back(rows->size());
+    solo_root_rows.push_back(rows->rows.size());
   }
 
   std::filesystem::path dir = ScratchDir("revoke");
@@ -469,9 +469,9 @@ TEST_F(ServerSoakTest, RevocationUnderLoadKeepsBoundsAndResults) {
 TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
   std::vector<uint64_t> solo_root_rows;
   for (const char* sql : kQueries) {
-    StatusOr<std::vector<Row>> rows = sql::ExecuteSql(sql, *db_);
+    StatusOr<sql::QueryRows> rows = sql::ExecuteSql(sql, *db_);
     ASSERT_TRUE(rows.ok()) << rows.status();
-    solo_root_rows.push_back(rows->size());
+    solo_root_rows.push_back(rows->rows.size());
   }
 
   std::filesystem::path dir = ScratchDir("exchange");

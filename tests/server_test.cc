@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -20,6 +21,8 @@
 #include "exec/query_guard.h"
 #include "exec/spill.h"
 #include "obs/cross_run_registry.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "server/admission.h"
 #include "server/memory_governor.h"
 #include "server/query_server.h"
@@ -363,7 +366,7 @@ TEST_F(QueryServerTest, OwnRegistryNeverFeedsBackIntoEstimates) {
 }
 
 TEST_F(QueryServerTest, PlainRowsMatchDirectExecution) {
-  StatusOr<std::vector<Row>> direct = sql::ExecuteSql(kGroupQuery, *db_);
+  StatusOr<sql::QueryRows> direct = sql::ExecuteSql(kGroupQuery, *db_);
   ASSERT_TRUE(direct.ok());
   ServerOptions opts;
   opts.sessions = 2;
@@ -373,7 +376,7 @@ TEST_F(QueryServerTest, PlainRowsMatchDirectExecution) {
   QueryResult r = server.Wait(server.Submit("acme", kGroupQuery, so));
   ASSERT_TRUE(r.status.ok()) << r.status;
   EXPECT_EQ(testutil::RowsToString(testutil::Sorted(r.rows)),
-            testutil::RowsToString(testutil::Sorted(direct.value())));
+            testutil::RowsToString(testutil::Sorted(direct->rows)));
 }
 
 TEST_F(QueryServerTest, ShedQueryGetsSanitizedReportAndRetryHint) {
@@ -597,7 +600,7 @@ TEST_F(QueryServerTest, DeterministicAdmissionSequenceUnderFixedSeed) {
 // result or the Curr <= LB <= UB invariant.
 
 TEST_F(QueryServerTest, MidRunRevocationKeepsBoundsAndResult) {
-  StatusOr<std::vector<Row>> baseline = sql::ExecuteSql(kGroupQuery, *db_);
+  StatusOr<sql::QueryRows> baseline = sql::ExecuteSql(kGroupQuery, *db_);
   ASSERT_TRUE(baseline.ok());
 
   QueryGuard guard;
@@ -622,7 +625,7 @@ TEST_F(QueryServerTest, MidRunRevocationKeepsBoundsAndResult) {
   EXPECT_TRUE(report->completed()) << report->status;
   EXPECT_TRUE(revoked);
   EXPECT_GT(report->spill_work, 0u) << "revocation did not force a spill";
-  EXPECT_EQ(report->root_rows, baseline->size());
+  EXPECT_EQ(report->root_rows, baseline->rows.size());
   for (const Checkpoint& cp : report->checkpoints) {
     EXPECT_LE(static_cast<double>(cp.work), cp.work_lb + 1e-9);
     EXPECT_LE(cp.work_lb, cp.work_ub + 1e-9);
@@ -634,6 +637,82 @@ TEST_F(QueryServerTest, MidRunRevocationKeepsBoundsAndResult) {
   }
   EXPECT_EQ(spill.live_runs(), 0u);
   EXPECT_TRUE(spill.live_files().empty());
+}
+
+TEST(QueryServerStringsTest, SpilledReportRowsOutliveWaitAndTheServer) {
+  // A report-tenant plain query groups VARCHAR keys under a governor grant
+  // that a second query's admission revokes mid-run, so it spills. Its rows
+  // view strings in its plan, its table and its per-query spill manager;
+  // Wait must hand back rows that carry their own copy, readable after the
+  // server is gone. A second Wait returns the status without rows.
+  Database db;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1200; ++i) {
+    rows.push_back({testutil::S("key-" + std::to_string(i / 8)), I(i)});
+  }
+  ASSERT_TRUE(
+      db.AddTable(testutil::MakeTable("r", {"key", "n"}, std::move(rows)))
+          .ok());
+  HistogramStatisticsGenerator gen(8);
+  db.SetStats("r", gen.Generate(*db.GetTable("r")));
+  const char kQuery[] =
+      "SELECT key, count(*), max(key), 'done' FROM r GROUP BY key";
+  StatusOr<sql::QueryRows> direct = sql::ExecuteSql(kQuery, db);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+
+  QueryResult result;
+  QueryResult again;
+  std::string trace;
+  uint64_t revocations = 0;
+  {
+    ServerOptions opts;
+    opts.sessions = 2;
+    opts.governor.pool_rows = 400;
+    opts.governor.min_grant_rows = 16;
+    QueryServer server(&db, opts);
+    FaultInjector slow(1);
+    FaultSpec spec;
+    spec.site = faults::kSeqScanNext;
+    spec.latency_spins = 100000;  // keeps the scan running past admission
+    slow.Arm(std::move(spec));
+    JsonlStringSink sink;
+    TelemetryCollector collector(&sink);
+    SubmitOptions report;
+    report.monitored = false;
+    report.soft_budget_rows = 390;
+    report.fault_injector = &slow;
+    report.telemetry = &collector;
+    uint64_t ticket = server.Submit("report", kQuery, report);
+    for (int spins = 0; spins < 10000 && server.Fleet().running < 1;
+         ++spins) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    SubmitOptions analyst;
+    analyst.monitored = false;
+    analyst.soft_budget_rows = 300;
+    QueryResult other = server.Wait(
+        server.Submit("analyst", "SELECT count(*) FROM r", analyst));
+    EXPECT_TRUE(other.status.ok()) << other.status;
+    result = server.Wait(ticket);
+    again = server.Wait(ticket);
+    revocations = server.Fleet().revocations;
+    trace = sink.data();
+  }
+  EXPECT_GE(revocations, 1u);
+  EXPECT_NE(trace.find("spill_begin"), std::string::npos)
+      << "the revoked query did not spill";
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  ASSERT_NE(result.strings, nullptr);
+  ASSERT_EQ(result.rows.size(), 150u);
+  for (const Row& r : result.rows) {
+    EXPECT_EQ(r[0].string_value(), r[2].string_value());
+    EXPECT_EQ(r[3].string_value(), "done");
+  }
+  EXPECT_EQ(testutil::RowsToString(testutil::Sorted(result.rows)),
+            testutil::RowsToString(testutil::Sorted(direct->rows)));
+  EXPECT_TRUE(again.status.ok()) << again.status;
+  EXPECT_TRUE(again.rows.empty());
+  EXPECT_EQ(again.strings, nullptr);
 }
 
 // ---------------------------------------------------------------------------

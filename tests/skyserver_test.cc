@@ -44,7 +44,7 @@ TEST_F(SkyServerTest, SpecObjForeignKeysValid) {
     int64_t objid = spec->at(i, 1).int64_value();
     EXPECT_GE(objid, 1);
     EXPECT_LE(objid, 8000);
-    const std::string cls = spec->at(i, 2).string_value();
+    const std::string cls(spec->at(i, 2).string_value());
     EXPECT_TRUE(cls == "GALAXY" || cls == "STAR" || cls == "QSO") << cls;
   }
 }

@@ -833,7 +833,8 @@ TEST(SpillFileTest, RowSerializationRoundTripsEveryType) {
   std::string bytes;
   AppendRowBytes(row, &bytes);
   Row back;
-  Status s = ParseRowBytes(bytes, &back);
+  StringArena strings;
+  Status s = ParseRowBytes(bytes, &strings, &back);
   ASSERT_TRUE(s.ok()) << s;
   ASSERT_EQ(back.size(), row.size());
   EXPECT_EQ(RowToString(back), RowToString(row));

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "exec/query_guard.h"
+#include "exec/spill.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
+#include "sql/session.h"
 #include "stats/table_stats.h"
 #include "tests/test_util.h"
 
@@ -176,8 +184,8 @@ Database* SqlEndToEndTest::db_ = nullptr;
 TEST_F(SqlEndToEndTest, SelectStar) {
   auto rows = ExecuteSql("SELECT * FROM emp", *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ(rows->size(), 5u);
-  EXPECT_EQ((*rows)[0].size(), 4u);
+  EXPECT_EQ(rows->rows.size(), 5u);
+  EXPECT_EQ(rows->rows[0].size(), 4u);
 }
 
 TEST_F(SqlEndToEndTest, FilterAndProject) {
@@ -185,9 +193,9 @@ TEST_F(SqlEndToEndTest, FilterAndProject) {
       "SELECT name, salary FROM emp WHERE salary >= 90 ORDER BY salary DESC",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 3u);
-  EXPECT_EQ((*rows)[0][0].string_value(), "ada");
-  EXPECT_EQ((*rows)[2][0].string_value(), "cat");
+  ASSERT_EQ(rows->rows.size(), 3u);
+  EXPECT_EQ(rows->rows[0][0].string_value(), "ada");
+  EXPECT_EQ(rows->rows[2][0].string_value(), "cat");
 }
 
 TEST_F(SqlEndToEndTest, JoinWithOnClause) {
@@ -196,9 +204,9 @@ TEST_F(SqlEndToEndTest, JoinWithOnClause) {
       "d.dept_id ORDER BY e.name",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 4u);  // eve has NULL dept
-  EXPECT_EQ((*rows)[0][0].string_value(), "ada");
-  EXPECT_EQ((*rows)[0][1].string_value(), "eng");
+  ASSERT_EQ(rows->rows.size(), 4u);  // eve has NULL dept
+  EXPECT_EQ(rows->rows[0][0].string_value(), "ada");
+  EXPECT_EQ(rows->rows[0][1].string_value(), "eng");
 }
 
 TEST_F(SqlEndToEndTest, ImplicitJoinViaWhere) {
@@ -207,8 +215,8 @@ TEST_F(SqlEndToEndTest, ImplicitJoinViaWhere) {
       "d.dept_name = 'sales' ORDER BY e.name",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0][0].string_value(), "cat");
+  ASSERT_EQ(rows->rows.size(), 2u);
+  EXPECT_EQ(rows->rows[0][0].string_value(), "cat");
 }
 
 TEST_F(SqlEndToEndTest, GroupByWithAggregates) {
@@ -217,8 +225,8 @@ TEST_F(SqlEndToEndTest, GroupByWithAggregates) {
       "min(salary), max(salary) FROM emp GROUP BY dept_id ORDER BY 2 DESC, 1",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 3u);  // dept 1, dept 2, NULL
-  const Row& first = (*rows)[0];
+  ASSERT_EQ(rows->rows.size(), 3u);  // dept 1, dept 2, NULL
+  const Row& first = rows->rows[0];
   EXPECT_EQ(first[1].int64_value(), 2);
 }
 
@@ -228,21 +236,21 @@ TEST_F(SqlEndToEndTest, Having) {
       "2 ORDER BY dept_id",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 2u);
+  ASSERT_EQ(rows->rows.size(), 2u);
 }
 
 TEST_F(SqlEndToEndTest, ScalarAggregate) {
   auto rows = ExecuteSql("SELECT count(*), avg(salary) FROM emp", *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][0].int64_value(), 5);
-  EXPECT_DOUBLE_EQ((*rows)[0][1].double_value(), 92.0);
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 5);
+  EXPECT_DOUBLE_EQ(rows->rows[0][1].double_value(), 92.0);
 }
 
 TEST_F(SqlEndToEndTest, CountDistinct) {
   auto rows = ExecuteSql("SELECT count(distinct dept_id) FROM emp", *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ((*rows)[0][0].int64_value(), 2);  // NULL not counted
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 2);  // NULL not counted
 }
 
 TEST_F(SqlEndToEndTest, LikeInBetweenIsNull) {
@@ -251,19 +259,19 @@ TEST_F(SqlEndToEndTest, LikeInBetweenIsNull) {
       "130 AND dept_id IS NOT NULL ORDER BY name",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->size(), 3u);  // ada, cat, dan
+  ASSERT_EQ(rows->rows.size(), 3u);  // ada, cat, dan
 }
 
 TEST_F(SqlEndToEndTest, CrossJoinWhenNoKeys) {
   auto rows = ExecuteSql("SELECT count(*) FROM emp, dept", *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_EQ((*rows)[0][0].int64_value(), 15);
+  EXPECT_EQ(rows->rows[0][0].int64_value(), 15);
 }
 
 TEST_F(SqlEndToEndTest, LimitCutsResults) {
   auto rows = ExecuteSql("SELECT name FROM emp ORDER BY name LIMIT 2", *db_);
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
+  ASSERT_EQ(rows->rows.size(), 2u);
 }
 
 TEST_F(SqlEndToEndTest, ArithmeticInSelect) {
@@ -271,7 +279,7 @@ TEST_F(SqlEndToEndTest, ArithmeticInSelect) {
       "SELECT name, salary * 2 AS double_pay FROM emp WHERE emp_id = 1",
       *db_);
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_DOUBLE_EQ((*rows)[0][1].double_value(), 240.0);
+  EXPECT_DOUBLE_EQ(rows->rows[0][1].double_value(), 240.0);
 }
 
 TEST_F(SqlEndToEndTest, PlannerErrors) {
@@ -285,6 +293,73 @@ TEST_F(SqlEndToEndTest, PlannerErrors) {
   // Unqualified ambiguous column across two tables with same column name.
   EXPECT_FALSE(
       ExecuteSql("SELECT dept_id FROM emp, dept", *db_).ok());
+}
+
+TEST_F(SqlEndToEndTest, SubstringProjectsAPrefix) {
+  auto rows = ExecuteSql(
+      "SELECT substring(name, 2, 2), substring(name, 9, 1) FROM emp "
+      "WHERE substring(name, 1, 1) = 'c'",
+      *db_);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].string_value(), "at");
+  EXPECT_EQ(rows->rows[0][1].string_value(), "");
+  EXPECT_FALSE(Parse("SELECT substring(name, x, 1) FROM emp").ok());
+  EXPECT_FALSE(Parse("SELECT substring(name, 1, 9999999999) FROM emp").ok());
+}
+
+TEST(SqlSessionStringsTest, ExecuteRowsOutliveTheSessionAndItsSpillManager) {
+  // A literal projection, SUBSTRING views and a VARCHAR GROUP BY that spills
+  // under a 16-row budget: every string the rows view lives in the plan, the
+  // tables or the spill manager's arena — all gone once the session's scope
+  // ends. The rows must carry their own copy.
+  Database db;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 600; ++i) {
+    rows.push_back({S("word-" + std::to_string(i % 150)), I(i)});
+  }
+  ASSERT_TRUE(
+      db.AddTable(testutil::MakeTable("w", {"word", "n"}, std::move(rows)))
+          .ok());
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "qprog_sql_strings").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  StatusOr<QueryRows> literal = Internal("not run");
+  StatusOr<QueryRows> grouped = Internal("not run");
+  uint64_t runs = 0;
+  {
+    auto spill = std::make_unique<SpillManager>(dir);
+    QueryGuard guard;
+    guard.set_max_buffered_rows(16);
+    SessionOptions options;
+    options.guard = &guard;
+    options.spill_manager = spill.get();
+    auto session = std::make_unique<SqlSession>(&db, options);
+    literal = session->Execute(
+        "SELECT 'tag', substring(word, 6, 3), n FROM w WHERE n < 3");
+    grouped = session->Execute(
+        "SELECT word, count(*), min(word) FROM w GROUP BY word ORDER BY word");
+    runs = spill->stats().runs_created;
+    session.reset();
+    spill.reset();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(runs, 0u) << "the GROUP BY did not spill";
+  ASSERT_TRUE(literal.ok()) << literal.status();
+  ASSERT_EQ(literal->rows.size(), 3u);
+  for (const Row& r : literal->rows) {
+    EXPECT_EQ(r[0].string_value(), "tag");
+    EXPECT_EQ(r[1].string_value(), std::to_string(r[2].int64_value()));
+  }
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  ASSERT_EQ(grouped->rows.size(), 150u);
+  for (const Row& r : grouped->rows) {
+    EXPECT_EQ(r[0].string_value().substr(0, 5), "word-");
+    EXPECT_EQ(r[1].int64_value(), 4);
+    EXPECT_EQ(r[2].string_value(), r[0].string_value());
+  }
+  EXPECT_EQ(grouped->rows[0][0].string_value(), "word-0");
 }
 
 TEST_F(SqlEndToEndTest, PlanShapeHasMergedScanPredicate) {

@@ -196,6 +196,41 @@ TEST(ColumnarTableDeathTest, AppendRowRejectsMismatchedType) {
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
+TEST(ColumnarTableTest, VarcharBytesNeverMoveOnceRead) {
+  // Values read from a table view the column's bytes directly. Appending
+  // more rows, reordering them and moving the table into a Database must
+  // leave every earlier view where it was and intact.
+  Table t("t",
+          Schema({Field("k", TypeId::kInt64), Field("s", TypeId::kString)}));
+  for (int64_t i = 0; i < 4; ++i) {
+    std::string s = StringPrintf("row-%lld", static_cast<long long>(i));
+    t.AppendRow({I(i), Value::String(s)});
+  }
+  Value cell = t.at(1, 1);
+  Row row = testutil::RowAt(t, 2);
+  Value boxed = t.column(1).Visit([](auto view) -> Value {
+    if constexpr (std::is_same_v<decltype(view), VarcharView>) {
+      return VarcharView::Box(view[3]);
+    }
+    return Value::Null();
+  });
+  const char* cell_bytes = cell.string_value().data();
+  for (int64_t i = 4; i < 50000; ++i) {
+    std::string s = StringPrintf("row-%lld", static_cast<long long>(i));
+    t.AppendRow({I(-i), Value::String(s)});
+  }
+  t.SortByColumn(0);
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  EXPECT_EQ(cell.string_value().data(), cell_bytes);
+  EXPECT_EQ(cell.string_value(), "row-1");
+  EXPECT_EQ(row[1].string_value(), "row-2");
+  EXPECT_EQ(boxed.string_value(), "row-3");
+  const Table* moved = db.GetTable("t");
+  EXPECT_EQ(moved->at(0, 1).string_value(), "row-49999");
+  EXPECT_EQ(moved->at(49999, 1).string_value(), "row-3");
+}
+
 TEST(DatabaseTest, CreateGetDrop) {
   Database db;
   auto created = db.CreateTable("t", Schema({{"a", TypeId::kInt64}}));

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "storage/table.h"
 #include "types/date.h"
 #include "types/schema.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -20,7 +22,14 @@ namespace testutil {
 
 inline Value I(int64_t v) { return Value::Int64(v); }
 inline Value D(double v) { return Value::Double(v); }
-inline Value S(std::string v) { return Value::String(std::move(v)); }
+/// A VARCHAR whose bytes live in a test-lifetime store, so the Value
+/// outlives any string it was made from.
+inline Value S(std::string_view v) {
+  static std::mutex mu;
+  static StringArena store;
+  std::lock_guard<std::mutex> lock(mu);
+  return Value::String(store.Copy(v));
+}
 inline Value B(bool v) { return Value::Bool(v); }
 inline Value N() { return Value::Null(); }
 inline Value Dt(const char* ymd) { return Value::Date(ParseDate(ymd).value()); }

@@ -46,7 +46,7 @@ TEST_F(TpchEquivalenceTest, Q3TopRowsAgreeWithSql) {
       *db_);
   ASSERT_TRUE(sql_rows.ok()) << sql_rows.status();
   std::map<int64_t, double> revenue_by_order;
-  for (const Row& r : *sql_rows) {
+  for (const Row& r : sql_rows->rows) {
     revenue_by_order[r[0].int64_value()] = r[3].double_value();
   }
 
@@ -84,11 +84,12 @@ TEST_F(TpchEquivalenceTest, Q5NationRevenueAgreesWithSql) {
   auto hand = tpch::BuildQuery(5, *db_);
   ASSERT_TRUE(hand.ok());
   auto hand_rows = CollectRows(&hand.value());
-  ASSERT_EQ(hand_rows.size(), sql_rows->size());
+  ASSERT_EQ(hand_rows.size(), sql_rows->rows.size());
   for (size_t i = 0; i < hand_rows.size(); ++i) {
-    EXPECT_EQ(hand_rows[i][0].string_value(), (*sql_rows)[i][0].string_value());
-    EXPECT_NEAR(hand_rows[i][1].double_value(), (*sql_rows)[i][1].double_value(),
-                1e-6);
+    EXPECT_EQ(hand_rows[i][0].string_value(),
+              sql_rows->rows[i][0].string_value());
+    EXPECT_NEAR(hand_rows[i][1].double_value(),
+                sql_rows->rows[i][1].double_value(), 1e-6);
   }
 }
 
@@ -104,7 +105,7 @@ TEST_F(TpchEquivalenceTest, Q10TopCustomersAgreeWithSql) {
       *db_);
   ASSERT_TRUE(sql_rows.ok()) << sql_rows.status();
   std::map<int64_t, double> revenue_by_cust;
-  for (const Row& r : *sql_rows) {
+  for (const Row& r : sql_rows->rows) {
     revenue_by_cust[r[0].int64_value()] = r[1].double_value();
   }
 
@@ -142,8 +143,8 @@ TEST_F(TpchEquivalenceTest, Q19RevenueAgreesWithSql) {
   ASSERT_TRUE(hand.ok());
   auto hand_rows = CollectRows(&hand.value());
   ASSERT_EQ(hand_rows.size(), 1u);
-  ASSERT_EQ(sql_rows->size(), 1u);
-  const Value& sql_v = (*sql_rows)[0][0];
+  ASSERT_EQ(sql_rows->rows.size(), 1u);
+  const Value& sql_v = sql_rows->rows[0][0];
   const Value& hand_v = hand_rows[0][0];
   if (sql_v.is_null()) {
     EXPECT_TRUE(hand_v.is_null());
@@ -170,13 +171,14 @@ TEST_F(TpchEquivalenceTest, Q12ShipmodeCountsAgreeWithSql) {
   auto hand = tpch::BuildQuery(12, *db_);
   ASSERT_TRUE(hand.ok());
   auto hand_rows = CollectRows(&hand.value());
-  ASSERT_EQ(hand_rows.size(), sql_rows->size());
+  ASSERT_EQ(hand_rows.size(), sql_rows->rows.size());
   for (size_t i = 0; i < hand_rows.size(); ++i) {
-    EXPECT_EQ(hand_rows[i][0].string_value(), (*sql_rows)[i][0].string_value());
+    EXPECT_EQ(hand_rows[i][0].string_value(),
+              sql_rows->rows[i][0].string_value());
     // high_line_count + low_line_count == count(*).
     double total = hand_rows[i][1].double_value() +
                    hand_rows[i][2].double_value();
-    EXPECT_NEAR(total, static_cast<double>((*sql_rows)[i][1].int64_value()),
+    EXPECT_NEAR(total, static_cast<double>(sql_rows->rows[i][1].int64_value()),
                 1e-9);
   }
 }

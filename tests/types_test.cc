@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "storage/spill_file.h"
 #include "types/compare_op.h"
 #include "types/date.h"
 #include "types/schema.h"
+#include "types/string_arena.h"
 #include "types/value.h"
 
 namespace qprog {
@@ -65,6 +75,119 @@ TEST(ValueTest, ToStringFormats) {
   EXPECT_EQ(Value::Int64(-3).ToString(), "-3");
   EXPECT_EQ(Value::Bool(false).ToString(), "false");
   EXPECT_EQ(Value::Date(0).ToString(), "1970-01-01");
+}
+
+// ---------------------------------------------------------------------------
+// The 16-byte cell and string ownership (DESIGN.md §2, "String ownership")
+
+/// One value of every TypeId, with VARCHARs for the empty string and for a
+/// string with an embedded NUL. `strings` owns the VARCHAR bytes.
+std::vector<Value> OneOfEachType(StringArena* strings) {
+  const std::string with_nul("a\0b", 3);
+  return {Value::Null(),
+          Value::Bool(true),
+          Value::Int64(-7),
+          Value::Double(2.5),
+          Value::Date(9000),
+          Value::String(strings->Copy("")),
+          Value::String(strings->Copy(with_nul))};
+}
+
+TEST(ValueTest, EveryTypeSurvivesAByteCopy) {
+  StringArena strings;
+  std::vector<Value> values = OneOfEachType(&strings);
+  std::set<TypeId> types;
+  for (const Value& v : values) {
+    SCOPED_TRACE(TypeIdToString(v.type()));
+    types.insert(v.type());
+    Value copy;
+    std::memcpy(static_cast<void*>(&copy), &v, sizeof(Value));
+    EXPECT_EQ(copy.type(), v.type());
+    EXPECT_TRUE(copy.EqualsForGrouping(v));
+    EXPECT_EQ(copy.Hash(), v.Hash());
+    EXPECT_EQ(copy.ToString(), v.ToString());
+  }
+  EXPECT_EQ(types.size(), 6u) << "not every TypeId is covered";
+}
+
+TEST(ValueTest, VarcharHashesAndComparesItsBytes) {
+  // Hashing a view equals hashing the same bytes as a std::string, so hash
+  // tables and Grace routing order rows exactly as before views.
+  const std::string with_nul("a\0b", 3);
+  for (const std::string& s : {std::string(), with_nul, std::string("q")}) {
+    Value v = Value::String(s);
+    EXPECT_EQ(v.string_value().size(), s.size());
+    EXPECT_EQ(v.Hash(), std::hash<std::string>()(s));
+    EXPECT_EQ(v.ToString(), s);
+  }
+  Value nul = Value::String(with_nul);
+  EXPECT_GT(nul.Compare(Value::String("a")), 0);
+  EXPECT_FALSE(nul.EqualsForGrouping(Value::String("a")));
+  EXPECT_EQ(Value::String("").Compare(Value::String(std::string_view())), 0);
+}
+
+TEST(ValueTest, SpillBytesRoundTripEveryType) {
+  StringArena strings;
+  Row row = OneOfEachType(&strings);
+  std::string bytes;
+  AppendRowBytes(row, &bytes);
+  Row back;
+  auto decoded = std::make_unique<StringArena>();
+  ASSERT_TRUE(ParseRowBytes(bytes, decoded.get(), &back).ok());
+  bytes.assign(bytes.size(), 'x');  // the decoded row must not view `bytes`
+  StringArena keeper;
+  keeper.Adopt(decoded.get());
+  decoded.reset();
+  ASSERT_EQ(back.size(), row.size());
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(back[i].type(), row[i].type());
+    EXPECT_TRUE(back[i].EqualsForGrouping(row[i])) << i;
+  }
+}
+
+TEST(StringArenaTest, CopiesOutliveTheirSourceAndStayPutAcrossChunks) {
+  StringArena arena;
+  std::vector<std::string_view> views;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 5000; ++i) {
+    std::string source(static_cast<size_t>(i % 97),
+                       static_cast<char>('a' + i % 26));
+    if (i % 500 == 0) source += std::string(70000, 'z');  // over a chunk
+    views.push_back(arena.Copy(source));
+    expected.push_back(source);
+  }
+  StringArena adopter;
+  adopter.Adopt(&arena);
+  EXPECT_EQ(arena.bytes(), 0u);
+  StringArena moved(std::move(adopter));
+  EXPECT_EQ(adopter.bytes(), 0u);
+  // Emptied arenas copy into fresh chunks, never into ones they gave away.
+  for (StringArena* emptied : {&arena, &adopter}) {
+    EXPECT_EQ(emptied->Copy(std::string(300, '!')), std::string(300, '!'));
+  }
+  for (size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(views[i], expected[i]) << i;
+  }
+  EXPECT_GE(moved.bytes(), 5000u);
+}
+
+TEST(StringArenaTest, OwnLeavesNonStringsAloneAndOwnStringsRepointsRows) {
+  StringArena arena;
+  for (const Value& v : {Value::Null(), Value::Int64(3), Value::Date(1)}) {
+    Value owned = arena.Own(v);
+    EXPECT_EQ(owned.type(), v.type());
+    EXPECT_TRUE(owned.EqualsForGrouping(v));
+  }
+  EXPECT_EQ(arena.bytes(), 0u);
+  std::vector<Row> rows;
+  std::shared_ptr<const StringArena> owner;
+  {
+    std::string local = "lives on the stack";
+    rows.push_back({Value::Int64(1), Value::String(local)});
+    owner = OwnStrings(&rows);
+    local.assign(local.size(), '#');
+  }
+  EXPECT_EQ(rows[0][1].string_value(), "lives on the stack");
 }
 
 TEST(RowTest, RowHashAndEquality) {
