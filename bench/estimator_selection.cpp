@@ -14,7 +14,7 @@
 // template.
 //
 // Prints the per-query table and the workload aggregate, and writes
-// BENCH_selection.json. Exit code is the CI tripwire: nonzero when auto is
+// BENCH_selection.json under a provenance header. Exit code is the CI tripwire: nonzero when auto is
 // worse than the worst fixed candidate on any query, or when auto's
 // workload-level RMS exceeds the best single fixed estimator's. --quick
 // shrinks the matrix for a fast smoke run.
@@ -245,7 +245,9 @@ int main(int argc, char** argv) {
               best_fixed.c_str(), best_fixed_rms);
 
   // --- JSON artifact --------------------------------------------------------
-  std::string json = "{\"bench\":\"estimator_selection\"";
+  // One pass: the errors are work-based, so a rerun reproduces them exactly.
+  std::string json =
+      "{\"bench\":\"estimator_selection\"," + bench::ProvenanceJson(1);
   json += StringPrintf(",\"quick\":%s", quick ? "true" : "false");
   json += ",\"queries\":[";
   for (size_t i = 0; i < scores.size(); ++i) {

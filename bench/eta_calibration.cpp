@@ -9,7 +9,8 @@
 // remaining time at each claim is scored against the band (EtaCalibration),
 // bucketed by progress decile.
 //
-// Prints the decile table and writes BENCH_eta.json. With --min-coverage X
+// Prints the decile table and writes BENCH_eta.json, under a provenance
+// header, in the working directory. With --min-coverage X
 // the process exits nonzero when the overall observed coverage of the
 // claimed interval falls below X — the CI tripwire. --quick shrinks the
 // matrix for a fast smoke run.
@@ -187,7 +188,9 @@ int main(int argc, char** argv) {
   std::printf("\n");
   PrintDecileTable(cal);
 
-  std::string json = "{\"bench\":\"eta_calibration\"";
+  // One pass over the matrix: the decile table is the measurement.
+  std::string json =
+      "{\"bench\":\"eta_calibration\"," + bench::ProvenanceJson(1);
   json += StringPrintf(",\"quick\":%s", quick ? "true" : "false");
   json += StringPrintf(",\"runs\":%zu", outcomes.size());
   json += ",\"calibration\":" + cal.ToJson() + "}\n";

@@ -4,7 +4,8 @@
 // join, and partition-spilled aggregation — plus the raw SpillFile record
 // write/read throughput that bounds them all.
 //
-// Results (min/median/max ns per unit of work over kReps runs, spill
+// Results (min/median/max ns per unit of work over kReps runs after one
+// untimed warm-up run, spill
 // run/byte counts, median slowdown vs. the in-memory path) are printed and
 // written, under a provenance header, to BENCH_spill.json in the working
 // directory:
@@ -100,14 +101,17 @@ struct Result {
   uint64_t spill_bytes = 0;
 };
 
-/// kReps executions under `soft_budget` (0 = unconstrained).
+/// kReps executions under `soft_budget` (0 = unconstrained), after one
+/// untimed warm-up execution: without it the first rep pays the allocator's
+/// first touch of the plan's buffers and reads up to 2x slower than the
+/// others.
 Result Measure(const std::string& name,
                const std::function<PhysicalPlan()>& make_plan,
                uint64_t soft_budget) {
   Result r;
   r.name = name;
   std::vector<double> ns_per_work;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = -1; rep < kReps; ++rep) {  // rep -1 is the warm-up
     PhysicalPlan plan = make_plan();
     SpillManager spill;
     QueryGuard guard;
@@ -122,6 +126,7 @@ Result Measure(const std::string& name,
     auto end = std::chrono::steady_clock::now();
     QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
     QPROG_CHECK(spill.live_runs() == 0);
+    if (rep < 0) continue;
     double ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count());

@@ -346,33 +346,6 @@ class Walker {
         }
         break;
       }
-      case OpKind::kExchange: {
-        // A repartition boundary: no consumer row exists before every
-        // producer partition finished, so the exchange drains all children
-        // regardless of limits above it. Its production is the sum of its
-        // producers' — per-partition bounds sum at the exchange boundary,
-        // which is what keeps dne's driver totals and [LB, UB] exact for
-        // partitioned plans. At fold-time checkpoints each folded child is
-        // final (lb == ub == its production), so the summed lower bound
-        // never dips below rows already counted.
-        double sum_lb = 0;
-        double sum_ub = 0;
-        for (size_t i = 0; i < op->num_children(); ++i) {
-          CardBounds c = Visit(op->child(i), /*under_limit=*/false, -1);
-          sum_lb = CapAdd(sum_lb, c.lb);
-          sum_ub = CapAdd(sum_ub, c.ub);
-        }
-        if (s.finished) {
-          b.lb = b.ub = produced;
-        } else if (s.build_done) {
-          // Every routed row is re-emitted exactly once.
-          b.lb = b.ub = static_cast<double>(s.build_rows);
-        } else {
-          b.lb = std::max(produced, sum_lb);
-          b.ub = std::max(produced, sum_ub);
-        }
-        break;
-      }
     }
     return Record(op, under_limit, produced, b);
   }
@@ -457,10 +430,8 @@ PlanBounds BoundsTracker::Compute(const ExecContext& ctx) const {
 double StaticPerPassUpperBound(const PhysicalOperator* op) {
   switch (op->kind()) {
     case OpKind::kSeqScan:
-      // Partition-relative: a range-split scan's per-pass maximum is its
-      // range size (== the table cardinality for an unpartitioned scan).
       return static_cast<double>(
-          static_cast<const SeqScan*>(op)->partition_rows());
+          static_cast<const SeqScan*>(op)->table()->num_rows());
     case OpKind::kIndexSeek: {
       const auto* seek = static_cast<const IndexSeek*>(op);
       return static_cast<double>(seek->index()->num_entries());
@@ -474,13 +445,6 @@ double StaticPerPassUpperBound(const PhysicalOperator* op) {
     case OpKind::kHashAggregate:
     case OpKind::kStreamAggregate:
       return std::max(1.0, StaticPerPassUpperBound(op->child(0)));
-    case OpKind::kExchange: {
-      double sum = 0;
-      for (size_t i = 0; i < op->num_children(); ++i) {
-        sum = CapAdd(sum, StaticPerPassUpperBound(op->child(i)));
-      }
-      return sum;
-    }
     case OpKind::kNestedLoopsJoin:
     case OpKind::kIndexNestedLoopsJoin:
     case OpKind::kHashJoin:
@@ -502,10 +466,8 @@ namespace {
 void SumScannedLeaves(const PhysicalOperator* op, double* sum) {
   switch (op->kind()) {
     case OpKind::kSeqScan:
-      // Partition-relative: the partitioned plan's leaves sum back to the
-      // serial plan's scanned cardinality.
       *sum += static_cast<double>(
-          static_cast<const SeqScan*>(op)->partition_rows());
+          static_cast<const SeqScan*>(op)->table()->num_rows());
       return;
     case OpKind::kIndexSeek:
       // Range-mode seeks are scanned once; count the index entries as the

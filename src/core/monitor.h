@@ -33,7 +33,7 @@ struct Checkpoint;
 /// may be empty. This is the only way to wire the environment: the options
 /// are fixed at construction, so a monitor's borrowed pointers never change
 /// mid-lifetime.
-/// The engine-level knobs (worker_pool, partitions) live on the
+/// The engine-level knob (worker_pool) lives on the
 /// shared ExecutionConfig base (exec/execution_config.h) — one spine that
 /// MonitorOptions, SessionOptions, and ServerOptions all embed, so adding an
 /// engine knob is a one-struct change.

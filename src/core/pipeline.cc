@@ -61,18 +61,6 @@ void Decompose(const PhysicalOperator* op, size_t current,
       Decompose(op->child(0), current, out);
       AddSubtreeAsMembers(op->child(1), &(*out)[current]);
       return;
-    case OpKind::kExchange: {
-      // A repartition boundary is blocking: the exchange drives the current
-      // pipeline, and each producer partition's subtree is its own pipeline
-      // (they run concurrently on the pool, but progress accounting treats
-      // them as the data-parallel pieces they are).
-      (*out)[current].drivers.push_back(op);
-      for (size_t i = 0; i < op->num_children(); ++i) {
-        out->push_back(Pipeline{});
-        Decompose(op->child(i), out->size() - 1, out);
-      }
-      return;
-    }
   }
 }
 
@@ -112,8 +100,7 @@ DriverStatus ComputeDriverStatus(const PhysicalOperator* driver,
     status.total_exact = true;
   } else if (s.build_done &&
              (driver->kind() == OpKind::kSort ||
-              driver->kind() == OpKind::kHashAggregate ||
-              driver->kind() == OpKind::kExchange)) {
+              driver->kind() == OpKind::kHashAggregate)) {
     status.rows_total =
         static_cast<double>(driver->kind() == OpKind::kHashAggregate
                                 ? s.groups_so_far

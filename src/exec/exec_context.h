@@ -117,20 +117,6 @@ class ExecContext final : public WorkContext {
     }
   }
 
-  /// Burst CountRow: counts `n` rows at once. Exchange replays each producer
-  /// pipeline's per-node counts through this at its boundary. A burst that
-  /// crosses several observation intervals fires the observer once per
-  /// crossed interval, each time with the scheduled crossing point.
-  void CountRows(int node_id, uint64_t n, bool is_root) {
-    QPROG_DCHECK(node_id >= 0 &&
-                 static_cast<size_t>(node_id) < rows_produced_.size());
-    rows_produced_[static_cast<size_t>(node_id)] += n;
-    if (!is_root) {
-      work_ += n;
-      if (work_ >= next_event_) OnWorkEvent(node_id);
-    }
-  }
-
   /// Rows produced so far by operator `node_id`.
   uint64_t rows_produced(int node_id) const {
     return rows_produced_[static_cast<size_t>(node_id)];

@@ -109,7 +109,6 @@ const std::vector<std::string>& FaultInjector::KnownSites() {
       faults::kHashJoinProbe,     faults::kMergeJoinNext,
       faults::kSortOpen,          faults::kSortBuild,
       faults::kHashAggregateBuild, faults::kStreamAggregateNext,
-      faults::kExchangeSend,      faults::kExchangeRecv,
       faults::kSpillOpen,         faults::kSpillWrite,
       faults::kSpillRead,
   };

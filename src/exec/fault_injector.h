@@ -47,12 +47,6 @@ inline constexpr char kSortOpen[] = "sort.open";
 inline constexpr char kSortBuild[] = "sort.build";
 inline constexpr char kHashAggregateBuild[] = "hashagg.build";
 inline constexpr char kStreamAggregateNext[] = "streamagg.next";
-// Exchange repartition sites (exec/exchange.h): `send` is consulted once per
-// row a producer partition routes to a consumer bucket (on the producer's
-// forked injector in pooled mode, so schedules are partition-keyed and
-// pool-size-invariant); `recv` once per consumer-side Next call.
-inline constexpr char kExchangeSend[] = "exchange.send";
-inline constexpr char kExchangeRecv[] = "exchange.recv";
 // Spill-layer I/O sites, consulted by the SpillManager (exec/spill.h) once
 // per temp-file open / record write / record read. Transient faults armed
 // here exercise the bounded-retry path; permanent ones the cleanup path.

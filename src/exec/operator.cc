@@ -28,8 +28,6 @@ const char* OpKindToString(OpKind kind) {
       return "StreamAggregate";
     case OpKind::kLimit:
       return "Limit";
-    case OpKind::kExchange:
-      return "Exchange";
   }
   return "Unknown";
 }

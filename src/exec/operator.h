@@ -29,7 +29,6 @@ enum class OpKind {
   kHashAggregate,
   kStreamAggregate,
   kLimit,
-  kExchange,
 };
 
 const char* OpKindToString(OpKind kind);

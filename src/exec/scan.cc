@@ -11,13 +11,7 @@ namespace qprog {
 // SeqScan
 
 SeqScan::SeqScan(const Table* table, ExprPtr predicate)
-    : SeqScan(table, std::move(predicate), 0, table->num_rows()) {}
-
-SeqScan::SeqScan(const Table* table, ExprPtr predicate, uint64_t begin,
-                 uint64_t end)
-    : table_(table), predicate_(std::move(predicate)), begin_(begin),
-      end_(end) {
-  QPROG_CHECK(begin_ <= end_ && end_ <= table_->num_rows());
+    : table_(table), predicate_(std::move(predicate)) {
   if (predicate_ != nullptr) {
     predicate_columns_ = ReferencedColumns(*predicate_);
   }
@@ -30,7 +24,7 @@ SeqScan::SeqScan(const Table* table, ExprPtr predicate, uint64_t begin,
 }
 
 void SeqScan::DoOpen(ExecContext* ctx) {
-  cursor_ = begin_;
+  cursor_ = 0;
   emitted_ = 0;
   finished_ = false;
   ctx->ConsultFault(faults::kSeqScanOpen, node_id());
@@ -41,7 +35,7 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
     return false;
   }
   scratch_.resize(table_->schema().num_fields());
-  while (cursor_ < end_) {
+  while (cursor_ < table_->num_rows()) {
     const uint64_t row = cursor_++;
     // Every examined row is one getnext at the leaf, merged predicate or
     // not — the accounting that makes the paper's Table 2 mu >= 1 (each
@@ -68,31 +62,23 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
 void SeqScan::DoClose(ExecContext*) {}
 
 std::string SeqScan::label() const {
-  std::string range;
-  if (partitioned()) {
-    range = StringPrintf(", rows=[%llu,%llu)",
-                         static_cast<unsigned long long>(begin_),
-                         static_cast<unsigned long long>(end_));
-  }
   if (predicate_ != nullptr) {
-    return StringPrintf("SeqScan(%s, pred=%s%s)", table_->name().c_str(),
-                        predicate_->ToString().c_str(), range.c_str());
+    return StringPrintf("SeqScan(%s, pred=%s)", table_->name().c_str(),
+                        predicate_->ToString().c_str());
   }
-  return StringPrintf("SeqScan(%s%s)", table_->name().c_str(), range.c_str());
+  return StringPrintf("SeqScan(%s)", table_->name().c_str());
 }
 
 void SeqScan::FillProgressState(const ExecContext& ctx,
                                 ProgressState* state) const {
   PhysicalOperator::FillProgressState(ctx, state);
   // The node's work counter tallies examined rows; production (what the
-  // parent consumes) is the emitted count. A partitioned scan reports
-  // partition-relative values so the exchange's sum over producers equals
-  // the serial scan's totals.
+  // parent consumes) is the emitted count.
   state->rows_produced = emitted_;
-  state->input_examined = cursor_ - begin_;
-  state->base_rows = partition_rows();
+  state->input_examined = cursor_;
+  state->base_rows = table_->num_rows();
   if (predicate_ == nullptr) {
-    state->exact_total = static_cast<double>(partition_rows());
+    state->exact_total = static_cast<double>(table_->num_rows());
   }
 }
 

@@ -26,13 +26,6 @@ class SeqScan : public PhysicalOperator {
   /// `table` must outlive the operator; `predicate` may be null.
   explicit SeqScan(const Table* table, ExprPtr predicate = nullptr);
 
-  /// Range-partitioned scan over rows [begin, end) of the table — one
-  /// partition of an exchange producer pipeline (exec/exchange.h). All work
-  /// accounting (input_examined, base_rows, the static per-pass bound) is
-  /// partition-relative, so per-partition getnext sums at the exchange
-  /// boundary reproduce the serial scan's totals exactly.
-  SeqScan(const Table* table, ExprPtr predicate, uint64_t begin, uint64_t end);
-
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
   void DoClose(ExecContext* ctx) override;
@@ -47,16 +40,6 @@ class SeqScan : public PhysicalOperator {
 
   const Table* table() const { return table_; }
   bool has_predicate() const { return predicate_ != nullptr; }
-  const Expr* predicate() const { return predicate_.get(); }
-
-  /// True when this scan covers a strict sub-range of the table.
-  bool partitioned() const {
-    return begin_ != 0 || end_ != table_->num_rows();
-  }
-  uint64_t partition_begin() const { return begin_; }
-  uint64_t partition_end() const { return end_; }
-  /// Rows in this scan's range — the partition-relative base cardinality.
-  uint64_t partition_rows() const { return end_ - begin_; }
 
  private:
   const Table* table_;
@@ -64,9 +47,7 @@ class SeqScan : public PhysicalOperator {
   std::vector<size_t> predicate_columns_;  // columns the predicate reads
   std::vector<size_t> other_columns_;      // built only for passing rows
   Row scratch_;           // the row being built; swapped into the output
-  uint64_t begin_ = 0;    // first row of this scan's range
-  uint64_t end_ = 0;      // one past the last row of this scan's range
-  uint64_t cursor_ = 0;   // table cursor within [begin_, end_)
+  uint64_t cursor_ = 0;   // next table row to examine
   uint64_t emitted_ = 0;  // rows produced to the parent
 };
 

@@ -3,9 +3,9 @@
 // A WorkerPool is a fixed set of threads with a shared FIFO task queue,
 // attached to an ExecContext (set_worker_pool) and borrowed by spill-heavy
 // operators: external Sort fans out run formation and run merging, Grace
-// HashJoin and HashAggregate fan out their per-leaf replays, and Exchange
-// runs its producer partitions. Grace partition writes stay on the query
-// thread, as does everything else in the engine.
+// HashJoin and HashAggregate fan out their per-leaf replays. Grace
+// partition writes stay on the query thread, as does everything else in
+// the engine.
 //
 // The design problem is not speed — it is keeping the paper's progress
 // model deterministic while work happens concurrently. The solution has
@@ -134,7 +134,7 @@ inline constexpr uint64_t kSortMergeTaskTag = 0x51ULL << 56;  // | merge group
 // 0x52: retired (the join's pooled partition-write batches).
 inline constexpr uint64_t kJoinPartitionTaskTag = 0x53ULL << 56;  // | leaf id
 inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;      // | leaf id
-inline constexpr uint64_t kExchangeProduceTaskTag = 0x55ULL << 56;  // | part
+// 0x55: retired (the exchange's pooled producer partitions).
 // A Grace leaf id is depth << 48 | path (exec/grace.cc, LeafTaskKey).
 
 /// The WorkContext a task runs against: accumulates the task's spill work,
@@ -181,7 +181,6 @@ class TaskContext final : public WorkContext {
 
   /// Task-local sticky status (OK until the first RaiseError).
   const Status& status() const { return status_; }
-  bool failed() const { return failed_; }
 
   /// Replays the op-log into `ctx` in log order — spill work advances
   /// total(Q) and fires observer checkpoints / guard checks exactly as if

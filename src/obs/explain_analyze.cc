@@ -4,7 +4,6 @@
 
 #include "common/strings.h"
 #include "core/explain.h"
-#include "exec/exchange.h"
 #include "obs/accuracy.h"
 
 namespace qprog {
@@ -43,22 +42,6 @@ void RenderNode(const PhysicalOperator* op, const ExecContext& ctx,
       out->append(StringPrintf(
           " xrun_err=%.2f runs=%llu", it->second.RmsLogError(),
           static_cast<unsigned long long>(it->second.runs)));
-    }
-  }
-  // Exchange nodes get partition columns: the repartition fan (N->M),
-  // rows routed through the exchange, and rows still parked in spill runs
-  // awaiting replay (nonzero only mid-drain after a buffer revocation).
-  if (op->kind() == OpKind::kExchange) {
-    const auto* ex = static_cast<const Exchange*>(op);
-    out->append(StringPrintf(
-        " partitions=%llu->%llu routed=%llu",
-        static_cast<unsigned long long>(ex->num_producers()),
-        static_cast<unsigned long long>(ex->num_consumers()),
-        static_cast<unsigned long long>(state.build_rows)));
-    if (state.spill_rows_pending > 0) {
-      out->append(StringPrintf(
-          " spill_pending=%llu",
-          static_cast<unsigned long long>(state.spill_rows_pending)));
     }
   }
   // Work attribution uses the raw getnext counter: for a merged-predicate

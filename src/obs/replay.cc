@@ -109,8 +109,6 @@ StatusOr<ReplayResult> ReplayTrace(const std::vector<TraceEvent>& events) {
       case TraceEventKind::kSpillBegin:
       case TraceEventKind::kSpillEnd:
       case TraceEventKind::kIoRetry:
-      case TraceEventKind::kExchangeBegin:
-      case TraceEventKind::kExchangePartition:
         break;  // not needed to rebuild the report
     }
   }

@@ -208,10 +208,6 @@ const char* TraceEventKindToString(TraceEventKind kind) {
       return "io_retry";
     case TraceEventKind::kEtaSample:
       return "eta";
-    case TraceEventKind::kExchangeBegin:
-      return "exchange_begin";
-    case TraceEventKind::kExchangePartition:
-      return "partition_close";
   }
   return "?";
 }
@@ -281,16 +277,6 @@ std::string TraceEventToJson(const TraceEvent& event) {
       AppendField(&out, "eta", event.a);
       AppendField(&out, "eta_lo", event.b);
       AppendField(&out, "eta_hi", event.c);
-      break;
-    case TraceEventKind::kExchangeBegin:
-      AppendField(&out, "node", event.node);
-      AppendField(&out, "producers", event.a);
-      AppendField(&out, "consumers", event.b);
-      break;
-    case TraceEventKind::kExchangePartition:
-      AppendField(&out, "node", event.node);
-      AppendField(&out, "partition", event.a);
-      AppendField(&out, "rows", event.b);
       break;
   }
   out += '}';
@@ -374,14 +360,6 @@ StatusOr<TraceEvent> ParseTraceEvent(const std::string& line) {
     event.a = json.num("eta");
     event.b = json.num("eta_lo");
     event.c = json.num("eta_hi");
-  } else if (kind_name == "exchange_begin") {
-    event.kind = TraceEventKind::kExchangeBegin;
-    event.a = json.num("producers");
-    event.b = json.num("consumers");
-  } else if (kind_name == "partition_close") {
-    event.kind = TraceEventKind::kExchangePartition;
-    event.a = json.num("partition");
-    event.b = json.num("rows");
   } else {
     return InvalidArgument(
         StringPrintf("unknown trace event \"%s\"", kind_name.c_str()));

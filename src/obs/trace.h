@@ -14,8 +14,10 @@
 // lists. History: v2 added the spill/io-retry events, v3 the Grace recursion
 // `depth` field on spill_begin, v4 the per-checkpoint `eta` event
 // (obs/eta_model.h), v5 the exchange repartition events (exchange_begin /
-// partition_close). Each version is a strict superset of the previous one,
-// so the reader parses the full accepted range (see DESIGN.md section 8).
+// partition_close), since retired with the partitioned plan: the reader
+// rejects them as unknown events. Up to v4 each version is a strict
+// superset of the previous one, so the reader parses the full accepted
+// range (see DESIGN.md section 8).
 
 #ifndef QPROG_OBS_TRACE_H_
 #define QPROG_OBS_TRACE_H_
@@ -63,8 +65,6 @@ enum class TraceEventKind : uint8_t {
   kSpillEnd,            // v2: one spill run sealed: rows + bytes written
   kIoRetry,             // v2: transient spill I/O failure, attempt retried
   kEtaSample,           // v4: sanitized wall-clock ETA band at a checkpoint
-  kExchangeBegin,       // v5: an exchange starts materializing its producers
-  kExchangePartition,   // v5: one producer partition folded at the exchange
 };
 
 const char* TraceEventKindToString(TraceEventKind kind);
@@ -86,8 +86,6 @@ const char* TraceEventKindToString(TraceEventKind kind);
 ///   kSpillEnd           spill phase       -               rows        bytes
 ///   kIoRetry            fault site        -               attempt     -
 ///   kEtaSample          -                 -               eta_s       eta_lo_s   (`c` = eta_hi_s)
-///   kExchangeBegin      -                 -               producers   consumers
-///   kExchangePartition  -                 -               partition   rows
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kRunBegin;
   uint64_t seq = 0;   // collector-assigned, strictly increasing

@@ -238,9 +238,9 @@ void QueryServer::RunTicket(Ticket* t) {
   // wall-clock events into a query's byte-identical trace).
   EtaModel eta;
   sql::SessionOptions so;
-  // Engine-knob spine (worker_pool / partitions) copies from
-  // the server defaults in one assignment; a per-submission pool override
-  // then wins over the fleet-wide default.
+  // Engine-knob spine (worker_pool) copies from the server defaults in one
+  // assignment; a per-submission pool override then wins over the
+  // fleet-wide default.
   static_cast<ExecutionConfig&>(so) = options_;
   if (t->opts.worker_pool != nullptr) so.worker_pool = t->opts.worker_pool;
   so.estimators = options_.estimators;

@@ -61,11 +61,9 @@
 
 namespace qprog {
 
-/// Engine knobs (worker_pool, partitions) ride on the shared
-/// ExecutionConfig base and are forwarded to every session: worker_pool is
-/// the fleet-wide default pool (a per-submission SubmitOptions::worker_pool
-/// overrides it), and partitions > 1 plans decomposable aggregations as
-/// partitioned exchange pipelines (sql/planner.h).
+/// The engine knob (worker_pool) rides on the shared ExecutionConfig base
+/// and is forwarded to every session: it is the fleet-wide default pool (a
+/// per-submission SubmitOptions::worker_pool overrides it).
 struct ServerOptions : ExecutionConfig {
   /// Concurrent session threads (the fleet's parallelism). 1 serializes
   /// execution entirely — useful for deterministic end-to-end tests.

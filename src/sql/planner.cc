@@ -6,7 +6,6 @@
 
 #include "common/strings.h"
 #include "exec/aggregate.h"
-#include "exec/exchange.h"
 #include "exec/filter_project.h"
 #include "exec/join.h"
 #include "exec/scan.h"
@@ -298,11 +297,6 @@ uint64_t DistinctOf(const Database& db, const std::string& table,
 }  // namespace
 
 StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db) {
-  return PlanSelect(stmt, db, PlanOptions());
-}
-
-StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
-                                  const PlanOptions& options) {
   if (stmt.from.empty()) return InvalidArgument("FROM clause required");
 
   // Assemble the relation list (FROM items then JOIN items) and check
@@ -546,61 +540,11 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
     double est_groups =
         EstimateGroupCount(current.est_rows,
                            std::vector<uint64_t>(stmt.group_by.size(), 100));
-    bool decomposed = false;
-    if (options.partitions > 1 && !group_exprs.empty() &&
-        PartialAggregate::Decomposable(descs) &&
-        current.op->kind() == OpKind::kSeqScan) {
-      // Partitioned pipeline (exec/exchange.h): N range-partitioned
-      // scan → partial-aggregate producers, an Exchange hashing on the
-      // group key, and a FinalAggregate merging partial states. Restricted
-      // to the shapes where decomposition is semantics-preserving: a
-      // single-table input (the WHERE conjuncts already merged into the
-      // scan) with at least one group key and no COUNT(DISTINCT).
-      const size_t parts = options.partitions;
-      auto* scan = static_cast<SeqScan*>(current.op.get());
-      const Table* table = scan->table();
-      const Expr* pred = scan->predicate();
-      const uint64_t n = table->num_rows();
-      std::vector<OperatorPtr> producers;
-      producers.reserve(parts);
-      for (size_t p = 0; p < parts; ++p) {
-        auto part_scan = std::make_unique<SeqScan>(
-            table, pred != nullptr ? pred->Clone() : nullptr, n * p / parts,
-            n * (p + 1) / parts);
-        std::vector<ExprPtr> part_groups;
-        part_groups.reserve(group_exprs.size());
-        for (const ExprPtr& g : group_exprs) {
-          part_groups.push_back(g->Clone());
-        }
-        std::vector<AggregateDesc> part_descs;
-        part_descs.reserve(descs.size());
-        for (const AggregateDesc& d : descs) {
-          part_descs.emplace_back(
-              d.func, d.arg != nullptr ? d.arg->Clone() : nullptr,
-              d.output_name);
-        }
-        producers.push_back(std::make_unique<PartialAggregate>(
-            std::move(part_scan), std::move(part_groups), group_names,
-            std::move(part_descs)));
-      }
-      std::vector<size_t> key_cols(group_exprs.size());
-      for (size_t g = 0; g < key_cols.size(); ++g) key_cols[g] = g;
-      auto exchange = std::make_unique<Exchange>(
-          std::move(producers), std::move(key_cols), parts);
-      auto final_agg = std::make_unique<FinalAggregate>(
-          std::move(exchange), group_exprs.size(), group_names,
-          std::move(descs));
-      final_agg->set_estimated_rows(est_groups);
-      current.op = std::move(final_agg);
-      decomposed = true;
-    }
-    if (!decomposed) {
-      auto agg = std::make_unique<HashAggregate>(
-          std::move(current.op), std::move(group_exprs), group_names,
-          std::move(descs));
-      agg->set_estimated_rows(est_groups);
-      current.op = std::move(agg);
-    }
+    auto agg = std::make_unique<HashAggregate>(
+        std::move(current.op), std::move(group_exprs), group_names,
+        std::move(descs));
+    agg->set_estimated_rows(est_groups);
+    current.op = std::move(agg);
     current.est_rows = est_groups;
 
     // Post-aggregation scope: group columns, then aggregates. Group columns
@@ -763,12 +707,6 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
 StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db) {
   QPROG_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(query));
   return PlanSelect(stmt, db);
-}
-
-StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db,
-                               const PlanOptions& options) {
-  QPROG_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(query));
-  return PlanSelect(stmt, db, options);
 }
 
 StatusOr<QueryRows> ExecuteSql(const std::string& query, const Database& db) {

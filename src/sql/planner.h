@@ -28,26 +28,11 @@
 namespace qprog {
 namespace sql {
 
-/// Plan-construction knobs (distinct from the execution environment, which
-/// rides on ExecContext / ExecutionConfig).
-struct PlanOptions {
-  /// Degree of pipeline parallelism. With partitions > 1, a decomposable
-  /// single-table GROUP BY aggregation plans as N range-partitioned
-  /// scan → partial-aggregate producers feeding an Exchange (hash on the
-  /// group key) and a FinalAggregate (exec/exchange.h); everything else
-  /// falls back to the serial shape. 0 or 1 = serial plans.
-  size_t partitions = 0;
-};
-
 /// Plans a parsed statement. The database must outlive the plan.
 StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db);
-StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
-                                  const PlanOptions& options);
 
 /// Parse + plan in one call.
 StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db);
-StatusOr<PhysicalPlan> PlanSql(const std::string& query, const Database& db,
-                               const PlanOptions& options);
 
 /// Result rows that outlive their query: `strings` owns the bytes of every
 /// VARCHAR in `rows`, so the rows stay valid after the plan, its spill

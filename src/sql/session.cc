@@ -38,9 +38,7 @@ StatusOr<QueryRows> OwnedRows(exec::DriveResult result) {
 }  // namespace
 
 StatusOr<QueryRows> SqlSession::Execute(const std::string& query) {
-  PlanOptions popts;
-  popts.partitions = options_.partitions;
-  QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_, popts));
+  QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_));
   ExecContext ctx;
   ctx.set_guard(options_.guard);
   ctx.set_fault_injector(options_.fault_injector);
@@ -74,9 +72,7 @@ StatusOr<QueryRows> SqlSession::Execute(const std::string& query) {
 
 StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
                                                       const QueryOptions& q) {
-  PlanOptions popts;
-  popts.partitions = options_.partitions;
-  QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_, popts));
+  QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_));
   const uint64_t fingerprint = TemplateFingerprint(query);
   CrossRunRegistry* feedback =
       options_.cross_run_feedback ? options_.cross_run : nullptr;

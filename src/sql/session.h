@@ -38,10 +38,8 @@ namespace sql {
 
 /// Session-wide configuration: default estimator specs plus the borrowed
 /// execution environment (all pointers optional and caller-owned). The
-/// engine knobs — worker_pool, partitions — live on the shared
-/// ExecutionConfig base (exec/execution_config.h): `partitions > 1` makes
-/// the planner build partitioned scan → partial-agg → Exchange → final-agg
-/// pipelines for decomposable aggregations (sql/planner.h).
+/// engine knob — worker_pool — lives on the shared ExecutionConfig base
+/// (exec/execution_config.h).
 struct SessionOptions : ExecutionConfig {
   /// Estimator specs for monitored runs without a per-query override.
   /// CreateEstimator syntax — parameterized specs like "hybrid:2.5" and

@@ -18,7 +18,6 @@
 
 #include "core/monitor.h"
 #include "exec/aggregate.h"
-#include "exec/exchange.h"
 #include "exec/fault_injector.h"
 #include "exec/filter_project.h"
 #include "exec/join.h"
@@ -373,15 +372,6 @@ TEST(GuardrailsTest, EveryFaultSiteStopsItsOperator) {
                          std::make_unique<SeqScan>(&big), std::move(groups),
                          std::vector<std::string>{"g"}, std::move(aggs)));
                    }});
-  auto exchange_plan = [&] {
-    std::vector<OperatorPtr> producers;
-    producers.push_back(std::make_unique<SeqScan>(&big, nullptr, 0, 100));
-    producers.push_back(std::make_unique<SeqScan>(&big, nullptr, 100, 200));
-    return PhysicalPlan(std::make_unique<Exchange>(
-        std::move(producers), std::vector<size_t>{0}, 2));
-  };
-  cases.push_back({faults::kExchangeSend, exchange_plan});
-  cases.push_back({faults::kExchangeRecv, exchange_plan});
   // Spill-layer sites: the sort spills under the case's tight budget, so
   // every temp-file open, record write, and record read consults its site.
   cases.push_back({faults::kSpillOpen, sort_plan, /*spilling=*/true});
@@ -572,22 +562,23 @@ TEST(GuardrailsTest, ObserverFiresOncePerCrossedInterval) {
   std::vector<uint64_t> fired;
   ctx.SetWorkObserver(10, [&](uint64_t work) { fired.push_back(work); });
   ctx.Reset(1);
-  ctx.CountRows(0, 35, /*is_root=*/false);  // crosses 10, 20, 30 in one burst
+  ctx.AddSpillWork(0, 35);  // crosses 10, 20, 30 in one burst
   EXPECT_EQ(fired, (std::vector<uint64_t>{10, 20, 30}));
-  ctx.CountRows(0, 5, false);  // reaches exactly 40
+  ctx.AddSpillWork(0, 5);  // reaches exactly 40
   EXPECT_EQ(fired, (std::vector<uint64_t>{10, 20, 30, 40}));
   for (int i = 0; i < 9; ++i) ctx.CountRow(0, false);
   EXPECT_EQ(fired.size(), 4u);
   ctx.CountRow(0, false);  // 50th unit
   EXPECT_EQ(fired.back(), 50u);
-  EXPECT_EQ(ctx.rows_produced(0), 50u);
+  EXPECT_EQ(ctx.rows_produced(0), 10u);
+  EXPECT_EQ(ctx.spill_work(0), 40u);
 }
 
 TEST(GuardrailsTest, RootRowsAreNotWorkButAreCounted) {
   ExecContext ctx;
   ctx.Reset(2);
-  ctx.CountRows(0, 7, /*is_root=*/true);
-  ctx.CountRows(1, 3, /*is_root=*/false);
+  for (int i = 0; i < 7; ++i) ctx.CountRow(0, /*is_root=*/true);
+  for (int i = 0; i < 3; ++i) ctx.CountRow(1, /*is_root=*/false);
   EXPECT_EQ(ctx.work(), 3u);
   EXPECT_EQ(ctx.rows_produced(0), 7u);
   EXPECT_EQ(ctx.rows_produced(1), 3u);

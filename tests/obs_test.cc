@@ -122,6 +122,34 @@ TEST(TraceEventTest, ReaderRejectsGarbageAndUnknownVersion) {
       << multi.status();
 }
 
+TEST(TraceEventTest, ReaderRejectsUnknownEventNames) {
+  // The retired v5 exchange events parse like any other unknown name: an
+  // accepted schema version does not make an event name known.
+  for (const char* line :
+       {"{\"v\":5,\"seq\":3,\"event\":\"exchange_begin\",\"work\":0,"
+        "\"node\":1,\"producers\":4,\"consumers\":4}",
+        "{\"v\":5,\"seq\":4,\"event\":\"partition_close\",\"work\":9,"
+        "\"node\":1,\"partition\":0,\"rows\":9}",
+        "{\"v\":1,\"seq\":0,\"event\":\"no_such_event\",\"work\":0}"}) {
+    SCOPED_TRACE(line);
+    auto parsed = ParseTraceEvent(line);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("unknown trace event"),
+              std::string::npos)
+        << parsed.status();
+  }
+  auto trace = ParseTraceJsonl(
+      "{\"v\":5,\"seq\":0,\"event\":\"checkpoint\",\"work\":5,"
+      "\"work_lb\":5,\"work_ub\":9}\n"
+      "{\"v\":5,\"seq\":1,\"event\":\"exchange_begin\",\"work\":5,"
+      "\"node\":1,\"producers\":4,\"consumers\":4}\n");
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(trace.status().message().find("line 2"), std::string::npos)
+      << trace.status();
+}
+
 TEST(TraceSinkTest, RingBufferWraparoundKeepsNewestOldestFirst) {
   RingBufferSink ring(4);
   for (int i = 0; i < 10; ++i) {

@@ -461,12 +461,11 @@ TEST_F(ServerSoakTest, RevocationUnderLoadKeepsBoundsAndResults) {
 }
 
 
-// Exchange leg: the whole fleet plans decomposable GROUP BYs as partitioned
-// scan -> partial-agg -> exchange -> final-agg pipelines (ServerOptions::
-// partitions on the ExecutionConfig spine), under a governor pool small
-// enough to revoke mid-exchange. Every run must complete with the serial
-// row count and keep Curr <= LB <= UB at every checkpoint.
-TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
+// Pooled leg: a 4-session fleet sharing one fleet-wide worker pool (the
+// ExecutionConfig spine), under a governor pool small enough to revoke
+// mid-run and with latency faults on every scan. Every run must complete
+// with the serial row count and keep Curr <= LB <= UB at every checkpoint.
+TEST_F(ServerSoakTest, PooledFleetKeepsBoundsAndResultsUnderRevocation) {
   std::vector<uint64_t> solo_root_rows;
   for (const char* sql : kQueries) {
     StatusOr<sql::QueryRows> rows = sql::ExecuteSql(sql, *db_);
@@ -474,14 +473,13 @@ TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
     solo_root_rows.push_back(rows->rows.size());
   }
 
-  std::filesystem::path dir = ScratchDir("exchange");
+  std::filesystem::path dir = ScratchDir("pooled");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   WorkerPool pool(4);
   ServerOptions opts;
   opts.sessions = 4;
-  opts.partitions = 4;       // fleet-wide partitioned planning
   opts.worker_pool = &pool;  // fleet-wide default intra-query pool
   opts.estimators = kEstimators;
   opts.checkpoint_interval = kInterval;
@@ -490,7 +488,6 @@ TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
   opts.governor.min_grant_rows = 16;
   opts.admission.fallback_peak_rows = 200;
   QueryServer server(db_, opts);
-  EXPECT_EQ(server.options().partitions, 4u);
 
   struct Observed {
     std::mutex mu;
@@ -514,7 +511,7 @@ TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
         std::lock_guard<std::mutex> lock(obs->mu);
         obs->checkpoints.push_back(cp);
       };
-      tickets.push_back(server.Submit("exch", kQueries[qi], so));
+      tickets.push_back(server.Submit("pooled", kQueries[qi], so));
     }
   }
 
@@ -524,7 +521,7 @@ TEST_F(ServerSoakTest, PartitionedFleetKeepsBoundsAndResultsUnderRevocation) {
     ASSERT_TRUE(r.status.ok()) << r.status;
     EXPECT_TRUE(r.report.completed());
     EXPECT_EQ(r.report.root_rows, solo_root_rows[i % kNumQueries])
-        << "partitioned fleet run changed the result";
+        << "pooled fleet run changed the result";
     std::lock_guard<std::mutex> lock(observed[i]->mu);
     EXPECT_FALSE(observed[i]->checkpoints.empty());
     for (const Checkpoint& cp : observed[i]->checkpoints) {

@@ -24,7 +24,6 @@
 #include "common/random.h"
 #include "core/monitor.h"
 #include "exec/aggregate.h"
-#include "exec/exchange.h"
 #include "exec/fault_injector.h"
 #include "exec/join.h"
 #include "exec/plan.h"
@@ -328,163 +327,6 @@ TEST(SoakRecursionTest, TightMemoryRecursiveGraceLeavesNoResidue) {
   }
 }
 
-
-// Exchange soak (DESIGN.md §16): a partitioned scan -> partial-agg ->
-// exchange -> final-agg pipeline run under the same disruption style as the
-// matrix above — forced repartition spill, a mid-run governor revocation,
-// work-indexed cancellation, and transient I/O faults under spill — at both
-// serial and 4-thread pool configurations. Completed runs must match the
-// unconstrained result; every run must drain its accounts.
-TEST(SoakExchangeTest, SpillAndRevocationLegsLeaveNoResidue) {
-  const int64_t kRows = 1600, kKeys = 97;
-  std::vector<Row> trows;
-  trows.reserve(kRows);
-  for (int64_t i = kRows - 1; i >= 0; --i) {
-    trows.push_back({Value::Int64(i % kKeys), Value::Int64(i)});
-  }
-  Table t = testutil::MakeTable("x", {"k", "v"}, std::move(trows));
-
-  auto make_plan = [&](size_t partitions) {
-    std::vector<AggregateDesc> aggs;
-    aggs.emplace_back(AggFunc::kCount, nullptr, "cnt");
-    aggs.emplace_back(AggFunc::kSum, eb::Col(1), "sv");
-    const uint64_t n = t.num_rows();
-    std::vector<OperatorPtr> producers;
-    for (size_t p = 0; p < partitions; ++p) {
-      std::vector<ExprPtr> groups;
-      groups.push_back(eb::Col(0));
-      std::vector<AggregateDesc> paggs;
-      paggs.emplace_back(AggFunc::kCount, nullptr, "cnt");
-      paggs.emplace_back(AggFunc::kSum, eb::Col(1), "sv");
-      producers.push_back(std::make_unique<PartialAggregate>(
-          std::make_unique<SeqScan>(&t, nullptr, n * p / partitions,
-                                    n * (p + 1) / partitions),
-          std::move(groups), std::vector<std::string>{"k"},
-          std::move(paggs)));
-    }
-    auto exchange = std::make_unique<Exchange>(
-        std::move(producers), std::vector<size_t>{0}, partitions);
-    return PhysicalPlan(std::make_unique<FinalAggregate>(
-        std::move(exchange), 1, std::vector<std::string>{"k"},
-        std::move(aggs)));
-  };
-
-  // Unconstrained baseline.
-  std::string baseline;
-  {
-    PhysicalPlan plan = make_plan(4);
-    ExecContext ctx;
-    StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
-    ASSERT_TRUE(rows.ok()) << rows.status();
-    baseline = testutil::RowsToString(rows.value());
-  }
-
-  enum class Leg { kSpill, kRevocation, kCancel, kTransientIo };
-  const Leg kLegs[] = {Leg::kSpill, Leg::kRevocation, Leg::kCancel,
-                       Leg::kTransientIo};
-  auto leg_name = [](Leg l) {
-    switch (l) {
-      case Leg::kSpill: return "spill";
-      case Leg::kRevocation: return "revocation";
-      case Leg::kCancel: return "cancel";
-      case Leg::kTransientIo: return "transient-io";
-    }
-    return "?";
-  };
-
-  uint64_t total_spill_runs = 0;
-  for (int threads : {0, 4}) {
-    std::unique_ptr<WorkerPool> pool;
-    if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
-    for (uint64_t seed : kSeeds) {
-      for (Leg leg : kLegs) {
-        SCOPED_TRACE(std::string("leg=") + leg_name(leg) + " seed=" +
-                     std::to_string(seed) + " threads=" +
-                     std::to_string(threads));
-        Rng rng(seed * 7919 + static_cast<uint64_t>(leg));
-        std::filesystem::path dir =
-            std::filesystem::temp_directory_path() /
-            ("qprog_soak_exchange_" + std::string(leg_name(leg)) + "_" +
-             std::to_string(seed) + "_t" + std::to_string(threads));
-        std::filesystem::remove_all(dir);
-        std::filesystem::create_directories(dir);
-        SpillManager spill(dir.string());
-        QueryGuard guard;
-        guard.set_check_interval(64);
-        FaultInjector fi(seed);
-
-        std::set<StatusCode> allowed = {StatusCode::kOk};
-        uint64_t cancel_at = 0;
-        bool revoke = false;
-        switch (leg) {
-          case Leg::kSpill:
-            guard.set_max_buffered_rows(16 + rng.Uniform(32));
-            break;
-          case Leg::kRevocation:
-            revoke = true;  // starts unconstrained, shrinks mid-run
-            break;
-          case Leg::kCancel:
-            guard.set_max_buffered_rows(16 + rng.Uniform(32));
-            cancel_at = 64 * (1 + rng.Uniform(20));
-            allowed.insert(StatusCode::kCancelled);
-            break;
-          case Leg::kTransientIo:
-            guard.set_max_buffered_rows(16 + rng.Uniform(32));
-            for (const char* site : {faults::kSpillOpen, faults::kSpillWrite,
-                                     faults::kSpillRead}) {
-              FaultSpec spec;
-              spec.site = site;
-              spec.fail_on_hit = 1 + rng.Uniform(100);
-              spec.fault_class = FaultClass::kTransient;
-              spec.transient_failures = 1 + rng.Uniform(2);
-              fi.Arm(std::move(spec));
-            }
-            break;
-        }
-
-        PhysicalPlan plan = make_plan(4);
-        ExecContext ctx;
-        ctx.set_guard(&guard);
-        ctx.set_spill_manager(&spill);
-        ctx.set_fault_injector(&fi);
-        ctx.set_worker_pool(pool.get());
-        fi.Reset();
-        bool revoked = false;
-        if (cancel_at > 0 || revoke) {
-          ctx.SetWorkObserver(64, [&](uint64_t work) {
-            if (cancel_at > 0 && work >= cancel_at) guard.RequestCancel();
-            if (revoke && !revoked && work >= 512) {
-              guard.set_max_buffered_rows(8 + rng.Uniform(16));
-              revoked = true;
-            }
-          });
-        }
-        StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
-        StatusCode code = rows.ok() ? StatusCode::kOk : rows.status().code();
-        EXPECT_TRUE(allowed.count(code))
-            << "unexpected outcome: "
-            << (rows.ok() ? "OK" : rows.status().ToString());
-        if (rows.ok()) {
-          EXPECT_EQ(testutil::RowsToString(rows.value()), baseline)
-              << "degraded exchange run changed the result";
-        }
-        EXPECT_EQ(ctx.buffered_rows(), 0u)
-            << "buffered-row account not drained";
-        EXPECT_EQ(spill.live_runs(), 0u) << "live spill runs leaked";
-        EXPECT_EQ(CountSpillFiles(dir.string()), 0)
-            << "temp spill files leaked";
-        if (leg == Leg::kRevocation && rows.ok()) {
-          EXPECT_TRUE(revoked) << "revocation leg never revoked";
-        }
-        total_spill_runs += spill.stats().runs_created;
-        guard.ResetCancel();
-        std::filesystem::remove_all(dir);
-      }
-    }
-  }
-  EXPECT_GT(total_spill_runs, 0u)
-      << "exchange soak never exercised repartition spill";
-}
 
 }  // namespace
 }  // namespace qprog

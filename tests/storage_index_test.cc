@@ -153,9 +153,9 @@ TEST(ColumnarTableTest, SortByColumnIsStableWithNullsFirst) {
   EXPECT_EQ(order, "(NULL, 2)(-1, 1)(2.5, 0)(2.5, 3)");
 }
 
-TEST(ColumnarTableTest, RangePartitionedScansReadTheirRows) {
-  // Each partition's scan yields exactly ReadRow of its passing rows, with
-  // the predicate-first build filling in the columns the predicate skips.
+TEST(ColumnarTableTest, ScansBuildPassingRowsPredicateFirst) {
+  // A scan yields exactly ReadRow of its passing rows, with the
+  // predicate-first build filling in the columns the predicate skips.
   std::vector<Row> rows;
   for (int64_t i = 0; i < 40; ++i) {
     rows.push_back({I(i), S("name" + std::to_string(i)),
@@ -164,16 +164,10 @@ TEST(ColumnarTableTest, RangePartitionedScansReadTheirRows) {
   Table t = testutil::MakeTable("t", {"id", "name", "x"}, std::move(rows));
   for (bool with_predicate : {false, true}) {
     SCOPED_TRACE(with_predicate ? "predicate" : "no predicate");
-    std::vector<Row> all;
-    for (uint64_t begin = 0; begin < t.num_rows(); begin += 16) {
-      const uint64_t end = std::min<uint64_t>(begin + 16, t.num_rows());
-      ExprPtr pred =
-          with_predicate ? eb::Gt(eb::Col(2, "x"), eb::Dbl(4.0)) : nullptr;
-      PhysicalPlan plan(
-          std::make_unique<SeqScan>(&t, std::move(pred), begin, end));
-      std::vector<Row> part = CollectRows(&plan);
-      all.insert(all.end(), part.begin(), part.end());
-    }
+    ExprPtr pred =
+        with_predicate ? eb::Gt(eb::Col(2, "x"), eb::Dbl(4.0)) : nullptr;
+    PhysicalPlan plan(std::make_unique<SeqScan>(&t, std::move(pred)));
+    std::vector<Row> all = CollectRows(&plan);
     std::vector<Row> expected;
     for (uint64_t i = 0; i < t.num_rows(); ++i) {
       Row row = testutil::RowAt(t, i);
