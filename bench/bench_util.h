@@ -89,29 +89,43 @@ inline std::string ProvenanceJson(int repetitions) {
       QPROG_BENCH_BUILD_TYPE, GitSha().c_str(), repetitions);
 }
 
-/// Minimum, median and maximum of repeated measurements of one scenario.
+/// Minimum, quartiles and maximum of repeated measurements of one scenario.
 struct Spread {
   double min = 0;
+  double q1 = 0;
   double median = 0;
+  double q3 = 0;
   double max = 0;
 };
 
+/// Quartiles interpolate linearly between the order statistics around
+/// position p * (n - 1).
 inline Spread SpreadOf(std::vector<double> samples) {
   Spread s;
   if (samples.empty()) return s;
   std::sort(samples.begin(), samples.end());
-  size_t n = samples.size();
+  auto at = [&samples](double p) {
+    double pos = p * static_cast<double>(samples.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, samples.size() - 1);
+    double frac = pos - static_cast<double>(lo);
+    return samples[lo] + frac * (samples[hi] - samples[lo]);
+  };
   s.min = samples.front();
+  s.q1 = at(0.25);
+  s.median = at(0.5);
+  s.q3 = at(0.75);
   s.max = samples.back();
-  s.median = n % 2 == 1 ? samples[n / 2]
-                        : (samples[n / 2 - 1] + samples[n / 2]) / 2;
   return s;
 }
 
-/// `"<name>_min":..,"<name>_median":..,"<name>_max":..` for a JSON object.
+/// `"<name>_min":..,"<name>_q1":..,"<name>_median":..,"<name>_q3":..,
+/// "<name>_max":..` for a JSON object.
 inline std::string SpreadJson(const char* name, const Spread& s) {
-  return StringPrintf("\"%s_min\":%.1f,\"%s_median\":%.1f,\"%s_max\":%.1f",
-                      name, s.min, name, s.median, name, s.max);
+  return StringPrintf(
+      "\"%s_min\":%.1f,\"%s_q1\":%.1f,\"%s_median\":%.1f,\"%s_q3\":%.1f,"
+      "\"%s_max\":%.1f",
+      name, s.min, name, s.q1, name, s.median, name, s.q3, name, s.max);
 }
 
 }  // namespace bench

@@ -1,14 +1,14 @@
 // Quantifies intra-query parallelism (DESIGN.md §10): the spill-heavy
 // external sort and Grace hash join swept over worker-pool sizes {1, 2, 4, 8}.
 // The SpillManager's device model charges a fixed cost per spill byte on the
-// thread doing the I/O, so run formation, intermediate merges and Grace leaf
-// joins overlap their device time across the pool exactly like
-// bandwidth-bound disk I/O — which is what makes parallel speedup measurable
-// even on a single-core host. Grace partition writes run on the query
-// thread, so the join's write-side device time is serial; e2ebench, not this
-// model, decides whether a path earns its pool.
+// thread doing the I/O, so sort run formation and Grace leaf joins overlap
+// their device time across the pool exactly like bandwidth-bound disk I/O —
+// which is what makes parallel speedup measurable even on a single-core
+// host. The sort's one-level merge and the Grace partition writes run on the
+// query thread, so their device time is serial; e2ebench, not this model,
+// decides whether a path earns its pool.
 //
-// Results (min/median/max wall ms over kReps runs, median speedup vs. the
+// Results (min/q1/median/q3/max wall ms over kReps runs, median speedup vs. the
 // 1-thread pool, spill bytes and runs) are printed and written, under a
 // provenance header, to BENCH_parallel.json in the working directory:
 //

@@ -4,11 +4,13 @@
 // join, and partition-spilled aggregation — plus the raw SpillFile record
 // write/read throughput that bounds them all.
 //
-// Results (min/median/max ns per unit of work over kReps runs after one
-// untimed warm-up run, spill
-// run/byte counts, median slowdown vs. the in-memory path) are printed and
-// written, under a provenance header, to BENCH_spill.json in the working
-// directory:
+// Each family's scenarios run interleaved: every rep runs the in-memory
+// plan and then each spilling budget once, after one untimed warm-up rep,
+// so host drift lands on a rep's scenarios alike. Results (ns per unit of
+// work as min/q1/median/q3/max over kReps reps, spill run/byte counts, and
+// the slowdown vs. the in-memory run of the same rep, as quartiles) are
+// printed and written, under a provenance header, to BENCH_spill.json in
+// the working directory:
 //
 //   ./build/bench/micro_spill
 //
@@ -47,7 +49,7 @@ namespace qprog {
 namespace {
 
 constexpr int64_t kRows = 100000;
-constexpr int kReps = 3;
+constexpr int kReps = 10;
 
 Table Numbers(int64_t n) {
   Table table("t", Schema({Field("v", TypeId::kInt64)}));
@@ -94,50 +96,71 @@ PhysicalPlan AggPlan(const Table* t) {
 struct Result {
   std::string name;
   bench::Spread ns_per_work;  // wall time / final work counter
-  double slowdown = 1.0;      // median wall time vs. the in-memory baseline
+  bench::Spread slowdown;     // wall time / the same rep's in-memory wall time
   uint64_t work = 0;          // revised total(Q)
   uint64_t spill_runs = 0;
   uint64_t spill_rows = 0;
   uint64_t spill_bytes = 0;
 };
 
-/// kReps executions under `soft_budget` (0 = unconstrained), after one
-/// untimed warm-up execution: without it the first rep pays the allocator's
-/// first touch of the plan's buffers and reads up to 2x slower than the
-/// others.
-Result Measure(const std::string& name,
-               const std::function<PhysicalPlan()>& make_plan,
-               uint64_t soft_budget) {
-  Result r;
-  r.name = name;
-  std::vector<double> ns_per_work;
-  for (int rep = -1; rep < kReps; ++rep) {  // rep -1 is the warm-up
-    PhysicalPlan plan = make_plan();
-    SpillManager spill;
-    QueryGuard guard;
-    ExecContext ctx;
-    if (soft_budget > 0) {
-      guard.set_max_buffered_rows(soft_budget);
-      ctx.set_guard(&guard);
-      ctx.set_spill_manager(&spill);
-    }
-    auto start = std::chrono::steady_clock::now();
-    exec::Drive(&plan, {.ctx = &ctx});
-    auto end = std::chrono::steady_clock::now();
-    QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
-    QPROG_CHECK(spill.live_runs() == 0);
-    if (rep < 0) continue;
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-    r.work = ctx.work();
-    ns_per_work.push_back(ns / static_cast<double>(r.work));
-    r.spill_runs = spill.stats().runs_created;
-    r.spill_rows = spill.stats().rows_written;
-    r.spill_bytes = spill.stats().bytes_written;
+/// One scenario of a family: a soft budget (0 = unconstrained, in memory).
+struct Scenario {
+  const char* name;
+  uint64_t soft_budget;
+};
+
+/// Runs `make_plan` once under `soft_budget`; returns the wall time in ns
+/// and records the counters in `r`.
+double RunOnce(const std::function<PhysicalPlan()>& make_plan,
+               uint64_t soft_budget, Result* r) {
+  PhysicalPlan plan = make_plan();
+  SpillManager spill;
+  QueryGuard guard;
+  ExecContext ctx;
+  if (soft_budget > 0) {
+    guard.set_max_buffered_rows(soft_budget);
+    ctx.set_guard(&guard);
+    ctx.set_spill_manager(&spill);
   }
-  r.ns_per_work = bench::SpreadOf(std::move(ns_per_work));
-  return r;
+  auto start = std::chrono::steady_clock::now();
+  exec::Drive(&plan, {.ctx = &ctx});
+  auto end = std::chrono::steady_clock::now();
+  QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
+  QPROG_CHECK(spill.live_runs() == 0);
+  r->work = ctx.work();
+  r->spill_runs = spill.stats().runs_created;
+  r->spill_rows = spill.stats().rows_written;
+  r->spill_bytes = spill.stats().bytes_written;
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count());
+}
+
+/// kReps interleaved reps of `scenarios` (the first must be the in-memory
+/// baseline), after one untimed warm-up rep: without it the first rep pays
+/// the allocator's first touch of the plan's buffers.
+std::vector<Result> MeasureFamily(
+    const std::string& family, const std::function<PhysicalPlan()>& make_plan,
+    const std::vector<Scenario>& scenarios) {
+  std::vector<Result> results(scenarios.size());
+  std::vector<std::vector<double>> ns_per_work(scenarios.size());
+  std::vector<std::vector<double>> slowdown(scenarios.size());
+  for (int rep = -1; rep < kReps; ++rep) {  // rep -1 is the warm-up
+    double baseline_ns = 0;
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+      double ns = RunOnce(make_plan, scenarios[i].soft_budget, &results[i]);
+      if (i == 0) baseline_ns = ns;
+      if (rep < 0) continue;
+      ns_per_work[i].push_back(ns / static_cast<double>(results[i].work));
+      slowdown[i].push_back(ns / baseline_ns);
+    }
+  }
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    results[i].name = family + "/" + scenarios[i].name;
+    results[i].ns_per_work = bench::SpreadOf(std::move(ns_per_work[i]));
+    results[i].slowdown = bench::SpreadOf(std::move(slowdown[i]));
+  }
+  return results;
 }
 
 // -- parallel aggregate replay ----------------------------------------------
@@ -257,7 +280,7 @@ std::pair<bench::Spread, bench::Spread> MeasureFileThroughput(int64_t rows) {
 int main() {
   using namespace qprog;  // NOLINT(build/namespaces)
   std::printf("=== micro_spill: cost of memory-adaptive execution ===\n");
-  std::printf("rows=%lld, %d runs per scenario\n\n",
+  std::printf("rows=%lld, %d reps per scenario\n\n",
               static_cast<long long>(kRows), kReps);
 
   Table sort_t = Numbers(kRows);
@@ -269,19 +292,11 @@ int main() {
   auto run_family = [&](const char* family,
                         const std::function<PhysicalPlan()>& make_plan,
                         uint64_t mild, uint64_t harsh) {
-    Result mem = Measure(std::string(family) + "/in_memory", make_plan, 0);
-    Result spill_mild =
-        Measure(std::string(family) + "/spill_mild", make_plan, mild);
-    Result spill_harsh =
-        Measure(std::string(family) + "/spill_harsh", make_plan, harsh);
-    auto wall = [](const Result& r) {
-      return r.ns_per_work.median * static_cast<double>(r.work);
-    };
-    spill_mild.slowdown = wall(spill_mild) / wall(mem);
-    spill_harsh.slowdown = wall(spill_harsh) / wall(mem);
-    results.push_back(mem);
-    results.push_back(spill_mild);
-    results.push_back(spill_harsh);
+    std::vector<Result> family_results = MeasureFamily(
+        family, make_plan,
+        {{"in_memory", 0}, {"spill_mild", mild}, {"spill_harsh", harsh}});
+    results.insert(results.end(), family_results.begin(),
+                   family_results.end());
   };
 
   run_family("sort", [&] { return SortPlan(&sort_t); }, kRows / 4, kRows / 32);
@@ -290,17 +305,18 @@ int main() {
   run_family("hashagg", [&] { return AggPlan(&agg_t); }, kRows / 16,
              kRows / 128);
 
-  std::printf("%-22s %-21s %-10s %-8s %-8s %-12s %-10s\n", "scenario",
-              "ns/work min/med/max", "work", "runs", "rows", "bytes",
-              "slowdown");
+  std::printf("%-22s %-27s %-10s %-6s %-8s %-10s %s\n", "scenario",
+              "ns/work q1/med/q3", "work", "runs", "rows", "bytes",
+              "slowdown q1/med/q3");
   for (const Result& r : results) {
-    std::printf("%-22s %6.1f/%6.1f/%6.1f %-10llu %-8llu %-8llu %-12llu %.2fx\n",
-                r.name.c_str(), r.ns_per_work.min, r.ns_per_work.median,
-                r.ns_per_work.max,
-                static_cast<unsigned long long>(r.work),
+    std::printf("%-22s %8.1f/%8.1f/%8.1f %-10llu %-6llu %-8llu %-10llu "
+                "%.2f/%.2f/%.2fx\n",
+                r.name.c_str(), r.ns_per_work.q1, r.ns_per_work.median,
+                r.ns_per_work.q3, static_cast<unsigned long long>(r.work),
                 static_cast<unsigned long long>(r.spill_runs),
                 static_cast<unsigned long long>(r.spill_rows),
-                static_cast<unsigned long long>(r.spill_bytes), r.slowdown);
+                static_cast<unsigned long long>(r.spill_bytes), r.slowdown.q1,
+                r.slowdown.median, r.slowdown.q3);
   }
 
   auto [write_ns, read_ns] = MeasureFileThroughput(kRows);
@@ -340,14 +356,18 @@ int main() {
     const Result& r = results[i];
     if (i > 0) json += ',';
     json += StringPrintf("\"%s\":{", r.name.c_str()) +
-            bench::SpreadJson("ns_per_work", r.ns_per_work) +
+            bench::SpreadJson("ns_per_work", r.ns_per_work) + "," +
+            StringPrintf(
+                "\"slowdown_q1\":%.3f,\"slowdown_median\":%.3f,"
+                "\"slowdown_q3\":%.3f",
+                r.slowdown.q1, r.slowdown.median, r.slowdown.q3) +
             StringPrintf(
                 ",\"work\":%llu,\"spill_runs\":%llu,\"spill_rows\":%llu,"
-                "\"spill_bytes\":%llu,\"slowdown\":%.3f}",
+                "\"spill_bytes\":%llu}",
                 static_cast<unsigned long long>(r.work),
                 static_cast<unsigned long long>(r.spill_runs),
                 static_cast<unsigned long long>(r.spill_rows),
-                static_cast<unsigned long long>(r.spill_bytes), r.slowdown);
+                static_cast<unsigned long long>(r.spill_bytes));
   }
   json += "},\"spill_file\":{" +
           bench::SpreadJson("write_ns_per_row", write_ns) + "," +

@@ -138,9 +138,7 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
 void HashAggregate::DoOpen(ExecContext* ctx) {
   finished_ = false;
   built_ = false;
-  group_index_.clear();
-  group_keys_.clear();
-  group_states_.clear();
+  groups_.Clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   cursor_ = 0;
@@ -158,13 +156,11 @@ void HashAggregate::Build(ExecContext* ctx) {
   while (ctx->ok() && child_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashAggregateBuild, node_id())) return;
     any_input = true;
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto it = group_index_.find(key);
-    if (it != group_index_.end()) {
+    Row key = GroupKey(row);
+    auto it = groups_.index.find(key);
+    if (it != groups_.index.end()) {
       // Known group: keep accumulating in memory, spilled or not.
-      AccumulateRow(aggregates_, &group_states_[it->second], row);
+      AccumulateRow(aggregates_, &groups_.states[it->second], row);
       continue;
     }
     if (spilled_) {
@@ -187,93 +183,67 @@ void HashAggregate::Build(ExecContext* ctx) {
       if (!ctx->ChargeBufferedRowsPostSpill(1)) return;
     }
     ++charged_;
-    group_index_.emplace(key, group_keys_.size());
-    group_keys_.push_back(std::move(key));
-    group_states_.push_back(MakeStates(aggregates_));
-    AccumulateRow(aggregates_, &group_states_.back(), row);
+    groups_.index.emplace(key, groups_.keys.size());
+    groups_.keys.push_back(std::move(key));
+    groups_.states.push_back(MakeStates(aggregates_));
+    AccumulateRow(aggregates_, &groups_.states.back(), row);
   }
   if (!ctx->ok()) return;  // partial aggregation: do not emit
   if (spilled_ && !grace_.Refine(ctx, node_id())) return;
   // A scalar aggregate produces one row even over empty input.
   if (group_exprs_.empty() && !any_input) {
-    group_keys_.emplace_back();
-    group_states_.push_back(MakeStates(aggregates_));
+    groups_.keys.emplace_back();
+    groups_.states.push_back(MakeStates(aggregates_));
   }
   built_ = true;
 }
 
+Row HashAggregate::GroupKey(const Row& row) const {
+  Row key;
+  key.reserve(group_exprs_.size());
+  for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
+  return key;
+}
+
 void HashAggregate::ReleaseResidentGroups(ExecContext* ctx) {
-  prior_groups_ += group_keys_.size();
-  group_index_.clear();
-  group_keys_.clear();
-  group_states_.clear();
+  prior_groups_ += groups_.keys.size();
+  groups_.Clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   cursor_ = 0;
 }
 
-bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
-  ReleaseResidentGroups(ctx);
-  SpillRun* run = grace_.leaves()[part_next_].runs[0].get();
-  if (!run->OpenRead(ctx, node_id())) return false;
+bool HashAggregate::AggregateLeaf(WorkContext* wc, SpillRun* run,
+                                  GroupTable* groups, uint64_t* charged,
+                                  uint64_t* rows_read) const {
+  if (!run->OpenRead(wc, node_id())) return false;
   Row row;
-  while (run->ReadNext(ctx, node_id(), &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto [it, inserted] = group_index_.try_emplace(key, group_keys_.size());
-    if (inserted) {
-      // One partition's groups answer to the kill threshold only.
-      if (!ctx->ChargeBufferedRowsPostSpill(1)) return false;
-      ++charged_;
-      group_keys_.push_back(std::move(key));
-      group_states_.push_back(MakeStates(aggregates_));
-    }
-    AccumulateRow(aggregates_, &group_states_[it->second], row);
-    grace_.AddRowsRead(1);
-  }
-  if (!ctx->ok()) return false;
-  grace_.leaves()[part_next_].runs.clear();  // delete this leaf's temp file
-  ++part_next_;
-  return true;
-}
-
-void HashAggregate::ReplayPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                                        GraceLeafOutput* out, uint64_t* groups,
-                                        uint64_t* rows_read) const {
-  // The task owns its leaf end to end: a private group table, the leaf's
-  // spill reads, and the result buffer. The per-task kill-threshold charge
-  // below mirrors the serial LoadNextPartition charge.
-  SpillRun* run = leaf.runs[0].get();
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> states;
-  Row row;
-  bool ok = run->OpenRead(tc, node_id());
-  while (ok && run->ReadNext(tc, node_id(), &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto [it, inserted] = index.try_emplace(key, keys.size());
+  while (run->ReadNext(wc, node_id(), &row)) {
+    Row key = GroupKey(row);
+    auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
     if (inserted) {
       // One leaf's groups answer to the kill threshold only.
-      if (!tc->ChargeBufferedRowsPostSpill(1)) {
-        ok = false;
-        break;
-      }
-      keys.push_back(std::move(key));
-      states.push_back(MakeStates(aggregates_));
+      if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
+      ++*charged;
+      groups->keys.push_back(std::move(key));
+      groups->states.push_back(MakeStates(aggregates_));
     }
-    AccumulateRow(aggregates_, &states[it->second], row);
+    AccumulateRow(aggregates_, &groups->states[it->second], row);
     ++*rows_read;
   }
-  ok = ok && tc->ok();
-  *groups = keys.size();
-  // Emit result rows in first-seen order — the order the serial replay
-  // emits this leaf's groups.
-  for (size_t g = 0; ok && g < keys.size(); ++g) {
-    ok = out->Emit(tc, ResultRow(keys[g], states[g]));
+  return wc->ok();
+}
+
+bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
+  ReleaseResidentGroups(ctx);
+  GraceLeaf& leaf = grace_.leaves()[part_next_];
+  if (!AggregateLeaf(ctx, leaf.runs[0].get(), &groups_, &charged_,
+                     grace_.mutable_rows_read())) {
+    return false;
   }
+  leaf.runs.clear();  // delete this leaf's temp file
+  ++part_next_;
+  return true;
 }
 
 bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
@@ -284,8 +254,8 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
   }
   for (;;) {
     if (!ctx->ok()) return false;
-    if (cursor_ < group_keys_.size()) {
-      *out = ResultRow(group_keys_[cursor_], group_states_[cursor_]);
+    if (cursor_ < groups_.keys.size()) {
+      *out = ResultRow(groups_.keys[cursor_], groups_.states[cursor_]);
       ++cursor_;
       Emit(ctx);
       return true;
@@ -313,12 +283,22 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
       if (!grace_.RunLeaves(
               ctx, node_id(), kAggReplayTaskTag,
               [&](TaskContext* tc, size_t leaf, GraceLeafOutput* leaf_out) {
-                ReplayPartitionTask(tc, grace_.leaves()[leaf], leaf_out,
-                                    &leaf_groups[leaf], &leaf_rows_read[leaf]);
+                // A private group table per task; result rows go out in
+                // first-seen order, the order the serial replay emits them.
+                GroupTable table;
+                uint64_t charged = 0;
+                bool ok = AggregateLeaf(tc, grace_.leaves()[leaf].runs[0].get(),
+                                        &table, &charged,
+                                        &leaf_rows_read[leaf]);
+                leaf_groups[leaf] = table.keys.size();
+                for (size_t g = 0; ok && g < table.keys.size(); ++g) {
+                  ok = leaf_out->Emit(
+                      tc, ResultRow(table.keys[g], table.states[g]));
+                }
               },
               [&](size_t leaf) {
                 par_groups_ += leaf_groups[leaf];
-                grace_.AddRowsRead(leaf_rows_read[leaf]);
+                *grace_.mutable_rows_read() += leaf_rows_read[leaf];
               },
               &charged_)) {
         return false;
@@ -331,9 +311,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
 
 void HashAggregate::DoClose(ExecContext* ctx) {
   child_->Close(ctx);
-  group_index_.clear();
-  group_keys_.clear();
-  group_states_.clear();
+  groups_.Clear();
   grace_.DropRuns();  // deletes any remaining spill temp files
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
@@ -350,7 +328,7 @@ void HashAggregate::FillProgressState(const ExecContext& ctx,
   // Spilled runs keep the conservative !build_done path: group counts are
   // not final until every partition has been re-aggregated.
   state->build_done = built_ && !spilled_;
-  state->groups_so_far = prior_groups_ + group_keys_.size() + par_groups_;
+  state->groups_so_far = prior_groups_ + groups_.keys.size() + par_groups_;
   state->scalar_aggregate = group_exprs_.empty();
   state->SetSpillPending(grace_.rows_written());
   // Row count for the group-cardinality bound: spilled rows that have not

@@ -16,7 +16,7 @@
 
 namespace qprog {
 
-class TaskContext;
+class WorkContext;
 
 enum class AggFunc {
   kCount,  // COUNT(*) when arg is null, else COUNT(arg)
@@ -83,7 +83,8 @@ class AggAccumulator {
 ///
 /// With a WorkerPool attached, the leaf replay runs as one task per leaf
 /// through GracePartitions::RunLeaves instead of the serial loop; output
-/// rows are identical to the serial replay at every pool size.
+/// rows are identical to the serial replay at every pool size. Both drivers
+/// re-aggregate a leaf through the same AggregateLeaf.
 class HashAggregate : public PhysicalOperator {
  public:
   HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs,
@@ -106,19 +107,33 @@ class HashAggregate : public PhysicalOperator {
   bool spilled() const { return spilled_; }
 
  private:
+  /// Groups in first-seen order, indexed by key.
+  struct GroupTable {
+    std::unordered_map<Row, size_t, RowHash, RowEq> index;
+    std::vector<Row> keys;
+    std::vector<std::vector<AggAccumulator>> states;
+
+    void Clear() {
+      index.clear();
+      keys.clear();
+      states.clear();
+    }
+  };
+
   void Build(ExecContext* ctx);
+  Row GroupKey(const Row& row) const;
   /// Drops the emitted in-memory groups and releases their charge, before
   /// the spilled leaves are replayed.
   void ReleaseResidentGroups(ExecContext* ctx);
   /// Aggregates leaf `part_next_` into a fresh group table and resets
   /// the emit cursor over it.
   bool LoadNextPartition(ExecContext* ctx);
-  /// Worker-side body of one leaf replay: re-aggregates the leaf's run into
-  /// a private group table and emits result rows through `out` in
-  /// first-seen order, reporting the leaf's group and row counts.
-  void ReplayPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                           GraceLeafOutput* out, uint64_t* groups,
-                           uint64_t* rows_read) const;
+  /// The Grace leaf body both replay drivers share: re-aggregates `run` into
+  /// `groups`, charging each new group on `wc` against the kill threshold
+  /// only. `*charged` (groups charged) and `*rows_read` advance row by row,
+  /// so a checkpoint mid-leaf sees them current. Returns wc->ok().
+  bool AggregateLeaf(WorkContext* wc, SpillRun* run, GroupTable* groups,
+                     uint64_t* charged, uint64_t* rows_read) const;
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
@@ -126,9 +141,7 @@ class HashAggregate : public PhysicalOperator {
   Schema schema_;
 
   bool built_ = false;
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index_;
-  std::vector<Row> group_keys_;  // first-seen order
-  std::vector<std::vector<AggAccumulator>> group_states_;
+  GroupTable groups_;
   size_t cursor_ = 0;
   uint64_t charged_ = 0;  // groups charged to the context's buffer budget
 

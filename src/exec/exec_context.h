@@ -211,12 +211,13 @@ class ExecContext final : public WorkContext {
   void set_spill_manager(SpillManager* manager) { spill_manager_ = manager; }
   SpillManager* spill_manager() const { return spill_manager_; }
 
-  /// Attaches a worker pool (borrowed; may be null to remove): spill-heavy
-  /// operators (external sort, Grace hash join) fan their merge and
-  /// partition-join phases out to pool tasks. Execution without a pool is
-  /// the reference serial engine; with one, results are bit-identical and
-  /// total(Q)/traces are identical at every pool size (see the contract
-  /// above). Persists across Reset.
+  /// Attaches a worker pool (borrowed; may be null to remove): external sort
+  /// runs its run-formation tasks on it (inline without one), and Grace hash
+  /// join and aggregate fan their leaf replays out to it. Results are
+  /// bit-identical at every pool size. total(Q) and traces are identical at
+  /// every pool size >= 1, and for a plan whose only spilling operator is a
+  /// Sort, at pool 0 too; the Grace serial leaf loop accounts its tables
+  /// differently (DESIGN.md §10). Persists across Reset.
   void set_worker_pool(WorkerPool* pool) { worker_pool_ = pool; }
   WorkerPool* worker_pool() const { return worker_pool_; }
 
@@ -238,7 +239,7 @@ class ExecContext final : public WorkContext {
   /// checked against the guard's *kill* threshold only (the soft budget
   /// already did its job by triggering the spill). Returns false with
   /// kResourceExhausted recorded when even one partition cannot fit.
-  bool ChargeBufferedRowsPostSpill(uint64_t n);
+  bool ChargeBufferedRowsPostSpill(uint64_t n) override;
 
   /// Returns rows to the buffer budget (operator Close/rescan).
   void ReleaseBufferedRows(uint64_t n) {

@@ -11,9 +11,9 @@ namespace qprog {
 class WorkerPool;
 
 struct ExecutionConfig {
-  /// Optional worker pool (borrowed) for intra-query parallelism: parallel
-  /// sort merge, Grace partition joins and aggregate replay. Null = the
-  /// reference serial engine.
+  /// Optional worker pool (borrowed) for intra-query parallelism: sort run
+  /// formation, Grace partition joins and aggregate replay. Null runs sort
+  /// run tasks inline and the Grace leaves through their serial loop.
   WorkerPool* worker_pool = nullptr;
 };
 

@@ -147,7 +147,8 @@ class GracePartitions {
   /// so 2x rows_written() is the node's total spill work.
   uint64_t rows_written() const { return rows_written_; }
   uint64_t rows_read() const { return rows_read_; }
-  void AddRowsRead(uint64_t n) { rows_read_ += n; }
+  /// The rows-read counter, for the operator's leaf replay to advance.
+  uint64_t* mutable_rows_read() { return &rows_read_; }
 
  private:
   /// Accepts `runs` as a leaf, or re-splits them into kSpillFanout children

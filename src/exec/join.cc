@@ -365,24 +365,32 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   probe_partitioned_ = true;
 }
 
-bool HashJoin::LoadPartition(ExecContext* ctx) {
-  GraceLeaf& leaf = grace_.leaves()[static_cast<size_t>(part_idx_)];
-  SpillRun* build_run = leaf.runs[kBuildSide].get();
-  if (!build_run->OpenRead(ctx, node_id())) return false;
+bool HashJoin::BuildLeafTable(WorkContext* wc, SpillRun* build_run,
+                              JoinTable* table, uint64_t* charged,
+                              uint64_t* max_bucket) const {
+  if (!build_run->OpenRead(wc, node_id())) return false;
   Row row;
-  while (build_run->ReadNext(ctx, node_id(), &row)) {
+  while (build_run->ReadNext(wc, node_id(), &row)) {
     bool has_null = false;
     Row key = KeyOf(row, build_keys_, &has_null);
     QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
-    // A reloaded partition answers to the kill threshold only: the soft
-    // budget already traded memory for these extra I/O passes.
-    if (!ctx->ChargeBufferedRowsPostSpill(1)) return false;
-    auto& bucket = table_[std::move(key)];
+    // A reloaded leaf answers to the kill threshold only: the soft budget
+    // already traded memory for these extra I/O passes.
+    if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
+    ++*charged;
+    auto& bucket = (*table)[std::move(key)];
     bucket.push_back(std::move(row));
-    ++charged_;
-    max_bucket_ = std::max<uint64_t>(max_bucket_, bucket.size());
+    *max_bucket = std::max<uint64_t>(*max_bucket, bucket.size());
   }
-  if (!ctx->ok()) return false;
+  return wc->ok();
+}
+
+bool HashJoin::LoadPartition(ExecContext* ctx) {
+  GraceLeaf& leaf = grace_.leaves()[static_cast<size_t>(part_idx_)];
+  if (!BuildLeafTable(ctx, leaf.runs[kBuildSide].get(), &table_, &charged_,
+                      &max_bucket_)) {
+    return false;
+  }
   if (!leaf.runs[kProbeSide]->OpenRead(ctx, node_id())) return false;
   part_loaded_ = true;
   return true;
@@ -407,28 +415,15 @@ bool HashJoin::PullProbe(ExecContext* ctx, Row* row) {
 void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
                                  GraceLeafOutput* out,
                                  uint64_t* max_bucket) const {
-  // The task owns its leaf end to end: a private hash table, the leaf's
-  // spill reads, and the output buffer. The per-task kill-threshold charge
-  // below mirrors the serial LoadPartition charge — each reloaded leaf
-  // answers to the same tripwire.
-  SpillRun* build_run = leaf.runs[kBuildSide].get();
+  // The task owns its leaf end to end: a private hash table, charged to the
+  // task's own account, the leaf's spill reads, and the output buffer.
   SpillRun* probe_run = leaf.runs[kProbeSide].get();
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table;
+  JoinTable table;
+  uint64_t charged = 0;
+  bool ok = BuildLeafTable(tc, leaf.runs[kBuildSide].get(), &table, &charged,
+                           max_bucket) &&
+            probe_run->OpenRead(tc, node_id());
   Row row;
-  bool ok = build_run->OpenRead(tc, node_id());
-  while (ok && build_run->ReadNext(tc, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
-    if (!tc->ChargeBufferedRowsPostSpill(1)) {
-      ok = false;
-      break;
-    }
-    auto& bucket = table[std::move(key)];
-    bucket.push_back(std::move(row));
-    *max_bucket = std::max<uint64_t>(*max_bucket, bucket.size());
-  }
-  ok = ok && tc->ok() && probe_run->OpenRead(tc, node_id());
   while (ok && probe_run->ReadNext(tc, node_id(), &row)) {
     bool has_null = false;
     Row key = KeyOf(row, probe_keys_, &has_null);

@@ -25,6 +25,7 @@
 namespace qprog {
 
 class TaskContext;
+class WorkContext;
 
 enum class JoinType {
   kInner,
@@ -125,7 +126,8 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 /// HashAggregate's do. With a WorkerPool attached, only the leaves are
 /// joined concurrently, through GracePartitions::RunLeaves, each task owning
 /// its leaf's build table and spill reads. Output rows match the serial
-/// replay byte-for-byte at every pool size.
+/// replay byte-for-byte at every pool size. Both drivers rebuild a leaf's
+/// table through the same BuildLeafTable.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -154,6 +156,8 @@ class HashJoin : public PhysicalOperator {
   bool spilled() const { return spilled_; }
 
  private:
+  using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
+
   void BuildTable(ExecContext* ctx);
   bool AdvanceProbe(ExecContext* ctx);
   /// Evaluates `keys` over `row`; sets *has_null when any key value is NULL.
@@ -164,8 +168,14 @@ class HashJoin : public PhysicalOperator {
   bool SpillBuildTable(ExecContext* ctx);
   /// Drains the probe child into probe partition runs (Grace mode only).
   void PartitionProbe(ExecContext* ctx);
-  /// Worker-side body of one leaf join: rebuilds the leaf's table from its
-  /// build run, probes it with its probe run and emits through `out`.
+  /// The Grace leaf body both replay drivers share: rebuilds `table` from
+  /// `build_run`, charging each row on `wc` against the kill threshold only.
+  /// `*charged` (rows charged) and `*max_bucket` advance row by row, so a
+  /// checkpoint mid-leaf sees them current. Returns wc->ok().
+  bool BuildLeafTable(WorkContext* wc, SpillRun* build_run, JoinTable* table,
+                      uint64_t* charged, uint64_t* max_bucket) const;
+  /// Worker-side body of one leaf join: rebuilds the leaf's table, probes it
+  /// with its probe run and emits through `out`.
   void JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
                          GraceLeafOutput* out, uint64_t* max_bucket) const;
   /// Rebuilds the hash table from leaf part_idx_'s build run and rewinds the
@@ -185,7 +195,7 @@ class HashJoin : public PhysicalOperator {
   Schema schema_;
 
   bool build_done_ = false;
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table_;
+  JoinTable table_;
   uint64_t build_rows_ = 0;
   uint64_t max_bucket_ = 0;
   uint64_t charged_ = 0;  // rows charged to the context's buffer budget

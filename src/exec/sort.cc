@@ -39,7 +39,6 @@ void Sort::DoOpen(ExecContext* ctx) {
   merge_.clear();
   merging_ = false;
   spilled_rows_ = 0;
-  input_spilled_rows_ = 0;
   if (ctx->ConsultFault(faults::kSortOpen, node_id())) return;
   child_->Open(ctx);
 }
@@ -84,36 +83,87 @@ void Sort::SortRows(std::vector<Row>* rows) const {
   *rows = std::move(sorted);
 }
 
-bool Sort::SpillBuffer(ExecContext* ctx) {
-  SortRows(&rows_);
-  SpillRunPtr run =
-      ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.run");
-  if (run == nullptr) return false;
-  for (const Row& row : rows_) {
-    if (!run->Append(ctx, node_id(), row)) return false;
-  }
-  if (!run->FinishWrite(ctx, node_id())) return false;
-  spilled_rows_ += rows_.size();
-  input_spilled_rows_ += rows_.size();
-  runs_.push_back(std::move(run));
-  rows_.clear();
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
-  return true;
-}
-
 void Sort::Materialize(ExecContext* ctx) {
-  if (ctx->worker_pool() != nullptr && ctx->spill_manager() != nullptr) {
-    MaterializeParallel(ctx, ctx->worker_pool());
-    return;
-  }
+  struct PendingRun {
+    std::unique_ptr<TaskContext> tc;
+    uint64_t rows = 0;
+  };
+  // Declared before the group so that every early return drains the tasks
+  // (group destructor) before their TaskContexts are destroyed.
+  std::vector<PendingRun> pending;
+  // Without a pool the group runs each task inline at Submit; the op-log
+  // still folds at the barrier below, so the trace is the same either way.
+  TaskGroup group(ctx->worker_pool());
+  uint64_t run_seq = 0;
+  // Rows living in buffers handed to in-flight run tasks. Their charge was
+  // released at handoff (see flush_buffer), so this is the real memory the
+  // plan-wide account cannot see; flush_buffer folds early when it would
+  // push past the guard's kill threshold.
+  uint64_t handoff_rows = 0;
+
+  // Barrier + fold: replay each finished run task's log into the context in
+  // submission (= run) order. Folding stops at the first failed task. The
+  // operator's row counters advance only *after* a task's log lands, so a
+  // checkpoint firing mid-fold sees pending rows that undercount (sound: LB
+  // stays a lower bound) and Curr/LB/UB stay monotone.
+  auto fold_pending = [&]() -> bool {
+    Status escaped = group.Wait();
+    for (PendingRun& p : pending) {
+      if (!ctx->ok()) break;
+      p.tc->FoldInto(ctx);
+      if (!ctx->ok()) break;
+      spilled_rows_ += p.rows;
+    }
+    pending.clear();
+    handoff_rows = 0;  // the barrier above freed every handed-off buffer
+    if (ctx->ok() && !escaped.ok()) ctx->RaiseError(std::move(escaped));
+    return ctx->ok();
+  };
+
+  // Handoff run formation: the query thread creates the run (spill_begin
+  // stays on the deterministic trace) and moves the buffer into a task that
+  // sorts, writes and seals it. Buffer charges release at handoff, before
+  // the next charge, so every run boundary depends on the data alone.
+  auto flush_buffer = [&]() -> bool {
+    // Handed-off buffers are uncharged, but their real memory still answers
+    // to the guard's kill threshold: when this buffer would push the
+    // uncharged aggregate past it, barrier-and-fold first so the in-flight
+    // buffers are freed. The bound depends only on the data and the guard
+    // config — never the pool size — so fold points (and the trace) stay
+    // identical at every thread count. With kill == kNoLimit (the default)
+    // the pipeline runs free.
+    if (handoff_rows > ctx->KillHeadroom() && !fold_pending()) return false;
+    SpillRunPtr run =
+        ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.run");
+    if (run == nullptr) return false;
+    auto tc = std::make_unique<TaskContext>(ctx, kSortRunTaskTag | run_seq++);
+    TaskContext* tcp = tc.get();
+    SpillRun* run_ptr = run.get();
+    uint64_t n = rows_.size();
+    runs_.push_back(std::move(run));
+    pending.push_back(PendingRun{std::move(tc), n});
+    handoff_rows += n;
+    ctx->ReleaseBufferedRows(charged_);
+    charged_ = 0;
+    group.Submit([this, tcp, run_ptr, rows = std::move(rows_)]() mutable {
+      SortRows(&rows);
+      for (const Row& row : rows) {
+        if (!run_ptr->Append(tcp, node_id(), row)) return;
+      }
+      run_ptr->FinishWrite(tcp, node_id());
+    });
+    rows_ = std::vector<Row>();
+    if (pending.size() >= kInflightRunTasks) return fold_pending();
+    return true;
+  };
+
   Row row;
   while (ctx->ok() && child_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kSortBuild, node_id())) return;
     ChargeVerdict verdict = ctx->ChargeBufferedRowsOrSpill(1);
     if (verdict == ChargeVerdict::kFailed) return;
     if (verdict == ChargeVerdict::kSpill) {
-      if (!rows_.empty() && !SpillBuffer(ctx)) return;
+      if (!rows_.empty() && !flush_buffer()) return;
       // The buffer is now empty and one row of headroom is this operator's
       // minimum working set. Other operators may legitimately hold the whole
       // soft budget (reloaded partitions answer to the kill threshold only),
@@ -132,112 +182,8 @@ void Sort::Materialize(ExecContext* ctx) {
   }
   // At least one run exists: flush the tail buffer too, so emission is a
   // uniform k-way merge of sorted runs.
-  if (!rows_.empty() && !SpillBuffer(ctx)) return;
-  merge_.resize(runs_.size());
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (!runs_[i]->OpenRead(ctx, node_id())) return;
-    if (!FillSource(ctx, i)) return;
-  }
-  merging_ = true;
-  materialized_ = true;
-}
-
-void Sort::MaterializeParallel(ExecContext* ctx, WorkerPool* pool) {
-  TaskGroup group(pool);
-  struct PendingRun {
-    std::unique_ptr<TaskContext> tc;
-    uint64_t rows = 0;
-  };
-  std::vector<PendingRun> pending;
-  uint64_t run_seq = 0;
-  // Rows living in buffers handed to in-flight run tasks. Their charge was
-  // released at handoff (see flush_buffer), so this is the real memory the
-  // plan-wide account cannot see; flush_buffer folds early when it would
-  // push past the guard's kill threshold.
-  uint64_t handoff_rows = 0;
-
-  // Barrier + fold: replay each finished run task's log into the context in
-  // submission (= run) order. Folding stops at the first failed task — the
-  // serial engine also stops counting at the failure point. The operator's
-  // row counters advance only *after* a task's log lands, so a checkpoint
-  // firing mid-fold sees pending rows that undercount (sound: LB stays a
-  // lower bound) and Curr/LB/UB stay monotone.
-  auto fold_pending = [&]() -> bool {
-    Status escaped = group.Wait();
-    for (PendingRun& p : pending) {
-      if (!ctx->ok()) break;
-      p.tc->FoldInto(ctx);
-      if (!ctx->ok()) break;
-      spilled_rows_ += p.rows;
-      input_spilled_rows_ += p.rows;
-    }
-    pending.clear();
-    handoff_rows = 0;  // the barrier above freed every handed-off buffer
-    if (ctx->ok() && !escaped.ok()) ctx->RaiseError(std::move(escaped));
-    return ctx->ok();
-  };
-
-  // Handoff run formation: the query thread creates the run (spill_begin
-  // stays on the deterministic trace) and moves the buffer into a task that
-  // sorts, writes and seals it. Buffer charges release at handoff — exactly
-  // where the serial path's next charge would see them released — so the
-  // charge-verdict sequence, and with it every run boundary, is identical.
-  auto flush_buffer = [&]() -> bool {
-    // Handed-off buffers are uncharged by design (the release below is what
-    // keeps the charge-verdict sequence serial-identical), but their real
-    // memory still answers to the guard's kill threshold: when this buffer
-    // would push the uncharged aggregate past it, barrier-and-fold first so
-    // the in-flight buffers are freed. The bound depends only on the data
-    // and the guard config — never the pool size — so fold points (and the
-    // trace) stay identical at every thread count. With kill == kNoLimit
-    // (the default) the pipeline runs free, exactly as before.
-    if (handoff_rows > ctx->KillHeadroom() && !fold_pending()) return false;
-    SpillRunPtr run =
-        ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.run");
-    if (run == nullptr) return false;
-    auto tc = std::make_unique<TaskContext>(ctx, kSortRunTaskTag | run_seq++);
-    TaskContext* tcp = tc.get();
-    SpillRun* run_ptr = run.get();
-    uint64_t n = rows_.size();
-    group.Submit([this, tcp, run_ptr, rows = std::move(rows_)]() mutable {
-      SortRows(&rows);
-      for (const Row& row : rows) {
-        if (!run_ptr->Append(tcp, node_id(), row)) return;
-      }
-      run_ptr->FinishWrite(tcp, node_id());
-    });
-    rows_ = std::vector<Row>();
-    runs_.push_back(std::move(run));
-    pending.push_back(PendingRun{std::move(tc), n});
-    handoff_rows += n;
-    ctx->ReleaseBufferedRows(charged_);
-    charged_ = 0;
-    if (pending.size() >= kInflightRunTasks) return fold_pending();
-    return true;
-  };
-
-  Row row;
-  while (ctx->ok() && child_->Next(ctx, &row)) {
-    if (ctx->ConsultFault(faults::kSortBuild, node_id())) return;
-    ChargeVerdict verdict = ctx->ChargeBufferedRowsOrSpill(1);
-    if (verdict == ChargeVerdict::kFailed) return;
-    if (verdict == ChargeVerdict::kSpill) {
-      if (!rows_.empty() && !flush_buffer()) return;
-      if (!ctx->ChargeBufferedRowsPostSpill(1)) return;
-    }
-    ++charged_;
-    rows_.push_back(std::move(row));
-  }
-  if (!ctx->ok()) return;  // group destructor drains in-flight tasks
-
-  if (runs_.empty()) {
-    SortRows(&rows_);
-    materialized_ = true;
-    return;
-  }
   if (!rows_.empty() && !flush_buffer()) return;
   if (!fold_pending()) return;
-  if (!MergeRunsParallel(ctx, pool)) return;
   merge_.resize(runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
     if (!runs_[i]->OpenRead(ctx, node_id())) return;
@@ -245,111 +191,6 @@ void Sort::MaterializeParallel(ExecContext* ctx, WorkerPool* pool) {
   }
   merging_ = true;
   materialized_ = true;
-}
-
-bool Sort::MergeRunsParallel(ExecContext* ctx, WorkerPool* pool) {
-  uint64_t group_seq = 0;
-  while (runs_.size() > static_cast<size_t>(kMergeFanIn) && ctx->ok()) {
-    TaskGroup group(pool);
-    struct PendingMerge {
-      std::unique_ptr<TaskContext> tc;
-      std::vector<SpillRunPtr> sources;  // kept alive until after the fold
-      SpillRun* dest = nullptr;
-    };
-    std::vector<PendingMerge> pending;
-    std::vector<SpillRunPtr> next;
-    // Contiguous groups of kMergeFanIn runs, in run order: level-1 stability
-    // follows because ties resolve to the earliest source at both levels and
-    // earlier-input rows live in earlier groups. A trailing singleton group
-    // is passed through unmerged.
-    for (size_t g = 0; g < runs_.size() && ctx->ok();
-         g += static_cast<size_t>(kMergeFanIn)) {
-      size_t end = std::min(runs_.size(), g + static_cast<size_t>(kMergeFanIn));
-      if (end - g == 1) {
-        next.push_back(std::move(runs_[g]));
-        continue;
-      }
-      SpillRunPtr inter =
-          ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.merge");
-      if (inter == nullptr) break;
-      PendingMerge pm;
-      pm.tc = std::make_unique<TaskContext>(ctx, kSortMergeTaskTag | group_seq++);
-      pm.dest = inter.get();
-      std::vector<SpillRun*> sources;
-      sources.reserve(end - g);
-      for (size_t i = g; i < end; ++i) {
-        sources.push_back(runs_[i].get());
-        pm.sources.push_back(std::move(runs_[i]));
-      }
-      TaskContext* tcp = pm.tc.get();
-      SpillRun* dest = pm.dest;
-      group.Submit([this, tcp, sources = std::move(sources), dest] {
-        MergeRunsTask(tcp, sources, dest);
-      });
-      next.push_back(std::move(inter));
-      pending.push_back(std::move(pm));
-    }
-    Status escaped = group.Wait();
-    for (PendingMerge& pm : pending) {
-      if (!ctx->ok()) break;
-      pm.tc->FoldInto(ctx);
-      if (!ctx->ok()) break;
-      // Post-barrier reads of the run counters are safe: the barrier is the
-      // ownership handoff back to the query thread.
-      spilled_rows_ += pm.dest->rows_written();
-    }
-    if (ctx->ok() && !escaped.ok()) ctx->RaiseError(std::move(escaped));
-    if (!ctx->ok()) return false;
-    pending.clear();  // destroys the merged source runs (and their files)
-    runs_ = std::move(next);
-  }
-  return ctx->ok();
-}
-
-void Sort::MergeRunsTask(TaskContext* tc,
-                         const std::vector<SpillRun*>& sources,
-                         SpillRun* dest) const {
-  struct Head {
-    Row row;
-    Row key;
-    bool valid = false;
-  };
-  std::vector<Head> heads(sources.size());
-  auto fill = [&](size_t i) -> bool {
-    Head& h = heads[i];
-    h.valid = false;
-    Row row;
-    if (sources[i]->ReadNext(tc, node_id(), &row)) {
-      h.row = std::move(row);
-      h.key = MakeKey(h.row);
-      h.valid = true;
-    }
-    return tc->ok();
-  };
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (!sources[i]->OpenRead(tc, node_id())) return;
-    if (!fill(i)) return;
-  }
-  // The same strict smallest-head-wins rule as NextMerged: ties stay on the
-  // earliest source, which keeps the two-level merge stable end to end. At
-  // most one buffered row per source lives here, uncharged (a documented
-  // bounded overcommit; see DESIGN.md §10).
-  for (;;) {
-    int best = -1;
-    for (size_t i = 0; i < heads.size(); ++i) {
-      if (!heads[i].valid) continue;
-      if (best < 0 ||
-          KeyLess(heads[i].key, heads[static_cast<size_t>(best)].key)) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    if (!dest->Append(tc, node_id(), heads[static_cast<size_t>(best)].row)) {
-      return;
-    }
-    if (!fill(static_cast<size_t>(best))) return;
-  }
-  dest->FinishWrite(tc, node_id());
 }
 
 bool Sort::FillSource(ExecContext* ctx, size_t i) {
@@ -436,8 +277,7 @@ void Sort::FillProgressState(const ExecContext& ctx,
                              ProgressState* state) const {
   PhysicalOperator::FillProgressState(ctx, state);
   state->build_done = materialized_;
-  state->build_rows = merging_ ? input_spilled_rows_ : rows_.size();
-  // Level-0 and intermediate merge runs alike.
+  state->build_rows = merging_ ? spilled_rows_ : rows_.size();
   state->SetSpillPending(spilled_rows_);
 }
 

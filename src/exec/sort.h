@@ -2,19 +2,19 @@
 // stream aggregates). Consumes its whole input on first Next, then emits.
 //
 // Memory-adaptive: with a SpillManager attached, a buffer that would exceed
-// the guard's soft budget is sorted and flushed to a spill run, and once any
-// run exists the final emit phase becomes a k-way merge of sorted runs read
-// back from disk (classic external run-merge sort). Without a manager — or
+// the guard's soft budget is handed off as a spill run, and once any run
+// exists the final emit phase becomes a k-way merge of sorted runs read back
+// from disk (classic external run-merge sort). Without a manager — or
 // without a guard — behavior is the original in-memory sort.
 //
-// Parallel (DESIGN.md §10): with a WorkerPool attached, run formation is
-// handed off — the query thread creates the run, moves the buffer into a
-// task that sorts, writes and seals it — and when more than kMergeFanIn runs
-// exist, a two-level merge first has workers merge contiguous groups of runs
-// into intermediate runs ("sort.merge"), leaving at most kMergeFanIn inputs
-// for the final query-thread merge. Contiguous grouping keeps ties resolving
-// to the earliest run at both levels, so output is byte-identical to the
-// serial engine's stable one-level merge at every pool size.
+// One spill path at every pool size (DESIGN.md §10): the query thread
+// creates each run and moves the buffer into a TaskGroup task that sorts,
+// writes and seals it — on a WorkerPool thread when one is attached, inline
+// at Submit when not. Either way the task's spill I/O folds back in run
+// order at the same barriers, so rows, total(Q) and the trace are
+// byte-identical at every pool size, pool 0 included. The merge is one
+// level, on the query thread: a stable smallest-head-wins pass over every
+// run.
 
 #ifndef QPROG_EXEC_SORT_H_
 #define QPROG_EXEC_SORT_H_
@@ -28,9 +28,6 @@
 #include "expr/expr.h"
 
 namespace qprog {
-
-class TaskContext;
-class WorkerPool;
 
 /// One sort key. NULLs order lowest (first under ascending).
 struct SortKey {
@@ -63,10 +60,6 @@ class Sort : public PhysicalOperator {
   /// True once this execution flushed at least one spill run.
   bool spilled() const { return !runs_.empty(); }
 
-  /// Maximum runs the query-thread merge will read directly; above this, a
-  /// pool-backed execution interposes a parallel intermediate merge level.
-  static constexpr int kMergeFanIn = 8;
-
  private:
   /// One input of the k-way merge: the head row of one sorted run.
   struct MergeSource {
@@ -75,25 +68,14 @@ class Sort : public PhysicalOperator {
     bool valid = false;
   };
 
+  /// Buffers the input, handing each soft-budget-sized buffer to a run
+  /// task, then either sorts the rows in memory or opens the merge.
   void Materialize(ExecContext* ctx);
-  /// Pool-backed materialization: parallel run formation plus the two-level
-  /// merge. Reached only when both a WorkerPool and a SpillManager are
-  /// attached; byte-identical output to the serial path at every pool size.
-  void MaterializeParallel(ExecContext* ctx, WorkerPool* pool);
-  /// Reduces runs_ to at most kMergeFanIn by having workers merge contiguous
-  /// run groups into "sort.merge" intermediate runs, repeating if needed.
-  bool MergeRunsParallel(ExecContext* ctx, WorkerPool* pool);
-  /// Worker-side body of one intermediate merge: a stable k-way merge of
-  /// `sources` into `dest` against the task's context.
-  void MergeRunsTask(TaskContext* tc, const std::vector<SpillRun*>& sources,
-                     SpillRun* dest) const;
   /// Sorts `*rows` in place by keys_ (stable).
   void SortRows(std::vector<Row>* rows) const;
   Row MakeKey(const Row& row) const;
   /// Strict "a sorts before b" over precomputed key tuples.
   bool KeyLess(const Row& a, const Row& b) const;
-  /// Sorts the in-memory buffer and flushes it as one spill run.
-  bool SpillBuffer(ExecContext* ctx);
   /// Refills merge source `i` from its run (invalidates it at end of run).
   bool FillSource(ExecContext* ctx, size_t i);
   bool NextMerged(ExecContext* ctx, Row* out);
@@ -107,13 +89,12 @@ class Sort : public PhysicalOperator {
   uint64_t charged_ = 0;  // rows charged to the context's buffer budget
 
   // External-sort state (empty/false when the input fit in memory). The row
-  // counters are query-thread-only: worker tasks report theirs through the
-  // fold, so FillProgressState never reads a SpillRun a task may be writing.
+  // counter is query-thread-only: run tasks report theirs through the fold,
+  // so FillProgressState never reads a SpillRun a task may be writing.
   std::vector<SpillRunPtr> runs_;
   std::vector<MergeSource> merge_;
   bool merging_ = false;
-  uint64_t spilled_rows_ = 0;  // rows written across all runs (intermediates too)
-  uint64_t input_spilled_rows_ = 0;  // input rows in level-0 runs (exact count)
+  uint64_t spilled_rows_ = 0;  // input rows in folded runs
 };
 
 }  // namespace qprog

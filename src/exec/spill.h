@@ -87,8 +87,8 @@ struct SpillRetryPolicy {
 /// >= 100us sleeps. Debt is per-run, so concurrent runs on worker threads
 /// overlap their "device time" exactly like real bandwidth-bound I/O — this
 /// is what lets bench/micro_parallel measure parallel speedup even on a
-/// single-core host. Default zero = off (all tests run with it off; the
-/// model adds latency, never changes results or traces).
+/// single-core host. Default zero = off; the model adds latency, never
+/// changes results or traces.
 struct SpillDeviceModel {
   uint64_t write_ns_per_byte = 0;
   uint64_t read_ns_per_byte = 0;

@@ -48,6 +48,12 @@ class WorkContext {
   /// thread-safe.
   virtual FaultInjector* io_fault_injector() const = 0;
 
+  /// Charges `n` rows rebuilt from a spill run (a Grace leaf's table or
+  /// groups) against the guard's kill threshold only. False, with
+  /// kResourceExhausted raised, when they do not fit. The ExecContext charges
+  /// its plan-wide account; a task context charges a task-local one.
+  virtual bool ChargeBufferedRowsPostSpill(uint64_t n) = 0;
+
   // -- telemetry forwarding ---------------------------------------------------
   // Same semantics as the TelemetryCollector hooks of the same names; the
   // work stamp on the emitted trace events is taken from the ExecContext at

@@ -61,6 +61,10 @@ void TaskGroup::Submit(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(sync_->mu);
     ++sync_->pending;
   }
+  if (pool_ == nullptr) {
+    RunTask(sync_, fn);
+    return;
+  }
   pool_->Enqueue(
       [sync = sync_, fn = std::move(fn)] { RunTask(sync, fn); });
 }

@@ -2,9 +2,12 @@
 //
 // A WorkerPool is a fixed set of threads with a shared FIFO task queue,
 // attached to an ExecContext (set_worker_pool) and borrowed by spill-heavy
-// operators: external Sort fans out run formation and run merging, Grace
-// HashJoin and HashAggregate fan out their per-leaf replays. Grace
-// partition writes stay on the query thread, as does everything else in
+// operators: external Sort hands run formation to tasks, Grace HashJoin and
+// HashAggregate fan out their per-leaf replays. A TaskGroup over a null
+// pool runs each task inline at Submit, so Sort takes the same task path at
+// every pool size; the Grace operators choose between RunLeaves and their
+// serial leaf loop by whether a pool is attached. Grace partition writes
+// and the sort merge stay on the query thread, as does everything else in
 // the engine.
 //
 // The design problem is not speed — it is keeping the paper's progress
@@ -22,7 +25,7 @@
 //     (Curr, LB, UB) snapshots because counters only move on its thread.
 //
 //  2. Data-derived task decomposition. Operators split work by fixed
-//     constants (merge fan-in, partition count), never by pool size.
+//     constants (in-flight run tasks, partition count), never by pool size.
 //     Adding threads changes who executes a task, not which tasks exist.
 //
 //  3. Deterministic fault forking. A task consults a FaultInjector::Fork
@@ -88,13 +91,16 @@ class WorkerPool {
 /// scope.
 class TaskGroup {
  public:
+  /// `pool` may be null: every Submit then runs its task inline, on the
+  /// calling thread, in submission order.
   explicit TaskGroup(WorkerPool* pool);
   ~TaskGroup() { Wait(); }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Enqueues `fn` to run on some pool thread.
+  /// Enqueues `fn` to run on some pool thread, or runs it before returning
+  /// when the group has no pool.
   void Submit(std::function<void()> fn);
 
   /// Blocks until every submitted task has finished. Returns OK, or
@@ -129,8 +135,8 @@ class TaskGroup {
 /// identity, so a forked fault-injector schedule replays identically at
 /// every pool size. The values are part of every recorded fault schedule:
 /// never renumber one, and never reuse a retired one.
-inline constexpr uint64_t kSortRunTaskTag = 0x50ULL << 56;    // | run index
-inline constexpr uint64_t kSortMergeTaskTag = 0x51ULL << 56;  // | merge group
+inline constexpr uint64_t kSortRunTaskTag = 0x50ULL << 56;  // | run index
+// 0x51: retired (the sort's pooled intermediate merge groups).
 // 0x52: retired (the join's pooled partition-write batches).
 inline constexpr uint64_t kJoinPartitionTaskTag = 0x53ULL << 56;  // | leaf id
 inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;      // | leaf id
@@ -173,14 +179,7 @@ class TaskContext final : public WorkContext {
   /// inside the task, so the charge is purely the kill-threshold tripwire,
   /// applied per task exactly like the serial engine applies it per
   /// partition.
-  bool ChargeBufferedRowsPostSpill(uint64_t n);
-  void ReleaseBufferedRows(uint64_t n) {
-    buffered_rows_ -= n < buffered_rows_ ? n : buffered_rows_;
-  }
-  uint64_t buffered_rows() const { return buffered_rows_; }
-
-  /// Task-local sticky status (OK until the first RaiseError).
-  const Status& status() const { return status_; }
+  bool ChargeBufferedRowsPostSpill(uint64_t n) override;
 
   /// Replays the op-log into `ctx` in log order — spill work advances
   /// total(Q) and fires observer checkpoints / guard checks exactly as if

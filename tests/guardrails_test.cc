@@ -372,10 +372,21 @@ TEST(GuardrailsTest, EveryFaultSiteStopsItsOperator) {
                          std::make_unique<SeqScan>(&big), std::move(groups),
                          std::vector<std::string>{"g"}, std::move(aggs)));
                    }});
-  // Spill-layer sites: the sort spills under the case's tight budget, so
-  // every temp-file open, record write, and record read consults its site.
+  // Spill-layer sites: the plans spill under the case's tight budget. The
+  // sort opens and reads its runs on the query thread, so the shared
+  // injector sees those sites; it writes each run in a task against a forked
+  // injector, so the write case uses a Grace join, whose partition writes
+  // stay on the query thread.
+  auto grace_join_plan = [&] {
+    std::vector<ExprPtr> pk, bk;
+    pk.push_back(eb::Col(0));
+    bk.push_back(eb::Col(0));
+    return PhysicalPlan(std::make_unique<HashJoin>(
+        std::make_unique<SeqScan>(&small), std::make_unique<SeqScan>(&big),
+        std::move(pk), std::move(bk)));
+  };
   cases.push_back({faults::kSpillOpen, sort_plan, /*spilling=*/true});
-  cases.push_back({faults::kSpillWrite, sort_plan, /*spilling=*/true});
+  cases.push_back({faults::kSpillWrite, grace_join_plan, /*spilling=*/true});
   cases.push_back({faults::kSpillRead, sort_plan, /*spilling=*/true});
 
   // The case table must cover every canonical site exactly once.

@@ -1,8 +1,8 @@
-// Intra-query parallelism tests (DESIGN.md §10): worker-pool primitives,
-// bit-identical results and byte-identical traces at every pool size
-// (transient write-fault retries included), consistent and monotone
-// (Curr, LB, UB) under concurrency, clean cancellation mid-merge, and the
-// two-level parallel sort merge.
+// Intra-query parallelism tests (DESIGN.md §10): worker-pool primitives
+// (the inline null-pool group included), bit-identical results and
+// byte-identical traces at every pool size (transient write-fault retries
+// included), consistent and monotone (Curr, LB, UB) under concurrency,
+// clean cancellation mid-merge, and the one-level sort merge.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,9 @@ StatusOr<std::vector<Row>> DriveRows(PhysicalPlan* plan, ExecContext* ctx) {
 }
 
 const int kPoolSizes[] = {1, 2, 4, 8};
+/// kPoolSizes plus 0, no pool at all: for the operators that take one path
+/// at every pool size.
+const int kPoolSizesAndNone[] = {0, 1, 2, 4, 8};
 
 std::string MakeSpillDir(const std::string& tag) {
   std::filesystem::path dir = std::filesystem::temp_directory_path() /
@@ -152,6 +156,33 @@ TEST(WorkerPoolTest, ThreadCountClampsToAtLeastOne) {
   EXPECT_EQ(hits.load(), 1);
 }
 
+TEST(WorkerPoolTest, NullPoolRunsTasksInlineInSubmissionOrder) {
+  TaskGroup group(nullptr);
+  std::vector<int> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < 5; ++i) {
+    group.Submit([&order, i, caller] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    // Inline: the task has finished before Submit returns.
+    EXPECT_EQ(order.size(), static_cast<size_t>(i) + 1);
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(group.Wait().ok());
+  EXPECT_TRUE(group.Wait().ok());  // idempotent, nothing pending
+
+  // An escaped exception is contained, later tasks still run, and every
+  // Wait reports the first escape as kInternal.
+  group.Submit([] { throw std::runtime_error("inline task blew up"); });
+  group.Submit([&order] { order.push_back(5); });
+  Status s = group.Wait();
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("inline task blew up"), std::string::npos) << s;
+  EXPECT_EQ(group.Wait().code(), StatusCode::kInternal);
+  EXPECT_EQ(order.size(), 6u);
+}
+
 TEST(WorkerPoolTest, EscapedExceptionSurfacesAsInternal) {
   WorkerPool pool(2);
   TaskGroup group(&pool);
@@ -168,16 +199,19 @@ TEST(WorkerPoolTest, EscapedExceptionSurfacesAsInternal) {
 TEST(ParallelDeterminismTest, SortRowsMatchSerialAtEveryPoolSize) {
   Table t = Keyed(900, 101);
   auto make = [&] { return SortPlan(&t); };
-  StatusOr<std::vector<Row>> serial = RunSpilling(make, 60, "sort_serial", 0);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  std::string expected = testutil::RowsToString(serial.value());
-  for (int threads : kPoolSizes) {
+  // The reference is the in-memory stable sort: nothing spilled.
+  PhysicalPlan mem_plan = make();
+  ExecContext mem_ctx;
+  StatusOr<std::vector<Row>> mem = DriveRows(&mem_plan, &mem_ctx);
+  ASSERT_TRUE(mem.ok()) << mem.status();
+  std::string expected = testutil::RowsToString(mem.value());
+  for (int threads : kPoolSizesAndNone) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     StatusOr<std::vector<Row>> got =
         RunSpilling(make, 60, "sort_p" + std::to_string(threads), threads);
     ASSERT_TRUE(got.ok()) << got.status();
-    // Byte-identical, order included: the parallel two-level merge must
-    // preserve the serial engine's stable output exactly.
+    // Byte-identical, order included: run formation and the one-level merge
+    // must preserve the stable in-memory order exactly.
     EXPECT_EQ(testutil::RowsToString(got.value()), expected);
   }
 }
@@ -211,91 +245,123 @@ TEST(ParallelDeterminismTest, GraceJoinRowsMatchSerialForEveryJoinType) {
   }
 }
 
-TEST(ParallelDeterminismTest, TransientGraceWriteFaultRetriesAlikeAtEveryPoolSize) {
-  // A transient spill.write fault at hit 37 of a spilling Grace join. The join
-  // writes every partition row on the query thread at every pool size, so the
-  // site is consulted on the query thread's injector alone: one retry, at the
-  // same work counter, with or without a pool. No kill threshold, so leaf
-  // tasks keep their whole output in memory and never write a side run.
+TEST(ParallelDeterminismTest, TransientWriteFaultRetriesAlikeAtEveryPoolSize) {
+  // Transient spill.write faults at pools {0, 1, 4}: the status, the
+  // io_retry events (node, site, attempt, work stamp) and the rows must not
+  // depend on the pool size.
+  //  * A spilling Grace join writes every partition row on the query thread
+  //    at every pool size, so the site is consulted on the query thread's
+  //    injector alone: exactly one retry. No kill threshold, so leaf tasks
+  //    keep their whole output in memory and never write a side run.
+  //  * A spilling Sort writes each run in a task against an injector forked
+  //    from the run index, with or without a pool: every run of 37 rows or
+  //    more retries at its own hit 37. With a 3-attempt budget and a fault
+  //    that outlasts it, every pool size fails with the same status.
   Table probe = Keyed(400, 60);
+  Table sort_input = Keyed(900, 101);
   Table build = Keyed(500, 60);
-  std::string reference_retries;
-  std::string reference_rows;
-  for (int threads : {0, 1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::string dir = MakeSpillDir("wretry_p" + std::to_string(threads));
-    SpillManager spill(dir);
-    QueryGuard guard;
-    guard.set_max_buffered_rows(64);
-    FaultInjector fi(5);
-    FaultSpec spec;
-    spec.site = faults::kSpillWrite;
-    spec.fail_on_hit = 37;
-    spec.fault_class = FaultClass::kTransient;
-    fi.Arm(std::move(spec));
-    JsonlStringSink sink;
-    TelemetryCollector collector(&sink);
-    PhysicalPlan plan = JoinPlan(&probe, &build);
-    ExecContext ctx;
-    ctx.set_guard(&guard);
-    ctx.set_spill_manager(&spill);
-    ctx.set_fault_injector(&fi);
-    ctx.set_telemetry(&collector);
-    std::unique_ptr<WorkerPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<WorkerPool>(threads);
-      ctx.set_worker_pool(pool.get());
+  struct Case {
+    const char* name;
+    std::function<PhysicalPlan()> make;
+    uint64_t transient_failures;
+    int max_attempts;
+    StatusCode code;
+    int64_t exact_retries;  // -1: any positive count, the same at every size
+  };
+  const Case kCases[] = {
+      {"join", [&] { return JoinPlan(&probe, &build); }, 1, 4, StatusCode::kOk,
+       1},
+      {"sort", [&] { return SortPlan(&sort_input); }, 1, 4, StatusCode::kOk,
+       -1},
+      {"sort_exhausted", [&] { return SortPlan(&sort_input); }, 50, 3,
+       StatusCode::kUnavailable, -1},
+  };
+  for (const Case& c : kCases) {
+    std::string reference;
+    for (int threads : {0, 1, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      std::string dir = MakeSpillDir(std::string("wretry_") + c.name +
+                                     std::to_string(threads));
+      SpillRetryPolicy policy;
+      policy.max_attempts = c.max_attempts;
+      SpillManager spill(dir, policy);
+      QueryGuard guard;
+      guard.set_max_buffered_rows(64);
+      FaultInjector fi(5);
+      FaultSpec spec;
+      spec.site = faults::kSpillWrite;
+      spec.fail_on_hit = 37;
+      spec.fault_class = FaultClass::kTransient;
+      spec.transient_failures = c.transient_failures;
+      fi.Arm(std::move(spec));
+      JsonlStringSink sink;
+      TelemetryCollector collector(&sink);
+      PhysicalPlan plan = c.make();
+      ExecContext ctx;
+      ctx.set_guard(&guard);
+      ctx.set_spill_manager(&spill);
+      ctx.set_fault_injector(&fi);
+      ctx.set_telemetry(&collector);
+      std::unique_ptr<WorkerPool> pool;
+      if (threads > 0) {
+        pool = std::make_unique<WorkerPool>(threads);
+        ctx.set_worker_pool(pool.get());
+      }
+      StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
+      EXPECT_EQ(rows.status().code(), c.code) << rows.status();
+      if (c.exact_retries >= 0) {
+        EXPECT_EQ(spill.stats().io_retries,
+                  static_cast<uint64_t>(c.exact_retries));
+      }
+      EXPECT_GT(spill.stats().io_retries, 0u) << "the fault never fired";
+      EXPECT_EQ(spill.live_runs(), 0u);
+      EXPECT_EQ(ctx.buffered_rows(), 0u);
+      EXPECT_EQ(CountSpillFiles(dir), 0);
+      StatusOr<std::vector<TraceEvent>> events = ParseTraceJsonl(sink.data());
+      ASSERT_TRUE(events.ok()) << events.status();
+      std::string got = rows.status().ToString() + "\n" +
+                        std::to_string(spill.stats().io_retries) + "\n";
+      for (const TraceEvent& ev : events.value()) {
+        if (ev.kind != TraceEventKind::kIoRetry) continue;
+        got += std::to_string(ev.node) + " " + ev.name + " " +
+               std::to_string(static_cast<uint64_t>(ev.a)) + " " +
+               std::to_string(ev.work) + "\n";
+      }
+      if (rows.ok()) got += testutil::RowsToString(rows.value());
+      if (threads == 0) {
+        reference = got;
+      } else {
+        EXPECT_EQ(got, reference) << "status, retries or rows diverged";
+      }
+      std::filesystem::remove_all(dir);
     }
-    StatusOr<std::vector<Row>> rows = DriveRows(&plan, &ctx);
-    ASSERT_TRUE(rows.ok()) << rows.status();
-    EXPECT_EQ(spill.stats().io_retries, 1u);
-    EXPECT_EQ(spill.live_runs(), 0u);
-    EXPECT_EQ(CountSpillFiles(dir), 0);
-    StatusOr<std::vector<TraceEvent>> events = ParseTraceJsonl(sink.data());
-    ASSERT_TRUE(events.ok()) << events.status();
-    std::string retries;
-    for (const TraceEvent& ev : events.value()) {
-      if (ev.kind != TraceEventKind::kIoRetry) continue;
-      retries += std::to_string(ev.node) + " " + ev.name + " " +
-                 std::to_string(static_cast<uint64_t>(ev.a)) + " " +
-                 std::to_string(ev.work) + "\n";
-    }
-    std::string got_rows = testutil::RowsToString(rows.value());
-    if (threads == 0) {
-      ASSERT_FALSE(retries.empty()) << "the transient fault never fired";
-      reference_retries = retries;
-      reference_rows = got_rows;
-    } else {
-      EXPECT_EQ(retries, reference_retries) << "io_retry events diverged";
-      EXPECT_EQ(got_rows, reference_rows) << "rows diverged";
-    }
-    std::filesystem::remove_all(dir);
   }
 }
 
 TEST(ParallelDeterminismTest, TracesAndScoresAreByteIdenticalAcrossPoolSizes) {
   // The strongest statement of the fold design: the full typed trace — every
   // checkpoint, spill event, bound refinement and estimator evaluation — is
-  // byte-identical at every pool size, so estimator scores replayed from a
-  // parallel run's trace are the scores of the 1-thread run.
+  // byte-identical at every pool size, no pool included, so estimator scores
+  // replayed from a parallel run's trace are the scores of the serial run.
   Table t = Keyed(800, 97);
   std::string reference_trace;
   std::string reference_tsv;
   uint64_t reference_total = 0;
-  for (int threads : kPoolSizes) {
+  for (int threads : kPoolSizesAndNone) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::string dir = MakeSpillDir("trace_p" + std::to_string(threads));
     SpillManager spill(dir);
     QueryGuard guard;
     guard.set_max_buffered_rows(64);
-    WorkerPool pool(threads);
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
     PhysicalPlan plan = SortPlan(&t);
     JsonlStringSink sink;
     TelemetryCollector collector(&sink);
     MonitorOptions mo;
     mo.guard = &guard;
     mo.spill_manager = &spill;
-    mo.worker_pool = &pool;
+    mo.worker_pool = pool.get();
     mo.telemetry = &collector;
     ProgressMonitor m =
         ProgressMonitor::WithEstimators(&plan, {"dne", "pmax", "safe"}, mo);
@@ -356,76 +422,111 @@ TEST(ParallelDeterminismTest, BoundsStayConsistentAndMonotoneUnderPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-level merge and cancellation
+// One-level merge and cancellation
 // ---------------------------------------------------------------------------
 
-TEST(ParallelSortTest, TwoLevelMergeTriggersAboveFanInAndStaysStable) {
-  // 1200 rows against a 50-row budget: ~24 level-0 runs, far above
-  // kMergeFanIn = 8, so the pool path must interpose "sort.merge"
-  // intermediate runs — and still preserve stable (key, arrival) order.
+TEST(ParallelSortTest, OneLevelMergeStaysStableAboveEightRuns) {
+  // 1200 rows against a 50-row budget: ~24 runs, more than the 8 run tasks
+  // in flight between folds, all read by the one query-thread merge — which
+  // must still preserve stable (key, arrival) order, with and without a pool.
   std::vector<Row> rows;
   for (int64_t i = 0; i < 1200; ++i) rows.push_back({I(i % 7), I(i)});
   Table t = testutil::MakeTable("t", {"k", "arrival"}, std::move(rows));
-  std::string dir = MakeSpillDir("twolevel");
-  SpillManager spill(dir);
-  QueryGuard guard;
-  guard.set_max_buffered_rows(50);
-  WorkerPool pool(4);
-  PhysicalPlan plan = SortPlan(&t);
-  JsonlStringSink sink;
-  TelemetryCollector collector(&sink);
-  ExecContext ctx;
-  ctx.set_guard(&guard);
-  ctx.set_spill_manager(&spill);
-  ctx.set_worker_pool(&pool);
-  ctx.set_telemetry(&collector);
-  StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
-  ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_EQ(got.value().size(), 1200u);
-  int64_t prev_key = -1, prev_arrival = -1;
-  for (const Row& r : got.value()) {
-    int64_t key = r[0].int64_value(), arrival = r[1].int64_value();
-    if (key == prev_key) {
-      EXPECT_LT(prev_arrival, arrival) << "merge not stable at key " << key;
-    } else {
-      EXPECT_LT(prev_key, key);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    uint64_t runs = 0;
+    StatusOr<std::vector<Row>> got =
+        RunSpilling([&] { return SortPlan(&t); }, 50,
+                    "onelevel_p" + std::to_string(threads), threads, &runs);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(runs, 8u);
+    ASSERT_EQ(got.value().size(), 1200u);
+    int64_t prev_key = -1, prev_arrival = -1;
+    for (const Row& r : got.value()) {
+      int64_t key = r[0].int64_value(), arrival = r[1].int64_value();
+      if (key == prev_key) {
+        EXPECT_LT(prev_arrival, arrival) << "merge not stable at key " << key;
+      } else {
+        EXPECT_LT(prev_key, key);
+      }
+      prev_key = key;
+      prev_arrival = arrival;
     }
-    prev_key = key;
-    prev_arrival = arrival;
   }
-  EXPECT_NE(sink.data().find("sort.merge"), std::string::npos)
-      << "two-level merge never produced an intermediate run";
-  EXPECT_EQ(spill.live_runs(), 0u);
-  EXPECT_EQ(CountSpillFiles(dir), 0);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelSortTest, CancellationMidMergeLeavesNoResidue) {
   Table t = Keyed(1500, 113);
-  std::string dir = MakeSpillDir("cancel");
-  SpillManager spill(dir);
-  QueryGuard guard;
-  guard.set_max_buffered_rows(50);
-  guard.set_check_interval(64);
-  WorkerPool pool(4);
-  PhysicalPlan plan = SortPlan(&t);
-  ExecContext ctx;
-  ctx.set_guard(&guard);
-  ctx.set_spill_manager(&spill);
-  ctx.set_worker_pool(&pool);
-  // 1500 scan rows land first; cancelling past that puts the stop inside the
-  // spill-merge work that tasks are folding back.
-  ctx.SetWorkObserver(64, [&](uint64_t work) {
-    if (work >= 2048) guard.RequestCancel();
-  });
-  StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
-  ASSERT_FALSE(got.ok()) << "cancellation ignored";
-  EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << got.status();
-  EXPECT_GT(spill.stats().runs_created, 0u);
-  EXPECT_EQ(spill.live_runs(), 0u) << "cancelled run leaked spill runs";
-  EXPECT_EQ(ctx.buffered_rows(), 0u) << "cancelled run leaked charges";
-  EXPECT_EQ(CountSpillFiles(dir), 0) << "cancelled run leaked temp files";
-  std::filesystem::remove_all(dir);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string dir = MakeSpillDir("cancel_p" + std::to_string(threads));
+    SpillManager spill(dir);
+    QueryGuard guard;
+    guard.set_max_buffered_rows(50);
+    guard.set_check_interval(64);
+    std::unique_ptr<WorkerPool> pool;
+    PhysicalPlan plan = SortPlan(&t);
+    ExecContext ctx;
+    ctx.set_guard(&guard);
+    ctx.set_spill_manager(&spill);
+    if (threads > 0) {
+      pool = std::make_unique<WorkerPool>(threads);
+      ctx.set_worker_pool(pool.get());
+    }
+    // 1500 scan rows land first; cancelling past that puts the stop inside
+    // the spill work that run tasks fold back and the merge reads.
+    ctx.SetWorkObserver(64, [&](uint64_t work) {
+      if (work >= 2048) guard.RequestCancel();
+    });
+    StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
+    ASSERT_FALSE(got.ok()) << "cancellation ignored";
+    EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << got.status();
+    EXPECT_GT(spill.stats().runs_created, 0u);
+    EXPECT_EQ(spill.live_runs(), 0u) << "cancelled run leaked spill runs";
+    EXPECT_EQ(ctx.buffered_rows(), 0u) << "cancelled run leaked charges";
+    EXPECT_EQ(CountSpillFiles(dir), 0) << "cancelled run leaked temp files";
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ParallelSortTest, InputFaultWithRunTasksInFlightLeavesNoResidue) {
+  // A sort.build fault at input row 400, after seven runs were handed off
+  // and before the first fold (every 8 runs). The device model makes every
+  // run write take milliseconds, so with a pool the run tasks are still
+  // writing when the query thread stops: they must drain before their task
+  // contexts are destroyed, and nothing may leak.
+  Table t = Keyed(1500, 113);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string dir = MakeSpillDir("infault_p" + std::to_string(threads));
+    SpillManager spill(dir);
+    spill.set_device_model({2000, 2000});
+    QueryGuard guard;
+    guard.set_max_buffered_rows(50);
+    FaultInjector fi(3);
+    FaultSpec spec;
+    spec.site = faults::kSortBuild;
+    spec.fail_on_hit = 400;
+    fi.Arm(std::move(spec));
+    std::unique_ptr<WorkerPool> pool;
+    PhysicalPlan plan = SortPlan(&t);
+    ExecContext ctx;
+    ctx.set_guard(&guard);
+    ctx.set_spill_manager(&spill);
+    ctx.set_fault_injector(&fi);
+    if (threads > 0) {
+      pool = std::make_unique<WorkerPool>(threads);
+      ctx.set_worker_pool(pool.get());
+    }
+    StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
+    ASSERT_FALSE(got.ok()) << "injected sort.build fault ignored";
+    EXPECT_EQ(got.status().code(), StatusCode::kInternal) << got.status();
+    EXPECT_EQ(spill.stats().runs_created, 7u);
+    EXPECT_EQ(spill.live_runs(), 0u) << "failed run leaked spill runs";
+    EXPECT_EQ(ctx.buffered_rows(), 0u) << "failed run leaked charges";
+    EXPECT_EQ(CountSpillFiles(dir), 0) << "failed run leaked temp files";
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +614,7 @@ TEST(ParallelMemoryBoundTest, SortKillThresholdBoundsHandedOffBuffers) {
   // (uncharged by design) would stack up to kInflightRunTasks x soft without
   // the early-fold bound. With it, flush_buffer folds before the uncharged
   // aggregate can pass the kill threshold — and the output must stay
-  // byte-identical to the serial sort at every pool size.
+  // byte-identical to the run without a pool at every pool size.
   Table t = Keyed(900, 101);
   auto make = [&] { return SortPlan(&t); };
   StatusOr<std::vector<Row>> serial =

@@ -551,6 +551,11 @@ TEST(SpillTest, ExplainAnalyzeRendersSpillStats) {
 // Retryable I/O: transient faults ride out, permanent faults fail cleanly
 // ---------------------------------------------------------------------------
 
+// The exact retry counts below need every spill write consulted on the
+// query thread's injector: a spilling Grace join writes its partitions there
+// at every pool size. (A Sort writes each run in a task whose injector is
+// forked from the run index; parallel_test covers that schedule.)
+
 TEST(SpillTest, TransientWriteFaultIsRetriedToCompletion) {
   Table t = Numbers(600);
   std::string dir = MakeSpillDir("transient");
@@ -564,7 +569,7 @@ TEST(SpillTest, TransientWriteFaultIsRetriedToCompletion) {
   spec.fault_class = FaultClass::kTransient;
   spec.transient_failures = 2;  // fails twice, recovers on the third try
   fi.Arm(std::move(spec));
-  PhysicalPlan plan = SortPlan(&t);
+  PhysicalPlan plan = JoinPlan(&t, &t);
   JsonlStringSink sink;
   TelemetryCollector collector(&sink);
   ExecContext ctx;
@@ -627,7 +632,7 @@ TEST(SpillTest, ExhaustedRetryBudgetSurfacesTheTransientStatus) {
   spec.fault_class = FaultClass::kTransient;
   spec.transient_failures = 50;  // outlasts any sane retry budget
   fi.Arm(std::move(spec));
-  PhysicalPlan plan = SortPlan(&t);
+  PhysicalPlan plan = JoinPlan(&t, &t);
   ExecContext ctx;
   ctx.set_guard(&guard);
   ctx.set_spill_manager(&spill);
