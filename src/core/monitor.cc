@@ -142,7 +142,7 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
   std::vector<Pipeline> pipelines = DecomposePipelines(*plan_);
 
   if (options_.eta_model != nullptr) {
-    options_.eta_model->OnRunStart(plan_->nodes().size());
+    options_.eta_model->OnRunStart();
     if (options_.spill_manager != nullptr) {
       const SpillDeviceModel& dm = options_.spill_manager->device_model();
       if (dm.enabled()) {
@@ -223,7 +223,7 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
       }
       EtaBand band = options_.eta_model->OnCheckpoint(
           work, bounds.work_lb, bounds.work_ub,
-          spill_snapshot.spill_rows_pending, pending_bytes, telemetry);
+          spill_snapshot.spill_rows_pending, pending_bytes);
       cp.eta_seconds = band.eta_s;
       cp.eta_lo_seconds = band.eta_lo_s;
       cp.eta_hi_seconds = band.eta_hi_s;

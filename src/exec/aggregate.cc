@@ -261,7 +261,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
       return true;
     }
     if (grace_.pooled()) {
-      if (grace_.NextOutput(ctx, node_id(), out, &charged_)) {
+      if (grace_.NextOutput(ctx, out)) {
         Emit(ctx);
         return true;
       }
@@ -272,35 +272,35 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
       finished_ = true;
       return false;
     }
-    if (ctx->worker_pool() != nullptr) {
+    if (UsePooledLeafReplay(*ctx)) {
       // The resident groups are all emitted: release them before the leaf
-      // tasks size their budget and snapshot their kill tripwires, exactly
-      // as the serial replay does before loading its first leaf.
+      // tasks run, exactly as the serial replay does before loading its
+      // first leaf.
       ReleaseResidentGroups(ctx);
       const size_t num_leaves = grace_.leaves().size();
       std::vector<uint64_t> leaf_groups(num_leaves, 0);
       std::vector<uint64_t> leaf_rows_read(num_leaves, 0);
       if (!grace_.RunLeaves(
-              ctx, node_id(), kAggReplayTaskTag,
-              [&](TaskContext* tc, size_t leaf, GraceLeafOutput* leaf_out) {
+              ctx, kAggReplayTaskTag,
+              [&](TaskContext* tc, size_t leaf, std::vector<Row>* leaf_out) {
                 // A private group table per task; result rows go out in
                 // first-seen order, the order the serial replay emits them.
                 GroupTable table;
                 uint64_t charged = 0;
-                bool ok = AggregateLeaf(tc, grace_.leaves()[leaf].runs[0].get(),
-                                        &table, &charged,
-                                        &leaf_rows_read[leaf]);
+                if (!AggregateLeaf(tc, grace_.leaves()[leaf].runs[0].get(),
+                                   &table, &charged, &leaf_rows_read[leaf])) {
+                  return;
+                }
                 leaf_groups[leaf] = table.keys.size();
-                for (size_t g = 0; ok && g < table.keys.size(); ++g) {
-                  ok = leaf_out->Emit(
-                      tc, ResultRow(table.keys[g], table.states[g]));
+                leaf_out->reserve(table.keys.size());
+                for (size_t g = 0; g < table.keys.size(); ++g) {
+                  leaf_out->push_back(ResultRow(table.keys[g], table.states[g]));
                 }
               },
               [&](size_t leaf) {
                 par_groups_ += leaf_groups[leaf];
                 *grace_.mutable_rows_read() += leaf_rows_read[leaf];
-              },
-              &charged_)) {
+              })) {
         return false;
       }
       continue;

@@ -81,9 +81,11 @@ class AggAccumulator {
 /// headroom — single-key skew, or the depth cap — is admitted alone, and the
 /// per-group kill-threshold charge stays the tripwire if it does not fit.
 ///
-/// With a WorkerPool attached, the leaf replay runs as one task per leaf
-/// through GracePartitions::RunLeaves instead of the serial loop; output
-/// rows are identical to the serial replay at every pool size. Both drivers
+/// With a WorkerPool attached and no kill threshold (UsePooledLeafReplay),
+/// the leaf replay runs as one task per leaf through
+/// GracePartitions::RunLeaves instead of the serial loop; under a kill
+/// threshold the serial loop runs at every pool size. Output rows are
+/// identical to the serial replay at every pool size. Both drivers
 /// re-aggregate a leaf through the same AggregateLeaf.
 class HashAggregate : public PhysicalOperator {
  public:

@@ -213,11 +213,14 @@ class ExecContext final : public WorkContext {
 
   /// Attaches a worker pool (borrowed; may be null to remove): external sort
   /// runs its run-formation tasks on it (inline without one), and Grace hash
-  /// join and aggregate fan their leaf replays out to it. Results are
+  /// join and aggregate fan their leaf replays out to it when the guard sets
+  /// no kill threshold (exec/grace.h, UsePooledLeafReplay). Results are
   /// bit-identical at every pool size. total(Q) and traces are identical at
-  /// every pool size >= 1, and for a plan whose only spilling operator is a
-  /// Sort, at pool 0 too; the Grace serial leaf loop accounts its tables
-  /// differently (DESIGN.md §10). Persists across Reset.
+  /// every pool size under a kill threshold, where the Grace operators run
+  /// their serial leaf loop with or without a pool. With no kill threshold
+  /// they are identical at every pool size >= 1, and at pool 0 too for a plan whose
+  /// only spilling operator is a Sort; the Grace serial leaf loop accounts
+  /// its tables differently (DESIGN.md §10). Persists across Reset.
   void set_worker_pool(WorkerPool* pool) { worker_pool_ = pool; }
   WorkerPool* worker_pool() const { return worker_pool_; }
 

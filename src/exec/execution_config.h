@@ -12,8 +12,9 @@ class WorkerPool;
 
 struct ExecutionConfig {
   /// Optional worker pool (borrowed) for intra-query parallelism: sort run
-  /// formation, Grace partition joins and aggregate replay. Null runs sort
-  /// run tasks inline and the Grace leaves through their serial loop.
+  /// formation, and Grace partition joins and aggregate replay when the
+  /// guard sets no kill threshold. Null runs sort run tasks inline and the
+  /// Grace leaves through their serial loop, as a kill threshold does.
   WorkerPool* worker_pool = nullptr;
 };
 

@@ -12,12 +12,12 @@
 //    the depth cap is the one policy the operators choose: the join, which
 //    holds rows, aborts with kResourceExhausted; the aggregate, which holds
 //    groups, admits the leaf alone and leaves the kill tripwire to decide;
+//  * the driver choice: UsePooledLeafReplay, the one place either operator
+//    decides between its serial leaf loop and the pooled replay;
 //  * the pooled replay: one task per leaf, keyed by the leaf's data identity,
-//    admitted against a shared ordered budget; output beyond a fixed
-//    per-leaf allowance overflows to an unaccounted side run; results fold
-//    in leaf order and the kept prefixes are charged to the plan account;
-//  * the drain that streams those outputs in leaf order, releasing each
-//    leaf's charge as it empties.
+//    each writing its output rows to a vector of its own; results fold in
+//    leaf order;
+//  * the drain that streams those outputs in leaf order.
 //
 // The operators keep what differs: how a leaf's rows are built, probed or
 // aggregated (the serial replay loops and the task bodies) and the per-leaf
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "exec/query_guard.h"
 #include "exec/spill.h"
 #include "expr/expr.h"
 #include "types/value.h"
@@ -73,35 +74,26 @@ struct GraceLeaf {
   uint64_t path = 0;
 };
 
-/// One pooled leaf task's output. Rows up to the budget's allowance stay in
-/// memory; the rest go to an unaccounted side run created on first need.
-class GraceLeafOutput {
- public:
-  /// Worker side: appends one output row. False on a side-run failure.
-  bool Emit(TaskContext* tc, Row&& row);
-
- private:
-  friend class GracePartitions;
-
-  SpillManager* spill_ = nullptr;
-  int node_ = -1;
-  uint64_t allowance_ = 0;
-  uint64_t reserved_ = 0;      // budget rows held while the task runs
-  std::vector<Row> rows_;      // in-memory prefix (<= allowance)
-  SpillRunPtr overflow_;       // output beyond the allowance, if any
-  bool overflow_open_ = false;
-  uint64_t charged_rows_ = 0;  // prefix rows charged to the plan account
-};
+/// True when a Grace operator should replay its leaves through
+/// GracePartitions::RunLeaves: a worker pool is attached and the guard sets
+/// no kill threshold. Under a finite kill threshold the operator's serial
+/// streaming loop runs at every pool size; it holds one leaf at a time and
+/// enforces the threshold row by row against the plan account, so rows,
+/// total(Q) and traces do not depend on the pool (DESIGN.md §10).
+inline bool UsePooledLeafReplay(const ExecContext& ctx) {
+  return ctx.worker_pool() != nullptr &&
+         ctx.KillHeadroom() == QueryGuard::kNoLimit;
+}
 
 /// One operator's Grace state: the depth-0 partitions, the refined leaves,
 /// the spill-row counters behind the pending identity, and the pooled
 /// outputs with their drain cursor. Query thread only, except the leaf
-/// tasks that RunLeaves hands a leaf and an output each.
+/// tasks that RunLeaves hands a leaf and an output vector each.
 class GracePartitions {
  public:
-  /// Runs `body` on a worker for one leaf; `body` writes through `out`.
+  /// Runs on a worker for one leaf; appends the leaf's output rows to `out`.
   using LeafTask =
-      std::function<void(TaskContext* tc, size_t leaf, GraceLeafOutput* out)>;
+      std::function<void(TaskContext* tc, size_t leaf, std::vector<Row>* out)>;
 
   GracePartitions(std::vector<GraceSide> sides, OversizedLeaf oversized);
 
@@ -125,22 +117,17 @@ class GracePartitions {
   bool Refine(ExecContext* ctx, int node);
   std::vector<GraceLeaf>& leaves() { return leaves_; }
 
-  /// Runs `task` once per leaf on the context's worker pool, each admitted
-  /// against a shared budget sized from the kill headroom, then folds the
-  /// tasks in leaf order — calling `fold(leaf)` after each fold and deleting
-  /// the leaf's runs — and charges the kept output prefixes to the plan
-  /// account (added to `*charged`). Returns ctx->ok(); on success pooled()
-  /// turns true.
-  bool RunLeaves(ExecContext* ctx, int node, uint64_t task_tag,
-                 const LeafTask& task,
-                 const std::function<void(size_t leaf)>& fold,
-                 uint64_t* charged);
+  /// Runs `task` once per leaf on the context's worker pool, then folds the
+  /// tasks in leaf order, calling `fold(leaf)` after each fold and deleting
+  /// the leaf's runs. Only when UsePooledLeafReplay(*ctx): the outputs are
+  /// held whole and uncharged until NextOutput drains them. Returns
+  /// ctx->ok(); on success pooled() turns true.
+  bool RunLeaves(ExecContext* ctx, uint64_t task_tag, const LeafTask& task,
+                 const std::function<void(size_t leaf)>& fold);
   bool pooled() const { return pooled_; }
-  /// Streams the next pooled output row in leaf order: each leaf's
-  /// in-memory prefix, then its side run, releasing the leaf's charge (from
-  /// the plan account and `*charged`) once it is drained. False at the end
-  /// of output or on error.
-  bool NextOutput(ExecContext* ctx, int node, Row* out, uint64_t* charged);
+  /// Streams the next pooled output row in leaf order, freeing each leaf's
+  /// rows once they are drained. False at the end of output or on error.
+  bool NextOutput(ExecContext* ctx, Row* out);
 
   /// Rows appended to partition runs at every depth, and rows read back
   /// from them (re-split or replayed). Every appended row is read back once,
@@ -164,7 +151,7 @@ class GracePartitions {
   uint64_t rows_read_ = 0;
 
   bool pooled_ = false;
-  std::vector<GraceLeafOutput> outs_;
+  std::vector<std::vector<Row>> outs_;  // pooled output, one per leaf
   size_t out_leaf_ = 0;  // leaf currently draining
   size_t out_pos_ = 0;   // next row within its prefix
 };

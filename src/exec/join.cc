@@ -413,18 +413,20 @@ bool HashJoin::PullProbe(ExecContext* ctx, Row* row) {
 }
 
 void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                                 GraceLeafOutput* out,
+                                 std::vector<Row>* out,
                                  uint64_t* max_bucket) const {
-  // The task owns its leaf end to end: a private hash table, charged to the
-  // task's own account, the leaf's spill reads, and the output buffer.
+  // The task owns its leaf end to end: a private hash table, the leaf's
+  // spill reads, and the output rows.
   SpillRun* probe_run = leaf.runs[kProbeSide].get();
   JoinTable table;
   uint64_t charged = 0;
-  bool ok = BuildLeafTable(tc, leaf.runs[kBuildSide].get(), &table, &charged,
-                           max_bucket) &&
-            probe_run->OpenRead(tc, node_id());
+  if (!BuildLeafTable(tc, leaf.runs[kBuildSide].get(), &table, &charged,
+                      max_bucket) ||
+      !probe_run->OpenRead(tc, node_id())) {
+    return;
+  }
   Row row;
-  while (ok && probe_run->ReadNext(tc, node_id(), &row)) {
+  while (probe_run->ReadNext(tc, node_id(), &row)) {
     bool has_null = false;
     Row key = KeyOf(row, probe_keys_, &has_null);
     const std::vector<Row>* bucket = nullptr;
@@ -443,24 +445,19 @@ void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
         matched = true;
         if (join_type_ == JoinType::kInner ||
             join_type_ == JoinType::kLeftOuter) {
-          if (!out->Emit(tc, std::move(joined))) {
-            ok = false;
-            break;
-          }
+          out->push_back(std::move(joined));
           continue;
         }
-        if (join_type_ == JoinType::kLeftSemi && !out->Emit(tc, Row(row))) {
-          ok = false;
-        }
+        if (join_type_ == JoinType::kLeftSemi) out->push_back(row);
         break;  // semi: one output per probe row; anti: match disqualifies
       }
     }
-    if (ok && !matched) {
+    if (!matched) {
       if (join_type_ == JoinType::kLeftOuter) {
-        ok = out->Emit(
-            tc, ConcatRows(row, NullRow(build_->output_schema().num_fields())));
+        out->push_back(
+            ConcatRows(row, NullRow(build_->output_schema().num_fields())));
       } else if (join_type_ == JoinType::kLeftAnti) {
-        ok = out->Emit(tc, Row(row));
+        out->push_back(row);
       }
     }
   }
@@ -501,23 +498,22 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
     // any build partition the kill threshold could never admit.
     if (!grace_.Refine(ctx, node_id())) return false;
   }
-  if (spilled_ && !grace_.pooled() && ctx->worker_pool() != nullptr) {
+  if (spilled_ && !grace_.pooled() && UsePooledLeafReplay(*ctx)) {
     std::vector<uint64_t> leaf_max_bucket(grace_.leaves().size(), 0);
     if (!grace_.RunLeaves(
-            ctx, node_id(), kJoinPartitionTaskTag,
-            [&](TaskContext* tc, size_t leaf, GraceLeafOutput* leaf_out) {
+            ctx, kJoinPartitionTaskTag,
+            [&](TaskContext* tc, size_t leaf, std::vector<Row>* leaf_out) {
               JoinPartitionTask(tc, grace_.leaves()[leaf], leaf_out,
                                 &leaf_max_bucket[leaf]);
             },
             [&](size_t leaf) {
               max_bucket_ = std::max(max_bucket_, leaf_max_bucket[leaf]);
-            },
-            &charged_)) {
+            })) {
       return false;
     }
   }
   if (grace_.pooled()) {
-    if (grace_.NextOutput(ctx, node_id(), out, &charged_)) {
+    if (grace_.NextOutput(ctx, out)) {
       Emit(ctx);
       return true;
     }

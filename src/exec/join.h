@@ -123,11 +123,13 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 ///
 /// Parallel (DESIGN.md §10): partition writes go through
 /// GracePartitions::Append on the query thread at every pool size, as
-/// HashAggregate's do. With a WorkerPool attached, only the leaves are
-/// joined concurrently, through GracePartitions::RunLeaves, each task owning
-/// its leaf's build table and spill reads. Output rows match the serial
-/// replay byte-for-byte at every pool size. Both drivers rebuild a leaf's
-/// table through the same BuildLeafTable.
+/// HashAggregate's do. With a WorkerPool attached and no kill threshold
+/// (UsePooledLeafReplay), only the leaves are joined concurrently, through
+/// GracePartitions::RunLeaves, each task owning its leaf's build table and
+/// spill reads; under a kill threshold the serial loop runs at every pool
+/// size. Output rows match the serial replay byte-for-byte at every pool
+/// size. Both drivers rebuild a leaf's table through the same
+/// BuildLeafTable.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -175,9 +177,9 @@ class HashJoin : public PhysicalOperator {
   bool BuildLeafTable(WorkContext* wc, SpillRun* build_run, JoinTable* table,
                       uint64_t* charged, uint64_t* max_bucket) const;
   /// Worker-side body of one leaf join: rebuilds the leaf's table, probes it
-  /// with its probe run and emits through `out`.
+  /// with its probe run and appends the joined rows to `out`.
   void JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                         GraceLeafOutput* out, uint64_t* max_bucket) const;
+                         std::vector<Row>* out, uint64_t* max_bucket) const;
   /// Rebuilds the hash table from leaf part_idx_'s build run and rewinds the
   /// matching probe run.
   bool LoadPartition(ExecContext* ctx);

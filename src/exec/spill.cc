@@ -71,12 +71,10 @@ bool SpillRun::Append(WorkContext* wc, int node, const Row& row) {
   }
   ++rows_written_;
   ChargeDevice();
-  if (accounted_) {
-    ++manager_->stats_.rows_written;
-    manager_->stats_.bytes_written += scratch_.size();
-    // One unit of extra work per spilled row: total(Q) just grew.
-    wc->AddSpillWork(node, 1);
-  }
+  ++manager_->stats_.rows_written;
+  manager_->stats_.bytes_written += scratch_.size();
+  // One unit of extra work per spilled row: total(Q) just grew.
+  wc->AddSpillWork(node, 1);
   return wc->ok();  // counting the work may have tripped the guard
 }
 
@@ -90,10 +88,8 @@ bool SpillRun::FinishWrite(WorkContext* wc, int node) {
     manager_->RaiseIoError(wc, node, faults::kSpillWrite, std::move(status));
     return false;
   }
-  if (accounted_) {
-    manager_->stats_.disk_bytes_written += file_->bytes_written();
-    wc->OnSpillEnd(node, phase_, rows_written_, file_->bytes_written());
-  }
+  manager_->stats_.disk_bytes_written += file_->bytes_written();
+  wc->OnSpillEnd(node, phase_, rows_written_, file_->bytes_written());
   return true;
 }
 
@@ -136,11 +132,9 @@ bool SpillRun::ReadNext(WorkContext* wc, int node, Row* row) {
   }
   ++rows_read_;
   ChargeDevice();
-  if (accounted_) {
-    ++manager_->stats_.rows_read;
-    wc->OnSpillRead(node, 1);
-    wc->AddSpillWork(node, 1);
-  }
+  ++manager_->stats_.rows_read;
+  wc->OnSpillRead(node, 1);
+  wc->AddSpillWork(node, 1);
   return wc->ok();
 }
 
@@ -206,30 +200,6 @@ SpillRunPtr SpillManager::CreateRun(ExecContext* ctx, int node,
     ctx->telemetry()->RecordSpillBegin(node, ctx->work(), phase, depth);
   }
   return SpillRunPtr(new SpillRun(this, std::move(file), phase));
-}
-
-SpillRunPtr SpillManager::CreateSideRun(WorkContext* wc, int node) {
-  // Thread-safe, unlike CreateRun: SpillFile::Create names files off an
-  // atomic counter and the stats bump is atomic. Deliberately silent — no
-  // spill_begin, and the run is marked unaccounted so its I/O never touches
-  // the work model.
-  if (!wc->ok()) return nullptr;
-  std::unique_ptr<SpillFile> file;
-  Status status = WithRetries(wc, node, faults::kSpillOpen, [&]() -> Status {
-    StatusOr<std::unique_ptr<SpillFile>> created = SpillFile::Create(dir_);
-    if (!created.ok()) return created.status();
-    file = std::move(created).value();
-    return OkStatus();
-  });
-  if (!status.ok()) {
-    RaiseIoError(wc, node, faults::kSpillOpen, std::move(status));
-    return nullptr;
-  }
-  ++stats_.runs_created;
-  RegisterLiveFile(file->path());
-  SpillRunPtr run(new SpillRun(this, std::move(file), "side"));
-  run->accounted_ = false;
-  return run;
 }
 
 Status SpillManager::WithRetries(WorkContext* wc, int node, const char* site,

@@ -26,8 +26,8 @@
 // cancel, deadline, guard trip or injected fault. As a backstop against runs
 // whose destructor never fires (a worker task dying mid-write with ownership
 // of a run, or an abort path that drops a run on the floor), the manager
-// keeps a registry of every live temp-file path: CreateRun/CreateSideRun
-// register, Discard unregisters, live_files() lets tests audit for leaks,
+// keeps a registry of every live temp-file path: CreateRun registers,
+// Discard unregisters, live_files() lets tests audit for leaks,
 // and ~SpillManager unlinks anything still registered.
 //
 // String ownership: a row read back from a run views VARCHAR bytes in the
@@ -41,14 +41,10 @@
 // a pool thread. One run is owned by exactly one context at a time; the
 // manager-wide SpillStats counters are atomics because runs on different
 // worker threads bump them concurrently (they are monitoring data, not part
-// of the deterministic work model). CreateRun stays query-thread-only: run
-// *identity* (and the spill_begin trace event) is part of the deterministic
-// trace, so operators create runs up front and hand them to tasks.
-// CreateSideRun is the one exception: it mints an *unaccounted* run — no
-// trace events, no spill work, no row/byte stats — that worker tasks may
-// create lazily to park overflow state on disk. Because a side run leaves no
-// mark on the work model or the trace, creating one from a task cannot make
-// totals or traces scheduling-dependent.
+// of the deterministic work model). CreateRun, the only way to make a run,
+// is query-thread-only: run *identity* (and the spill_begin trace event) is
+// part of the deterministic trace, so operators create runs up front and
+// hand them to tasks.
 
 #ifndef QPROG_EXEC_SPILL_H_
 #define QPROG_EXEC_SPILL_H_
@@ -156,10 +152,6 @@ class SpillRun {
   /// thread-side pending counters for FillProgressState (DESIGN.md §10).
   uint64_t rows_pending() const { return rows_written_ - rows_read_; }
 
-  /// False for side runs (SpillManager::CreateSideRun): I/O on an
-  /// unaccounted run moves no work counters, no stats and no trace events.
-  bool accounted() const { return accounted_; }
-
  private:
   friend class SpillManager;
 
@@ -174,7 +166,6 @@ class SpillRun {
   std::unique_ptr<SpillFile> file_;
   std::string path_;  // retained past file_'s death to unregister it
   std::string phase_;
-  bool accounted_ = true;
   uint64_t rows_written_ = 0;
   uint64_t rows_read_ = 0;
   std::string scratch_;  // serialization buffer, reused across rows
@@ -214,16 +205,6 @@ class SpillManager {
   /// of the deterministic trace.
   SpillRunPtr CreateRun(ExecContext* ctx, int node, const char* phase,
                         int depth = 0);
-
-  /// Creates an *unaccounted* side run for `node`: no spill_begin event, and
-  /// the run's I/O moves no work counters, row/byte stats or spill events —
-  /// only the live-run count (for leak tracking), the device model and the
-  /// retryable-I/O path still apply. Safe from any thread, including worker
-  /// tasks mid-phase: operators use side runs to bound in-memory overflow
-  /// (e.g. parallel join output beyond its budget allowance) without
-  /// perturbing the deterministic work model. Returns nullptr after raising
-  /// the sticky error on `wc` when the file cannot be created.
-  SpillRunPtr CreateSideRun(WorkContext* wc, int node);
 
   /// Runs created but not yet destroyed (each owns one live temp file).
   uint64_t live_runs() const { return stats_.runs_created - stats_.runs_deleted; }

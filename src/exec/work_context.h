@@ -51,7 +51,8 @@ class WorkContext {
   /// Charges `n` rows rebuilt from a spill run (a Grace leaf's table or
   /// groups) against the guard's kill threshold only. False, with
   /// kResourceExhausted raised, when they do not fit. The ExecContext charges
-  /// its plan-wide account; a task context charges a task-local one.
+  /// its plan-wide account; a task context, which reloads rows only when
+  /// there is no kill threshold, charges nothing.
   virtual bool ChargeBufferedRowsPostSpill(uint64_t n) = 0;
 
   // -- telemetry forwarding ---------------------------------------------------

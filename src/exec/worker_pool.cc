@@ -99,9 +99,7 @@ Status TaskGroup::Wait() {
 // TaskContext
 
 TaskContext::TaskContext(ExecContext* parent, uint64_t task_key)
-    : parent_(parent),
-      guard_(parent->guard()),
-      base_buffered_rows_(parent->buffered_rows()) {
+    : parent_(parent), guard_(parent->guard()) {
   if (parent->fault_injector() != nullptr) {
     injector_ = parent->fault_injector()->Fork(task_key);
   }
@@ -153,22 +151,6 @@ void TaskContext::OnIoRetry(int node, const char* site, uint64_t attempt) {
 void TaskContext::OnIoFault(int node, const char* site,
                             const std::string& message) {
   ops_.push_back(Op{Op::kIoFault, node, 0, 0, site, message});
-}
-
-bool TaskContext::ChargeBufferedRowsPostSpill(uint64_t n) {
-  if (!ok()) return false;
-  if (guard_ != nullptr && base_buffered_rows_ + buffered_rows_ + n >
-                               guard_->max_buffered_rows_kill()) {
-    RaiseError(qprog::ResourceExhausted(StringPrintf(
-        "spilled partition does not fit (%llu buffered > %llu kill "
-        "threshold); input too skewed to process under this budget",
-        static_cast<unsigned long long>(base_buffered_rows_ + buffered_rows_ +
-                                        n),
-        static_cast<unsigned long long>(guard_->max_buffered_rows_kill()))));
-    return false;
-  }
-  buffered_rows_ += n;
-  return true;
 }
 
 void TaskContext::FoldInto(ExecContext* ctx) {

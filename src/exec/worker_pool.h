@@ -5,10 +5,10 @@
 // operators: external Sort hands run formation to tasks, Grace HashJoin and
 // HashAggregate fan out their per-leaf replays. A TaskGroup over a null
 // pool runs each task inline at Submit, so Sort takes the same task path at
-// every pool size; the Grace operators choose between RunLeaves and their
-// serial leaf loop by whether a pool is attached. Grace partition writes
-// and the sort merge stay on the query thread, as does everything else in
-// the engine.
+// every pool size; the Grace operators take RunLeaves only with a pool
+// attached and no kill threshold (exec/grace.h, UsePooledLeafReplay), and
+// their serial leaf loop otherwise. Grace partition writes and the sort
+// merge stay on the query thread, as does everything else in the engine.
 //
 // The design problem is not speed — it is keeping the paper's progress
 // model deterministic while work happens concurrently. The solution has
@@ -145,10 +145,10 @@ inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;      // | leaf id
 
 /// The WorkContext a task runs against: accumulates the task's spill work,
 /// telemetry events, and error into a private log that FoldInto replays on
-/// the ExecContext after the barrier. Created on the query thread (it
-/// snapshots the buffered-row baseline and forks the fault injector there),
-/// used by exactly one task, folded back on the query thread — the task
-/// barrier is the handoff, so no member needs to be atomic.
+/// the ExecContext after the barrier. Created on the query thread (it forks
+/// the fault injector there), used by exactly one task, folded back on the
+/// query thread — the task barrier is the handoff, so no member needs to be
+/// atomic.
 class TaskContext final : public WorkContext {
  public:
   /// `task_key` seeds the injector fork; derive it from the task's data
@@ -170,16 +170,11 @@ class TaskContext final : public WorkContext {
   void OnIoFault(int node, const char* site,
                  const std::string& message) override;
 
-  // -- task-local buffered-row budget ------------------------------------------
-  /// Task-side mirror of ExecContext::ChargeBufferedRowsPostSpill: checks
-  /// this task's buffered rows (plus the plan-wide baseline snapshotted at
-  /// construction) against the guard's kill threshold. Check-first — a
-  /// failed charge raises the task-local error and charges nothing. The
-  /// parent's account is untouched either way: a task's buffers live and die
-  /// inside the task, so the charge is purely the kill-threshold tripwire,
-  /// applied per task exactly like the serial engine applies it per
-  /// partition.
-  bool ChargeBufferedRowsPostSpill(uint64_t n) override;
+  /// Charges nothing and never raises: the only tasks that reload spilled
+  /// rows are pooled Grace leaves, which run only without a kill threshold
+  /// (exec/grace.h, UsePooledLeafReplay). Returns ok(), so a failed or
+  /// cancelled task still stops at its next charge.
+  bool ChargeBufferedRowsPostSpill(uint64_t) override { return ok(); }
 
   /// Replays the op-log into `ctx` in log order — spill work advances
   /// total(Q) and fires observer checkpoints / guard checks exactly as if
@@ -202,8 +197,6 @@ class TaskContext final : public WorkContext {
   QueryGuard* guard_;
   std::unique_ptr<FaultInjector> injector_;  // deterministic per-task fork
   std::vector<Op> ops_;
-  uint64_t base_buffered_rows_;  // plan-wide account at construction
-  uint64_t buffered_rows_ = 0;
   bool failed_ = false;
   Status status_;
 };

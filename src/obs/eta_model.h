@@ -6,10 +6,10 @@
 // *uncertainty* instead of a bare point estimate, in the spirit of Wu et
 // al.'s "Uncertainty Aware Query Execution Time Prediction" (PAPERS.md):
 //
-//   RateTracker — online EWMA mean + variance of the engine's work→time
-//     rates: the aggregate ns per work unit (getnext call) observed between
-//     checkpoints, per-operator ns/getnext sampled from a TelemetryCollector,
-//     and ns/byte for spill I/O seeded from the SpillDeviceModel.
+//   RateTracker — online EWMA mean + variance of the two work→time rates
+//     the band prices with: the aggregate ns per work unit (getnext call)
+//     observed between checkpoints, and ns per re-read spill byte seeded
+//     from the SpillDeviceModel.
 //
 //   EtaModel — at every checkpoint converts the remaining-work interval into
 //     an [eta_lo, eta, eta_hi] wall-clock band by combining
@@ -46,7 +46,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "obs/telemetry.h"
 
@@ -76,20 +75,14 @@ struct RateEstimate {
   }
 };
 
-/// Online work→time rates for one run. All rates are in nanoseconds per
-/// unit; per-node samples are *inclusive* ns per getnext (an operator's
-/// Next() time contains its children's, the EXPLAIN ANALYZE convention).
+/// Online work→time rates for one run, in nanoseconds per unit.
 class RateTracker {
  public:
   explicit RateTracker(double alpha = 0.3) : alpha_(alpha) {}
 
-  void Reset(size_t num_nodes) {
+  void Reset() {
     work_ = RateEstimate();
-    spill_write_ = RateEstimate();
     spill_read_ = RateEstimate();
-    nodes_.assign(num_nodes, RateEstimate());
-    last_node_calls_.assign(num_nodes, 0);
-    last_node_ns_.assign(num_nodes, 0);
   }
 
   /// Aggregate rate: `delta_ns` wall nanoseconds bought `delta_work` units
@@ -101,51 +94,20 @@ class RateTracker {
                   alpha_);
   }
 
-  /// Per-operator rates, sampled as deltas from a TelemetryCollector's
-  /// cumulative per-node counters at a checkpoint.
-  void ObserveNodes(const TelemetryCollector& telemetry) {
-    size_t n = std::min(nodes_.size(), telemetry.num_nodes());
-    for (size_t i = 0; i < n; ++i) {
-      const OperatorStats& s = telemetry.stats(static_cast<int>(i));
-      uint64_t dc = s.next_calls - last_node_calls_[i];
-      uint64_t dns = s.next_ns - last_node_ns_[i];
-      last_node_calls_[i] = s.next_calls;
-      last_node_ns_[i] = s.next_ns;
-      if (dc == 0) continue;
-      nodes_[i].Observe(static_cast<double>(dns) / static_cast<double>(dc),
-                        alpha_);
-    }
-  }
-
-  /// Spill device rates (ns/byte). Seeded exactly from the SpillDeviceModel
-  /// when the engine simulates device bandwidth; observed samples may refine
-  /// them afterwards.
-  void SeedSpillRates(double write_ns_per_byte, double read_ns_per_byte) {
-    if (write_ns_per_byte > 0) spill_write_.Observe(write_ns_per_byte, alpha_);
+  /// Spill re-read rate (ns/byte), seeded exactly from the SpillDeviceModel
+  /// when the engine simulates device bandwidth.
+  void SeedSpillReadRate(double read_ns_per_byte) {
     if (read_ns_per_byte > 0) spill_read_.Observe(read_ns_per_byte, alpha_);
-  }
-  void ObserveSpillWrite(double ns_per_byte) {
-    spill_write_.Observe(ns_per_byte, alpha_);
-  }
-  void ObserveSpillRead(double ns_per_byte) {
-    spill_read_.Observe(ns_per_byte, alpha_);
   }
 
   double alpha() const { return alpha_; }
   const RateEstimate& work_rate() const { return work_; }
-  const RateEstimate& spill_write_rate() const { return spill_write_; }
   const RateEstimate& spill_read_rate() const { return spill_read_; }
-  size_t num_nodes() const { return nodes_.size(); }
-  const RateEstimate& node_rate(size_t node) const { return nodes_[node]; }
 
  private:
   double alpha_;
   RateEstimate work_;
-  RateEstimate spill_write_;
   RateEstimate spill_read_;
-  std::vector<RateEstimate> nodes_;
-  std::vector<uint64_t> last_node_calls_;
-  std::vector<uint64_t> last_node_ns_;
 };
 
 /// One wall-clock prediction: seconds until the query completes, with a
@@ -213,21 +175,22 @@ class EtaModel {
   EtaModel(const EtaModel&) = delete;
   EtaModel& operator=(const EtaModel&) = delete;
 
-  /// Re-arms the model for a run over a `num_nodes`-operator plan: resets
-  /// every rate and stamps the run epoch.
-  void OnRunStart(size_t num_nodes) {
-    rates_.Reset(num_nodes);
+  /// Re-arms the model for a run: resets every rate and stamps the run
+  /// epoch.
+  void OnRunStart() {
+    rates_.Reset();
     latest_ = EtaBand();
     checkpoints_ = 0;
     last_work_ = 0;
     last_ns_ = options_.now_fn();
   }
 
-  /// Seeds the spill ns/byte rates from the engine's SpillDeviceModel (only
-  /// meaningful when the device model is enabled).
+  /// Seeds the spill re-read rate from the engine's SpillDeviceModel (only
+  /// meaningful when the device model is enabled); either rate being set
+  /// turns on the band's spill surcharge.
   void SeedSpillDeviceRates(double write_ns_per_byte,
                             double read_ns_per_byte) {
-    rates_.SeedSpillRates(write_ns_per_byte, read_ns_per_byte);
+    rates_.SeedSpillReadRate(read_ns_per_byte);
     device_model_seeded_ = write_ns_per_byte > 0 || read_ns_per_byte > 0;
   }
 
@@ -235,20 +198,15 @@ class EtaModel {
   /// `work` is Curr, [`work_lb`, `work_ub`] the bounds-tracker interval on
   /// total(Q); `spill_pending_units` / `spill_pending_bytes` describe spill
   /// re-read debt (bytes only priced when device rates were seeded — spill
-  /// *work units* are already inside the bounds); `telemetry` (optional)
-  /// feeds the per-operator rates.
+  /// *work units* are already inside the bounds).
   EtaBand OnCheckpoint(uint64_t work, double work_lb, double work_ub,
                        uint64_t spill_pending_units,
-                       double spill_pending_bytes,
-                       const TelemetryCollector* telemetry) {
+                       double spill_pending_bytes) {
     ++checkpoints_;
     uint64_t now = options_.now_fn();
     rates_.ObserveWork(work - last_work_, now - last_ns_);
     last_work_ = work;
     last_ns_ = now;
-    if (telemetry != nullptr && telemetry->num_nodes() > 0) {
-      rates_.ObserveNodes(*telemetry);
-    }
 
     const RateEstimate& r = rates_.work_rate();
     if (!r.warm()) {
