@@ -31,21 +31,24 @@ double DneEstimator::Estimate(const ProgressContext& pc) const {
   return Clamp01(done / total);
 }
 
+double PmaxProgress(double curr, double lb) {
+  return lb > 0 ? Clamp01(curr / lb) : 0;
+}
+
+double SafeProgress(double curr, double lb, double ub) {
+  return lb > 0 && ub > 0 ? Clamp01(curr / std::sqrt(lb * ub)) : 0;
+}
+
 double PmaxEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.bounds != nullptr && pc.exec != nullptr);
-  double curr = static_cast<double>(pc.exec->work());
-  double lb = pc.bounds->work_lb;
-  if (lb <= 0) return 0;
-  return Clamp01(curr / lb);
+  return PmaxProgress(static_cast<double>(pc.exec->work()),
+                      pc.bounds->work_lb);
 }
 
 double SafeEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.bounds != nullptr && pc.exec != nullptr);
-  double curr = static_cast<double>(pc.exec->work());
-  double lb = pc.bounds->work_lb;
-  double ub = pc.bounds->work_ub;
-  if (lb <= 0 || ub <= 0) return 0;
-  return Clamp01(curr / std::sqrt(lb * ub));
+  return SafeProgress(static_cast<double>(pc.exec->work()),
+                      pc.bounds->work_lb, pc.bounds->work_ub);
 }
 
 double BoundedDneEstimator::Estimate(const ProgressContext& pc) const {

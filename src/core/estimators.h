@@ -66,6 +66,13 @@ struct ProgressContext {
   const SpillSnapshot* spill = nullptr;
 };
 
+/// pmax = Curr / LB (Definition 3) and safe = Curr / sqrt(LB * UB)
+/// (Definition 5), clamped to [0, 1]; 0 while a bound they divide by is not
+/// positive. The live estimators and the trace replay (obs/replay.h) share
+/// them.
+double PmaxProgress(double curr, double lb);
+double SafeProgress(double curr, double lb, double ub);
+
 /// Interface for progress estimators. Estimates are fractions in [0, 1].
 class ProgressEstimator {
  public:

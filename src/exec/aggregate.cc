@@ -156,7 +156,7 @@ void HashAggregate::Build(ExecContext* ctx) {
   while (ctx->ok() && child_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashAggregateBuild, node_id())) return;
     any_input = true;
-    Row key = GroupKey(row);
+    Row key = EvalKey(group_exprs_, row);
     auto it = groups_.index.find(key);
     if (it != groups_.index.end()) {
       // Known group: keep accumulating in memory, spilled or not.
@@ -198,13 +198,6 @@ void HashAggregate::Build(ExecContext* ctx) {
   built_ = true;
 }
 
-Row HashAggregate::GroupKey(const Row& row) const {
-  Row key;
-  key.reserve(group_exprs_.size());
-  for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-  return key;
-}
-
 void HashAggregate::ReleaseResidentGroups(ExecContext* ctx) {
   prior_groups_ += groups_.keys.size();
   groups_.Clear();
@@ -219,7 +212,7 @@ bool HashAggregate::AggregateLeaf(WorkContext* wc, SpillRun* run,
   if (!run->OpenRead(wc, node_id())) return false;
   Row row;
   while (run->ReadNext(wc, node_id(), &row)) {
-    Row key = GroupKey(row);
+    Row key = EvalKey(group_exprs_, row);
     auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
     if (inserted) {
       // One leaf's groups answer to the kill threshold only.
@@ -417,9 +410,7 @@ bool StreamAggregate::DoNext(ExecContext* ctx, Row* out) {
       return Next(ctx, out);  // handles the empty-scalar case above
     }
     any_input_ = true;
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
+    Row key = EvalKey(group_exprs_, row);
     if (!group_open_) {
       current_key_ = std::move(key);
       current_state_ = MakeStates(aggregates_);

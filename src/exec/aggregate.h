@@ -123,7 +123,6 @@ class HashAggregate : public PhysicalOperator {
   };
 
   void Build(ExecContext* ctx);
-  Row GroupKey(const Row& row) const;
   /// Drops the emitted in-memory groups and releases their charge, before
   /// the spilled leaves are replayed.
   void ReleaseResidentGroups(ExecContext* ctx);

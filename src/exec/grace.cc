@@ -28,13 +28,6 @@ uint64_t LeafTaskKey(uint64_t tag, const GraceLeaf& leaf) {
   return tag | (static_cast<uint64_t>(leaf.depth) << 48) | leaf.path;
 }
 
-Row EvalKey(const std::vector<ExprPtr>& keys, const Row& row) {
-  Row key;
-  key.reserve(keys.size());
-  for (const ExprPtr& e : keys) key.push_back(e->Eval(row));
-  return key;
-}
-
 }  // namespace
 
 size_t GracePartitionOf(const Row& key, int level) {

@@ -17,26 +17,10 @@ namespace {
 constexpr size_t kBuildSide = 0;
 constexpr size_t kProbeSide = 1;
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
-}
-
-Row NullRow(size_t arity) { return Row(arity); }
-
 Schema JoinOutputSchema(const Schema& left, const Schema& right,
                         JoinType type) {
   if (type == JoinType::kLeftSemi || type == JoinType::kLeftAnti) return left;
   return Schema::Concat(left, right);
-}
-
-bool PredicatePasses(const Expr* predicate, const Row& row) {
-  if (predicate == nullptr) return true;
-  Value v = predicate->Eval(row);
-  return !v.is_null() && v.bool_value();
 }
 
 }  // namespace
@@ -56,6 +40,42 @@ const char* JoinTypeToString(JoinType type) {
 }
 
 // --------------------------------------------------------------------------
+// JoinMatcher
+
+bool JoinMatcher::Offer(const Row& right, Row* out) {
+  joined_.assign(left_.begin(), left_.end());
+  joined_.insert(joined_.end(), right.begin(), right.end());
+  if (residual_ != nullptr) {
+    Value v = residual_->Eval(joined_);
+    if (v.is_null() || !v.bool_value()) return false;
+  }
+  matched_ = true;
+  switch (type_) {
+    case JoinType::kInner:
+    case JoinType::kLeftOuter:
+      out->swap(joined_);
+      return true;
+    case JoinType::kLeftSemi:
+      done_ = true;  // one output per preserved row
+      *out = left_;
+      return true;
+    case JoinType::kLeftAnti:
+      done_ = true;  // a match disqualifies the preserved row
+      return false;
+  }
+  return false;
+}
+
+bool JoinMatcher::Finish(Row* out) {
+  if (matched_ || type_ == JoinType::kInner || type_ == JoinType::kLeftSemi) {
+    return false;
+  }
+  out->assign(left_.begin(), left_.end());
+  if (type_ == JoinType::kLeftOuter) out->resize(left_.size() + right_arity_);
+  return true;
+}
+
+// --------------------------------------------------------------------------
 // NestedLoopsJoin
 
 NestedLoopsJoin::NestedLoopsJoin(OperatorPtr outer, OperatorPtr inner,
@@ -63,26 +83,15 @@ NestedLoopsJoin::NestedLoopsJoin(OperatorPtr outer, OperatorPtr inner,
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       predicate_(std::move(predicate)),
-      join_type_(join_type),
       schema_(JoinOutputSchema(outer_->output_schema(), inner_->output_schema(),
-                               join_type)) {}
+                               join_type)),
+      match_(join_type, predicate_.get(),
+             inner_->output_schema().num_fields()) {}
 
 void NestedLoopsJoin::DoOpen(ExecContext* ctx) {
   finished_ = false;
   outer_valid_ = false;
-  outer_matched_ = false;
   outer_->Open(ctx);
-}
-
-bool NestedLoopsJoin::AdvanceOuter(ExecContext* ctx) {
-  if (!outer_->Next(ctx, &outer_row_)) {
-    outer_valid_ = false;
-    return false;
-  }
-  outer_valid_ = true;
-  outer_matched_ = false;
-  inner_->Open(ctx);  // rescan the inner input
-  return true;
 }
 
 bool NestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
@@ -93,47 +102,27 @@ bool NestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
   for (;;) {
     if (!ctx->ok()) return false;
     if (!outer_valid_) {
-      if (!AdvanceOuter(ctx)) {
+      if (!outer_->Next(ctx, match_.row())) {
         if (ctx->ok()) finished_ = true;
         return false;
       }
+      outer_valid_ = true;
+      match_.Start();
+      inner_->Open(ctx);  // rescan the inner input
     }
-    Row inner_row;
-    while (inner_->Next(ctx, &inner_row)) {
-      Row joined = ConcatRows(outer_row_, inner_row);
-      if (!PredicatePasses(predicate_.get(), joined)) continue;
-      outer_matched_ = true;
-      if (join_type_ == JoinType::kInner || join_type_ == JoinType::kLeftOuter) {
-        *out = std::move(joined);
+    // done() first: every inner Next is counted work.
+    while (!match_.done() && inner_->Next(ctx, &inner_row_)) {
+      if (match_.Offer(inner_row_, out)) {
         Emit(ctx);
         return true;
       }
-      if (join_type_ == JoinType::kLeftSemi) {
-        *out = outer_row_;
-        Emit(ctx);
-        outer_valid_ = false;  // one output per outer row
-        return true;
-      }
-      break;  // kLeftAnti: a match disqualifies the outer row
     }
-    // Inner exhausted for the current outer row (or anti-match found).
     if (!ctx->ok()) return false;  // inner stopped on error, not exhaustion
-    if (!outer_matched_) {
-      if (join_type_ == JoinType::kLeftOuter) {
-        *out = ConcatRows(outer_row_,
-                          NullRow(inner_->output_schema().num_fields()));
-        outer_valid_ = false;
-        Emit(ctx);
-        return true;
-      }
-      if (join_type_ == JoinType::kLeftAnti) {
-        *out = outer_row_;
-        outer_valid_ = false;
-        Emit(ctx);
-        return true;
-      }
-    }
     outer_valid_ = false;
+    if (match_.Finish(out)) {
+      Emit(ctx);
+      return true;
+    }
   }
 }
 
@@ -143,7 +132,7 @@ void NestedLoopsJoin::DoClose(ExecContext* ctx) {
 }
 
 std::string NestedLoopsJoin::label() const {
-  return StringPrintf("NestedLoopsJoin(%s%s)", JoinTypeToString(join_type_),
+  return StringPrintf("NestedLoopsJoin(%s%s)", JoinTypeToString(join_type()),
                       predicate_ != nullptr
                           ? (", " + predicate_->ToString()).c_str()
                           : "");
@@ -159,28 +148,17 @@ IndexNestedLoopsJoin::IndexNestedLoopsJoin(OperatorPtr outer,
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_key_(std::move(outer_key)),
-      join_type_(join_type),
       residual_(std::move(residual)),
       schema_(JoinOutputSchema(outer_->output_schema(), inner_->output_schema(),
-                               join_type)) {}
+                               join_type)),
+      match_(join_type, residual_.get(),
+             inner_->output_schema().num_fields()) {}
 
 void IndexNestedLoopsJoin::DoOpen(ExecContext* ctx) {
   finished_ = false;
   outer_valid_ = false;
-  outer_matched_ = false;
   outer_->Open(ctx);
   inner_->Open(ctx);
-}
-
-bool IndexNestedLoopsJoin::AdvanceOuter(ExecContext* ctx) {
-  if (!outer_->Next(ctx, &outer_row_)) {
-    outer_valid_ = false;
-    return false;
-  }
-  outer_valid_ = true;
-  outer_matched_ = false;
-  inner_->Rebind(outer_key_->Eval(outer_row_));
-  return true;
 }
 
 bool IndexNestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
@@ -191,46 +169,27 @@ bool IndexNestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
   for (;;) {
     if (!ctx->ok()) return false;
     if (!outer_valid_) {
-      if (!AdvanceOuter(ctx)) {
+      if (!outer_->Next(ctx, match_.row())) {
         if (ctx->ok()) finished_ = true;
         return false;
       }
+      outer_valid_ = true;
+      match_.Start();
+      inner_->Rebind(outer_key_->Eval(*match_.row()));
     }
-    Row inner_row;
-    while (inner_->Next(ctx, &inner_row)) {
-      Row joined = ConcatRows(outer_row_, inner_row);
-      if (!PredicatePasses(residual_.get(), joined)) continue;
-      outer_matched_ = true;
-      if (join_type_ == JoinType::kInner || join_type_ == JoinType::kLeftOuter) {
-        *out = std::move(joined);
-        Emit(ctx);
-        return true;
-      }
-      if (join_type_ == JoinType::kLeftSemi) {
-        *out = outer_row_;
-        Emit(ctx);
-        outer_valid_ = false;
-        return true;
-      }
-      break;  // kLeftAnti
-    }
-    if (!ctx->ok()) return false;
-    if (!outer_matched_) {
-      if (join_type_ == JoinType::kLeftOuter) {
-        *out = ConcatRows(outer_row_,
-                          NullRow(inner_->output_schema().num_fields()));
-        outer_valid_ = false;
-        Emit(ctx);
-        return true;
-      }
-      if (join_type_ == JoinType::kLeftAnti) {
-        *out = outer_row_;
-        outer_valid_ = false;
+    // done() first: every IndexSeek Next is counted work.
+    while (!match_.done() && inner_->Next(ctx, &inner_row_)) {
+      if (match_.Offer(inner_row_, out)) {
         Emit(ctx);
         return true;
       }
     }
+    if (!ctx->ok()) return false;
     outer_valid_ = false;
+    if (match_.Finish(out)) {
+      Emit(ctx);
+      return true;
+    }
   }
 }
 
@@ -241,7 +200,7 @@ void IndexNestedLoopsJoin::DoClose(ExecContext* ctx) {
 
 std::string IndexNestedLoopsJoin::label() const {
   return StringPrintf("IndexNestedLoopsJoin(%s, key=%s)",
-                      JoinTypeToString(join_type_),
+                      JoinTypeToString(join_type()),
                       outer_key_->ToString().c_str());
 }
 
@@ -256,10 +215,11 @@ HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
       build_(std::move(build)),
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
-      join_type_(join_type),
       residual_(std::move(residual)),
       schema_(JoinOutputSchema(probe_->output_schema(), build_->output_schema(),
                                join_type)),
+      match_(join_type, residual_.get(),
+             build_->output_schema().num_fields()),
       grace_({{&build_keys_, "hashjoin.build"},
               {&probe_keys_, "hashjoin.probe"}},
              OversizedLeaf::kAbort) {
@@ -274,9 +234,7 @@ void HashJoin::DoOpen(ExecContext* ctx) {
   build_rows_ = 0;
   max_bucket_ = 0;
   probe_valid_ = false;
-  probe_matched_ = false;
-  bucket_ = nullptr;
-  bucket_pos_ = 0;
+  bucket_ = {};
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   spilled_ = false;
@@ -289,17 +247,13 @@ void HashJoin::DoOpen(ExecContext* ctx) {
   probe_->Open(ctx);
 }
 
-Row HashJoin::KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
-                    bool* has_null) const {
-  Row key;
-  key.reserve(keys.size());
-  *has_null = false;
-  for (const ExprPtr& e : keys) {
-    Value v = e->Eval(row);
-    *has_null = *has_null || v.is_null();
-    key.push_back(std::move(v));
-  }
-  return key;
+std::span<const Row> HashJoin::BucketOf(const JoinTable& table,
+                                        const Row& probe_row) const {
+  Row key = EvalKey(probe_keys_, probe_row);
+  if (HasNull(key)) return {};
+  auto it = table.find(key);
+  if (it == table.end()) return {};
+  return it->second;
 }
 
 bool HashJoin::SpillBuildTable(ExecContext* ctx) {
@@ -320,9 +274,8 @@ void HashJoin::BuildTable(ExecContext* ctx) {
   Row row;
   while (ctx->ok() && build_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashJoinBuild, node_id())) return;
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    if (has_null) continue;  // NULL keys never match
+    Row key = EvalKey(build_keys_, row);
+    if (HasNull(key)) continue;  // NULL keys never match
     if (spilled_) {
       // Already in Grace mode: route straight to a partition run.
       if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return;
@@ -349,7 +302,7 @@ void HashJoin::BuildTable(ExecContext* ctx) {
 
 void HashJoin::PartitionProbe(ExecContext* ctx) {
   // Create every probe run up front: a zero-row probe input must still leave
-  // probe partitions mirroring the build partitions, or refinement would
+  // probe partitions matching the build partitions, or refinement would
   // index an empty vector.
   if (!grace_.EnsurePartitions(ctx, node_id(), kProbeSide)) return;
   // Route every probe row — including NULL-key rows — through the runs so
@@ -357,8 +310,7 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   // partition is replayed.
   Row row;
   while (ctx->ok() && probe_->Next(ctx, &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, probe_keys_, &has_null);
+    Row key = EvalKey(probe_keys_, row);
     if (!grace_.Append(ctx, node_id(), kProbeSide, key, row)) return;
   }
   if (!ctx->ok()) return;
@@ -371,9 +323,8 @@ bool HashJoin::BuildLeafTable(WorkContext* wc, SpillRun* build_run,
   if (!build_run->OpenRead(wc, node_id())) return false;
   Row row;
   while (build_run->ReadNext(wc, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
+    Row key = EvalKey(build_keys_, row);
+    QPROG_DCHECK(!HasNull(key));  // NULL build keys were never spilled
     // A reloaded leaf answers to the kill threshold only: the soft budget
     // already traded memory for these extra I/O passes.
     if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
@@ -425,61 +376,18 @@ void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
       !probe_run->OpenRead(tc, node_id())) {
     return;
   }
-  Row row;
-  while (probe_run->ReadNext(tc, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, probe_keys_, &has_null);
-    const std::vector<Row>* bucket = nullptr;
-    if (!has_null) {
-      auto it = table.find(key);
-      if (it != table.end()) bucket = &it->second;
+  // Matched like the serial probe, so the folded output (partition order,
+  // probe order within each) is byte-identical to the serial replay.
+  JoinMatcher match(join_type(), residual_.get(),
+                    build_->output_schema().num_fields());
+  Row joined;
+  while (probe_run->ReadNext(tc, node_id(), match.row())) {
+    match.Start();
+    for (const Row& build_row : BucketOf(table, *match.row())) {
+      if (match.done()) break;
+      if (match.Offer(build_row, &joined)) out->push_back(std::move(joined));
     }
-    // Match logic mirrors DoNext's serial loop row for row, so the folded
-    // output (partition order, probe order within each) is byte-identical
-    // to the serial partition replay.
-    bool matched = false;
-    if (bucket != nullptr) {
-      for (const Row& build_row : *bucket) {
-        Row joined = ConcatRows(row, build_row);
-        if (!PredicatePasses(residual_.get(), joined)) continue;
-        matched = true;
-        if (join_type_ == JoinType::kInner ||
-            join_type_ == JoinType::kLeftOuter) {
-          out->push_back(std::move(joined));
-          continue;
-        }
-        if (join_type_ == JoinType::kLeftSemi) out->push_back(row);
-        break;  // semi: one output per probe row; anti: match disqualifies
-      }
-    }
-    if (!matched) {
-      if (join_type_ == JoinType::kLeftOuter) {
-        out->push_back(
-            ConcatRows(row, NullRow(build_->output_schema().num_fields())));
-      } else if (join_type_ == JoinType::kLeftAnti) {
-        out->push_back(row);
-      }
-    }
-  }
-}
-
-bool HashJoin::AdvanceProbe(ExecContext* ctx) {
-  for (;;) {
-    if (!PullProbe(ctx, &probe_row_)) {
-      probe_valid_ = false;
-      return false;
-    }
-    probe_valid_ = true;
-    probe_matched_ = false;
-    bucket_ = nullptr;
-    bucket_pos_ = 0;
-    bool has_null = false;
-    Row key = KeyOf(probe_row_, probe_keys_, &has_null);
-    if (!has_null) {
-      auto it = table_.find(key);
-      if (it != table_.end()) bucket_ = &it->second;
-    }
-    return true;
+    if (match.Finish(&joined)) out->push_back(std::move(joined));
   }
 }
 
@@ -530,7 +438,7 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
       if (!LoadPartition(ctx)) return false;
     }
     if (!probe_valid_) {
-      if (!AdvanceProbe(ctx)) {
+      if (!PullProbe(ctx, match_.row())) {
         if (!ctx->ok()) return false;
         if (spilled_) {
           UnloadPartition(ctx);  // move on to the next partition
@@ -539,51 +447,23 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
         finished_ = true;
         return false;
       }
+      probe_valid_ = true;
+      match_.Start();
+      bucket_ = BucketOf(table_, *match_.row());
     }
-    if (bucket_ != nullptr) {
-      bool anti_rejected = false;
-      while (bucket_pos_ < bucket_->size()) {
-        const Row& build_row = (*bucket_)[bucket_pos_++];
-        Row joined = ConcatRows(probe_row_, build_row);
-        if (!PredicatePasses(residual_.get(), joined)) continue;
-        probe_matched_ = true;
-        if (join_type_ == JoinType::kInner ||
-            join_type_ == JoinType::kLeftOuter) {
-          *out = std::move(joined);
-          Emit(ctx);
-          return true;
-        }
-        if (join_type_ == JoinType::kLeftSemi) {
-          *out = probe_row_;
-          Emit(ctx);
-          probe_valid_ = false;
-          return true;
-        }
-        anti_rejected = true;  // kLeftAnti
-        break;
-      }
-      if (anti_rejected) {
-        probe_valid_ = false;
-        continue;
-      }
-    }
-    // Bucket exhausted (or no bucket).
-    if (!probe_matched_) {
-      if (join_type_ == JoinType::kLeftOuter) {
-        *out = ConcatRows(probe_row_,
-                          NullRow(build_->output_schema().num_fields()));
-        probe_valid_ = false;
-        Emit(ctx);
-        return true;
-      }
-      if (join_type_ == JoinType::kLeftAnti) {
-        *out = probe_row_;
-        probe_valid_ = false;
+    while (!match_.done() && !bucket_.empty()) {
+      const Row& build_row = bucket_.front();
+      bucket_ = bucket_.subspan(1);
+      if (match_.Offer(build_row, out)) {
         Emit(ctx);
         return true;
       }
     }
     probe_valid_ = false;
+    if (match_.Finish(out)) {
+      Emit(ctx);
+      return true;
+    }
   }
 }
 
@@ -597,7 +477,7 @@ void HashJoin::DoClose(ExecContext* ctx) {
 }
 
 std::string HashJoin::label() const {
-  return StringPrintf("HashJoin(%s%s)", JoinTypeToString(join_type_),
+  return StringPrintf("HashJoin(%s%s)", JoinTypeToString(join_type()),
                       is_linear() ? ", linear" : "");
 }
 
@@ -628,20 +508,6 @@ MergeJoin::MergeJoin(OperatorPtr left, OperatorPtr right,
   QPROG_CHECK(!left_keys_.empty());
 }
 
-Row MergeJoin::KeyOf(const Row& row, const std::vector<ExprPtr>& keys) const {
-  Row key;
-  key.reserve(keys.size());
-  for (const ExprPtr& e : keys) key.push_back(e->Eval(row));
-  return key;
-}
-
-bool MergeJoin::KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
 int MergeJoin::CompareKeys(const Row& a, const Row& b) {
   QPROG_DCHECK(a.size() == b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -657,8 +523,8 @@ bool MergeJoin::PullLeft(ExecContext* ctx) {
       left_valid_ = false;
       return false;
     }
-    left_key_ = KeyOf(left_row_, left_keys_);
-    if (!KeyHasNull(left_key_)) {
+    left_key_ = EvalKey(left_keys_, left_row_);
+    if (!HasNull(left_key_)) {
       left_valid_ = true;
       return true;
     }
@@ -671,8 +537,8 @@ bool MergeJoin::PullRight(ExecContext* ctx) {
       right_valid_ = false;
       return false;
     }
-    right_key_ = KeyOf(right_row_, right_keys_);
-    if (!KeyHasNull(right_key_)) {
+    right_key_ = EvalKey(right_keys_, right_row_);
+    if (!HasNull(right_key_)) {
       right_valid_ = true;
       return true;
     }
@@ -701,7 +567,9 @@ bool MergeJoin::DoNext(ExecContext* ctx, Row* out) {
     if (!ctx->ok()) return false;
     if (group_active_) {
       if (group_pos_ < group_.size()) {
-        *out = ConcatRows(left_row_, group_[group_pos_++]);
+        const Row& right = group_[group_pos_++];
+        out->assign(left_row_.begin(), left_row_.end());
+        out->insert(out->end(), right.begin(), right.end());
         Emit(ctx);
         return true;
       }

@@ -13,6 +13,7 @@
 #define QPROG_EXEC_JOIN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +37,35 @@ enum class JoinType {
 
 const char* JoinTypeToString(JoinType type);
 
+/// The one meaning of each join type, shared by NL, INL and every HashJoin
+/// probe. Read a preserved row into row() — storage reused from row to row —
+/// Start() it, Offer() it candidates until done() or they run out, then
+/// Finish() it. Each call writes *out only when it returns true.
+class JoinMatcher {
+ public:
+  /// `residual` (optional) is evaluated over (left ++ right).
+  JoinMatcher(JoinType type, const Expr* residual, size_t right_arity)
+      : type_(type), residual_(residual), right_arity_(right_arity) {}
+
+  JoinType type() const { return type_; }
+  Row* row() { return &left_; }
+  void Start() { matched_ = done_ = false; }
+  /// True once a semi or anti join has seen its first match.
+  bool done() const { return done_; }
+  /// True with the joined (inner/outer) or bare (semi) row on a match.
+  bool Offer(const Row& right, Row* out);
+  /// True with the unmatched form — null-padded for left-outer, bare for
+  /// anti — when no candidate matched.
+  bool Finish(Row* out);
+
+ private:
+  JoinType type_;
+  const Expr* residual_;
+  size_t right_arity_;
+  Row left_, joined_;
+  bool matched_ = false, done_ = false;
+};
+
 /// ⋈NL: re-opens the inner child for every outer row; arbitrary predicate.
 class NestedLoopsJoin : public PhysicalOperator {
  public:
@@ -56,20 +86,16 @@ class NestedLoopsJoin : public PhysicalOperator {
   }
   std::string label() const override;
 
-  JoinType join_type() const { return join_type_; }
+  JoinType join_type() const { return match_.type(); }
 
  private:
-  bool AdvanceOuter(ExecContext* ctx);
-
   OperatorPtr outer_;
   OperatorPtr inner_;
   ExprPtr predicate_;
-  JoinType join_type_;
   Schema schema_;
-
-  Row outer_row_;
+  JoinMatcher match_;
+  Row inner_row_;
   bool outer_valid_ = false;
-  bool outer_matched_ = false;
 };
 
 /// ⋈INL: for each outer row, rebinds an IndexSeek on the join key. The
@@ -95,21 +121,17 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
   }
   std::string label() const override;
 
-  JoinType join_type() const { return join_type_; }
+  JoinType join_type() const { return match_.type(); }
 
  private:
-  bool AdvanceOuter(ExecContext* ctx);
-
   OperatorPtr outer_;
   std::unique_ptr<IndexSeek> inner_;
   ExprPtr outer_key_;
-  JoinType join_type_;
   ExprPtr residual_;
   Schema schema_;
-
-  Row outer_row_;
+  JoinMatcher match_;
+  Row inner_row_;
   bool outer_valid_ = false;
-  bool outer_matched_ = false;
 };
 
 /// ⋈hash: blocking build over child(1), streaming probe over child(0).
@@ -128,8 +150,8 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 /// GracePartitions::RunLeaves, each task owning its leaf's build table and
 /// spill reads; under a kill threshold the serial loop runs at every pool
 /// size. Output rows match the serial replay byte-for-byte at every pool
-/// size. Both drivers rebuild a leaf's table through the same
-/// BuildLeafTable.
+/// size: both drivers rebuild a leaf's table through the same
+/// BuildLeafTable and probe it through a JoinMatcher.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -152,7 +174,7 @@ class HashJoin : public PhysicalOperator {
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 
-  JoinType join_type() const { return join_type_; }
+  JoinType join_type() const { return match_.type(); }
 
   /// True once this execution degraded to Grace partitioning.
   bool spilled() const { return spilled_; }
@@ -161,10 +183,10 @@ class HashJoin : public PhysicalOperator {
   using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 
   void BuildTable(ExecContext* ctx);
-  bool AdvanceProbe(ExecContext* ctx);
-  /// Evaluates `keys` over `row`; sets *has_null when any key value is NULL.
-  Row KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
-            bool* has_null) const;
+  /// The build rows of `table` whose key equals `probe_row`'s: none for a
+  /// NULL key.
+  std::span<const Row> BucketOf(const JoinTable& table,
+                                const Row& probe_row) const;
   /// Dumps the in-memory build table into the build partitions and switches
   /// to Grace mode.
   bool SpillBuildTable(ExecContext* ctx);
@@ -192,7 +214,6 @@ class HashJoin : public PhysicalOperator {
   OperatorPtr build_;
   std::vector<ExprPtr> probe_keys_;
   std::vector<ExprPtr> build_keys_;
-  JoinType join_type_;
   ExprPtr residual_;
   Schema schema_;
 
@@ -202,11 +223,9 @@ class HashJoin : public PhysicalOperator {
   uint64_t max_bucket_ = 0;
   uint64_t charged_ = 0;  // rows charged to the context's buffer budget
 
-  Row probe_row_;
+  JoinMatcher match_;  // the in-memory and serial Grace probe
   bool probe_valid_ = false;
-  bool probe_matched_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  std::span<const Row> bucket_;  // candidates not yet offered
 
   // Grace-mode state (unused until the build overflows the soft budget).
   // Side 0 is the build input, side 1 the probe input.
@@ -237,10 +256,8 @@ class MergeJoin : public PhysicalOperator {
   std::string label() const override;
 
  private:
-  Row KeyOf(const Row& row, const std::vector<ExprPtr>& keys) const;
   bool PullLeft(ExecContext* ctx);
   bool PullRight(ExecContext* ctx);
-  static bool KeyHasNull(const Row& key);
   static int CompareKeys(const Row& a, const Row& b);
 
   OperatorPtr left_;

@@ -435,6 +435,13 @@ std::vector<size_t> ReferencedColumns(const Expr& expr) {
   return columns;
 }
 
+Row EvalKey(const std::vector<ExprPtr>& keys, const Row& row) {
+  Row key;
+  key.reserve(keys.size());
+  for (const ExprPtr& e : keys) key.push_back(e->Eval(row));
+  return key;
+}
+
 // --------------------------------------------------------------------------
 // Builders
 

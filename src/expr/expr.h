@@ -302,6 +302,9 @@ void ForEachColumnRef(const Expr& expr,
 /// The input columns `expr` reads, ascending and without duplicates.
 std::vector<size_t> ReferencedColumns(const Expr& expr);
 
+/// Evaluates each of `keys` over `row`, in order: a join or group key.
+Row EvalKey(const std::vector<ExprPtr>& keys, const Row& row);
+
 // ---------------------------------------------------------------------------
 // Builder helpers. `namespace eb` keeps plan-construction code readable:
 //   eb::Gt(eb::Col(4, "l_quantity"), eb::Lit(Value::Int64(24)))

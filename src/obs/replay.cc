@@ -1,21 +1,11 @@
 #include "obs/replay.h"
 
-#include <cmath>
-
 #include "common/strings.h"
+#include "core/estimators.h"
 
 namespace qprog {
 
 namespace {
-
-/// Mirror of the monitor's estimate sanitization (core/monitor.cc): a
-/// replayed re-evaluation must clamp exactly like the live path.
-double SanitizeEstimate(double estimate) {
-  if (std::isnan(estimate)) return 0.0;
-  if (estimate < 0.0) return 0.0;
-  if (estimate > 1.0) return 1.0;
-  return estimate;
-}
 
 StatusOr<TerminationReason> ParseTermination(const std::string& name) {
   for (TerminationReason r :
@@ -159,13 +149,11 @@ ReevaluatedEstimates ReevaluateBoundEstimators(const ReplayResult& replay) {
   out.names = {"pmax", "safe"};
   out.estimates.reserve(replay.report.checkpoints.size());
   for (const Checkpoint& cp : replay.report.checkpoints) {
+    // The live estimators' own formulas, which never yield NaN, so the
+    // monitor's sanitization leaves them as they are.
     double curr = static_cast<double>(cp.work);
-    double lb = cp.work_lb;
-    double ub = cp.work_ub;
-    double pmax = lb > 0 ? curr / lb : 0.0;
-    double safe = (lb > 0 && ub > 0) ? curr / std::sqrt(lb * ub) : 0.0;
-    out.estimates.push_back(
-        {SanitizeEstimate(pmax), SanitizeEstimate(safe)});
+    out.estimates.push_back({PmaxProgress(curr, cp.work_lb),
+                             SafeProgress(curr, cp.work_lb, cp.work_ub)});
   }
   return out;
 }

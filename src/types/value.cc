@@ -137,6 +137,13 @@ std::string RowToString(const Row& row) {
   return out;
 }
 
+bool HasNull(const Row& row) {
+  for (const Value& v : row) {
+    if (v.is_null()) return true;
+  }
+  return false;
+}
+
 size_t RowHash::operator()(const Row& row) const {
   size_t h = 0x84222325u;
   for (const Value& v : row) {

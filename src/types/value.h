@@ -156,6 +156,9 @@ using Row = std::vector<Value>;
 /// Renders "(v1, v2, ...)" for debugging.
 std::string RowToString(const Row& row);
 
+/// True when any value of `row` is NULL (a key that matches nothing).
+bool HasNull(const Row& row);
+
 /// Hash/equality over whole rows (grouping semantics), usable as functors in
 /// unordered containers keyed by Row.
 struct RowHash {

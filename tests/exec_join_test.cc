@@ -1,15 +1,23 @@
-// Join operator tests: each algorithm and join type is checked against a
-// naive reference evaluator on randomized inputs, plus targeted edge cases.
+// Join operator tests: each algorithm and join type, with and without a
+// residual, is checked against a naive reference evaluator on randomized
+// inputs — HashJoin in memory and in Grace mode at pools 0 and 3 — plus
+// targeted edge cases.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "exec/join.h"
 #include "exec/plan.h"
+#include "exec/query_guard.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
+#include "exec/spill.h"
+#include "exec/worker_pool.h"
 #include "index/ordered_index.h"
 #include "tests/test_util.h"
 
@@ -21,10 +29,11 @@ using testutil::N;
 using testutil::S;
 using testutil::Sorted;
 
-// Reference implementation of an equi-join on column 0 == column 0 with the
-// "left" (first) table preserved per JoinType.
+// Reference implementation of an equi-join on column 0 == column 0 — and,
+// with `residual`, left column 1 < right column 1 — with the "left" (first)
+// table preserved per JoinType.
 std::vector<Row> ReferenceJoin(const Table& left, const Table& right,
-                               JoinType type) {
+                               JoinType type, bool residual) {
   std::vector<Row> out;
   for (uint64_t i = 0; i < left.num_rows(); ++i) {
     const Row l = testutil::RowAt(left, i);
@@ -33,6 +42,7 @@ std::vector<Row> ReferenceJoin(const Table& left, const Table& right,
       const Row r = testutil::RowAt(right, j);
       if (l[0].is_null() || r[0].is_null()) continue;
       if (l[0].Compare(r[0]) != 0) continue;
+      if (residual && l[1].Compare(r[1]) >= 0) continue;
       matched = true;
       if (type == JoinType::kInner || type == JoinType::kLeftOuter) {
         Row joined = l;
@@ -66,33 +76,43 @@ Table RandomTable(const std::string& name, int rows, int64_t domain,
   return testutil::MakeTable(name, {"k", "tag"}, std::move(data));
 }
 
-// Builds each join implementation for left ⋈ right on k = k.
-enum class Algo { kNL, kINL, kHash, kMerge };
+// Builds each join implementation for left ⋈ right on k = k. The Grace
+// algorithms are HashJoin plans run under a spilling budget (RunJoin).
+enum class Algo { kNL, kINL, kHash, kGraceSerial, kGracePooled, kMerge };
+
+// The residual over concatenated (left ++ right): l.tag < r.tag.
+ExprPtr Residual() { return eb::Lt(eb::Col(1, "l.tag"), eb::Col(3, "r.tag")); }
 
 PhysicalPlan BuildJoinPlan(Algo algo, const Table* left, const Table* right,
-                           const OrderedIndex* right_idx, JoinType type) {
+                           const OrderedIndex* right_idx, JoinType type,
+                           bool residual) {
   auto lscan = std::make_unique<SeqScan>(left);
   auto rscan = std::make_unique<SeqScan>(right);
   switch (algo) {
     case Algo::kNL: {
       // Predicate over concatenated (left ++ right): k columns are 0 and 2.
+      ExprPtr predicate = eb::Eq(eb::Col(0, "l.k"), eb::Col(2, "r.k"));
+      if (residual) predicate = eb::And(std::move(predicate), Residual());
       auto join = std::make_unique<NestedLoopsJoin>(
-          std::move(lscan), std::move(rscan),
-          eb::Eq(eb::Col(0, "l.k"), eb::Col(2, "r.k")), type);
+          std::move(lscan), std::move(rscan), std::move(predicate), type);
       return PhysicalPlan(std::move(join));
     }
     case Algo::kINL: {
       auto seek = std::make_unique<IndexSeek>(right_idx);
       auto join = std::make_unique<IndexNestedLoopsJoin>(
-          std::move(lscan), std::move(seek), eb::Col(0, "l.k"), type);
+          std::move(lscan), std::move(seek), eb::Col(0, "l.k"), type,
+          residual ? Residual() : nullptr);
       return PhysicalPlan(std::move(join));
     }
-    case Algo::kHash: {
+    case Algo::kHash:
+    case Algo::kGraceSerial:
+    case Algo::kGracePooled: {
       std::vector<ExprPtr> pk, bk;
       pk.push_back(eb::Col(0, "l.k"));
       bk.push_back(eb::Col(0, "r.k"));
-      auto join = std::make_unique<HashJoin>(std::move(lscan), std::move(rscan),
-                                             std::move(pk), std::move(bk), type);
+      auto join = std::make_unique<HashJoin>(
+          std::move(lscan), std::move(rscan), std::move(pk), std::move(bk),
+          type, residual ? Residual() : nullptr);
       return PhysicalPlan(std::move(join));
     }
     case Algo::kMerge: {
@@ -115,7 +135,39 @@ PhysicalPlan BuildJoinPlan(Algo algo, const Table* left, const Table* right,
 struct JoinCase {
   Algo algo;
   JoinType type;
+  bool residual;
 };
+
+// Runs `plan`: directly, or for a Grace algorithm under a 64-row soft budget
+// — below the ~72 non-NULL build rows — with a SpillManager, at pool 0
+// (kGraceSerial) or on a 3-thread pool (kGracePooled).
+std::vector<Row> RunJoin(Algo algo, PhysicalPlan* plan,
+                         const std::string& tag) {
+  if (algo != Algo::kGraceSerial && algo != Algo::kGracePooled) {
+    return CollectRows(plan);
+  }
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              ("qprog_join_conformance_" + tag);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpillManager spill(dir.string());
+  QueryGuard guard;
+  guard.set_max_buffered_rows(64);
+  ExecContext ctx;
+  ctx.set_guard(&guard);
+  ctx.set_spill_manager(&spill);
+  std::unique_ptr<WorkerPool> pool;
+  if (algo == Algo::kGracePooled) {
+    pool = std::make_unique<WorkerPool>(3);
+    ctx.set_worker_pool(pool.get());
+  }
+  std::vector<Row> rows = CollectRows(plan, &ctx);
+  EXPECT_TRUE(ctx.ok()) << ctx.status();
+  EXPECT_TRUE(static_cast<const HashJoin*>(plan->root())->spilled()) << tag;
+  EXPECT_EQ(spill.live_runs(), 0u) << tag;
+  std::filesystem::remove_all(dir);
+  return rows;
+}
 
 class JoinConformanceTest : public ::testing::TestWithParam<JoinCase> {};
 
@@ -125,31 +177,40 @@ TEST_P(JoinConformanceTest, MatchesReferenceOnRandomData) {
     Table left = RandomTable("l", 60, 20, seed, /*with_nulls=*/true);
     Table right = RandomTable("r", 80, 20, seed + 100, /*with_nulls=*/true);
     OrderedIndex idx(&right, 0);
-    PhysicalPlan plan = BuildJoinPlan(c.algo, &left, &right, &idx, c.type);
-    auto expected = ReferenceJoin(left, right, c.type);
-    auto actual = CollectRows(&plan);
+    PhysicalPlan plan =
+        BuildJoinPlan(c.algo, &left, &right, &idx, c.type, c.residual);
+    const std::string tag = std::to_string(static_cast<int>(c.algo)) + "_" +
+                            JoinTypeToString(c.type) + "_" +
+                            std::to_string(c.residual) + "_" +
+                            std::to_string(seed);
+    auto expected = ReferenceJoin(left, right, c.type, c.residual);
+    auto actual = RunJoin(c.algo, &plan, tag);
     EXPECT_EQ(testutil::RowsToString(Sorted(actual)),
               testutil::RowsToString(Sorted(expected)))
         << "algo=" << static_cast<int>(c.algo)
-        << " type=" << JoinTypeToString(c.type) << " seed=" << seed;
+        << " type=" << JoinTypeToString(c.type) << " residual=" << c.residual
+        << " seed=" << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithmsAndTypes, JoinConformanceTest,
-    ::testing::Values(JoinCase{Algo::kNL, JoinType::kInner},
-                      JoinCase{Algo::kNL, JoinType::kLeftOuter},
-                      JoinCase{Algo::kNL, JoinType::kLeftSemi},
-                      JoinCase{Algo::kNL, JoinType::kLeftAnti},
-                      JoinCase{Algo::kINL, JoinType::kInner},
-                      JoinCase{Algo::kINL, JoinType::kLeftOuter},
-                      JoinCase{Algo::kINL, JoinType::kLeftSemi},
-                      JoinCase{Algo::kINL, JoinType::kLeftAnti},
-                      JoinCase{Algo::kHash, JoinType::kInner},
-                      JoinCase{Algo::kHash, JoinType::kLeftOuter},
-                      JoinCase{Algo::kHash, JoinType::kLeftSemi},
-                      JoinCase{Algo::kHash, JoinType::kLeftAnti},
-                      JoinCase{Algo::kMerge, JoinType::kInner}));
+// Every join type, with and without a residual, through NL, INL and each
+// HashJoin probe: in memory, the serial Grace leaf loop and pooled leaf
+// tasks. MergeJoin is inner-only and takes no residual.
+std::vector<JoinCase> AllJoinCases() {
+  std::vector<JoinCase> cases;
+  for (Algo algo : {Algo::kNL, Algo::kINL, Algo::kHash, Algo::kGraceSerial,
+                    Algo::kGracePooled}) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                          JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      for (bool residual : {false, true}) cases.push_back({algo, type, residual});
+    }
+  }
+  cases.push_back({Algo::kMerge, JoinType::kInner, false});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAndTypes, JoinConformanceTest,
+                         ::testing::ValuesIn(AllJoinCases()));
 
 TEST(JoinTest, CrossJoinViaNLWithoutPredicate) {
   Table a = testutil::MakeTable("a", {"x"}, {{I(1)}, {I(2)}});
