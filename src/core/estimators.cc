@@ -14,19 +14,38 @@ namespace {
 
 double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
+// `estimate` clamped into the feasible interval [Curr/UB, Curr/LB] that the
+// bounds guarantee for the true progress (lo 0 while UB is not positive, hi
+// 1 while LB is not), then into [0, 1].
+double ClampToFeasible(double estimate, double curr, double lb, double ub) {
+  double lo = ub > 0 ? curr / ub : 0.0;
+  double hi = lb > 0 ? curr / lb : 1.0;
+  return Clamp01(std::clamp(estimate, lo, hi));
+}
+
+// Driver rows done and driver rows expected, summed over every pipeline.
+struct DriverSums {
+  double done = 0;
+  double total = 0;
+};
+
+DriverSums SumDrivers(const ProgressContext& pc) {
+  DriverSums sums;
+  for (const Pipeline& p : *pc.pipelines) {
+    for (const PhysicalOperator* d : p.drivers) {
+      DriverStatus s = ComputeDriverStatus(d, *pc.exec);
+      sums.done += s.rows_done;
+      sums.total += s.rows_total;
+    }
+  }
+  return sums;
+}
+
 }  // namespace
 
 double DneEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.pipelines != nullptr && pc.exec != nullptr);
-  double done = 0;
-  double total = 0;
-  for (const Pipeline& p : *pc.pipelines) {
-    for (const PhysicalOperator* d : p.drivers) {
-      DriverStatus s = ComputeDriverStatus(d, *pc.exec);
-      done += s.rows_done;
-      total += s.rows_total;
-    }
-  }
+  const auto [done, total] = SumDrivers(pc);
   if (total <= 0) return 0;
   return Clamp01(done / total);
 }
@@ -53,28 +72,15 @@ double SafeEstimator::Estimate(const ProgressContext& pc) const {
 
 double BoundedDneEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.bounds != nullptr && pc.exec != nullptr);
-  double dne = DneEstimator().Estimate(pc);
-  double curr = static_cast<double>(pc.exec->work());
-  double lb = pc.bounds->work_lb;
-  double ub = pc.bounds->work_ub;
-  // The true progress lies in [Curr/UB, Curr/LB]; clamp dne into it.
-  double lo = ub > 0 ? curr / ub : 0.0;
-  double hi = lb > 0 ? curr / lb : 1.0;
-  return Clamp01(std::clamp(dne, lo, hi));
+  return ClampToFeasible(DneEstimator().Estimate(pc),
+                         static_cast<double>(pc.exec->work()),
+                         pc.bounds->work_lb, pc.bounds->work_ub);
 }
 
 double PessimisticDneEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.pipelines != nullptr && pc.exec != nullptr &&
               pc.bounds != nullptr);
-  double done = 0;
-  double total = 0;
-  for (const Pipeline& p : *pc.pipelines) {
-    for (const PhysicalOperator* d : p.drivers) {
-      DriverStatus s = ComputeDriverStatus(d, *pc.exec);
-      done += s.rows_done;
-      total += s.rows_total;
-    }
-  }
+  const auto [done, total] = SumDrivers(pc);
   // Fold the engine's outstanding spill debt into the denominator: every
   // pending unit is work the drivers' totals know nothing about, so the raw
   // fraction can only shrink relative to dne — and the shared clamp below is
@@ -84,10 +90,8 @@ double PessimisticDneEstimator::Estimate(const ProgressContext& pc) const {
                           : 0.0;
   double denom = total + pending;
   double raw = denom > 0 ? done / denom : 0.0;
-  double curr = static_cast<double>(pc.exec->work());
-  double lo = pc.bounds->work_ub > 0 ? curr / pc.bounds->work_ub : 0.0;
-  double hi = pc.bounds->work_lb > 0 ? curr / pc.bounds->work_lb : 1.0;
-  return Clamp01(std::clamp(raw, lo, hi));
+  return ClampToFeasible(raw, static_cast<double>(pc.exec->work()),
+                         pc.bounds->work_lb, pc.bounds->work_ub);
 }
 
 double HybridEstimator::Estimate(const ProgressContext& pc) const {
@@ -102,15 +106,7 @@ double HybridEstimator::Estimate(const ProgressContext& pc) const {
 double WindowEstimator::Estimate(const ProgressContext& pc) const {
   QPROG_CHECK(pc.pipelines != nullptr && pc.exec != nullptr &&
               pc.bounds != nullptr);
-  double done = 0;
-  double total = 0;
-  for (const Pipeline& p : *pc.pipelines) {
-    for (const PhysicalOperator* d : p.drivers) {
-      DriverStatus s = ComputeDriverStatus(d, *pc.exec);
-      done += s.rows_done;
-      total += s.rows_total;
-    }
-  }
+  const auto [done, total] = SumDrivers(pc);
   double curr = static_cast<double>(pc.exec->work());
   history_.emplace_back(done, curr);
   if (history_.size() > window_ + 1) {
@@ -135,9 +131,8 @@ double WindowEstimator::Estimate(const ProgressContext& pc) const {
   double estimate = projected_total > 0 ? curr / projected_total : 0.0;
 
   // Never leave the feasible interval the bounds guarantee.
-  double lo = pc.bounds->work_ub > 0 ? curr / pc.bounds->work_ub : 0.0;
-  double hi = pc.bounds->work_lb > 0 ? curr / pc.bounds->work_lb : 1.0;
-  return Clamp01(std::clamp(estimate, lo, hi));
+  return ClampToFeasible(estimate, curr, pc.bounds->work_lb,
+                         pc.bounds->work_ub);
 }
 
 namespace {

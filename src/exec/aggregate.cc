@@ -151,12 +151,12 @@ void HashAggregate::DoOpen(ExecContext* ctx) {
 }
 
 void HashAggregate::Build(ExecContext* ctx) {
-  Row row;
+  Row row, key;
   bool any_input = false;
   while (ctx->ok() && child_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashAggregateBuild, node_id())) return;
     any_input = true;
-    Row key = EvalKey(group_exprs_, row);
+    EvalKey(group_exprs_, row, &key);
     auto it = groups_.index.find(key);
     if (it != groups_.index.end()) {
       // Known group: keep accumulating in memory, spilled or not.
@@ -184,7 +184,7 @@ void HashAggregate::Build(ExecContext* ctx) {
     }
     ++charged_;
     groups_.index.emplace(key, groups_.keys.size());
-    groups_.keys.push_back(std::move(key));
+    groups_.keys.push_back(key);
     groups_.states.push_back(MakeStates(aggregates_));
     AccumulateRow(aggregates_, &groups_.states.back(), row);
   }
@@ -210,15 +210,15 @@ bool HashAggregate::AggregateLeaf(WorkContext* wc, SpillRun* run,
                                   GroupTable* groups, uint64_t* charged,
                                   uint64_t* rows_read) const {
   if (!run->OpenRead(wc, node_id())) return false;
-  Row row;
+  Row row, key;
   while (run->ReadNext(wc, node_id(), &row)) {
-    Row key = EvalKey(group_exprs_, row);
+    EvalKey(group_exprs_, row, &key);
     auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
     if (inserted) {
       // One leaf's groups answer to the kill threshold only.
       if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
       ++*charged;
-      groups->keys.push_back(std::move(key));
+      groups->keys.push_back(key);
       groups->states.push_back(MakeStates(aggregates_));
     }
     AccumulateRow(aggregates_, &groups->states[it->second], row);
@@ -410,15 +410,15 @@ bool StreamAggregate::DoNext(ExecContext* ctx, Row* out) {
       return Next(ctx, out);  // handles the empty-scalar case above
     }
     any_input_ = true;
-    Row key = EvalKey(group_exprs_, row);
+    EvalKey(group_exprs_, row, &key_);
     if (!group_open_) {
-      current_key_ = std::move(key);
+      current_key_.swap(key_);
       current_state_ = MakeStates(aggregates_);
       group_open_ = true;
       Accumulate(row);
       continue;
     }
-    if (RowEq()(key, current_key_)) {
+    if (RowEq()(key_, current_key_)) {
       Accumulate(row);
       continue;
     }
@@ -426,7 +426,7 @@ bool StreamAggregate::DoNext(ExecContext* ctx, Row* out) {
     pending_row_ = std::move(row);
     pending_valid_ = true;
     Row result = EmitGroup();
-    current_key_ = std::move(key);
+    current_key_.swap(key_);
     *out = std::move(result);
     Emit(ctx);
     return true;

@@ -190,6 +190,7 @@ class StreamAggregate : public PhysicalOperator {
   bool any_input_ = false;
   uint64_t groups_emitted_ = 0;
   Row current_key_;
+  Row key_;  // the current input row's key, evaluated in place
   std::vector<AggAccumulator> current_state_;
   Row pending_row_;
   bool pending_valid_ = false;

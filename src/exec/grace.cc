@@ -149,14 +149,14 @@ bool GracePartitions::RefineOne(ExecContext* ctx, int node,
     }
   }
   bool unsplittable = false;
-  Row row;
+  Row row, key;
   for (size_t s = 0; s < sides_.size(); ++s) {
     SpillRunPtr parent = std::move(runs[s]);
     if (!parent->OpenRead(ctx, node)) return false;
     while (parent->ReadNext(ctx, node, &row)) {
       ++rows_read_;
-      size_t part =
-          GracePartitionOf(EvalKey(*sides_[s].keys, row), child_depth);
+      EvalKey(*sides_[s].keys, row, &key);
+      size_t part = GracePartitionOf(key, child_depth);
       if (!children[s][part]->Append(ctx, node, row)) return false;
       ++rows_written_;
     }

@@ -1,6 +1,7 @@
 #include "exec/join.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -42,7 +43,7 @@ const char* JoinTypeToString(JoinType type) {
 // --------------------------------------------------------------------------
 // JoinMatcher
 
-bool JoinMatcher::Offer(const Row& right, Row* out) {
+bool JoinMatcher::Offer(std::span<const Value> right, Row* out) {
   joined_.assign(left_.begin(), left_.end());
   joined_.insert(joined_.end(), right.begin(), right.end());
   if (residual_ != nullptr) {
@@ -73,6 +74,110 @@ bool JoinMatcher::Finish(Row* out) {
   out->assign(left_.begin(), left_.end());
   if (type_ == JoinType::kLeftOuter) out->resize(left_.size() + right_arity_);
   return true;
+}
+
+// --------------------------------------------------------------------------
+// JoinTable
+
+JoinTable::JoinTable(size_t key_width, size_t row_width)
+    : key_width_(key_width), row_width_(row_width) {}
+
+JoinTable::RowId JoinTable::AppendRow(std::span<const Value> row) {
+  QPROG_DCHECK(row.size() == row_width_);
+  if (chunks_used_ == 0 || chunk_fill_ == chunks_[chunks_used_ - 1].rows) {
+    if (chunks_used_ == chunks_.size()) {
+      // Double from kFirstChunkCells up to kChunkCells (the shift is capped
+      // only to stay defined); at least one row.
+      const size_t doublings = std::min<size_t>(chunks_.size(), 16);
+      const size_t cells =
+          std::min(kChunkCells, kFirstChunkCells << doublings);
+      Chunk chunk;
+      chunk.rows =
+          std::max<size_t>(1, cells / std::max<size_t>(row_width_, 1));
+      chunk.cells = std::make_unique<Value[]>(chunk.rows * row_width_);
+      chunk.next = std::make_unique<RowId[]>(chunk.rows);
+      QPROG_CHECK(chunks_.size() < (size_t{1} << 32));
+      chunks_.push_back(std::move(chunk));
+    }
+    ++chunks_used_;
+    chunk_fill_ = 0;
+  }
+  Chunk& chunk = chunks_[chunks_used_ - 1];
+  std::copy(row.begin(), row.end(),
+            chunk.cells.get() + chunk_fill_ * row_width_);
+  chunk.next[chunk_fill_] = kNoRow;
+  return (static_cast<RowId>(chunks_used_ - 1) << 32) | chunk_fill_++;
+}
+
+size_t JoinTable::SlotOf(const Row& key, size_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = HomeSlot(hash);; s = (s + 1) & mask) {
+    const uint32_t k = slots_[s];
+    if (k == kEmptySlot) return s;
+    if (keys_[k].hash != hash) continue;
+    const Value* cells = key_cells_.data() + k * key_width_;
+    if (std::equal(key.begin(), key.end(), cells,
+                   [](const Value& a, const Value& b) {
+                     return a.EqualsForGrouping(b);
+                   })) {
+      return s;
+    }
+  }
+}
+
+void JoinTable::GrowDirectory() {
+  const size_t size = slots_.empty() ? 16 : slots_.size() * 2;
+  slots_.assign(size, kEmptySlot);
+  slot_shift_ = 64 - std::countr_zero(size);
+  const size_t mask = size - 1;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    size_t s = HomeSlot(keys_[k].hash);
+    while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
+    slots_[s] = static_cast<uint32_t>(k);
+  }
+}
+
+uint64_t JoinTable::Insert(const Row& key, std::span<const Value> row) {
+  QPROG_DCHECK(key.size() == key_width_);
+  const RowId id = AppendRow(row);
+  // At most half full, so probe runs stay short.
+  if ((keys_.size() + 1) * 2 > slots_.size()) GrowDirectory();
+  const size_t hash = RowHash()(key);
+  const size_t s = SlotOf(key, hash);
+  if (slots_[s] == kEmptySlot) {
+    QPROG_CHECK(keys_.size() < kEmptySlot);
+    slots_[s] = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(KeyEntry{hash, id, id, 1});
+    key_cells_.insert(key_cells_.end(), key.begin(), key.end());
+    return 1;
+  }
+  KeyEntry& entry = keys_[slots_[s]];
+  chunks_[entry.tail >> 32].next[entry.tail & 0xFFFFFFFFu] = id;
+  entry.tail = id;
+  return ++entry.rows;
+}
+
+JoinTable::RowId JoinTable::Find(const Row& key) const {
+  if (keys_.empty()) return kNoRow;
+  const uint32_t k = slots_[SlotOf(key, RowHash()(key))];
+  return k == kEmptySlot ? kNoRow : keys_[k].head;
+}
+
+void JoinTable::Clear() {
+  chunks_used_ = 0;
+  chunk_fill_ = 0;
+  keys_.clear();
+  key_cells_.clear();
+  std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+}
+
+void JoinTable::Release() {
+  Clear();
+  chunks_ = std::vector<Chunk>();
+  keys_ = std::vector<KeyEntry>();
+  key_cells_ = std::vector<Value>();
+  slots_ = std::vector<uint32_t>();
+  slot_shift_ = 64;
 }
 
 // --------------------------------------------------------------------------
@@ -218,6 +323,7 @@ HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
       residual_(std::move(residual)),
       schema_(JoinOutputSchema(probe_->output_schema(), build_->output_schema(),
                                join_type)),
+      table_(build_keys_.size(), build_->output_schema().num_fields()),
       match_(join_type, residual_.get(),
              build_->output_schema().num_fields()),
       grace_({{&build_keys_, "hashjoin.build"},
@@ -230,11 +336,11 @@ HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
 void HashJoin::DoOpen(ExecContext* ctx) {
   finished_ = false;
   build_done_ = false;
-  table_.clear();
+  table_.Release();
   build_rows_ = 0;
   max_bucket_ = 0;
   probe_valid_ = false;
-  bucket_ = {};
+  bucket_ = JoinTable::kNoRow;
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   spilled_ = false;
@@ -247,22 +353,27 @@ void HashJoin::DoOpen(ExecContext* ctx) {
   probe_->Open(ctx);
 }
 
-std::span<const Row> HashJoin::BucketOf(const JoinTable& table,
-                                        const Row& probe_row) const {
-  Row key = EvalKey(probe_keys_, probe_row);
-  if (HasNull(key)) return {};
-  auto it = table.find(key);
-  if (it == table.end()) return {};
-  return it->second;
+JoinTable::RowId HashJoin::BucketOf(const JoinTable& table,
+                                    const Row& probe_row, Row* key) const {
+  EvalKey(probe_keys_, probe_row, key);
+  if (HasNull(*key)) return JoinTable::kNoRow;
+  return table.Find(*key);
 }
 
 bool HashJoin::SpillBuildTable(ExecContext* ctx) {
-  for (const auto& [key, bucket] : table_) {
-    for (const Row& row : bucket) {
-      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return false;
-    }
+  // Key by key in first-insertion order, each key's rows in their chain
+  // order: a leaf rebuilt from these runs chains every key's rows exactly
+  // as the in-memory table did.
+  Row key, row;
+  if (!table_.ForEach(
+          [&](std::span<const Value> table_key, std::span<const Value> cells) {
+            key.assign(table_key.begin(), table_key.end());
+            row.assign(cells.begin(), cells.end());
+            return grace_.Append(ctx, node_id(), kBuildSide, key, row);
+          })) {
+    return false;
   }
-  table_.clear();
+  table_.Clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   max_bucket_ = 0;  // re-learned per leaf during the probe phase
@@ -274,11 +385,11 @@ void HashJoin::BuildTable(ExecContext* ctx) {
   Row row;
   while (ctx->ok() && build_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashJoinBuild, node_id())) return;
-    Row key = EvalKey(build_keys_, row);
-    if (HasNull(key)) continue;  // NULL keys never match
+    EvalKey(build_keys_, row, &key_);
+    if (HasNull(key_)) continue;  // NULL keys never match
     if (spilled_) {
       // Already in Grace mode: route straight to a partition run.
-      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return;
+      if (!grace_.Append(ctx, node_id(), kBuildSide, key_, row)) return;
       ++build_rows_;
       continue;
     }
@@ -286,15 +397,13 @@ void HashJoin::BuildTable(ExecContext* ctx) {
     if (verdict == ChargeVerdict::kFailed) return;
     if (verdict == ChargeVerdict::kSpill) {
       if (!SpillBuildTable(ctx)) return;
-      if (!grace_.Append(ctx, node_id(), kBuildSide, key, row)) return;
+      if (!grace_.Append(ctx, node_id(), kBuildSide, key_, row)) return;
       ++build_rows_;
       continue;
     }
-    auto& bucket = table_[std::move(key)];
-    bucket.push_back(std::move(row));
+    max_bucket_ = std::max(max_bucket_, table_.Insert(key_, row));
     ++build_rows_;
     ++charged_;
-    max_bucket_ = std::max<uint64_t>(max_bucket_, bucket.size());
   }
   if (!ctx->ok()) return;  // partial build: not usable for probing
   build_done_ = true;
@@ -310,8 +419,8 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   // partition is replayed.
   Row row;
   while (ctx->ok() && probe_->Next(ctx, &row)) {
-    Row key = EvalKey(probe_keys_, row);
-    if (!grace_.Append(ctx, node_id(), kProbeSide, key, row)) return;
+    EvalKey(probe_keys_, row, &key_);
+    if (!grace_.Append(ctx, node_id(), kProbeSide, key_, row)) return;
   }
   if (!ctx->ok()) return;
   probe_partitioned_ = true;
@@ -321,17 +430,15 @@ bool HashJoin::BuildLeafTable(WorkContext* wc, SpillRun* build_run,
                               JoinTable* table, uint64_t* charged,
                               uint64_t* max_bucket) const {
   if (!build_run->OpenRead(wc, node_id())) return false;
-  Row row;
+  Row row, key;
   while (build_run->ReadNext(wc, node_id(), &row)) {
-    Row key = EvalKey(build_keys_, row);
+    EvalKey(build_keys_, row, &key);
     QPROG_DCHECK(!HasNull(key));  // NULL build keys were never spilled
     // A reloaded leaf answers to the kill threshold only: the soft budget
     // already traded memory for these extra I/O passes.
     if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
     ++*charged;
-    auto& bucket = (*table)[std::move(key)];
-    bucket.push_back(std::move(row));
-    *max_bucket = std::max<uint64_t>(*max_bucket, bucket.size());
+    *max_bucket = std::max(*max_bucket, table->Insert(key, row));
   }
   return wc->ok();
 }
@@ -348,7 +455,7 @@ bool HashJoin::LoadPartition(ExecContext* ctx) {
 }
 
 void HashJoin::UnloadPartition(ExecContext* ctx) {
-  table_.clear();
+  table_.Clear();  // keeps the chunks for the next leaf
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   grace_.leaves()[static_cast<size_t>(part_idx_)].runs.clear();  // delete files
@@ -369,7 +476,7 @@ void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
   // The task owns its leaf end to end: a private hash table, the leaf's
   // spill reads, and the output rows.
   SpillRun* probe_run = leaf.runs[kProbeSide].get();
-  JoinTable table;
+  JoinTable table(build_keys_.size(), build_->output_schema().num_fields());
   uint64_t charged = 0;
   if (!BuildLeafTable(tc, leaf.runs[kBuildSide].get(), &table, &charged,
                       max_bucket) ||
@@ -380,12 +487,14 @@ void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
   // probe order within each) is byte-identical to the serial replay.
   JoinMatcher match(join_type(), residual_.get(),
                     build_->output_schema().num_fields());
-  Row joined;
+  Row joined, key;
   while (probe_run->ReadNext(tc, node_id(), match.row())) {
     match.Start();
-    for (const Row& build_row : BucketOf(table, *match.row())) {
-      if (match.done()) break;
-      if (match.Offer(build_row, &joined)) out->push_back(std::move(joined));
+    for (JoinTable::RowId id = BucketOf(table, *match.row(), &key);
+         id != JoinTable::kNoRow && !match.done(); id = table.next(id)) {
+      if (match.Offer(table.row(id), &joined)) {
+        out->push_back(std::move(joined));
+      }
     }
     if (match.Finish(&joined)) out->push_back(std::move(joined));
   }
@@ -449,11 +558,11 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
       }
       probe_valid_ = true;
       match_.Start();
-      bucket_ = BucketOf(table_, *match_.row());
+      bucket_ = BucketOf(table_, *match_.row(), &key_);
     }
-    while (!match_.done() && !bucket_.empty()) {
-      const Row& build_row = bucket_.front();
-      bucket_ = bucket_.subspan(1);
+    while (!match_.done() && bucket_ != JoinTable::kNoRow) {
+      std::span<const Value> build_row = table_.row(bucket_);
+      bucket_ = table_.next(bucket_);
       if (match_.Offer(build_row, out)) {
         Emit(ctx);
         return true;
@@ -470,7 +579,7 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
 void HashJoin::DoClose(ExecContext* ctx) {
   probe_->Close(ctx);
   build_->Close(ctx);
-  table_.clear();
+  table_.Release();
   grace_.DropRuns();  // deletes any remaining spill temp files
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
@@ -523,7 +632,7 @@ bool MergeJoin::PullLeft(ExecContext* ctx) {
       left_valid_ = false;
       return false;
     }
-    left_key_ = EvalKey(left_keys_, left_row_);
+    EvalKey(left_keys_, left_row_, &left_key_);
     if (!HasNull(left_key_)) {
       left_valid_ = true;
       return true;
@@ -537,7 +646,7 @@ bool MergeJoin::PullRight(ExecContext* ctx) {
       right_valid_ = false;
       return false;
     }
-    right_key_ = EvalKey(right_keys_, right_row_);
+    EvalKey(right_keys_, right_row_, &right_key_);
     if (!HasNull(right_key_)) {
       right_valid_ = true;
       return true;

@@ -12,10 +12,10 @@
 #ifndef QPROG_EXEC_JOIN_H_
 #define QPROG_EXEC_JOIN_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/grace.h"
@@ -53,7 +53,7 @@ class JoinMatcher {
   /// True once a semi or anti join has seen its first match.
   bool done() const { return done_; }
   /// True with the joined (inner/outer) or bare (semi) row on a match.
-  bool Offer(const Row& right, Row* out);
+  bool Offer(std::span<const Value> right, Row* out);
   /// True with the unmatched form — null-padded for left-outer, bare for
   /// anti — when no candidate matched.
   bool Finish(Row* out);
@@ -64,6 +64,100 @@ class JoinMatcher {
   size_t right_arity_;
   Row left_, joined_;
   bool matched_ = false, done_ = false;
+};
+
+/// HashJoin's build table (DESIGN.md §9), flat. Build rows are copied into
+/// chunks of Value cells — trivially copyable, so a VARCHAR cell keeps
+/// viewing the bytes its owner already holds — and the rows of one key are
+/// chained in insertion order. An open-addressing directory maps each
+/// distinct key to its hash, chain head and tail, and row count. Keys match
+/// under grouping semantics (RowEq): BIGINT 1 finds DOUBLE 1.0, and -0.0
+/// finds 0.0. Chunks start at kFirstChunkCells and double up to
+/// kChunkCells (16 KiB: on the fleet benchmark a 64 KiB cap read a higher
+/// peak RSS), so a five-row build holds one 1 KiB chunk; a row wider than
+/// kChunkCells gets a chunk to itself. Nothing is freed row by row.
+class JoinTable {
+ public:
+  /// A row's handle: its chunk in the high 32 bits, its slot in the low.
+  using RowId = uint64_t;
+  static constexpr RowId kNoRow = ~RowId{0};
+  /// Cells in the first chunk, and the cap the doubling stops at.
+  static constexpr size_t kFirstChunkCells = 64;
+  static constexpr size_t kChunkCells = 1024;
+
+  /// Every key has `key_width` values, every row `row_width`.
+  JoinTable(size_t key_width, size_t row_width);
+
+  /// Appends `row` to `key`'s chain; returns the key's row count.
+  uint64_t Insert(const Row& key, std::span<const Value> row);
+  /// The first row of `key`'s chain, or kNoRow.
+  RowId Find(const Row& key) const;
+  /// The row after `id` in its key's chain, or kNoRow.
+  RowId next(RowId id) const {
+    return chunks_[id >> 32].next[id & 0xFFFFFFFFu];
+  }
+  std::span<const Value> row(RowId id) const {
+    return {chunks_[id >> 32].cells.get() + (id & 0xFFFFFFFFu) * row_width_,
+            row_width_};
+  }
+
+  size_t num_keys() const { return keys_.size(); }
+  /// Chunks allocated, in use or kept for reuse.
+  size_t num_chunks() const { return chunks_.size(); }
+
+  /// Calls `fn(key, row)` for every row: keys in first-insertion order,
+  /// each key's rows in chain order. Stops at, and returns false on, the
+  /// first call that returns false.
+  template <typename Fn>
+  bool ForEach(Fn&& fn) const {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      std::span<const Value> key(key_cells_.data() + k * key_width_,
+                                 key_width_);
+      for (RowId id = keys_[k].head; id != kNoRow; id = next(id)) {
+        if (!fn(key, row(id))) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Forgets every key and row but keeps the chunks and the directory's
+  /// capacity, for the next Grace leaf.
+  void Clear();
+  /// Forgets everything and frees the memory (operator Open and Close).
+  void Release();
+
+ private:
+  struct Chunk {
+    std::unique_ptr<Value[]> cells;  // rows * row_width_ cells
+    std::unique_ptr<RowId[]> next;   // each row's chain successor
+    size_t rows = 0;
+  };
+  struct KeyEntry {
+    size_t hash;
+    RowId head, tail;
+    uint64_t rows;
+  };
+  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  size_t SlotOf(const Row& key, size_t hash) const;
+  size_t HomeSlot(size_t hash) const {
+    return (hash * 0x9E3779B97F4A7C15ULL) >> slot_shift_;
+  }
+  void GrowDirectory();
+  /// Copies `row` into the next free chunk slot; returns its handle.
+  RowId AppendRow(std::span<const Value> row);
+
+  size_t key_width_;
+  size_t row_width_;
+  std::vector<Chunk> chunks_;
+  size_t chunks_used_ = 0;  // chunks_[chunks_used_ - 1] takes the next row
+  size_t chunk_fill_ = 0;   // rows in that chunk
+
+  std::vector<KeyEntry> keys_;     // distinct keys, first-insertion order
+  std::vector<Value> key_cells_;   // key_width_ cells per keys_ entry
+  std::vector<uint32_t> slots_;    // index into keys_, or kEmptySlot
+  int slot_shift_ = 64;            // 64 - log2(slots_.size())
 };
 
 /// ⋈NL: re-opens the inner child for every outer row; arbitrary predicate.
@@ -180,13 +274,11 @@ class HashJoin : public PhysicalOperator {
   bool spilled() const { return spilled_; }
 
  private:
-  using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
-
   void BuildTable(ExecContext* ctx);
-  /// The build rows of `table` whose key equals `probe_row`'s: none for a
-  /// NULL key.
-  std::span<const Row> BucketOf(const JoinTable& table,
-                                const Row& probe_row) const;
+  /// The first build row of `table` whose key equals `probe_row`'s, which
+  /// is evaluated into `*key`: kNoRow for a NULL key.
+  JoinTable::RowId BucketOf(const JoinTable& table, const Row& probe_row,
+                            Row* key) const;
   /// Dumps the in-memory build table into the build partitions and switches
   /// to Grace mode.
   bool SpillBuildTable(ExecContext* ctx);
@@ -218,6 +310,7 @@ class HashJoin : public PhysicalOperator {
   Schema schema_;
 
   bool build_done_ = false;
+  Row key_;  // build or probe key of the query thread's current row
   JoinTable table_;
   uint64_t build_rows_ = 0;
   uint64_t max_bucket_ = 0;
@@ -225,7 +318,7 @@ class HashJoin : public PhysicalOperator {
 
   JoinMatcher match_;  // the in-memory and serial Grace probe
   bool probe_valid_ = false;
-  std::span<const Row> bucket_;  // candidates not yet offered
+  JoinTable::RowId bucket_ = JoinTable::kNoRow;  // next candidate to offer
 
   // Grace-mode state (unused until the build overflows the soft budget).
   // Side 0 is the build input, side 1 the probe input.

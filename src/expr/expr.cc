@@ -435,11 +435,9 @@ std::vector<size_t> ReferencedColumns(const Expr& expr) {
   return columns;
 }
 
-Row EvalKey(const std::vector<ExprPtr>& keys, const Row& row) {
-  Row key;
-  key.reserve(keys.size());
-  for (const ExprPtr& e : keys) key.push_back(e->Eval(row));
-  return key;
+void EvalKey(const std::vector<ExprPtr>& keys, const Row& row, Row* key) {
+  key->clear();
+  for (const ExprPtr& e : keys) key->push_back(e->Eval(row));
 }
 
 // --------------------------------------------------------------------------

@@ -302,8 +302,10 @@ void ForEachColumnRef(const Expr& expr,
 /// The input columns `expr` reads, ascending and without duplicates.
 std::vector<size_t> ReferencedColumns(const Expr& expr);
 
-/// Evaluates each of `keys` over `row`, in order: a join or group key.
-Row EvalKey(const std::vector<ExprPtr>& keys, const Row& row);
+/// Evaluates each of `keys` over `row`, in order, into `*key`: a join or
+/// group key. `*key` is overwritten, so a caller that reuses one buffer
+/// from row to row allocates only while it grows.
+void EvalKey(const std::vector<ExprPtr>& keys, const Row& row, Row* key);
 
 // ---------------------------------------------------------------------------
 // Builder helpers. `namespace eb` keeps plan-construction code readable:

@@ -1,10 +1,11 @@
 // Join operator tests: each algorithm and join type, with and without a
 // residual, is checked against a naive reference evaluator on randomized
 // inputs — HashJoin in memory and in Grace mode at pools 0 and 3 — plus
-// targeted edge cases.
+// HashJoin's flat build table and targeted edge cases.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -138,9 +139,40 @@ struct JoinCase {
   bool residual;
 };
 
-// Runs `plan`: directly, or for a Grace algorithm under a 64-row soft budget
-// — below the ~72 non-NULL build rows — with a SpillManager, at pool 0
-// (kGraceSerial) or on a 3-thread pool (kGracePooled).
+// The build side: 120 rows over 20 keys, about 108 of them non-NULL. The
+// Grace runs' 64-row soft budget trips at the 65th non-NULL row, so the
+// in-memory table spills with most keys' rows on both sides of that row.
+constexpr int kBuildRows = 120;
+constexpr size_t kSoftBudgetRows = 64;
+
+// True when some key has non-NULL build rows both before the row where the
+// soft budget trips and at or after it.
+bool KeysInterleaveAcrossBudgetTrip(const Table& build) {
+  std::vector<int64_t> keys;
+  for (uint64_t i = 0; i < build.num_rows(); ++i) {
+    const Row r = testutil::RowAt(build, i);
+    if (!r[0].is_null()) keys.push_back(r[0].int64_value());
+  }
+  if (keys.size() <= kSoftBudgetRows) return false;
+  const auto trip = keys.begin() + kSoftBudgetRows;
+  return std::any_of(trip, keys.end(), [&](int64_t k) {
+    return std::find(keys.begin(), trip, k) != trip;
+  });
+}
+
+// `rows` stably ordered by the probe row they came from (its unique tag,
+// column 1): a Grace join emits leaf by leaf, but each probe row's matches
+// keep their build-chain order.
+std::vector<Row> ByProbeRow(std::vector<Row> rows) {
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[1].int64_value() < b[1].int64_value();
+  });
+  return rows;
+}
+
+// Runs `plan`: directly, or for a Grace algorithm under a kSoftBudgetRows
+// soft budget with a SpillManager, at pool 0 (kGraceSerial) or on a
+// 3-thread pool (kGracePooled).
 std::vector<Row> RunJoin(Algo algo, PhysicalPlan* plan,
                          const std::string& tag) {
   if (algo != Algo::kGraceSerial && algo != Algo::kGracePooled) {
@@ -152,7 +184,7 @@ std::vector<Row> RunJoin(Algo algo, PhysicalPlan* plan,
   std::filesystem::create_directories(dir);
   SpillManager spill(dir.string());
   QueryGuard guard;
-  guard.set_max_buffered_rows(64);
+  guard.set_max_buffered_rows(kSoftBudgetRows);
   ExecContext ctx;
   ctx.set_guard(&guard);
   ctx.set_spill_manager(&spill);
@@ -175,7 +207,9 @@ TEST_P(JoinConformanceTest, MatchesReferenceOnRandomData) {
   const JoinCase c = GetParam();
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Table left = RandomTable("l", 60, 20, seed, /*with_nulls=*/true);
-    Table right = RandomTable("r", 80, 20, seed + 100, /*with_nulls=*/true);
+    Table right =
+        RandomTable("r", kBuildRows, 20, seed + 100, /*with_nulls=*/true);
+    ASSERT_TRUE(KeysInterleaveAcrossBudgetTrip(right)) << "seed=" << seed;
     OrderedIndex idx(&right, 0);
     PhysicalPlan plan =
         BuildJoinPlan(c.algo, &left, &right, &idx, c.type, c.residual);
@@ -190,6 +224,16 @@ TEST_P(JoinConformanceTest, MatchesReferenceOnRandomData) {
         << "algo=" << static_cast<int>(c.algo)
         << " type=" << JoinTypeToString(c.type) << " residual=" << c.residual
         << " seed=" << seed;
+    if (c.algo == Algo::kGraceSerial || c.algo == Algo::kGracePooled) {
+      // Spilling the table and rebuilding each leaf keep every key's rows
+      // in insertion order, so each probe row meets its matches in the
+      // in-memory join's order.
+      PhysicalPlan in_memory =
+          BuildJoinPlan(Algo::kHash, &left, &right, &idx, c.type, c.residual);
+      EXPECT_EQ(testutil::RowsToString(ByProbeRow(actual)),
+                testutil::RowsToString(ByProbeRow(CollectRows(&in_memory))))
+          << tag;
+    }
   }
 }
 
@@ -211,6 +255,142 @@ std::vector<JoinCase> AllJoinCases() {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAndTypes, JoinConformanceTest,
                          ::testing::ValuesIn(AllJoinCases()));
+
+// --------------------------------------------------------------------------
+// JoinTable
+
+// Each row of `key`'s chain, in order.
+std::vector<Row> Chain(const JoinTable& table, const Row& key) {
+  std::vector<Row> rows;
+  for (JoinTable::RowId id = table.Find(key); id != JoinTable::kNoRow;
+       id = table.next(id)) {
+    rows.emplace_back(table.row(id).begin(), table.row(id).end());
+  }
+  return rows;
+}
+
+TEST(JoinTableTest, DuplicateKeysChainInInsertionOrder) {
+  JoinTable table(1, 2);
+  EXPECT_EQ(table.Insert({I(7)}, Row{I(7), I(0)}), 1u);
+  EXPECT_EQ(table.Insert({I(8)}, Row{I(8), I(1)}), 1u);
+  EXPECT_EQ(table.Insert({I(7)}, Row{I(7), I(2)}), 2u);
+  EXPECT_EQ(table.Insert({I(7)}, Row{I(7), I(3)}), 3u);
+  EXPECT_EQ(table.Insert({I(8)}, Row{I(8), I(4)}), 2u);
+  EXPECT_EQ(table.num_keys(), 2u);
+  EXPECT_EQ(testutil::RowsToString(Chain(table, {I(7)})),
+            testutil::RowsToString({{I(7), I(0)}, {I(7), I(2)}, {I(7), I(3)}}));
+  EXPECT_EQ(testutil::RowsToString(Chain(table, {I(8)})),
+            testutil::RowsToString({{I(8), I(1)}, {I(8), I(4)}}));
+  EXPECT_EQ(table.Find({I(9)}), JoinTable::kNoRow);
+}
+
+TEST(JoinTableTest, KeysMatchUnderGroupingSemantics) {
+  JoinTable table(2, 1);
+  table.Insert({I(1), S("a")}, Row{I(10)});
+  table.Insert({testutil::D(0.0), S("b")}, Row{I(20)});
+  EXPECT_EQ(Chain(table, {testutil::D(1.0), S("a")}).size(), 1u);
+  EXPECT_EQ(Chain(table, {testutil::D(-0.0), S("b")}).size(), 1u);
+  EXPECT_EQ(Chain(table, {I(0), S("b")}).size(), 1u);
+  EXPECT_EQ(table.Find({I(1), S("b")}), JoinTable::kNoRow);
+  // Equal keys insert into one chain whichever type they arrive as.
+  EXPECT_EQ(table.Insert({testutil::D(1.0), S("a")}, Row{I(11)}), 2u);
+  EXPECT_EQ(table.num_keys(), 2u);
+}
+
+TEST(JoinTableTest, DirectoryGrowsAcrossManyDistinctKeys) {
+  constexpr int64_t kKeys = 12000;
+  JoinTable table(1, 2);
+  for (int64_t round = 0; round < 2; ++round) {
+    for (int64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(table.Insert({I(k)}, Row{I(k), I(round)}),
+                static_cast<uint64_t>(round + 1));
+    }
+  }
+  EXPECT_EQ(table.num_keys(), static_cast<size_t>(kKeys));
+  for (int64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(testutil::RowsToString(Chain(table, {I(k)})),
+              testutil::RowsToString({{I(k), I(0)}, {I(k), I(1)}}))
+        << k;
+  }
+  EXPECT_EQ(table.Find({I(kKeys)}), JoinTable::kNoRow);
+}
+
+TEST(JoinTableTest, ClearKeepsChunksAndLeavesNoStaleRows) {
+  JoinTable table(1, 3);
+  for (int64_t i = 0; i < 5000; ++i) {
+    table.Insert({I(i % 50)}, Row{I(i), I(1), I(2)});
+  }
+  const size_t chunks = table.num_chunks();
+  ASSERT_GT(chunks, 1u);
+  table.Clear();
+  EXPECT_EQ(table.num_keys(), 0u);
+  EXPECT_EQ(table.Find({I(3)}), JoinTable::kNoRow);
+  EXPECT_TRUE(table.ForEach(  // no row is left to visit
+      [](std::span<const Value>, std::span<const Value>) { return false; }));
+  for (int64_t i = 0; i < 5000; ++i) {
+    table.Insert({I(i % 70)}, Row{I(-i), I(3), I(4)});
+  }
+  EXPECT_EQ(table.num_chunks(), chunks);  // the same rows fit the kept chunks
+  EXPECT_EQ(table.num_keys(), 70u);
+  std::vector<Row> chain = Chain(table, {I(3)});
+  ASSERT_EQ(chain.size(), 72u);  // 5000 rows over 70 keys: keys < 30 get 72
+  for (size_t j = 0; j < chain.size(); ++j) {
+    EXPECT_EQ(chain[j][0].int64_value(), -(3 + 70 * static_cast<int64_t>(j)));
+    EXPECT_EQ(chain[j][1].int64_value(), 3);
+  }
+  table.Release();
+  EXPECT_EQ(table.num_chunks(), 0u);
+  EXPECT_EQ(table.Find({I(3)}), JoinTable::kNoRow);
+  EXPECT_EQ(table.Insert({I(3)}, Row{I(5), I(6), I(7)}), 1u);
+}
+
+TEST(JoinTableTest, RowWiderThanAChunk) {
+  const size_t width = JoinTable::kChunkCells + 10;
+  JoinTable table(1, width);
+  for (int64_t r = 0; r < 3; ++r) {
+    Row row(width);
+    for (size_t c = 0; c < width; ++c) {
+      row[c] = I(r * 100000 + static_cast<int64_t>(c));
+    }
+    table.Insert({I(r % 2)}, row);
+  }
+  std::vector<Row> chain = Chain(table, {I(0)});
+  ASSERT_EQ(chain.size(), 2u);
+  for (size_t j = 0; j < chain.size(); ++j) {
+    ASSERT_EQ(chain[j].size(), width);
+    const int64_t r = 2 * static_cast<int64_t>(j);
+    EXPECT_EQ(chain[j].front().int64_value(), r * 100000);
+    EXPECT_EQ(chain[j].back().int64_value(),
+              r * 100000 + static_cast<int64_t>(width - 1));
+  }
+  EXPECT_EQ(Chain(table, {I(1)})[0][width - 1].int64_value(),
+            100000 + static_cast<int64_t>(width - 1));
+}
+
+TEST(JoinTableTest, ForEachVisitsKeysInFirstInsertionOrder) {
+  JoinTable table(1, 1);
+  for (int64_t k : {5, 3, 5, 9, 3, 1, 5}) table.Insert({I(k)}, Row{I(k * 10)});
+  std::vector<Row> visited;
+  EXPECT_TRUE(table.ForEach(
+      [&](std::span<const Value> key, std::span<const Value> row) {
+        visited.push_back({key[0], row[0]});
+        return true;
+      }));
+  EXPECT_EQ(testutil::RowsToString(visited),
+            testutil::RowsToString({{I(5), I(50)},
+                                    {I(5), I(50)},
+                                    {I(5), I(50)},
+                                    {I(3), I(30)},
+                                    {I(3), I(30)},
+                                    {I(9), I(90)},
+                                    {I(1), I(10)}}));
+  size_t calls = 0;
+  EXPECT_FALSE(table.ForEach(
+      [&](std::span<const Value>, std::span<const Value>) {
+        return ++calls < 4;
+      }));
+  EXPECT_EQ(calls, 4u);
+}
 
 TEST(JoinTest, CrossJoinViaNLWithoutPredicate) {
   Table a = testutil::MakeTable("a", {"x"}, {{I(1)}, {I(2)}});
