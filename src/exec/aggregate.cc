@@ -109,7 +109,24 @@ void AccumulateRow(const std::vector<AggregateDesc>& aggregates,
   }
 }
 
-Row ResultRow(const Row& key, const std::vector<AggAccumulator>& states) {
+/// Narrows an aggregate's input to what its group and argument expressions
+/// read, and remaps them. The aggregate's own outputs stay whole.
+std::vector<size_t> PruneAggregateInput(
+    PhysicalOperator* child, const std::vector<ExprPtr>& group_exprs,
+    const std::vector<AggregateDesc>& aggregates) {
+  std::vector<Expr*> exprs;
+  for (const ExprPtr& e : group_exprs) exprs.push_back(e.get());
+  for (const AggregateDesc& agg : aggregates) {
+    if (agg.arg != nullptr) exprs.push_back(agg.arg.get());
+  }
+  PruneInput(child,
+             std::vector<bool>(child->output_schema().num_fields(), false),
+             exprs);
+  return IdentityColumnMap(group_exprs.size() + aggregates.size());
+}
+
+Row ResultRow(std::span<const Value> key,
+              const std::vector<AggAccumulator>& states) {
   Row out;
   out.reserve(key.size() + states.size());
   out.insert(out.end(), key.begin(), key.end());
@@ -129,6 +146,7 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
       schema_(MakeAggSchema(group_names, aggregates_)),
+      groups_(group_exprs_.size()),
       grace_({{&group_exprs_, "hashagg.build"}}, OversizedLeaf::kAdmitAlone) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(group_names.size() == group_exprs_.size());
@@ -157,10 +175,10 @@ void HashAggregate::Build(ExecContext* ctx) {
     if (ctx->ConsultFault(faults::kHashAggregateBuild, node_id())) return;
     any_input = true;
     EvalKey(group_exprs_, row, &key);
-    auto it = groups_.index.find(key);
-    if (it != groups_.index.end()) {
+    const size_t group = groups_.keys.Find(key);
+    if (group != KeyDirectory::kNotFound) {
       // Known group: keep accumulating in memory, spilled or not.
-      AccumulateRow(aggregates_, &groups_.states[it->second], row);
+      AccumulateRow(aggregates_, &groups_.states[group], row);
       continue;
     }
     if (spilled_) {
@@ -183,8 +201,7 @@ void HashAggregate::Build(ExecContext* ctx) {
       if (!ctx->ChargeBufferedRowsPostSpill(1)) return;
     }
     ++charged_;
-    groups_.index.emplace(key, groups_.keys.size());
-    groups_.keys.push_back(key);
+    groups_.keys.Insert(key);
     groups_.states.push_back(MakeStates(aggregates_));
     AccumulateRow(aggregates_, &groups_.states.back(), row);
   }
@@ -192,7 +209,7 @@ void HashAggregate::Build(ExecContext* ctx) {
   if (spilled_ && !grace_.Refine(ctx, node_id())) return;
   // A scalar aggregate produces one row even over empty input.
   if (group_exprs_.empty() && !any_input) {
-    groups_.keys.emplace_back();
+    groups_.keys.Insert(Row());
     groups_.states.push_back(MakeStates(aggregates_));
   }
   built_ = true;
@@ -213,15 +230,14 @@ bool HashAggregate::AggregateLeaf(WorkContext* wc, SpillRun* run,
   Row row, key;
   while (run->ReadNext(wc, node_id(), &row)) {
     EvalKey(group_exprs_, row, &key);
-    auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
-    if (inserted) {
+    const size_t group = groups->keys.Insert(key);
+    if (group == groups->states.size()) {
       // One leaf's groups answer to the kill threshold only.
       if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
       ++*charged;
-      groups->keys.push_back(key);
       groups->states.push_back(MakeStates(aggregates_));
     }
-    AccumulateRow(aggregates_, &groups->states[it->second], row);
+    AccumulateRow(aggregates_, &groups->states[group], row);
     ++*rows_read;
   }
   return wc->ok();
@@ -248,7 +264,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
   for (;;) {
     if (!ctx->ok()) return false;
     if (cursor_ < groups_.keys.size()) {
-      *out = ResultRow(groups_.keys[cursor_], groups_.states[cursor_]);
+      *out = ResultRow(groups_.keys.key(cursor_), groups_.states[cursor_]);
       ++cursor_;
       Emit(ctx);
       return true;
@@ -278,7 +294,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
               [&](TaskContext* tc, size_t leaf, std::vector<Row>* leaf_out) {
                 // A private group table per task; result rows go out in
                 // first-seen order, the order the serial replay emits them.
-                GroupTable table;
+                GroupTable table(group_exprs_.size());
                 uint64_t charged = 0;
                 if (!AggregateLeaf(tc, grace_.leaves()[leaf].runs[0].get(),
                                    &table, &charged, &leaf_rows_read[leaf])) {
@@ -287,7 +303,8 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
                 leaf_groups[leaf] = table.keys.size();
                 leaf_out->reserve(table.keys.size());
                 for (size_t g = 0; g < table.keys.size(); ++g) {
-                  leaf_out->push_back(ResultRow(table.keys[g], table.states[g]));
+                  leaf_out->push_back(
+                      ResultRow(table.keys.key(g), table.states[g]));
                 }
               },
               [&](size_t leaf) {
@@ -304,7 +321,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
 
 void HashAggregate::DoClose(ExecContext* ctx) {
   child_->Close(ctx);
-  groups_.Clear();
+  groups_.Release();
   grace_.DropRuns();  // deletes any remaining spill temp files
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
@@ -313,6 +330,10 @@ void HashAggregate::DoClose(ExecContext* ctx) {
 std::string HashAggregate::label() const {
   return StringPrintf("HashAggregate(%zu groups cols, %zu aggs)",
                       group_exprs_.size(), aggregates_.size());
+}
+
+std::vector<size_t> HashAggregate::PruneColumns(const std::vector<bool>&) {
+  return PruneAggregateInput(child_.get(), group_exprs_, aggregates_);
 }
 
 void HashAggregate::FillProgressState(const ExecContext& ctx,
@@ -438,6 +459,10 @@ void StreamAggregate::DoClose(ExecContext* ctx) { child_->Close(ctx); }
 std::string StreamAggregate::label() const {
   return StringPrintf("StreamAggregate(%zu group cols, %zu aggs)",
                       group_exprs_.size(), aggregates_.size());
+}
+
+std::vector<size_t> StreamAggregate::PruneColumns(const std::vector<bool>&) {
+  return PruneAggregateInput(child_.get(), group_exprs_, aggregates_);
 }
 
 void StreamAggregate::FillProgressState(const ExecContext& ctx,

@@ -6,11 +6,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "exec/grace.h"
+#include "exec/key_directory.h"
 #include "exec/operator.h"
 #include "expr/expr.h"
 
@@ -102,6 +102,7 @@ class HashAggregate : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 
@@ -109,16 +110,20 @@ class HashAggregate : public PhysicalOperator {
   bool spilled() const { return spilled_; }
 
  private:
-  /// Groups in first-seen order, indexed by key.
+  /// Groups in first-seen order: each key held once, numbered by the
+  /// directory, and group g's states at states[g].
   struct GroupTable {
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    std::vector<Row> keys;
+    explicit GroupTable(size_t key_width) : keys(key_width) {}
+    KeyDirectory keys;
     std::vector<std::vector<AggAccumulator>> states;
 
     void Clear() {
-      index.clear();
-      keys.clear();
+      keys.Clear();
       states.clear();
+    }
+    void Release() {
+      keys.Release();
+      states = {};
     }
   };
 
@@ -173,6 +178,7 @@ class StreamAggregate : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 

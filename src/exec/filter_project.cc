@@ -41,6 +41,11 @@ bool Filter::DoNext(ExecContext* ctx, Row* out) {
 
 void Filter::DoClose(ExecContext* ctx) { child_->Close(ctx); }
 
+std::vector<size_t> Filter::PruneColumns(const std::vector<bool>& needed) {
+  // Passes its input through, so the predicate's columns stay in the output.
+  return PruneInput(child_.get(), needed, {predicate_.get()});
+}
+
 std::string Filter::label() const {
   return StringPrintf("Filter(%s)", predicate_->ToString().c_str());
 }
@@ -85,6 +90,16 @@ bool Project::DoNext(ExecContext* ctx, Row* out) {
 
 void Project::DoClose(ExecContext* ctx) { child_->Close(ctx); }
 
+std::vector<size_t> Project::PruneColumns(const std::vector<bool>&) {
+  // Asks only for what the expressions read; its own outputs stay whole.
+  std::vector<Expr*> exprs;
+  for (const ExprPtr& e : exprs_) exprs.push_back(e.get());
+  PruneInput(child_.get(),
+             std::vector<bool>(child_->output_schema().num_fields(), false),
+             exprs);
+  return IdentityColumnMap(exprs_.size());
+}
+
 std::string Project::label() const {
   std::vector<std::string> parts;
   parts.reserve(exprs_.size());
@@ -125,6 +140,10 @@ bool Limit::DoNext(ExecContext* ctx, Row* out) {
 }
 
 void Limit::DoClose(ExecContext* ctx) { child_->Close(ctx); }
+
+std::vector<size_t> Limit::PruneColumns(const std::vector<bool>& needed) {
+  return child_->PruneColumns(needed);
+}
 
 std::string Limit::label() const {
   return StringPrintf("Limit(%llu)", static_cast<unsigned long long>(limit_));

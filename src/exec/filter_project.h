@@ -28,6 +28,7 @@ class Filter : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
 
  private:
   OperatorPtr child_;
@@ -52,6 +53,7 @@ class Project : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
 
  private:
   OperatorPtr child_;
@@ -75,6 +77,7 @@ class Limit : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 

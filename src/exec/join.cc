@@ -1,7 +1,6 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <utility>
 
@@ -18,10 +17,44 @@ namespace {
 constexpr size_t kBuildSide = 0;
 constexpr size_t kProbeSide = 1;
 
+/// Inner and left-outer joins emit left ++ right; semi and anti joins emit
+/// the left row alone.
+bool EmitsRight(JoinType type) {
+  return type == JoinType::kInner || type == JoinType::kLeftOuter;
+}
+
 Schema JoinOutputSchema(const Schema& left, const Schema& right,
                         JoinType type) {
-  if (type == JoinType::kLeftSemi || type == JoinType::kLeftAnti) return left;
+  if (!EmitsRight(type)) return left;
   return Schema::Concat(left, right);
+}
+
+/// Column pruning for every join: splits `needed` (one flag per output
+/// column) across the two inputs, adds the columns each side's expressions
+/// and the residual (over left ++ right) read, narrows both inputs and
+/// remaps those expressions. Returns the join's column map.
+std::vector<size_t> PruneJoinInputs(PhysicalOperator* left,
+                                    PhysicalOperator* right, JoinType type,
+                                    const std::vector<Expr*>& left_exprs,
+                                    const std::vector<Expr*>& right_exprs,
+                                    Expr* residual,
+                                    const std::vector<bool>& needed) {
+  const size_t left_width = left->output_schema().num_fields();
+  std::vector<bool> both(left_width + right->output_schema().num_fields());
+  std::copy(needed.begin(), needed.end(), both.begin());
+  if (residual != nullptr) MarkReferencedColumns(*residual, &both);
+  const auto split = both.begin() + static_cast<ptrdiff_t>(left_width);
+  std::vector<size_t> map = PruneInput(
+      left, std::vector<bool>(both.begin(), split), left_exprs);
+  const std::vector<size_t> right_map = PruneInput(
+      right, std::vector<bool>(split, both.end()), right_exprs);
+  const size_t narrowed_left = left->output_schema().num_fields();
+  for (size_t c : right_map) {
+    map.push_back(c == kDroppedColumn ? c : narrowed_left + c);
+  }
+  if (residual != nullptr) RemapColumns(residual, map);
+  if (!EmitsRight(type)) map.resize(left_width);
+  return map;
 }
 
 }  // namespace
@@ -79,9 +112,6 @@ bool JoinMatcher::Finish(Row* out) {
 // --------------------------------------------------------------------------
 // JoinTable
 
-JoinTable::JoinTable(size_t key_width, size_t row_width)
-    : key_width_(key_width), row_width_(row_width) {}
-
 JoinTable::RowId JoinTable::AppendRow(std::span<const Value> row) {
   QPROG_DCHECK(row.size() == row_width_);
   if (chunks_used_ == 0 || chunk_fill_ == chunks_[chunks_used_ - 1].rows) {
@@ -109,75 +139,36 @@ JoinTable::RowId JoinTable::AppendRow(std::span<const Value> row) {
   return (static_cast<RowId>(chunks_used_ - 1) << 32) | chunk_fill_++;
 }
 
-size_t JoinTable::SlotOf(const Row& key, size_t hash) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t s = HomeSlot(hash);; s = (s + 1) & mask) {
-    const uint32_t k = slots_[s];
-    if (k == kEmptySlot) return s;
-    if (keys_[k].hash != hash) continue;
-    const Value* cells = key_cells_.data() + k * key_width_;
-    if (std::equal(key.begin(), key.end(), cells,
-                   [](const Value& a, const Value& b) {
-                     return a.EqualsForGrouping(b);
-                   })) {
-      return s;
-    }
-  }
-}
-
-void JoinTable::GrowDirectory() {
-  const size_t size = slots_.empty() ? 16 : slots_.size() * 2;
-  slots_.assign(size, kEmptySlot);
-  slot_shift_ = 64 - std::countr_zero(size);
-  const size_t mask = size - 1;
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    size_t s = HomeSlot(keys_[k].hash);
-    while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
-    slots_[s] = static_cast<uint32_t>(k);
-  }
-}
-
 uint64_t JoinTable::Insert(const Row& key, std::span<const Value> row) {
-  QPROG_DCHECK(key.size() == key_width_);
   const RowId id = AppendRow(row);
-  // At most half full, so probe runs stay short.
-  if ((keys_.size() + 1) * 2 > slots_.size()) GrowDirectory();
-  const size_t hash = RowHash()(key);
-  const size_t s = SlotOf(key, hash);
-  if (slots_[s] == kEmptySlot) {
-    QPROG_CHECK(keys_.size() < kEmptySlot);
-    slots_[s] = static_cast<uint32_t>(keys_.size());
-    keys_.push_back(KeyEntry{hash, id, id, 1});
-    key_cells_.insert(key_cells_.end(), key.begin(), key.end());
+  const size_t k = keys_.Insert(key);
+  if (k == chains_.size()) {
+    chains_.push_back(Chain{id, id, 1});
     return 1;
   }
-  KeyEntry& entry = keys_[slots_[s]];
-  chunks_[entry.tail >> 32].next[entry.tail & 0xFFFFFFFFu] = id;
-  entry.tail = id;
-  return ++entry.rows;
+  Chain& chain = chains_[k];
+  chunks_[chain.tail >> 32].next[chain.tail & 0xFFFFFFFFu] = id;
+  chain.tail = id;
+  return ++chain.rows;
 }
 
 JoinTable::RowId JoinTable::Find(const Row& key) const {
-  if (keys_.empty()) return kNoRow;
-  const uint32_t k = slots_[SlotOf(key, RowHash()(key))];
-  return k == kEmptySlot ? kNoRow : keys_[k].head;
+  const size_t k = keys_.Find(key);
+  return k == KeyDirectory::kNotFound ? kNoRow : chains_[k].head;
 }
 
 void JoinTable::Clear() {
   chunks_used_ = 0;
   chunk_fill_ = 0;
-  keys_.clear();
-  key_cells_.clear();
-  std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+  keys_.Clear();
+  chains_.clear();
 }
 
 void JoinTable::Release() {
   Clear();
   chunks_ = std::vector<Chunk>();
-  keys_ = std::vector<KeyEntry>();
-  key_cells_ = std::vector<Value>();
-  slots_ = std::vector<uint32_t>();
-  slot_shift_ = 64;
+  keys_.Release();
+  chains_ = std::vector<Chain>();
 }
 
 // --------------------------------------------------------------------------
@@ -234,6 +225,18 @@ bool NestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
 void NestedLoopsJoin::DoClose(ExecContext* ctx) {
   outer_->Close(ctx);
   inner_->Close(ctx);
+}
+
+std::vector<size_t> NestedLoopsJoin::PruneColumns(
+    const std::vector<bool>& needed) {
+  std::vector<size_t> map = PruneJoinInputs(
+      outer_.get(), inner_.get(), join_type(), {}, {}, predicate_.get(),
+      needed);
+  schema_ = JoinOutputSchema(outer_->output_schema(), inner_->output_schema(),
+                             join_type());
+  match_ = JoinMatcher(join_type(), predicate_.get(),
+                       inner_->output_schema().num_fields());
+  return map;
 }
 
 std::string NestedLoopsJoin::label() const {
@@ -301,6 +304,20 @@ bool IndexNestedLoopsJoin::DoNext(ExecContext* ctx, Row* out) {
 void IndexNestedLoopsJoin::DoClose(ExecContext* ctx) {
   outer_->Close(ctx);
   inner_->Close(ctx);
+}
+
+std::vector<size_t> IndexNestedLoopsJoin::PruneColumns(
+    const std::vector<bool>& needed) {
+  // The seek key is the index's own column, so the inner side is asked
+  // only for what the output and the residual read.
+  std::vector<size_t> map =
+      PruneJoinInputs(outer_.get(), inner_.get(), join_type(),
+                      {outer_key_.get()}, {}, residual_.get(), needed);
+  schema_ = JoinOutputSchema(outer_->output_schema(), inner_->output_schema(),
+                             join_type());
+  match_ = JoinMatcher(join_type(), residual_.get(),
+                       inner_->output_schema().num_fields());
+  return map;
 }
 
 std::string IndexNestedLoopsJoin::label() const {
@@ -585,6 +602,21 @@ void HashJoin::DoClose(ExecContext* ctx) {
   charged_ = 0;
 }
 
+std::vector<size_t> HashJoin::PruneColumns(const std::vector<bool>& needed) {
+  std::vector<Expr*> probe_exprs, build_exprs;
+  for (const ExprPtr& e : probe_keys_) probe_exprs.push_back(e.get());
+  for (const ExprPtr& e : build_keys_) build_exprs.push_back(e.get());
+  std::vector<size_t> map =
+      PruneJoinInputs(probe_.get(), build_.get(), join_type(), probe_exprs,
+                      build_exprs, residual_.get(), needed);
+  const size_t build_width = build_->output_schema().num_fields();
+  schema_ = JoinOutputSchema(probe_->output_schema(), build_->output_schema(),
+                             join_type());
+  table_ = JoinTable(build_keys_.size(), build_width);
+  match_ = JoinMatcher(join_type(), residual_.get(), build_width);
+  return map;
+}
+
 std::string HashJoin::label() const {
   return StringPrintf("HashJoin(%s%s)", JoinTypeToString(join_type()),
                       is_linear() ? ", linear" : "");
@@ -733,6 +765,17 @@ void MergeJoin::DoClose(ExecContext* ctx) {
   group_.clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
+}
+
+std::vector<size_t> MergeJoin::PruneColumns(const std::vector<bool>& needed) {
+  std::vector<Expr*> left_exprs, right_exprs;
+  for (const ExprPtr& e : left_keys_) left_exprs.push_back(e.get());
+  for (const ExprPtr& e : right_keys_) right_exprs.push_back(e.get());
+  std::vector<size_t> map =
+      PruneJoinInputs(left_.get(), right_.get(), JoinType::kInner, left_exprs,
+                      right_exprs, nullptr, needed);
+  schema_ = Schema::Concat(left_->output_schema(), right_->output_schema());
+  return map;
 }
 
 std::string MergeJoin::label() const {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exec/grace.h"
+#include "exec/key_directory.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "expr/expr.h"
@@ -69,13 +70,12 @@ class JoinMatcher {
 /// HashJoin's build table (DESIGN.md §9), flat. Build rows are copied into
 /// chunks of Value cells — trivially copyable, so a VARCHAR cell keeps
 /// viewing the bytes its owner already holds — and the rows of one key are
-/// chained in insertion order. An open-addressing directory maps each
-/// distinct key to its hash, chain head and tail, and row count. Keys match
-/// under grouping semantics (RowEq): BIGINT 1 finds DOUBLE 1.0, and -0.0
-/// finds 0.0. Chunks start at kFirstChunkCells and double up to
-/// kChunkCells (16 KiB: on the fleet benchmark a 64 KiB cap read a higher
-/// peak RSS), so a five-row build holds one 1 KiB chunk; a row wider than
-/// kChunkCells gets a chunk to itself. Nothing is freed row by row.
+/// chained in insertion order. A KeyDirectory numbers the distinct keys,
+/// and each number has its chain's head, tail and row count. Chunks start
+/// at kFirstChunkCells and double up to kChunkCells (16 KiB: on the fleet
+/// benchmark a 64 KiB cap read a higher peak RSS), so a five-row build
+/// holds one 1 KiB chunk; a row wider than kChunkCells gets a chunk to
+/// itself. Nothing is freed row by row.
 class JoinTable {
  public:
   /// A row's handle: its chunk in the high 32 bits, its slot in the low.
@@ -86,7 +86,8 @@ class JoinTable {
   static constexpr size_t kChunkCells = 1024;
 
   /// Every key has `key_width` values, every row `row_width`.
-  JoinTable(size_t key_width, size_t row_width);
+  JoinTable(size_t key_width, size_t row_width)
+      : keys_(key_width), row_width_(row_width) {}
 
   /// Appends `row` to `key`'s chain; returns the key's row count.
   uint64_t Insert(const Row& key, std::span<const Value> row);
@@ -111,10 +112,8 @@ class JoinTable {
   template <typename Fn>
   bool ForEach(Fn&& fn) const {
     for (size_t k = 0; k < keys_.size(); ++k) {
-      std::span<const Value> key(key_cells_.data() + k * key_width_,
-                                 key_width_);
-      for (RowId id = keys_[k].head; id != kNoRow; id = next(id)) {
-        if (!fn(key, row(id))) return false;
+      for (RowId id = chains_[k].head; id != kNoRow; id = next(id)) {
+        if (!fn(keys_.key(k), row(id))) return false;
       }
     }
     return true;
@@ -132,32 +131,19 @@ class JoinTable {
     std::unique_ptr<RowId[]> next;   // each row's chain successor
     size_t rows = 0;
   };
-  struct KeyEntry {
-    size_t hash;
+  struct Chain {
     RowId head, tail;
     uint64_t rows;
   };
-  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
-
-  /// The slot holding `key`, or the empty slot where it would go.
-  size_t SlotOf(const Row& key, size_t hash) const;
-  size_t HomeSlot(size_t hash) const {
-    return (hash * 0x9E3779B97F4A7C15ULL) >> slot_shift_;
-  }
-  void GrowDirectory();
   /// Copies `row` into the next free chunk slot; returns its handle.
   RowId AppendRow(std::span<const Value> row);
 
-  size_t key_width_;
+  KeyDirectory keys_;
+  std::vector<Chain> chains_;  // one per key number
   size_t row_width_;
   std::vector<Chunk> chunks_;
   size_t chunks_used_ = 0;  // chunks_[chunks_used_ - 1] takes the next row
   size_t chunk_fill_ = 0;   // rows in that chunk
-
-  std::vector<KeyEntry> keys_;     // distinct keys, first-insertion order
-  std::vector<Value> key_cells_;   // key_width_ cells per keys_ entry
-  std::vector<uint32_t> slots_;    // index into keys_, or kEmptySlot
-  int slot_shift_ = 64;            // 64 - log2(slots_.size())
 };
 
 /// ⋈NL: re-opens the inner child for every outer row; arbitrary predicate.
@@ -179,6 +165,7 @@ class NestedLoopsJoin : public PhysicalOperator {
     return i == 0 ? outer_.get() : inner_.get();
   }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
 
   JoinType join_type() const { return match_.type(); }
 
@@ -214,6 +201,7 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
     return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
   }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
 
   JoinType join_type() const { return match_.type(); }
 
@@ -265,6 +253,7 @@ class HashJoin : public PhysicalOperator {
     return i == 0 ? probe_.get() : build_.get();
   }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 
@@ -347,6 +336,7 @@ class MergeJoin : public PhysicalOperator {
     return i == 0 ? left_.get() : right_.get();
   }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
 
  private:
   bool PullLeft(ExecContext* ctx);

@@ -62,6 +62,28 @@ void PhysicalOperator::CloseInstrumented(ExecContext* ctx) {
   t->RecordClose(node_id_, label(), MonotonicNanos() - start, ctx->work());
 }
 
+std::vector<size_t> PhysicalOperator::PruneColumns(const std::vector<bool>&) {
+  for (size_t i = 0; i < num_children(); ++i) {
+    PhysicalOperator* c = child(i);
+    c->PruneColumns(std::vector<bool>(c->output_schema().num_fields(), true));
+  }
+  return IdentityColumnMap(output_schema().num_fields());
+}
+
+std::vector<size_t> IdentityColumnMap(size_t width) {
+  std::vector<size_t> map(width);
+  for (size_t i = 0; i < width; ++i) map[i] = i;
+  return map;
+}
+
+std::vector<size_t> PruneInput(PhysicalOperator* op, std::vector<bool> needed,
+                               const std::vector<Expr*>& exprs) {
+  for (const Expr* e : exprs) MarkReferencedColumns(*e, &needed);
+  std::vector<size_t> map = op->PruneColumns(needed);
+  for (Expr* e : exprs) RemapColumns(e, map);
+  return map;
+}
+
 void PhysicalOperator::FillProgressState(const ExecContext& ctx,
                                          ProgressState* state) const {
   state->rows_produced = ctx.rows_produced(node_id_);

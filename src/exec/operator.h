@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "expr/expr.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -152,6 +153,17 @@ class PhysicalOperator {
   /// Status otherwise.
   virtual bool SupportsRewind() const { return true; }
 
+  /// Column pruning (DESIGN.md §2), run once by PhysicalPlan's constructor
+  /// before node ids are assigned. Narrows this subtree's output to the
+  /// columns flagged in `needed` (one flag per output column; it may keep
+  /// more) and returns each old output column's new position, or
+  /// kDroppedColumn. An override asks its children for the columns its
+  /// parent needs plus those its own expressions read, then remaps those
+  /// expressions onto the children's narrowed outputs. This default keeps
+  /// every column and asks each child for all of its own: correct for any
+  /// operator, just not narrowed.
+  virtual std::vector<size_t> PruneColumns(const std::vector<bool>& needed);
+
   /// Fills the bounds-tracker snapshot. Subclasses override to publish the
   /// fields relevant to their kind; `rows_produced`/`finished` are set here.
   virtual void FillProgressState(const ExecContext& ctx,
@@ -205,6 +217,15 @@ class PhysicalOperator {
 };
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
+
+/// The column map that keeps all `width` columns where they are.
+std::vector<size_t> IdentityColumnMap(size_t width);
+
+/// Asks `op` for every output column its consumer reads: `needed` plus the
+/// columns `exprs` read. Remaps `exprs` onto the narrowed output and returns
+/// `op`'s column map.
+std::vector<size_t> PruneInput(PhysicalOperator* op, std::vector<bool> needed,
+                               const std::vector<Expr*>& exprs);
 
 }  // namespace qprog
 

@@ -31,6 +31,10 @@ void PrintTree(const PhysicalOperator* op, int depth, std::string* out) {
 
 PhysicalPlan::PhysicalPlan(OperatorPtr root) : root_(std::move(root)) {
   QPROG_CHECK(root_ != nullptr);
+  // Every plan is narrowed here, whoever built it: the root's own output is
+  // needed whole, and no node is added or removed.
+  root_->PruneColumns(
+      std::vector<bool>(root_->output_schema().num_fields(), true));
   AssignIds(root_.get(), &nodes_);
   root_->set_is_root(true);
 }

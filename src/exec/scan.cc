@@ -7,20 +7,54 @@
 
 namespace qprog {
 
+namespace {
+
+/// Keeps the entries of `*columns` (a leaf's table column per output
+/// position) that `needed` flags; returns each old position's new one.
+std::vector<size_t> KeepNeeded(const std::vector<bool>& needed,
+                               std::vector<size_t>* columns) {
+  std::vector<size_t> map(columns->size(), kDroppedColumn);
+  std::vector<size_t> kept;
+  for (size_t j = 0; j < columns->size(); ++j) {
+    if (!needed[j]) continue;
+    map[j] = kept.size();
+    kept.push_back((*columns)[j]);
+  }
+  *columns = std::move(kept);
+  return map;
+}
+
+}  // namespace
+
 // --------------------------------------------------------------------------
 // SeqScan
 
 SeqScan::SeqScan(const Table* table, ExprPtr predicate)
-    : table_(table), predicate_(std::move(predicate)) {
+    : table_(table),
+      predicate_(std::move(predicate)),
+      columns_(IdentityColumnMap(table_->schema().num_fields())) {
   if (predicate_ != nullptr) {
     predicate_columns_ = ReferencedColumns(*predicate_);
+    predicate_row_.resize(table_->schema().num_fields());
   }
-  for (size_t c = 0; c < table_->schema().num_fields(); ++c) {
-    if (!std::binary_search(predicate_columns_.begin(),
-                            predicate_columns_.end(), c)) {
-      other_columns_.push_back(c);
-    }
+  PlanColumns();
+}
+
+void SeqScan::PlanColumns() {
+  schema_ = table_->schema().Select(columns_);
+  copied_.clear();
+  read_.clear();
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    const bool by_predicate = std::binary_search(
+        predicate_columns_.begin(), predicate_columns_.end(), columns_[j]);
+    (by_predicate ? copied_ : read_).push_back(j);
   }
+}
+
+std::vector<size_t> SeqScan::PruneColumns(const std::vector<bool>& needed) {
+  std::vector<size_t> map = KeepNeeded(needed, &columns_);
+  PlanColumns();
+  return map;
 }
 
 void SeqScan::DoOpen(ExecContext* ctx) {
@@ -34,7 +68,7 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
   if (!ctx->ok() || ctx->ConsultFault(faults::kSeqScanNext, node_id())) {
     return false;
   }
-  scratch_.resize(table_->schema().num_fields());
+  scratch_.resize(columns_.size());
   while (cursor_ < table_->num_rows()) {
     const uint64_t row = cursor_++;
     // Every examined row is one getnext at the leaf, merged predicate or
@@ -44,11 +78,12 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
     ctx->CountRow(node_id(), is_root());
     if (!ctx->ok()) return false;  // guard tripped while counting
     if (predicate_ != nullptr) {
-      table_->ReadColumns(row, predicate_columns_, &scratch_);
-      Value keep = predicate_->Eval(scratch_);
+      table_->ReadColumns(row, predicate_columns_, &predicate_row_);
+      Value keep = predicate_->Eval(predicate_row_);
       if (keep.is_null() || !keep.bool_value()) continue;
+      for (size_t j : copied_) scratch_[j] = predicate_row_[columns_[j]];
     }
-    table_->ReadColumns(row, other_columns_, &scratch_);
+    for (size_t j : read_) scratch_[j] = table_->at(row, columns_[j]);
     ++emitted_;
     // The caller's buffer becomes the next scratch row, so neither side
     // reallocates once both are warm, and `out` is untouched on false.
@@ -85,12 +120,17 @@ void SeqScan::FillProgressState(const ExecContext& ctx,
 // --------------------------------------------------------------------------
 // IndexSeek
 
-IndexSeek::IndexSeek(const OrderedIndex* index) : index_(index) {}
+IndexSeek::IndexSeek(const OrderedIndex* index)
+    : index_(index),
+      columns_(IdentityColumnMap(index_->table()->schema().num_fields())),
+      schema_(index_->table()->schema()) {}
 
 IndexSeek::IndexSeek(const OrderedIndex* index, Value lo, bool lo_inclusive,
                      bool lo_unbounded, Value hi, bool hi_inclusive,
                      bool hi_unbounded)
     : index_(index),
+      columns_(IdentityColumnMap(index_->table()->schema().num_fields())),
+      schema_(index_->table()->schema()),
       range_mode_(true),
       lo_(bounds_.Own(lo)),
       lo_inclusive_(lo_inclusive),
@@ -98,6 +138,12 @@ IndexSeek::IndexSeek(const OrderedIndex* index, Value lo, bool lo_inclusive,
       hi_(bounds_.Own(hi)),
       hi_inclusive_(hi_inclusive),
       hi_unbounded_(hi_unbounded) {}
+
+std::vector<size_t> IndexSeek::PruneColumns(const std::vector<bool>& needed) {
+  std::vector<size_t> map = KeepNeeded(needed, &columns_);
+  schema_ = index_->table()->schema().Select(columns_);
+  return map;
+}
 
 void IndexSeek::Rebind(const Value& key) {
   current_ = index_->EqualRange(key);
@@ -124,8 +170,11 @@ bool IndexSeek::DoNext(ExecContext* ctx, Row* out) {
     if (range_mode_) finished_ = true;
     return false;
   }
-  uint64_t row_id = current_.begin[pos_++];
-  index_->table()->ReadRow(row_id, out);
+  const uint64_t row_id = current_.begin[pos_++];
+  out->resize(columns_.size());
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    (*out)[j] = index_->table()->at(row_id, columns_[j]);
+  }
   Emit(ctx);
   return true;
 }

@@ -20,7 +20,10 @@ namespace qprog {
 /// calls for rejected rows — it changes the work model exactly as a merged
 /// scan+filter does in a commercial engine). Rows are built from the table's
 /// columns predicate-first: only the columns the predicate reads are filled
-/// in before it runs, and the others only for rows that pass.
+/// in before it runs, and the emitted ones only for rows that pass. The scan
+/// emits the table's columns that PruneColumns kept (all, until then); the
+/// predicate stays in table coordinates, so a column only it reads is read
+/// for it and never emitted.
 class SeqScan : public PhysicalOperator {
  public:
   /// `table` must outlive the operator; `predicate` may be null.
@@ -31,10 +34,11 @@ class SeqScan : public PhysicalOperator {
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kSeqScan; }
-  const Schema& output_schema() const override { return table_->schema(); }
+  const Schema& output_schema() const override { return schema_; }
   size_t num_children() const override { return 0; }
   PhysicalOperator* child(size_t) override { return nullptr; }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 
@@ -42,10 +46,17 @@ class SeqScan : public PhysicalOperator {
   bool has_predicate() const { return predicate_ != nullptr; }
 
  private:
+  /// Splits the emitted positions by whether the predicate read them.
+  void PlanColumns();
+
   const Table* table_;
   ExprPtr predicate_;
-  std::vector<size_t> predicate_columns_;  // columns the predicate reads
-  std::vector<size_t> other_columns_;      // built only for passing rows
+  std::vector<size_t> predicate_columns_;  // table columns it reads
+  std::vector<size_t> columns_;  // table column of each output position
+  Schema schema_;                // the table's fields at columns_
+  std::vector<size_t> copied_;   // output positions the predicate read
+  std::vector<size_t> read_;     // output positions read for passing rows
+  Row predicate_row_;     // table-wide; only predicate_columns_ are filled
   Row scratch_;           // the row being built; swapped into the output
   uint64_t cursor_ = 0;   // next table row to examine
   uint64_t emitted_ = 0;  // rows produced to the parent
@@ -55,7 +66,8 @@ class SeqScan : public PhysicalOperator {
 ///  * Rebindable equality seek — the inner side of an index-nested-loops
 ///    join; the parent calls Rebind(key) before draining matches.
 ///  * Static range seek — a leaf access path with fixed bounds.
-/// Produces full rows of the indexed table.
+/// Produces the indexed table's columns that PruneColumns kept (all, until
+/// then).
 class IndexSeek : public PhysicalOperator {
  public:
   /// Rebindable equality-seek (INL inner side).
@@ -74,12 +86,11 @@ class IndexSeek : public PhysicalOperator {
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kIndexSeek; }
-  const Schema& output_schema() const override {
-    return index_->table()->schema();
-  }
+  const Schema& output_schema() const override { return schema_; }
   size_t num_children() const override { return 0; }
   PhysicalOperator* child(size_t) override { return nullptr; }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 
@@ -87,6 +98,8 @@ class IndexSeek : public PhysicalOperator {
 
  private:
   const OrderedIndex* index_;
+  std::vector<size_t> columns_;  // table column of each output position
+  Schema schema_;                // the table's fields at columns_
   bool range_mode_ = false;
   StringArena bounds_;  // owns lo_'s and hi_'s VARCHAR bytes
   Value lo_;

@@ -273,6 +273,13 @@ std::string Sort::label() const {
   return StringPrintf("Sort(%s)", JoinStrings(parts, ", ").c_str());
 }
 
+std::vector<size_t> Sort::PruneColumns(const std::vector<bool>& needed) {
+  // Sorts, spills and emits its input rows, so they carry the key columns.
+  std::vector<Expr*> exprs;
+  for (const SortKey& k : keys_) exprs.push_back(k.expr.get());
+  return PruneInput(child_.get(), needed, exprs);
+}
+
 void Sort::FillProgressState(const ExecContext& ctx,
                              ProgressState* state) const {
   PhysicalOperator::FillProgressState(ctx, state);

@@ -54,6 +54,7 @@ class Sort : public PhysicalOperator {
   size_t num_children() const override { return 1; }
   PhysicalOperator* child(size_t) override { return child_.get(); }
   std::string label() const override;
+  std::vector<size_t> PruneColumns(const std::vector<bool>& needed) override;
   void FillProgressState(const ExecContext& ctx,
                          ProgressState* state) const override;
 

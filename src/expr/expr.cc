@@ -435,6 +435,22 @@ std::vector<size_t> ReferencedColumns(const Expr& expr) {
   return columns;
 }
 
+void MarkReferencedColumns(const Expr& expr, std::vector<bool>* columns) {
+  ForEachColumnRef(expr, [columns](const ColumnRefExpr& ref) {
+    columns->at(ref.index()) = true;
+  });
+}
+
+void RemapColumns(Expr* expr, const std::vector<size_t>& map) {
+  // The walk hands out const references, but every node belongs to the tree
+  // the caller passed as mutable, so writing through them is well defined.
+  ForEachColumnRef(*expr, [&map](const ColumnRefExpr& ref) {
+    const size_t to = map.at(ref.index());
+    QPROG_CHECK(to != kDroppedColumn);
+    const_cast<ColumnRefExpr&>(ref).set_index(to);
+  });
+}
+
 void EvalKey(const std::vector<ExprPtr>& keys, const Row& row, Row* key) {
   key->clear();
   for (const ExprPtr& e : keys) key->push_back(e->Eval(row));

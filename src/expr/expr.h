@@ -73,6 +73,8 @@ class ColumnRefExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kColumnRef; }
   size_t index() const { return index_; }
   const std::string& name() const { return name_; }
+  /// Repoints the reference (RemapColumns).
+  void set_index(size_t index) { index_ = index; }
 
  private:
   size_t index_;
@@ -301,6 +303,19 @@ void ForEachColumnRef(const Expr& expr,
 
 /// The input columns `expr` reads, ascending and without duplicates.
 std::vector<size_t> ReferencedColumns(const Expr& expr);
+
+/// Sets `(*columns)[i]` for every input column i that `expr` reads.
+/// `*columns` must already be that wide.
+void MarkReferencedColumns(const Expr& expr, std::vector<bool>* columns);
+
+/// A column map's entry for a column that was not kept.
+inline constexpr size_t kDroppedColumn = ~size_t{0};
+
+/// Rewrites, in place, each reference to input column i in `*expr` into a
+/// reference to column `map[i]`: the expression's input was narrowed and
+/// `map` gives each old column's new position (PhysicalOperator::
+/// PruneColumns). Every column `expr` reads must have been kept.
+void RemapColumns(Expr* expr, const std::vector<size_t>& map);
 
 /// Evaluates each of `keys` over `row`, in order, into `*key`: a join or
 /// group key. `*key` is overwritten, so a caller that reuses one buffer

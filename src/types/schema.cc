@@ -15,6 +15,13 @@ Schema Schema::Concat(const Schema& left, const Schema& right) {
   return Schema(std::move(fields));
 }
 
+Schema Schema::Select(const std::vector<size_t>& columns) const {
+  std::vector<Field> fields;
+  fields.reserve(columns.size());
+  for (size_t c : columns) fields.push_back(fields_[c]);
+  return Schema(std::move(fields));
+}
+
 std::string Schema::ToString() const {
   std::string out;
   for (size_t i = 0; i < fields_.size(); ++i) {

@@ -42,6 +42,9 @@ class Schema {
   /// Concatenation (used by joins: left schema ++ right schema).
   static Schema Concat(const Schema& left, const Schema& right);
 
+  /// The fields at `columns`, in that order (narrowed scans).
+  Schema Select(const std::vector<size_t>& columns) const;
+
   /// "name:TYPE, name:TYPE, ..." for debugging.
   std::string ToString() const;
 

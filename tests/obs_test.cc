@@ -614,7 +614,7 @@ TEST(ExplainAnalyzeTest, GoldenTpchQ1) {
             R"golden(work=23938  root_rows=4
 #0 Sort($0, $1)  rows=4 (est=6 logerr=0.41) calls=5  (root, excluded from work)
   #1 HashAggregate(2 groups cols, 8 aggs)  rows=4 (est=6 logerr=0.41) work=0.0% calls=5
-    #2 Filter(($10 <= DATE '1998-09-02'))  rows=11886 work=49.7% calls=11887
+    #2 Filter(($6 <= DATE '1998-09-02'))  rows=11886 work=49.7% calls=11887
       #3 SeqScan(lineitem)  rows=12048 (est=12048 logerr=0.00) work=50.3% calls=12049
 )golden");
 
@@ -626,7 +626,7 @@ TEST(ExplainAnalyzeTest, GoldenTpchQ1) {
             R"golden(work=23938  root_rows=4  eta=-- band=[--,--]
 #0 Sort($0, $1)  rows=4 (est=6 logerr=0.41) calls=5  (root, excluded from work)
   #1 HashAggregate(2 groups cols, 8 aggs)  rows=4 (est=6 logerr=0.41) work=0.0% calls=5
-    #2 Filter(($10 <= DATE '1998-09-02'))  rows=11886 work=49.7% calls=11887
+    #2 Filter(($6 <= DATE '1998-09-02'))  rows=11886 work=49.7% calls=11887
       #3 SeqScan(lineitem)  rows=12048 (est=12048 logerr=0.00) work=50.3% calls=12049
 )golden");
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "core/monitor.h"
 #include "index/ordered_index.h"
@@ -10,6 +14,7 @@
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
+#include "tests/test_util.h"
 
 namespace qprog {
 namespace tpch {
@@ -193,6 +198,35 @@ TEST_F(TpchTest, Q13CountsCustomersWithoutOrders) {
   for (const Row& r : rows) total += r[1].int64_value();
   EXPECT_EQ(total,
             static_cast<int64_t>(db_->GetTable("customer")->num_rows()));
+}
+
+TEST_F(TpchTest, ResultsMatchGolden) {
+  // Per query: the row count, FNV-1a 64 over the ordered rows' text and
+  // total(Q), against tests/golden/tpch_results.txt. A plan rewrite that
+  // changes no node (column pruning, say) must leave every line as it is.
+  // On a mismatch the computed text is written to tpch_results.actual.txt
+  // in the working directory, for diffing.
+  std::string got;
+  for (int q : AvailableQueries()) {
+    auto plan = BuildQuery(q, *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    exec::DriveOptions opts;
+    opts.collect_rows = true;
+    exec::DriveResult result = exec::Drive(&plan.value(), opts);
+    ASSERT_TRUE(result.ok()) << "Q" << q << ": " << result.status;
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "Q%d rows=%zu digest=%016" PRIx64 " total=%" PRIu64 "\n", q,
+                  result.rows.size(),
+                  testutil::Fnv1a64(testutil::RowsToString(result.rows)),
+                  result.work);
+    got += line;
+  }
+  std::ifstream in(QPROG_SOURCE_DIR "/tests/golden/tpch_results.txt");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (got != golden.str()) std::ofstream("tpch_results.actual.txt") << got;
+  EXPECT_EQ(got, golden.str());
 }
 
 }  // namespace
