@@ -1,11 +1,11 @@
 // Quantifies intra-query parallelism (DESIGN.md §10): the spill-heavy
-// external sort and Grace hash join swept over worker-pool sizes {1, 2, 4, 8}.
-// The SpillManager's device model charges a fixed cost per spill byte on the
-// thread doing the I/O, so sort run formation and Grace leaf joins overlap
-// their device time across the pool exactly like bandwidth-bound disk I/O —
-// which is what makes parallel speedup measurable even on a single-core
-// host. The sort's one-level merge and the Grace partition writes run on the
-// query thread, so their device time is serial; e2ebench, not this model,
+// external sort swept over worker-pool sizes {1, 2, 4, 8}. Sort run
+// formation is the one phase the pool runs. The SpillManager's device model
+// charges a fixed cost per spill byte on the thread doing the I/O, so run
+// formation overlaps its device time across the pool exactly like
+// bandwidth-bound disk I/O — which is what makes parallel speedup
+// measurable even on a single-core host. The sort's one-level merge runs on
+// the query thread, so its device time is serial; e2ebench, not this model,
 // decides whether a path earns its pool.
 //
 // Results (min/q1/median/q3/max wall ms over kReps runs, median speedup vs. the
@@ -24,7 +24,6 @@
 #include "bench/bench_util.h"
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/join.h"
 #include "exec/plan.h"
 #include "exec/query_guard.h"
 #include "exec/scan.h"
@@ -45,7 +44,7 @@ constexpr int kReps = 3;
 constexpr uint64_t kNsPerByte = 160;
 const int kThreads[] = {1, 2, 4, 8};
 
-/// Anti-sorted keys plus a TPC-H-ish string payload: the sort and merges do
+/// Anti-sorted keys plus a TPC-H-ish string payload: the sort and merge do
 /// real comparisons, and every spilled row carries ~100 bytes to the device.
 Table Payload(int64_t n, int64_t buckets) {
   Table table("t", Schema({Field("k", TypeId::kInt64),
@@ -65,15 +64,6 @@ PhysicalPlan SortPlan(const Table* t) {
   keys.emplace_back(eb::Col(0));
   return PhysicalPlan(
       std::make_unique<Sort>(std::make_unique<SeqScan>(t), std::move(keys)));
-}
-
-PhysicalPlan JoinPlan(const Table* probe, const Table* build) {
-  std::vector<ExprPtr> pk, bk;
-  pk.push_back(eb::Col(0));
-  bk.push_back(eb::Col(0));
-  return PhysicalPlan(std::make_unique<HashJoin>(
-      std::make_unique<SeqScan>(probe), std::make_unique<SeqScan>(build),
-      std::move(pk), std::move(bk)));
 }
 
 struct Result {
@@ -129,8 +119,6 @@ int main() {
               static_cast<unsigned long long>(kNsPerByte), kReps);
 
   Table sort_t = Payload(kRows, 9973);
-  Table probe_t = Payload(kRows / 2, 4001);
-  Table build_t = Payload(kRows / 2, 4001);
 
   std::vector<Result> results;
   auto sweep = [&](const char* family,
@@ -147,7 +135,6 @@ int main() {
   };
 
   sweep("sort", [&] { return SortPlan(&sort_t); }, kRows / 32);
-  sweep("join", [&] { return JoinPlan(&probe_t, &build_t); }, kRows / 32);
 
   std::printf("%-10s %-10s %-10s %-10s %-9s %-14s %-6s\n", "scenario",
               "min_ms", "median_ms", "max_ms", "speedup", "spill_bytes",

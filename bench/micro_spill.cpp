@@ -13,12 +13,6 @@
 // the working directory:
 //
 //   ./build/bench/micro_spill
-//
-// A final scenario times the HashAggregate's spilled-partition
-// replay serially and on a 4-thread worker pool under the SpillManager's
-// device model (DESIGN.md §9): replay reads overlap their simulated device
-// time across the pool, so the speedup is measurable even on one core, and
-// the parallel output must be row-for-row identical to the serial replay.
 
 #include <chrono>
 #include <cstdio>
@@ -38,7 +32,6 @@
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/spill.h"
-#include "exec/worker_pool.h"
 #include "storage/spill_file.h"
 #include "types/string_arena.h"
 #include "storage/table.h"
@@ -163,69 +156,6 @@ std::vector<Result> MeasureFamily(
   return results;
 }
 
-// -- parallel aggregate replay ----------------------------------------------
-
-// Device cost per spill byte for the replay scenario; same flash-era figure
-// as micro_parallel, high enough that replay I/O dominates the hash work.
-constexpr uint64_t kReplayNsPerByte = 160;
-constexpr int64_t kReplayRows = 20000;
-constexpr int64_t kReplayGroups = 5000;
-
-/// Grouped rows with a repetitive string payload so each spilled row carries
-/// real bytes through the device model.
-Table AggPayload(int64_t n, int64_t buckets) {
-  Table table("p", Schema({Field("k", TypeId::kInt64),
-                           Field("v", TypeId::kInt64),
-                           Field("pad", TypeId::kString)}));
-  for (int64_t i = n - 1; i >= 0; --i) {
-    std::string pad = StringPrintf(
-        "orderstatus=OK|priority=%d|comment="
-        "final deps unwound along the regular instructions",
-        static_cast<int>(i % 5));
-    table.AppendRow(
-        {Value::Int64(i % buckets), Value::Int64(i), Value::String(pad)});
-  }
-  return table;
-}
-
-/// kReps aggregate runs (wall ms) under a tight budget with the device
-/// model charging every spill byte; `threads` == 0 runs the serial replay.
-/// Output rows from the last rep land in `rows_out` for the identity check;
-/// they hold only integers, so they outlive the rep's spill manager.
-bench::Spread MeasureAggReplay(const Table* t, uint64_t soft_budget,
-                               int threads, uint64_t* spill_runs,
-                               std::vector<Row>* rows_out) {
-  std::vector<double> wall_ms;
-  for (int rep = 0; rep < kReps; ++rep) {
-    PhysicalPlan plan = AggPlan(t);
-    SpillManager spill;
-    spill.set_device_model({kReplayNsPerByte, kReplayNsPerByte});
-    QueryGuard guard;
-    guard.set_max_buffered_rows(soft_budget);
-    std::unique_ptr<WorkerPool> pool;
-    ExecContext ctx;
-    ctx.set_guard(&guard);
-    ctx.set_spill_manager(&spill);
-    if (threads > 0) {
-      pool = std::make_unique<WorkerPool>(threads);
-      ctx.set_worker_pool(pool.get());
-    }
-    rows_out->clear();
-    auto start = std::chrono::steady_clock::now();
-    exec::Drive(&plan,
-                {.ctx = &ctx,
-                 .sink = [rows_out](const Row& row) { rows_out->push_back(row); }});
-    auto end = std::chrono::steady_clock::now();
-    QPROG_CHECK_MSG(ctx.ok(), "%s", ctx.status().ToString().c_str());
-    QPROG_CHECK(spill.live_runs() == 0);
-    QPROG_CHECK(spill.stats().runs_created > 0);  // must exercise the replay
-    wall_ms.push_back(
-        std::chrono::duration<double, std::milli>(end - start).count());
-    *spill_runs = spill.stats().runs_created;
-  }
-  return bench::SpreadOf(std::move(wall_ms));
-}
-
 /// Raw SpillFile throughput: rows serialized+written then re-read, ns/row.
 std::pair<double, double> MeasureFileThroughputOnce(int64_t rows) {
   auto file = SpillFile::Create("");
@@ -323,31 +253,6 @@ int main() {
   std::printf("\nspill file (median): write=%.1f ns/row, read=%.1f ns/row\n",
               write_ns.median, read_ns.median);
 
-  // Parallel spilled-partition replay: serial vs. a 4-thread pool on the
-  // same device-modelled aggregate, outputs required identical.
-  Table replay_t = AggPayload(kReplayRows, kReplayGroups);
-  std::vector<Row> serial_rows, parallel_rows;
-  uint64_t serial_runs = 0, parallel_runs = 0;
-  bench::Spread serial_ms = MeasureAggReplay(&replay_t, kReplayGroups / 8, 0,
-                                             &serial_runs, &serial_rows);
-  bench::Spread parallel_ms = MeasureAggReplay(
-      &replay_t, kReplayGroups / 8, 4, &parallel_runs, &parallel_rows);
-  QPROG_CHECK(serial_rows.size() == parallel_rows.size());
-  for (size_t i = 0; i < serial_rows.size(); ++i) {
-    QPROG_CHECK_MSG(
-        RowToString(serial_rows[i]) == RowToString(parallel_rows[i]),
-        "parallel replay diverged from serial at row %zu", i);
-  }
-  double replay_speedup = serial_ms.median / parallel_ms.median;
-  std::printf(
-      "\nagg replay (device=%llu ns/byte, %lld rows, %lld groups, median): "
-      "serial=%.1f ms, t4=%.1f ms, speedup=%.2fx, output identical "
-      "(%zu rows)\n",
-      static_cast<unsigned long long>(kReplayNsPerByte),
-      static_cast<long long>(kReplayRows),
-      static_cast<long long>(kReplayGroups), serial_ms.median,
-      parallel_ms.median, replay_speedup, serial_rows.size());
-
   std::string json = "{\"bench\":\"micro_spill\"," +
                      bench::ProvenanceJson(kReps) + ",\"rows\":" +
                      StringPrintf("%lld", static_cast<long long>(kRows)) +
@@ -371,18 +276,7 @@ int main() {
   }
   json += "},\"spill_file\":{" +
           bench::SpreadJson("write_ns_per_row", write_ns) + "," +
-          bench::SpreadJson("read_ns_per_row", read_ns) + "},";
-  json += StringPrintf("\"agg_replay\":{\"device_ns_per_byte\":%llu,"
-                       "\"rows\":%lld,\"groups\":%lld,",
-                       static_cast<unsigned long long>(kReplayNsPerByte),
-                       static_cast<long long>(kReplayRows),
-                       static_cast<long long>(kReplayGroups)) +
-          bench::SpreadJson("serial_ms", serial_ms) + "," +
-          bench::SpreadJson("t4_ms", parallel_ms) +
-          StringPrintf(",\"speedup_vs_serial\":%.3f,\"spill_runs\":%llu,"
-                       "\"output_identical\":true}}\n",
-                       replay_speedup,
-                       static_cast<unsigned long long>(parallel_runs));
+          bench::SpreadJson("read_ns_per_row", read_ns) + "}}\n";
   std::FILE* out = std::fopen("BENCH_spill.json", "w");
   if (out != nullptr) {
     std::fwrite(json.data(), 1, json.size(), out);

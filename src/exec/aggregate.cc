@@ -5,7 +5,6 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/fault_injector.h"
-#include "exec/worker_pool.h"
 
 namespace qprog {
 
@@ -156,15 +155,11 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
 void HashAggregate::DoOpen(ExecContext* ctx) {
   finished_ = false;
   built_ = false;
-  groups_.Clear();
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
-  cursor_ = 0;
+  ReleaseResidentGroups(ctx);
   spilled_ = false;
   grace_.Reset();
   part_next_ = 0;
   prior_groups_ = 0;
-  par_groups_ = 0;
   child_->Open(ctx);
 }
 
@@ -220,36 +215,34 @@ void HashAggregate::ReleaseResidentGroups(ExecContext* ctx) {
   groups_.Clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
+  ctx->ReleaseLeafRows(leaf_charged_);
+  leaf_charged_ = 0;
   cursor_ = 0;
 }
 
-bool HashAggregate::AggregateLeaf(WorkContext* wc, SpillRun* run,
-                                  GroupTable* groups, uint64_t* charged,
-                                  uint64_t* rows_read) const {
-  if (!run->OpenRead(wc, node_id())) return false;
+bool HashAggregate::AggregateLeaf(ExecContext* ctx, SpillRun* run) {
+  if (!run->OpenRead(ctx, node_id())) return false;
   Row row, key;
-  while (run->ReadNext(wc, node_id(), &row)) {
+  uint64_t* rows_read = grace_.mutable_rows_read();
+  while (run->ReadNext(ctx, node_id(), &row)) {
     EvalKey(group_exprs_, row, &key);
-    const size_t group = groups->keys.Insert(key);
-    if (group == groups->states.size()) {
+    const size_t group = groups_.keys.Insert(key);
+    if (group == groups_.states.size()) {
       // One leaf's groups answer to the kill threshold only.
-      if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
-      ++*charged;
-      groups->states.push_back(MakeStates(aggregates_));
+      if (!ctx->ChargeLeafRows(1)) return false;
+      ++leaf_charged_;
+      groups_.states.push_back(MakeStates(aggregates_));
     }
-    AccumulateRow(aggregates_, &groups->states[group], row);
+    AccumulateRow(aggregates_, &groups_.states[group], row);
     ++*rows_read;
   }
-  return wc->ok();
+  return ctx->ok();
 }
 
 bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
   ReleaseResidentGroups(ctx);
   GraceLeaf& leaf = grace_.leaves()[part_next_];
-  if (!AggregateLeaf(ctx, leaf.runs[0].get(), &groups_, &charged_,
-                     grace_.mutable_rows_read())) {
-    return false;
-  }
+  if (!AggregateLeaf(ctx, leaf.runs[0].get())) return false;
   leaf.runs.clear();  // delete this leaf's temp file
   ++part_next_;
   return true;
@@ -269,51 +262,9 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
       Emit(ctx);
       return true;
     }
-    if (grace_.pooled()) {
-      if (grace_.NextOutput(ctx, out)) {
-        Emit(ctx);
-        return true;
-      }
-      if (ctx->ok()) finished_ = true;
-      return false;
-    }
     if (!spilled_ || part_next_ >= grace_.leaves().size()) {
       finished_ = true;
       return false;
-    }
-    if (UsePooledLeafReplay(*ctx)) {
-      // The resident groups are all emitted: release them before the leaf
-      // tasks run, exactly as the serial replay does before loading its
-      // first leaf.
-      ReleaseResidentGroups(ctx);
-      const size_t num_leaves = grace_.leaves().size();
-      std::vector<uint64_t> leaf_groups(num_leaves, 0);
-      std::vector<uint64_t> leaf_rows_read(num_leaves, 0);
-      if (!grace_.RunLeaves(
-              ctx, kAggReplayTaskTag,
-              [&](TaskContext* tc, size_t leaf, std::vector<Row>* leaf_out) {
-                // A private group table per task; result rows go out in
-                // first-seen order, the order the serial replay emits them.
-                GroupTable table(group_exprs_.size());
-                uint64_t charged = 0;
-                if (!AggregateLeaf(tc, grace_.leaves()[leaf].runs[0].get(),
-                                   &table, &charged, &leaf_rows_read[leaf])) {
-                  return;
-                }
-                leaf_groups[leaf] = table.keys.size();
-                leaf_out->reserve(table.keys.size());
-                for (size_t g = 0; g < table.keys.size(); ++g) {
-                  leaf_out->push_back(
-                      ResultRow(table.keys.key(g), table.states[g]));
-                }
-              },
-              [&](size_t leaf) {
-                par_groups_ += leaf_groups[leaf];
-                *grace_.mutable_rows_read() += leaf_rows_read[leaf];
-              })) {
-        return false;
-      }
-      continue;
     }
     if (!LoadNextPartition(ctx)) return false;
   }
@@ -325,6 +276,8 @@ void HashAggregate::DoClose(ExecContext* ctx) {
   grace_.DropRuns();  // deletes any remaining spill temp files
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
+  ctx->ReleaseLeafRows(leaf_charged_);
+  leaf_charged_ = 0;
 }
 
 std::string HashAggregate::label() const {
@@ -342,7 +295,7 @@ void HashAggregate::FillProgressState(const ExecContext& ctx,
   // Spilled runs keep the conservative !build_done path: group counts are
   // not final until every partition has been re-aggregated.
   state->build_done = built_ && !spilled_;
-  state->groups_so_far = prior_groups_ + groups_.keys.size() + par_groups_;
+  state->groups_so_far = prior_groups_ + groups_.keys.size();
   state->scalar_aggregate = group_exprs_.empty();
   state->SetSpillPending(grace_.rows_written());
   // Row count for the group-cardinality bound: spilled rows that have not

@@ -16,8 +16,6 @@
 
 namespace qprog {
 
-class WorkContext;
-
 enum class AggFunc {
   kCount,  // COUNT(*) when arg is null, else COUNT(arg)
   kSum,
@@ -81,12 +79,10 @@ class AggAccumulator {
 /// headroom — single-key skew, or the depth cap — is admitted alone, and the
 /// per-group kill-threshold charge stays the tripwire if it does not fit.
 ///
-/// With a WorkerPool attached and no kill threshold (UsePooledLeafReplay),
-/// the leaf replay runs as one task per leaf through
-/// GracePartitions::RunLeaves instead of the serial loop; under a kill
-/// threshold the serial loop runs at every pool size. Output rows are
-/// identical to the serial replay at every pool size. Both drivers
-/// re-aggregate a leaf through the same AggregateLeaf.
+/// The aggregate uses no worker pool: the leaf loop runs on the query thread
+/// at every pool size (DESIGN.md §10). A leaf's groups are charged through
+/// ExecContext::ChargeLeafRows: against the kill threshold, and outside the
+/// soft budget.
 class HashAggregate : public PhysicalOperator {
  public:
   HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs,
@@ -128,18 +124,16 @@ class HashAggregate : public PhysicalOperator {
   };
 
   void Build(ExecContext* ctx);
-  /// Drops the emitted in-memory groups and releases their charge, before
-  /// the spilled leaves are replayed.
+  /// Drops the emitted groups, in memory or from a leaf, and releases their
+  /// charge before the next leaf is replayed.
   void ReleaseResidentGroups(ExecContext* ctx);
   /// Aggregates leaf `part_next_` into a fresh group table and resets
   /// the emit cursor over it.
   bool LoadNextPartition(ExecContext* ctx);
-  /// The Grace leaf body both replay drivers share: re-aggregates `run` into
-  /// `groups`, charging each new group on `wc` against the kill threshold
-  /// only. `*charged` (groups charged) and `*rows_read` advance row by row,
-  /// so a checkpoint mid-leaf sees them current. Returns wc->ok().
-  bool AggregateLeaf(WorkContext* wc, SpillRun* run, GroupTable* groups,
-                     uint64_t* charged, uint64_t* rows_read) const;
+  /// Re-aggregates `run` into groups_, charging each new group as a leaf
+  /// row. leaf_charged_ and the rows-read counter advance row by row, so a
+  /// checkpoint mid-leaf sees them current. Returns ctx->ok().
+  bool AggregateLeaf(ExecContext* ctx, SpillRun* run);
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
@@ -149,16 +143,15 @@ class HashAggregate : public PhysicalOperator {
   bool built_ = false;
   GroupTable groups_;
   size_t cursor_ = 0;
-  uint64_t charged_ = 0;  // groups charged to the context's buffer budget
+  uint64_t charged_ = 0;       // resident groups charged to the budget
+  uint64_t leaf_charged_ = 0;  // leaf groups charged by ChargeLeafRows
 
-  // Partition-spill state (unused until the group table overflows). The
-  // partition counters never read SpillRun counters — a task may own the
-  // runs — and rows written minus rows read is the rows sitting in leaves.
+  // Partition-spill state (unused until the group table overflows). Rows
+  // written minus rows read is the rows sitting in leaves.
   bool spilled_ = false;
   GracePartitions grace_;
-  size_t part_next_ = 0;       // next leaf to replay serially
+  size_t part_next_ = 0;       // next leaf to replay
   uint64_t prior_groups_ = 0;  // groups emitted before the current table
-  uint64_t par_groups_ = 0;    // groups discovered by folded replay tasks
 };
 
 /// γ over an input already sorted by the grouping expressions; emits each

@@ -50,10 +50,11 @@ bool ExecContext::ChargeBufferedRows(uint64_t n) {
   // Check-first: a failed charge leaves the account untouched, so operators
   // only ever release what they successfully charged.
   if (failed_) return false;
-  if (guard_ != nullptr && buffered_rows_ + n > guard_->max_buffered_rows()) {
+  const uint64_t budgeted = buffered_rows_ - leaf_rows_ + n;
+  if (guard_ != nullptr && budgeted > guard_->max_buffered_rows()) {
     RaiseError(qprog::ResourceExhausted(StringPrintf(
         "buffered-row budget exceeded (%llu buffered > %llu allowed)",
-        static_cast<unsigned long long>(buffered_rows_ + n),
+        static_cast<unsigned long long>(budgeted),
         static_cast<unsigned long long>(guard_->max_buffered_rows()))));
     return false;
   }
@@ -75,8 +76,9 @@ ChargeVerdict ExecContext::ChargeBufferedRowsOrSpill(uint64_t n) {
     }
     // One read of the soft budget decides the charge. The governor may lower
     // it concurrently; a charge that passed this check must not then fail
-    // against the newer value, which later charges see as kSpill.
-    if (buffered_rows_ + n > guard_->max_buffered_rows()) {
+    // against the newer value, which later charges see as kSpill. Rebuilt
+    // Grace leaves are left out: they answer to the kill threshold only.
+    if (buffered_rows_ - leaf_rows_ + n > guard_->max_buffered_rows()) {
       // Not charged: the operator spills instead of buffering these rows.
       return ChargeVerdict::kSpill;
     }
@@ -103,6 +105,12 @@ bool ExecContext::ChargeBufferedRowsPostSpill(uint64_t n) {
   }
   buffered_rows_ += n;
   if (buffered_rows_ > peak_buffered_rows_) peak_buffered_rows_ = buffered_rows_;
+  return true;
+}
+
+bool ExecContext::ChargeLeafRows(uint64_t n) {
+  if (!ChargeBufferedRowsPostSpill(n)) return false;
+  leaf_rows_ += n;
   return true;
 }
 

@@ -22,9 +22,9 @@
 // ---------------------------------------------------------------------------
 // Threading and memory-ordering contract (intra-query parallelism)
 //
-// With a WorkerPool attached (set_worker_pool), spill-heavy operators run
-// tasks on pool threads. The counter model is *sharded-then-folded*, never
-// concurrent:
+// With a WorkerPool attached (set_worker_pool), external Sort runs its
+// run-formation tasks on pool threads. The counter model is
+// *sharded-then-folded*, never concurrent:
 //
 //  * `rows_produced_`, `spill_work_`, `work_`, `buffered_rows_`, `status_`,
 //    the observer and the guard-check schedule are owned by the query thread
@@ -95,6 +95,7 @@ class ExecContext final : public WorkContext {
     spill_work_.assign(num_nodes, 0);
     work_ = 0;
     buffered_rows_ = 0;
+    leaf_rows_ = 0;
     peak_buffered_rows_ = 0;
     failed_.store(false, std::memory_order_relaxed);
     status_ = OkStatus();
@@ -212,15 +213,9 @@ class ExecContext final : public WorkContext {
   SpillManager* spill_manager() const { return spill_manager_; }
 
   /// Attaches a worker pool (borrowed; may be null to remove): external sort
-  /// runs its run-formation tasks on it (inline without one), and Grace hash
-  /// join and aggregate fan their leaf replays out to it when the guard sets
-  /// no kill threshold (exec/grace.h, UsePooledLeafReplay). Results are
-  /// bit-identical at every pool size. total(Q) and traces are identical at
-  /// every pool size under a kill threshold, where the Grace operators run
-  /// their serial leaf loop with or without a pool. With no kill threshold
-  /// they are identical at every pool size >= 1, and at pool 0 too for a plan whose
-  /// only spilling operator is a Sort; the Grace serial leaf loop accounts
-  /// its tables differently (DESIGN.md §10). Persists across Reset.
+  /// runs its run-formation tasks on it, inline without one. Nothing else
+  /// uses the pool, so results, total(Q) and traces are byte-identical at
+  /// every pool size, pool 0 included (DESIGN.md §10). Persists across Reset.
   void set_worker_pool(WorkerPool* pool) { worker_pool_ = pool; }
   WorkerPool* worker_pool() const { return worker_pool_; }
 
@@ -238,15 +233,33 @@ class ExecContext final : public WorkContext {
   /// threshold still aborts (kFailed) even with a spill manager attached.
   ChargeVerdict ChargeBufferedRowsOrSpill(uint64_t n);
 
-  /// Post-spill charge for re-loading one spilled partition into memory:
+  /// Post-spill charge for a spilling operator's minimum working set:
   /// checked against the guard's *kill* threshold only (the soft budget
   /// already did its job by triggering the spill). Returns false with
-  /// kResourceExhausted recorded when even one partition cannot fit.
-  bool ChargeBufferedRowsPostSpill(uint64_t n) override;
+  /// kResourceExhausted recorded when the rows do not fit.
+  bool ChargeBufferedRowsPostSpill(uint64_t n);
 
-  /// Returns rows to the buffer budget (operator Close/rescan).
+  /// Returns rows to the buffer budget (operator Close/rescan). Never
+  /// releases leaf rows, so leaf_rows_ <= buffered_rows_ always holds.
   void ReleaseBufferedRows(uint64_t n) {
-    buffered_rows_ -= n < buffered_rows_ ? n : buffered_rows_;
+    const uint64_t held = buffered_rows_ - leaf_rows_;
+    buffered_rows_ -= n < held ? n : held;
+  }
+
+  /// Charges `n` rows of a Grace leaf rebuilt from its spill runs (a join
+  /// leaf's table, an aggregate leaf's groups). They count in
+  /// buffered_rows(), in peak_buffered_rows() and against the kill
+  /// threshold, like ChargeBufferedRowsPostSpill; every soft-budget
+  /// comparison leaves them out, so the operators around a replaying leaf
+  /// spill where they would with the leaf's table on disk. Returns false,
+  /// with kResourceExhausted recorded, when they do not fit.
+  bool ChargeLeafRows(uint64_t n);
+
+  /// Returns leaf rows charged by ChargeLeafRows.
+  void ReleaseLeafRows(uint64_t n) {
+    if (n > leaf_rows_) n = leaf_rows_;
+    leaf_rows_ -= n;
+    buffered_rows_ -= n;
   }
 
   /// Rows currently buffered by blocking operators, plan-wide.
@@ -346,6 +359,7 @@ class ExecContext final : public WorkContext {
   std::vector<uint64_t> spill_work_;
   uint64_t work_ = 0;
   uint64_t buffered_rows_ = 0;
+  uint64_t leaf_rows_ = 0;  // the part of buffered_rows_ in Grace leaves
   uint64_t peak_buffered_rows_ = 0;
 
   uint64_t observation_interval_ = 0;

@@ -12,9 +12,8 @@ class WorkerPool;
 
 struct ExecutionConfig {
   /// Optional worker pool (borrowed) for intra-query parallelism: sort run
-  /// formation, and Grace partition joins and aggregate replay when the
-  /// guard sets no kill threshold. Null runs sort run tasks inline and the
-  /// Grace leaves through their serial loop, as a kill threshold does.
+  /// formation. Null runs the sort's run tasks inline; results, total(Q)
+  /// and traces are the same either way.
   WorkerPool* worker_pool = nullptr;
 };
 

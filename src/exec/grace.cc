@@ -1,34 +1,12 @@
 #include "exec/grace.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/worker_pool.h"
 
 namespace qprog {
-
-namespace {
-
-// Bits per level in a leaf path: one child index out of kSpillFanout.
-constexpr int kPathBits = 3;
-static_assert((1 << kPathBits) == kSpillFanout);
-
-uint64_t ChildPath(uint64_t path, int child, int child_depth) {
-  return path | (static_cast<uint64_t>(child) << (kPathBits * child_depth));
-}
-
-// The leaf task's data identity: recursion depth in bits 48..55 and the
-// leaf path below, under the operator's tag. Never pool size — the same leaf
-// gets the same forked fault schedule whether it came from a depth-0 pass or
-// a depth-3 re-split, and a depth-0 leaf's key is just tag | partition.
-uint64_t LeafTaskKey(uint64_t tag, const GraceLeaf& leaf) {
-  return tag | (static_cast<uint64_t>(leaf.depth) << 48) | leaf.path;
-}
-
-}  // namespace
 
 size_t GracePartitionOf(const Row& key, int level) {
   uint64_t x = static_cast<uint64_t>(RowHash()(key));
@@ -49,15 +27,11 @@ void GracePartitions::Reset() {
   DropRuns();
   rows_written_ = 0;
   rows_read_ = 0;
-  pooled_ = false;
 }
 
 void GracePartitions::DropRuns() {
   for (std::vector<SpillRunPtr>& side_parts : parts_) side_parts.clear();
   leaves_.clear();
-  outs_.clear();
-  out_leaf_ = 0;
-  out_pos_ = 0;
 }
 
 bool GracePartitions::EnsurePartitions(ExecContext* ctx, int node,
@@ -92,7 +66,7 @@ bool GracePartitions::Refine(ExecContext* ctx, int node) {
     }
   }
   // Capacity is the kill headroom above what the plan already holds at this
-  // instant, which the serial replay enforces per row. A leaf at or under it
+  // instant, which the leaf loop enforces per row. A leaf at or under it
   // can (barring later base growth) be rebuilt in memory; anything larger is
   // re-split rather than loaded into a certain kill trip.
   const uint64_t capacity = ctx->KillHeadroom();
@@ -103,8 +77,7 @@ bool GracePartitions::Refine(ExecContext* ctx, int node) {
     for (std::vector<SpillRunPtr>& side_parts : parts_) {
       runs.push_back(std::move(side_parts[static_cast<size_t>(p)]));
     }
-    if (!RefineOne(ctx, node, std::move(runs), 0, static_cast<uint64_t>(p),
-                   capacity)) {
+    if (!RefineOne(ctx, node, std::move(runs), 0, capacity)) {
       return false;
     }
   }
@@ -114,11 +87,11 @@ bool GracePartitions::Refine(ExecContext* ctx, int node) {
 
 bool GracePartitions::RefineOne(ExecContext* ctx, int node,
                                 std::vector<SpillRunPtr> runs, int depth,
-                                uint64_t path, uint64_t capacity) {
+                                uint64_t capacity) {
   const uint64_t rows = runs[0]->rows_written();
   if (rows <= capacity ||
       (depth >= kMaxGraceDepth && oversized_ == OversizedLeaf::kAdmitAlone)) {
-    leaves_.push_back(GraceLeaf{std::move(runs), depth, path});
+    leaves_.push_back(GraceLeaf{std::move(runs)});
     return true;
   }
   if (depth >= kMaxGraceDepth) {
@@ -186,65 +159,14 @@ bool GracePartitions::RefineOne(ExecContext* ctx, int node,
     for (std::vector<SpillRunPtr>& side_children : children) {
       child_runs.push_back(std::move(side_children[static_cast<size_t>(i)]));
     }
-    const uint64_t child_path = ChildPath(path, i, child_depth);
     if (unsplittable) {
-      leaves_.push_back(
-          GraceLeaf{std::move(child_runs), child_depth, child_path});
+      leaves_.push_back(GraceLeaf{std::move(child_runs)});
     } else if (!RefineOne(ctx, node, std::move(child_runs), child_depth,
-                          child_path, capacity)) {
+                          capacity)) {
       return false;
     }
   }
   return true;
-}
-
-bool GracePartitions::RunLeaves(ExecContext* ctx, uint64_t task_tag,
-                                const LeafTask& task,
-                                const std::function<void(size_t leaf)>& fold) {
-  QPROG_DCHECK(UsePooledLeafReplay(*ctx));
-  const size_t num_leaves = leaves_.size();
-  outs_.assign(num_leaves, std::vector<Row>());
-  out_leaf_ = 0;
-  out_pos_ = 0;
-  std::vector<std::unique_ptr<TaskContext>> tcs;
-  tcs.reserve(num_leaves);
-  {
-    TaskGroup group(ctx->worker_pool());
-    for (size_t p = 0; p < num_leaves; ++p) {
-      tcs.push_back(
-          std::make_unique<TaskContext>(ctx, LeafTaskKey(task_tag, leaves_[p])));
-      TaskContext* tc = tcs.back().get();
-      std::vector<Row>* out = &outs_[p];
-      group.Submit([&task, tc, p, out] { task(tc, p, out); });
-    }
-    Status escaped = group.Wait();
-    for (size_t p = 0; p < num_leaves; ++p) {
-      if (!ctx->ok()) break;
-      tcs[p]->FoldInto(ctx);
-      if (!ctx->ok()) break;
-      // Post-barrier reads are safe: the barrier handed the runs and the
-      // task's results back to the query thread.
-      fold(p);
-      leaves_[p].runs.clear();  // delete temp files
-    }
-    if (ctx->ok() && !escaped.ok()) ctx->RaiseError(std::move(escaped));
-  }
-  pooled_ = ctx->ok();
-  return pooled_;
-}
-
-bool GracePartitions::NextOutput(ExecContext* ctx, Row* out) {
-  while (ctx->ok() && out_leaf_ < outs_.size()) {
-    std::vector<Row>& rows = outs_[out_leaf_];
-    if (out_pos_ < rows.size()) {
-      *out = std::move(rows[out_pos_++]);
-      return true;
-    }
-    rows = std::vector<Row>();  // leaf drained: free its rows now
-    out_pos_ = 0;
-    ++out_leaf_;
-  }
-  return false;
 }
 
 }  // namespace qprog

@@ -7,7 +7,6 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/fault_injector.h"
-#include "exec/worker_pool.h"
 
 namespace qprog {
 
@@ -358,8 +357,7 @@ void HashJoin::DoOpen(ExecContext* ctx) {
   max_bucket_ = 0;
   probe_valid_ = false;
   bucket_ = JoinTable::kNoRow;
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
+  ReleaseCharge(ctx);
   spilled_ = false;
   probe_partitioned_ = false;
   grace_.Reset();
@@ -391,8 +389,7 @@ bool HashJoin::SpillBuildTable(ExecContext* ctx) {
     return false;
   }
   table_.Clear();
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
+  ReleaseCharge(ctx);
   max_bucket_ = 0;  // re-learned per leaf during the probe phase
   spilled_ = true;
   return true;
@@ -443,29 +440,24 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   probe_partitioned_ = true;
 }
 
-bool HashJoin::BuildLeafTable(WorkContext* wc, SpillRun* build_run,
-                              JoinTable* table, uint64_t* charged,
-                              uint64_t* max_bucket) const {
-  if (!build_run->OpenRead(wc, node_id())) return false;
-  Row row, key;
-  while (build_run->ReadNext(wc, node_id(), &row)) {
-    EvalKey(build_keys_, row, &key);
-    QPROG_DCHECK(!HasNull(key));  // NULL build keys were never spilled
+bool HashJoin::BuildLeafTable(ExecContext* ctx, SpillRun* build_run) {
+  if (!build_run->OpenRead(ctx, node_id())) return false;
+  Row row;
+  while (build_run->ReadNext(ctx, node_id(), &row)) {
+    EvalKey(build_keys_, row, &key_);
+    QPROG_DCHECK(!HasNull(key_));  // NULL build keys were never spilled
     // A reloaded leaf answers to the kill threshold only: the soft budget
     // already traded memory for these extra I/O passes.
-    if (!wc->ChargeBufferedRowsPostSpill(1)) return false;
-    ++*charged;
-    *max_bucket = std::max(*max_bucket, table->Insert(key, row));
+    if (!ctx->ChargeLeafRows(1)) return false;
+    ++charged_;
+    max_bucket_ = std::max(max_bucket_, table_.Insert(key_, row));
   }
-  return wc->ok();
+  return ctx->ok();
 }
 
 bool HashJoin::LoadPartition(ExecContext* ctx) {
   GraceLeaf& leaf = grace_.leaves()[static_cast<size_t>(part_idx_)];
-  if (!BuildLeafTable(ctx, leaf.runs[kBuildSide].get(), &table_, &charged_,
-                      &max_bucket_)) {
-    return false;
-  }
+  if (!BuildLeafTable(ctx, leaf.runs[kBuildSide].get())) return false;
   if (!leaf.runs[kProbeSide]->OpenRead(ctx, node_id())) return false;
   part_loaded_ = true;
   return true;
@@ -473,8 +465,7 @@ bool HashJoin::LoadPartition(ExecContext* ctx) {
 
 void HashJoin::UnloadPartition(ExecContext* ctx) {
   table_.Clear();  // keeps the chunks for the next leaf
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
+  ReleaseCharge(ctx);
   grace_.leaves()[static_cast<size_t>(part_idx_)].runs.clear();  // delete files
   ++part_idx_;
   part_loaded_ = false;
@@ -487,34 +478,13 @@ bool HashJoin::PullProbe(ExecContext* ctx, Row* row) {
       ->ReadNext(ctx, node_id(), row);
 }
 
-void HashJoin::JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                                 std::vector<Row>* out,
-                                 uint64_t* max_bucket) const {
-  // The task owns its leaf end to end: a private hash table, the leaf's
-  // spill reads, and the output rows.
-  SpillRun* probe_run = leaf.runs[kProbeSide].get();
-  JoinTable table(build_keys_.size(), build_->output_schema().num_fields());
-  uint64_t charged = 0;
-  if (!BuildLeafTable(tc, leaf.runs[kBuildSide].get(), &table, &charged,
-                      max_bucket) ||
-      !probe_run->OpenRead(tc, node_id())) {
-    return;
+void HashJoin::ReleaseCharge(ExecContext* ctx) {
+  if (spilled_) {
+    ctx->ReleaseLeafRows(charged_);
+  } else {
+    ctx->ReleaseBufferedRows(charged_);
   }
-  // Matched like the serial probe, so the folded output (partition order,
-  // probe order within each) is byte-identical to the serial replay.
-  JoinMatcher match(join_type(), residual_.get(),
-                    build_->output_schema().num_fields());
-  Row joined, key;
-  while (probe_run->ReadNext(tc, node_id(), match.row())) {
-    match.Start();
-    for (JoinTable::RowId id = BucketOf(table, *match.row(), &key);
-         id != JoinTable::kNoRow && !match.done(); id = table.next(id)) {
-      if (match.Offer(table.row(id), &joined)) {
-        out->push_back(std::move(joined));
-      }
-    }
-    if (match.Finish(&joined)) out->push_back(std::move(joined));
-  }
+  charged_ = 0;
 }
 
 bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
@@ -531,28 +501,6 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
     // Both sides written: seal and flatten the partition tree, re-splitting
     // any build partition the kill threshold could never admit.
     if (!grace_.Refine(ctx, node_id())) return false;
-  }
-  if (spilled_ && !grace_.pooled() && UsePooledLeafReplay(*ctx)) {
-    std::vector<uint64_t> leaf_max_bucket(grace_.leaves().size(), 0);
-    if (!grace_.RunLeaves(
-            ctx, kJoinPartitionTaskTag,
-            [&](TaskContext* tc, size_t leaf, std::vector<Row>* leaf_out) {
-              JoinPartitionTask(tc, grace_.leaves()[leaf], leaf_out,
-                                &leaf_max_bucket[leaf]);
-            },
-            [&](size_t leaf) {
-              max_bucket_ = std::max(max_bucket_, leaf_max_bucket[leaf]);
-            })) {
-      return false;
-    }
-  }
-  if (grace_.pooled()) {
-    if (grace_.NextOutput(ctx, out)) {
-      Emit(ctx);
-      return true;
-    }
-    if (ctx->ok()) finished_ = true;
-    return false;
   }
   for (;;) {
     if (!ctx->ok()) return false;
@@ -598,8 +546,7 @@ void HashJoin::DoClose(ExecContext* ctx) {
   build_->Close(ctx);
   table_.Release();
   grace_.DropRuns();  // deletes any remaining spill temp files
-  ctx->ReleaseBufferedRows(charged_);
-  charged_ = 0;
+  ReleaseCharge(ctx);
 }
 
 std::vector<size_t> HashJoin::PruneColumns(const std::vector<bool>& needed) {

@@ -26,9 +26,6 @@
 
 namespace qprog {
 
-class TaskContext;
-class WorkContext;
-
 enum class JoinType {
   kInner,
   kLeftOuter,  // left (streamed) side preserved
@@ -225,15 +222,11 @@ class IndexNestedLoopsJoin : public PhysicalOperator {
 /// holds rows, so a leaf that stays over the kill headroom — single-key skew,
 /// or the depth cap — aborts with kResourceExhausted.
 ///
-/// Parallel (DESIGN.md §10): partition writes go through
-/// GracePartitions::Append on the query thread at every pool size, as
-/// HashAggregate's do. With a WorkerPool attached and no kill threshold
-/// (UsePooledLeafReplay), only the leaves are joined concurrently, through
-/// GracePartitions::RunLeaves, each task owning its leaf's build table and
-/// spill reads; under a kill threshold the serial loop runs at every pool
-/// size. Output rows match the serial replay byte-for-byte at every pool
-/// size: both drivers rebuild a leaf's table through the same
-/// BuildLeafTable and probe it through a JoinMatcher.
+/// The join uses no worker pool: partition writes and the leaf loop run on
+/// the query thread, so rows, total(Q) and traces are the same at every
+/// pool size (DESIGN.md §10). A rebuilt leaf table is charged through
+/// ExecContext::ChargeLeafRows: against the kill threshold row by row, and
+/// outside the soft budget.
 class HashJoin : public PhysicalOperator {
  public:
   /// Equi-join on `probe_keys` (over probe rows) == `build_keys` (over build
@@ -273,20 +266,17 @@ class HashJoin : public PhysicalOperator {
   bool SpillBuildTable(ExecContext* ctx);
   /// Drains the probe child into probe partition runs (Grace mode only).
   void PartitionProbe(ExecContext* ctx);
-  /// The Grace leaf body both replay drivers share: rebuilds `table` from
-  /// `build_run`, charging each row on `wc` against the kill threshold only.
-  /// `*charged` (rows charged) and `*max_bucket` advance row by row, so a
-  /// checkpoint mid-leaf sees them current. Returns wc->ok().
-  bool BuildLeafTable(WorkContext* wc, SpillRun* build_run, JoinTable* table,
-                      uint64_t* charged, uint64_t* max_bucket) const;
-  /// Worker-side body of one leaf join: rebuilds the leaf's table, probes it
-  /// with its probe run and appends the joined rows to `out`.
-  void JoinPartitionTask(TaskContext* tc, const GraceLeaf& leaf,
-                         std::vector<Row>* out, uint64_t* max_bucket) const;
+  /// Rebuilds table_ from `build_run`, charging each row as a leaf row.
+  /// charged_ and max_bucket_ advance row by row, so a checkpoint mid-leaf
+  /// sees them current. Returns ctx->ok().
+  bool BuildLeafTable(ExecContext* ctx, SpillRun* build_run);
   /// Rebuilds the hash table from leaf part_idx_'s build run and rewinds the
   /// matching probe run.
   bool LoadPartition(ExecContext* ctx);
   void UnloadPartition(ExecContext* ctx);
+  /// Returns charged_ to the context: leaf rows once spilled_, build rows
+  /// before.
+  void ReleaseCharge(ExecContext* ctx);
   /// Next probe row: the probe child in memory mode, the current probe
   /// partition in Grace mode.
   bool PullProbe(ExecContext* ctx, Row* row);
@@ -303,9 +293,11 @@ class HashJoin : public PhysicalOperator {
   JoinTable table_;
   uint64_t build_rows_ = 0;
   uint64_t max_bucket_ = 0;
-  uint64_t charged_ = 0;  // rows charged to the context's buffer budget
+  // Rows charged to the context's buffer budget: the in-memory build table,
+  // or once spilled_, the current leaf's table (ChargeLeafRows).
+  uint64_t charged_ = 0;
 
-  JoinMatcher match_;  // the in-memory and serial Grace probe
+  JoinMatcher match_;  // the in-memory and Grace leaf probe
   bool probe_valid_ = false;
   JoinTable::RowId bucket_ = JoinTable::kNoRow;  // next candidate to offer
 
@@ -314,7 +306,7 @@ class HashJoin : public PhysicalOperator {
   bool spilled_ = false;
   bool probe_partitioned_ = false;
   GracePartitions grace_;
-  int part_idx_ = 0;  // leaf the serial replay is on
+  int part_idx_ = 0;  // leaf the leaf loop is on
   bool part_loaded_ = false;
 };
 

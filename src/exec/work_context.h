@@ -1,10 +1,11 @@
 // WorkContext: the narrow execution-context surface the spill layer performs
-// I/O against. Serial code hands SpillRun/SpillManager the ExecContext
-// itself; a worker task hands them a TaskContext (exec/worker_pool.h)
-// instead, which accumulates the same effects — spill-work units, telemetry
-// events, I/O-retry records — into a private per-task log that the *main*
-// thread folds into the real ExecContext at the task barrier, in task
-// submission order.
+// I/O against. Query-thread code hands SpillRun/SpillManager the
+// ExecContext itself; a Sort run-formation task, the one kind of worker
+// task, hands them a TaskContext (exec/worker_pool.h) instead, which
+// accumulates the same effects — spill-work units, telemetry events,
+// I/O-retry records — into a private per-task log that the *main* thread
+// folds into the real ExecContext at the task barrier, in task submission
+// order.
 //
 // That split is what keeps intra-query parallelism deterministic: no worker
 // ever touches the shared work counters, so total(Q), every checkpoint, and
@@ -47,13 +48,6 @@ class WorkContext {
   /// the task key — never the shared injector, whose hit counters are not
   /// thread-safe.
   virtual FaultInjector* io_fault_injector() const = 0;
-
-  /// Charges `n` rows rebuilt from a spill run (a Grace leaf's table or
-  /// groups) against the guard's kill threshold only. False, with
-  /// kResourceExhausted raised, when they do not fit. The ExecContext charges
-  /// its plan-wide account; a task context, which reloads rows only when
-  /// there is no kill threshold, charges nothing.
-  virtual bool ChargeBufferedRowsPostSpill(uint64_t n) = 0;
 
   // -- telemetry forwarding ---------------------------------------------------
   // Same semantics as the TelemetryCollector hooks of the same names; the

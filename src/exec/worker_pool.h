@@ -1,14 +1,11 @@
 // WorkerPool / TaskGroup / TaskContext: the intra-query parallelism layer.
 //
 // A WorkerPool is a fixed set of threads with a shared FIFO task queue,
-// attached to an ExecContext (set_worker_pool) and borrowed by spill-heavy
-// operators: external Sort hands run formation to tasks, Grace HashJoin and
-// HashAggregate fan out their per-leaf replays. A TaskGroup over a null
-// pool runs each task inline at Submit, so Sort takes the same task path at
-// every pool size; the Grace operators take RunLeaves only with a pool
-// attached and no kill threshold (exec/grace.h, UsePooledLeafReplay), and
-// their serial leaf loop otherwise. Grace partition writes and the sort
-// merge stay on the query thread, as does everything else in the engine.
+// attached to an ExecContext (set_worker_pool) and borrowed by external
+// Sort, which hands run formation to tasks. A TaskGroup over a null pool
+// runs each task inline at Submit, so Sort takes the same task path at
+// every pool size. The sort merge, every Grace partition write and leaf
+// replay, and everything else in the engine stay on the query thread.
 //
 // The design problem is not speed — it is keeping the paper's progress
 // model deterministic while work happens concurrently. The solution has
@@ -19,18 +16,18 @@
 //     effects (spill-work units, telemetry events, errors) into a private
 //     op-log. After the barrier, the query thread folds each log into the
 //     ExecContext *in task submission order*. Submission order is a
-//     function of the data (partition 0, 1, 2, ...), so total(Q), every
+//     function of the data (run 0, 1, 2, ...), so total(Q), every
 //     observer checkpoint and the whole trace are byte-identical at every
 //     pool size — and the ProgressMonitor keeps seeing consistent
 //     (Curr, LB, UB) snapshots because counters only move on its thread.
 //
-//  2. Data-derived task decomposition. Operators split work by fixed
-//     constants (in-flight run tasks, partition count), never by pool size.
-//     Adding threads changes who executes a task, not which tasks exist.
+//  2. Data-derived task decomposition. Sort splits work by a fixed
+//     constant (in-flight run tasks), never by pool size. Adding threads
+//     changes who executes a task, not which tasks exist.
 //
 //  3. Deterministic fault forking. A task consults a FaultInjector::Fork
-//     seeded from the task's data identity (run index, partition index),
-//     so injected-fault schedules replay identically at every thread count.
+//     seeded from the task's data identity (its run index), so injected-
+//     fault schedules replay identically at every thread count.
 //
 // Error model: a task that fails keeps running its op-log locally (its
 // SpillRun methods return false and it unwinds); the fold raises the first
@@ -138,10 +135,9 @@ class TaskGroup {
 inline constexpr uint64_t kSortRunTaskTag = 0x50ULL << 56;  // | run index
 // 0x51: retired (the sort's pooled intermediate merge groups).
 // 0x52: retired (the join's pooled partition-write batches).
-inline constexpr uint64_t kJoinPartitionTaskTag = 0x53ULL << 56;  // | leaf id
-inline constexpr uint64_t kAggReplayTaskTag = 0x54ULL << 56;      // | leaf id
+// 0x53: retired (the join's pooled Grace leaf tasks).
+// 0x54: retired (the aggregate's pooled Grace leaf tasks).
 // 0x55: retired (the exchange's pooled producer partitions).
-// A Grace leaf id is depth << 48 | path (exec/grace.cc, LeafTaskKey).
 
 /// The WorkContext a task runs against: accumulates the task's spill work,
 /// telemetry events, and error into a private log that FoldInto replays on
@@ -169,12 +165,6 @@ class TaskContext final : public WorkContext {
   void OnIoRetry(int node, const char* site, uint64_t attempt) override;
   void OnIoFault(int node, const char* site,
                  const std::string& message) override;
-
-  /// Charges nothing and never raises: the only tasks that reload spilled
-  /// rows are pooled Grace leaves, which run only without a kill threshold
-  /// (exec/grace.h, UsePooledLeafReplay). Returns ok(), so a failed or
-  /// cancelled task still stops at its next charge.
-  bool ChargeBufferedRowsPostSpill(uint64_t) override { return ok(); }
 
   /// Replays the op-log into `ctx` in log order — spill work advances
   /// total(Q) and fires observer checkpoints / guard checks exactly as if

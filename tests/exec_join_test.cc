@@ -171,8 +171,9 @@ std::vector<Row> ByProbeRow(std::vector<Row> rows) {
 }
 
 // Runs `plan`: directly, or for a Grace algorithm under a kSoftBudgetRows
-// soft budget with a SpillManager, at pool 0 (kGraceSerial) or on a
-// 3-thread pool (kGracePooled).
+// soft budget with a SpillManager, at pool 0 (kGraceSerial) or with a
+// 3-thread pool attached (kGracePooled). The leaf loop is the same at both;
+// kGracePooled pins that attaching a pool changes nothing.
 std::vector<Row> RunJoin(Algo algo, PhysicalPlan* plan,
                          const std::string& tag) {
   if (algo != Algo::kGraceSerial && algo != Algo::kGracePooled) {
@@ -238,8 +239,8 @@ TEST_P(JoinConformanceTest, MatchesReferenceOnRandomData) {
 }
 
 // Every join type, with and without a residual, through NL, INL and each
-// HashJoin probe: in memory, the serial Grace leaf loop and pooled leaf
-// tasks. MergeJoin is inner-only and takes no residual.
+// HashJoin probe: in memory and the Grace leaf loop, without and with a
+// pool attached. MergeJoin is inner-only and takes no residual.
 std::vector<JoinCase> AllJoinCases() {
   std::vector<JoinCase> cases;
   for (Algo algo : {Algo::kNL, Algo::kINL, Algo::kHash, Algo::kGraceSerial,

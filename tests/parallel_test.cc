@@ -253,8 +253,7 @@ TEST(ParallelDeterminismTest, TransientWriteFaultRetriesAlikeAtEveryPoolSize) {
   // depend on the pool size.
   //  * A spilling Grace join writes every partition row on the query thread
   //    at every pool size, so the site is consulted on the query thread's
-  //    injector alone: exactly one retry. No kill threshold, so under a
-  //    pool the leaves replay as tasks and keep their output in memory.
+  //    injector alone: exactly one retry.
   //  * A spilling Sort writes each run in a task against an injector forked
   //    from the run index, with or without a pool: every run of 37 rows or
   //    more retries at its own hit 37. With a 3-attempt budget and a fault
@@ -384,84 +383,90 @@ TEST(ParallelDeterminismTest, TracesAndScoresAreByteIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(ParallelDeterminismTest, TpchUnderKillThresholdMatchesAtEveryPoolSize) {
-  // TPC-H Q1-Q22 from the in-repo dbgen under a soft budget that spills and
-  // a finite kill threshold, at pools {0, 1, 3}. Under a kill threshold the
-  // Grace operators replay their leaves through the serial loop at every
-  // pool size, and Sort takes its one task path, so the status, the rows,
-  // total(Q) and the monitored trace must not depend on the pool.
+TEST(ParallelDeterminismTest, TpchMatchesAtEveryPoolSizeWithAndWithoutKill) {
+  // TPC-H Q1-Q22 from the in-repo dbgen under a soft budget that spills, with
+  // a finite kill threshold and with none, at pools {0, 1, 3}. The Grace
+  // operators replay their leaves through one loop on the query thread at
+  // every pool size, charging a rebuilt leaf outside the soft budget, and
+  // Sort takes its one task path, so the status, the rows, total(Q) and the
+  // monitored trace must not depend on the pool.
   constexpr uint64_t kSoftBudget = 64;
-  constexpr uint64_t kKillThreshold = 1500;
   Database db;
   tpch::TpchConfig config;
   config.scale_factor = 0.002;
   ASSERT_TRUE(tpch::GenerateTpch(config, &db).ok());
-  int grace_spills = 0;
-  for (int q : tpch::AvailableQueries()) {
-    std::string ref_status, ref_rows, ref_trace;
-    uint64_t ref_total = 0;
-    for (int threads : {0, 1, 3}) {
-      SCOPED_TRACE("Q" + std::to_string(q) + " threads=" +
-                   std::to_string(threads));
-      std::string dir = MakeSpillDir("tpch_q" + std::to_string(q) + "_p" +
-                                     std::to_string(threads));
-      SpillManager spill(dir);
-      QueryGuard guard;
-      guard.set_max_buffered_rows(kSoftBudget);
-      guard.set_max_buffered_rows_kill(kKillThreshold);
-      std::unique_ptr<WorkerPool> pool;
-      if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
+  for (uint64_t kill : {uint64_t{1500}, QueryGuard::kNoLimit}) {
+    const std::string kill_tag =
+        kill == QueryGuard::kNoLimit ? "nokill" : "kill" + std::to_string(kill);
+    int grace_spills = 0;
+    for (int q : tpch::AvailableQueries()) {
+      std::string ref_status, ref_rows, ref_trace;
+      uint64_t ref_total = 0;
+      for (int threads : {0, 1, 3}) {
+        SCOPED_TRACE(kill_tag + " Q" + std::to_string(q) + " threads=" +
+                     std::to_string(threads));
+        std::string dir = MakeSpillDir("tpch_" + kill_tag + "_q" +
+                                       std::to_string(q) + "_p" +
+                                       std::to_string(threads));
+        SpillManager spill(dir);
+        QueryGuard guard;
+        guard.set_max_buffered_rows(kSoftBudget);
+        guard.set_max_buffered_rows_kill(kill);
+        std::unique_ptr<WorkerPool> pool;
+        if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
 
-      StatusOr<PhysicalPlan> plan = tpch::BuildQuery(q, db);
-      ASSERT_TRUE(plan.ok()) << plan.status();
-      ExecContext ctx;
-      ctx.set_guard(&guard);
-      ctx.set_spill_manager(&spill);
-      ctx.set_worker_pool(pool.get());
-      exec::DriveResult run =
-          exec::Drive(&plan.value(), {.ctx = &ctx, .collect_rows = true});
-      std::string status = run.status.ToString();
-      std::string rows = testutil::RowsToString(run.rows);
-      uint64_t total = run.work;
-      EXPECT_EQ(ctx.buffered_rows(), 0u);
+        StatusOr<PhysicalPlan> plan = tpch::BuildQuery(q, db);
+        ASSERT_TRUE(plan.ok()) << plan.status();
+        ExecContext ctx;
+        ctx.set_guard(&guard);
+        ctx.set_spill_manager(&spill);
+        ctx.set_worker_pool(pool.get());
+        exec::DriveResult run =
+            exec::Drive(&plan.value(), {.ctx = &ctx, .collect_rows = true});
+        std::string status = run.status.ToString();
+        std::string rows = testutil::RowsToString(run.rows);
+        uint64_t total = run.work;
+        EXPECT_EQ(ctx.buffered_rows(), 0u);
 
-      StatusOr<PhysicalPlan> monitored = tpch::BuildQuery(q, db);
-      ASSERT_TRUE(monitored.ok()) << monitored.status();
-      JsonlStringSink sink;
-      TelemetryCollector collector(&sink);
-      MonitorOptions mo;
-      mo.guard = &guard;
-      mo.spill_manager = &spill;
-      mo.worker_pool = pool.get();
-      mo.telemetry = &collector;
-      ProgressMonitor m = ProgressMonitor::WithEstimators(
-          &monitored.value(), {"dne", "pmax", "safe"}, mo);
-      ProgressReport r = m.Run(500);
-      EXPECT_EQ(r.status.ToString(), status) << "monitored run diverged";
-      EXPECT_EQ(r.total_work, total) << "monitored total(Q) diverged";
-      EXPECT_EQ(spill.live_runs(), 0u);
-      EXPECT_EQ(CountSpillFiles(dir), 0);
-      std::filesystem::remove_all(dir);
+        StatusOr<PhysicalPlan> monitored = tpch::BuildQuery(q, db);
+        ASSERT_TRUE(monitored.ok()) << monitored.status();
+        JsonlStringSink sink;
+        TelemetryCollector collector(&sink);
+        MonitorOptions mo;
+        mo.guard = &guard;
+        mo.spill_manager = &spill;
+        mo.worker_pool = pool.get();
+        mo.telemetry = &collector;
+        ProgressMonitor m = ProgressMonitor::WithEstimators(
+            &monitored.value(), {"dne", "pmax", "safe"}, mo);
+        ProgressReport r = m.Run(500);
+        EXPECT_EQ(r.status.ToString(), status) << "monitored run diverged";
+        EXPECT_EQ(r.total_work, total) << "monitored total(Q) diverged";
+        EXPECT_EQ(spill.live_runs(), 0u);
+        EXPECT_EQ(CountSpillFiles(dir), 0);
+        std::filesystem::remove_all(dir);
 
-      if (threads == 0) {
-        ref_status = status;
-        ref_rows = std::move(rows);
-        ref_total = total;
-        ref_trace = sink.data();
-        if (ref_trace.find("\"hashjoin.build\"") != std::string::npos ||
-            ref_trace.find("\"hashagg.build\"") != std::string::npos) {
-          ++grace_spills;
+        if (threads == 0) {
+          ref_status = status;
+          ref_rows = std::move(rows);
+          ref_total = total;
+          ref_trace = sink.data();
+          if (ref_trace.find("\"hashjoin.build\"") != std::string::npos ||
+              ref_trace.find("\"hashagg.build\"") != std::string::npos) {
+            ++grace_spills;
+          }
+          continue;
         }
-        continue;
+        EXPECT_EQ(status, ref_status);
+        EXPECT_EQ(total, ref_total) << "total(Q) diverged";
+        EXPECT_TRUE(rows == ref_rows) << "rows diverged";
+        EXPECT_TRUE(sink.data() == ref_trace) << "trace diverged";
       }
-      EXPECT_EQ(status, ref_status);
-      EXPECT_EQ(total, ref_total) << "total(Q) diverged";
-      EXPECT_TRUE(rows == ref_rows) << "rows diverged";
-      EXPECT_TRUE(sink.data() == ref_trace) << "trace diverged";
     }
+    // The tripwire must reach the Grace leaf replay, not only Sort.
+    EXPECT_GT(grace_spills, 0)
+        << kill_tag << ": no TPC-H plan spilled a Grace operator";
   }
-  // The tripwire must reach the Grace leaf replay, not only Sort.
-  EXPECT_GT(grace_spills, 0) << "no TPC-H plan spilled a Grace operator";
 }
 
 TEST(ParallelDeterminismTest, BoundsStayConsistentAndMonotoneUnderPool) {
@@ -617,9 +622,9 @@ TEST(ParallelSortTest, InputFaultWithRunTasksInFlightLeavesNoResidue) {
 
 TEST(ParallelMemoryBoundTest, OversizedPartitionTripsKillLikeSerial) {
   // Every build row shares one key, so a single partition holds all 400
-  // rows — more than the whole 120-row kill budget. Under a kill threshold
-  // the serial leaf loop runs at every pool size, so the kill must fire
-  // exactly like the run without a pool, leaking nothing.
+  // rows — more than the whole 120-row kill budget. The leaf loop runs on
+  // the query thread at every pool size, so the kill must fire exactly
+  // like the run without a pool, leaking nothing.
   Table probe = Keyed(50, 1);
   Table build = Keyed(400, 1);
   auto make = [&] { return JoinPlan(&probe, &build, JoinType::kInner); };
@@ -988,8 +993,8 @@ TEST(RecursiveGraceTest, GoldenDigestsPinSerialAndPooledGraceRuns) {
   // Grace join and the depth-2 aggregate re-split, serial and on four
   // workers. The digests were recorded before the join and the aggregate
   // shared one Grace module; any change to routing, leaf order, task keys or
-  // spill accounting shows up here. Under the 150-row kill threshold the
-  // serial leaf loop runs at both pool sizes, so the digests coincide.
+  // spill accounting shows up here. The leaf loop runs on the query thread
+  // at both pool sizes, so the digests coincide.
   auto [build, probe] = DepthTwoTables();
   Table agg_input = AggRecursionTable();
   auto join = [&] { return JoinPlan(&probe, &build); };
@@ -1112,10 +1117,9 @@ TEST(SpilledStringTest, SortJoinAndAggregateRowsOutliveTheirRuns) {
 
 TEST(ParallelAggregateTest, ReplayRowsMatchSerialAtEveryPoolSize) {
   // 300 groups against a 60-group budget: most groups land in spilled
-  // partitions and come back through the replay tasks. Output must be
-  // byte-identical to the serial one-partition-at-a-time replay — both
-  // unconstrained and under a kill threshold, where the serial loop runs at
-  // every pool size.
+  // partitions and come back through the leaf loop. Output must be
+  // byte-identical to the run without a pool, both unconstrained and under
+  // a kill threshold.
   Table t = Keyed(900, 300);
   auto make = [&] { return AggPlan(&t); };
   for (uint64_t kill : {QueryGuard::kNoLimit, uint64_t{200}}) {
@@ -1141,10 +1145,10 @@ TEST(ParallelAggregateTest, PooledReplayReleasesResidentGroupsFirst) {
   // 2000 distinct keys, one row each, all routed to depth-0 partition 0.
   // The first 64 groups fill the soft budget and stay resident; the rest
   // spill. A 66-row kill threshold leaves room for the replay only once the
-  // resident groups are released, as the serial replay does before loading
-  // its first leaf. With a pool attached the same serial loop runs (there
-  // is a kill threshold), and it must finish with the rows of the run
-  // without a pool instead of aborting on kResourceExhausted.
+  // resident groups are released, as the leaf loop does before loading
+  // its first leaf. With a pool attached the same leaf loop runs, and it
+  // must finish with the rows of the run without a pool instead of aborting
+  // on kResourceExhausted.
   std::vector<Row> rows;
   for (int64_t k : PartitionZeroKeys(2000)) rows.push_back({I(k), I(1)});
   Table t = testutil::MakeTable("z", {"k", "v"}, std::move(rows));

@@ -7,8 +7,8 @@
 // runs, the buffered-row account drained to zero, every estimate sanitized
 // into [0, 1], and completed runs result-identical to an unconstrained run.
 // The whole matrix runs twice: single-threaded and with a 4-thread worker
-// pool, so every disruption also lands inside parallel merges and
-// concurrent Grace leaf replays (DESIGN.md §10).
+// pool, so every disruption also lands inside pooled sort run formation
+// (DESIGN.md §10).
 
 #include <gtest/gtest.h>
 

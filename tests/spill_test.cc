@@ -380,6 +380,43 @@ TEST(SpillTest, ConcurrentBudgetRevocationSpillsAndNeverFails) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SpillTest, LeafRowsCountAgainstTheKillThresholdButNotTheSoftBudget) {
+  // A rebuilt Grace leaf's rows count in the account, in its peak and
+  // against the kill threshold, but every soft-budget comparison leaves them
+  // out, so the operators around a replaying leaf spill where they would
+  // with the leaf on disk.
+  std::string dir = MakeSpillDir("leaf_rows");
+  SpillManager spill(dir);
+  QueryGuard guard;
+  guard.set_max_buffered_rows(10);
+  guard.set_max_buffered_rows_kill(100);
+  ExecContext ctx;
+  ctx.set_guard(&guard);
+  ctx.set_spill_manager(&spill);
+  ASSERT_EQ(ctx.ChargeBufferedRowsOrSpill(5), ChargeVerdict::kCharged);
+  ASSERT_TRUE(ctx.ChargeLeafRows(60));
+  EXPECT_EQ(ctx.buffered_rows(), 65u);
+  EXPECT_EQ(ctx.peak_buffered_rows(), 65u);
+  EXPECT_EQ(ctx.KillHeadroom(), 35u);
+  // Five more rows fill the 10-row soft budget; the sixth spills.
+  EXPECT_EQ(ctx.ChargeBufferedRowsOrSpill(5), ChargeVerdict::kCharged);
+  EXPECT_EQ(ctx.ChargeBufferedRowsOrSpill(1), ChargeVerdict::kSpill);
+  ASSERT_TRUE(ctx.ChargeLeafRows(25));
+  EXPECT_EQ(ctx.buffered_rows(), 95u);
+  EXPECT_EQ(ctx.peak_buffered_rows(), 95u);
+  // Six more leaf rows cross the kill threshold; the account is untouched.
+  EXPECT_FALSE(ctx.ChargeLeafRows(6));
+  EXPECT_EQ(ctx.status().code(), StatusCode::kResourceExhausted)
+      << ctx.status();
+  EXPECT_EQ(ctx.buffered_rows(), 95u);
+  ctx.ReleaseBufferedRows(10);
+  EXPECT_EQ(ctx.buffered_rows(), 85u);
+  ctx.ReleaseLeafRows(85);
+  EXPECT_EQ(ctx.buffered_rows(), 0u);
+  EXPECT_EQ(ctx.peak_buffered_rows(), 95u);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Dynamic work model: total(Q) grows, bounds stay valid, estimators sane
 // ---------------------------------------------------------------------------

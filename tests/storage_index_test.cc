@@ -11,7 +11,6 @@
 #include "exec/plan.h"
 #include "exec/scan.h"
 #include "expr/expr.h"
-#include "index/hash_index.h"
 #include "index/ordered_index.h"
 #include "stats/table_stats.h"
 #include "storage/catalog.h"
@@ -316,31 +315,6 @@ TEST(OrderedIndexTest, RandomizedAgainstNaive) {
     }
     EXPECT_EQ(idx.EqualRange(I(key)).size(), naive) << "key " << key;
   }
-}
-
-TEST(HashIndexTest, LookupMatchesNaive) {
-  Rng rng(78);
-  std::vector<Row> rows;
-  for (int i = 0; i < 300; ++i) rows.push_back({I(rng.UniformInt(0, 30))});
-  Table t = testutil::MakeTable("t", {"k"}, std::move(rows));
-  HashIndex idx(&t, 0);
-  for (int64_t key = 0; key <= 30; ++key) {
-    size_t naive = 0;
-    for (uint64_t i = 0; i < t.num_rows(); ++i) {
-      if (t.at(i, 0).int64_value() == key) ++naive;
-    }
-    EXPECT_EQ(idx.Lookup(I(key)).size(), naive);
-  }
-  EXPECT_TRUE(idx.Lookup(testutil::N()).empty());
-  EXPECT_GE(idx.max_key_multiplicity(), 1u);
-  EXPECT_LE(idx.num_distinct_keys(), 31u);
-}
-
-TEST(HashIndexTest, StringKeys) {
-  Table t = testutil::MakeTable("t", {"k"}, {{S("a")}, {S("b")}, {S("a")}});
-  HashIndex idx(&t, 0);
-  EXPECT_EQ(idx.Lookup(S("a")).size(), 2u);
-  EXPECT_EQ(idx.Lookup(S("c")).size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
