@@ -18,16 +18,20 @@ namespace qprog {
 /// Sequential scan over a table, with an optional pushed-down residual
 /// predicate (a predicate evaluated inside the scan does not produce getnext
 /// calls for rejected rows — it changes the work model exactly as a merged
-/// scan+filter does in a commercial engine). Rows are built from the table's
-/// columns predicate-first: only the columns the predicate reads are filled
-/// in before it runs, and the emitted ones only for rows that pass. The scan
-/// emits the table's columns that PruneColumns kept (all, until then); the
-/// predicate stays in table coordinates, so a column only it reads is read
-/// for it and never emitted.
+/// scan+filter does in a commercial engine). The constructor compiles the
+/// predicate once into its conjuncts (nested ANDs flattened, order kept):
+/// the common shapes become tests on the typed column payloads, the rest
+/// run through Expr::Eval over only their own columns (DESIGN.md §2, "Scan
+/// predicates on typed columns"). A row passes when every conjunct is TRUE,
+/// and only then are its emitted columns read. The scan emits the table's
+/// columns that PruneColumns kept (all, until then); the predicate stays in
+/// table coordinates, so a column only it reads is read for it and never
+/// emitted.
 class SeqScan : public PhysicalOperator {
  public:
   /// `table` must outlive the operator; `predicate` may be null.
   explicit SeqScan(const Table* table, ExprPtr predicate = nullptr);
+  ~SeqScan() override;
 
   void DoOpen(ExecContext* ctx) override;
   bool DoNext(ExecContext* ctx, Row* out) override;
@@ -45,19 +49,25 @@ class SeqScan : public PhysicalOperator {
   const Table* table() const { return table_; }
   bool has_predicate() const { return predicate_ != nullptr; }
 
+  /// The predicate's conjuncts, and how many of them run as typed column
+  /// tests rather than through Expr::Eval. Read by tests.
+  size_t num_conjuncts() const { return conjuncts_.size(); }
+  size_t num_compiled_conjuncts() const { return num_compiled_conjuncts_; }
+
+  /// One conjunct of the predicate (defined in scan.cc).
+  class Conjunct;
+
  private:
-  /// Splits the emitted positions by whether the predicate read them.
-  void PlanColumns();
+  /// True when every conjunct is TRUE on table row `row`.
+  bool Passes(uint64_t row);
 
   const Table* table_;
   ExprPtr predicate_;
-  std::vector<size_t> predicate_columns_;  // table columns it reads
+  std::vector<std::unique_ptr<Conjunct>> conjuncts_;  // in predicate order
+  size_t num_compiled_conjuncts_ = 0;
   std::vector<size_t> columns_;  // table column of each output position
   Schema schema_;                // the table's fields at columns_
-  std::vector<size_t> copied_;   // output positions the predicate read
-  std::vector<size_t> read_;     // output positions read for passing rows
-  Row predicate_row_;     // table-wide; only predicate_columns_ are filled
-  Row scratch_;           // the row being built; swapped into the output
+  Row predicate_row_;     // table-wide; Expr::Eval conjuncts fill their own
   uint64_t cursor_ = 0;   // next table row to examine
   uint64_t emitted_ = 0;  // rows produced to the parent
 };

@@ -235,20 +235,62 @@ bool LikeExpr::Matches(std::string_view text, std::string_view pattern) {
   return p == pattern.size();
 }
 
+LikePattern::LikePattern(std::string pattern) : pattern_(std::move(pattern)) {
+  backtrack_ = pattern_.find('_') != std::string::npos;
+  const size_t first = pattern_.find('%');
+  has_percent_ = first != std::string::npos;
+  if (backtrack_) return;
+  if (!has_percent_) {
+    prefix_ = pattern_;
+    return;
+  }
+  const size_t last = pattern_.rfind('%');
+  prefix_ = pattern_.substr(0, first);
+  suffix_ = pattern_.substr(last + 1);
+  for (size_t at = first + 1; at <= last;) {
+    const size_t end = pattern_.find('%', at);
+    if (end > at) middles_.push_back(pattern_.substr(at, end - at));
+    at = end + 1;
+  }
+}
+
+bool LikePattern::Matches(std::string_view text) const {
+  if (backtrack_) return LikeExpr::Matches(text, pattern_);
+  if (!has_percent_) return text == prefix_;
+  // The anchors may not overlap: 'a%a' does not match "a".
+  if (text.size() < prefix_.size() + suffix_.size() ||
+      !text.starts_with(prefix_) || !text.ends_with(suffix_)) {
+    return false;
+  }
+  // Each middle segment is taken at its leftmost place after the previous
+  // one, inside the text between the anchors; with only '%' wildcards the
+  // leftmost place never loses a match that a later one would find.
+  const std::string_view between = text.substr(0, text.size() - suffix_.size());
+  size_t at = prefix_.size();
+  for (const std::string& middle : middles_) {
+    const size_t found = between.find(middle, at);
+    if (found == std::string_view::npos) return false;
+    at = found + middle.size();
+  }
+  return true;
+}
+
 Value LikeExpr::Eval(const Row& row) const {
   Value v = input_->Eval(row);
   if (v.is_null()) return Value::Null();
-  bool m = Matches(v.string_value(), pattern_);
+  bool m = pattern_.Matches(v.string_value());
   return Value::Bool(negated_ ? !m : m);
 }
 
 ExprPtr LikeExpr::Clone() const {
-  return std::make_unique<LikeExpr>(input_->Clone(), pattern_, negated_);
+  return std::make_unique<LikeExpr>(input_->Clone(), pattern_.pattern(),
+                                    negated_);
 }
 
 std::string LikeExpr::ToString() const {
   return StringPrintf("(%s %s '%s')", input_->ToString().c_str(),
-                      negated_ ? "NOT LIKE" : "LIKE", pattern_.c_str());
+                      negated_ ? "NOT LIKE" : "LIKE",
+                      pattern_.pattern().c_str());
 }
 
 // --------------------------------------------------------------------------
@@ -257,11 +299,16 @@ std::string LikeExpr::ToString() const {
 Value InListExpr::Eval(const Row& row) const {
   Value v = input_->Eval(row);
   if (v.is_null()) return Value::Null();
+  bool null_item = false;
   for (const Value& item : list_) {
-    if (!item.is_null() && v.Compare(item) == 0) {
+    if (item.is_null()) {
+      null_item = true;
+    } else if (v.Compare(item) == 0) {
       return Value::Bool(!negated_);
     }
   }
+  // No item equals v, but a NULL item might: the answer is unknown.
+  if (null_item) return Value::Null();
   return Value::Bool(negated_);
 }
 

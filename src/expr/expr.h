@@ -180,6 +180,28 @@ class NotExpr : public Expr {
   ExprPtr child_;
 };
 
+/// A LIKE pattern compiled once. Without '_' it is its '%'-separated
+/// segments: the first must begin the text and the last end it (unless the
+/// pattern begins or ends with '%'), and the ones between are found left to
+/// right. A pattern with '_' keeps LikeExpr::Matches's backtracking.
+class LikePattern {
+ public:
+  explicit LikePattern(std::string pattern);
+
+  const std::string& pattern() const { return pattern_; }
+
+  /// Whether `text` matches; the same answer as LikeExpr::Matches.
+  bool Matches(std::string_view text) const;
+
+ private:
+  std::string pattern_;
+  bool backtrack_ = false;     // the pattern has '_'
+  bool has_percent_ = false;   // false: the text must equal prefix_
+  std::string prefix_;         // before the first '%'
+  std::string suffix_;         // after the last '%'
+  std::vector<std::string> middles_;  // non-empty segments in between
+};
+
 /// SQL LIKE with '%' and '_' wildcards; optional NOT.
 class LikeExpr : public Expr {
  public:
@@ -193,18 +215,23 @@ class LikeExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kLike; }
   void ForEachChild(
       const std::function<void(const Expr&)>& fn) const override;
+  const Expr* input() const { return input_.get(); }
+  const LikePattern& pattern() const { return pattern_; }
+  bool negated() const { return negated_; }
 
-  /// Standalone LIKE pattern matcher (exposed for tests).
+  /// The reference matcher: backtracking over the last '%', for any
+  /// pattern. LikePattern must agree with it (tested exhaustively).
   static bool Matches(std::string_view text, std::string_view pattern);
 
  private:
   ExprPtr input_;
-  std::string pattern_;
+  LikePattern pattern_;
   bool negated_;
 };
 
 /// `input IN (v1, v2, ...)`; optional NOT. Keeps its own copy of the
-/// list's VARCHAR bytes, like LiteralExpr.
+/// list's VARCHAR bytes, like LiteralExpr. When no item equals the input
+/// and the list holds a NULL, the answer is NULL, for IN and NOT IN alike.
 class InListExpr : public Expr {
  public:
   InListExpr(ExprPtr input, std::vector<Value> list, bool negated)
@@ -217,6 +244,9 @@ class InListExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kInList; }
   void ForEachChild(
       const std::function<void(const Expr&)>& fn) const override;
+  const Expr* input() const { return input_.get(); }
+  const std::vector<Value>& list() const { return list_; }
+  bool negated() const { return negated_; }
 
  private:
   ExprPtr input_;
@@ -236,6 +266,8 @@ class IsNullExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kIsNull; }
   void ForEachChild(
       const std::function<void(const Expr&)>& fn) const override;
+  const Expr* input() const { return input_.get(); }
+  bool negated() const { return negated_; }
 
  private:
   ExprPtr input_;

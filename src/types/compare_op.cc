@@ -20,22 +20,4 @@ const char* CompareOpToString(CompareOp op) {
   return "?";
 }
 
-bool EvalCompareOp(CompareOp op, int cmp) {
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-
 }  // namespace qprog

@@ -19,7 +19,24 @@ enum class CompareOp {
 const char* CompareOpToString(CompareOp op);
 
 /// Applies `op` to a three-way comparison result (negative/zero/positive).
-bool EvalCompareOp(CompareOp op, int cmp);
+/// Inline: scans apply it to every row a compiled predicate tests.
+inline bool EvalCompareOp(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
 
 }  // namespace qprog
 

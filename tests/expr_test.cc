@@ -124,6 +124,32 @@ TEST(ExprTest, LikeMatcher) {
   EXPECT_TRUE(LikeExpr::Matches("a", "%%%a%%"));
 }
 
+// Every string of length 0..max_len over `alphabet`, shortest first.
+std::vector<std::string> AllStrings(std::string_view alphabet, size_t max_len) {
+  std::vector<std::string> out = {""};
+  for (size_t begin = 0; begin < out.size(); ++begin) {
+    if (out[begin].size() == max_len) continue;
+    for (char c : alphabet) out.push_back(out[begin] + c);
+  }
+  return out;
+}
+
+TEST(ExprTest, CompiledLikePatternAgreesWithTheReferenceMatcher) {
+  // Exhaustive over small alphabets: overlapping anchors ('a%a' on "a"),
+  // repeated segments and runs of '%' all meet here.
+  const std::vector<std::string> patterns = AllStrings("ab%_", 4);
+  const std::vector<std::string> texts = AllStrings("ab", 5);
+  for (const std::string& pattern : patterns) {
+    const LikePattern compiled(pattern);
+    for (const std::string& text : texts) {
+      ASSERT_EQ(compiled.Matches(text), LikeExpr::Matches(text, pattern))
+          << "'" << text << "' LIKE '" << pattern << "'";
+    }
+  }
+  EXPECT_EQ(patterns.size(), 341u);
+  EXPECT_EQ(texts.size(), 63u);
+}
+
 TEST(ExprTest, LikeAndNotLike) {
   Row row = {S("PROMO BRUSHED")};
   EXPECT_TRUE(eb::Like(eb::Col(0), "PROMO%")->Eval(row).bool_value());
@@ -141,6 +167,24 @@ TEST(ExprTest, InList) {
   EXPECT_FALSE(eb::In(eb::Col(0), list)->Eval(miss).bool_value());
   Row null_row = {N()};
   EXPECT_TRUE(eb::In(eb::Col(0), list)->Eval(null_row).is_null());
+}
+
+TEST(ExprTest, InListWithNullItemIsUnknownWithoutAMatch) {
+  // SQL three-valued logic: `2 NOT IN (1, NULL)` is NULL, not TRUE, because
+  // the NULL item might be 2; `2 IN (1, NULL)` is NULL, not FALSE.
+  const std::vector<Value> list = {I(1), N()};
+  const Row two = {I(2)};
+  EXPECT_TRUE(eb::NotIn(eb::Col(0), list)->Eval(two).is_null());
+  EXPECT_TRUE(eb::In(eb::Col(0), list)->Eval(two).is_null());
+  // A match decides regardless of the NULL item.
+  const Row one = {I(1)};
+  EXPECT_TRUE(eb::In(eb::Col(0), list)->Eval(one).bool_value());
+  EXPECT_FALSE(eb::NotIn(eb::Col(0), list)->Eval(one).bool_value());
+  // A list of NULLs only matches nothing and is always unknown.
+  EXPECT_TRUE(eb::NotIn(eb::Col(0), {N()})->Eval(two).is_null());
+  // Without a NULL item the answers stay two-valued.
+  EXPECT_TRUE(eb::NotIn(eb::Col(0), {I(1)})->Eval(two).bool_value());
+  EXPECT_FALSE(eb::In(eb::Col(0), {I(1)})->Eval(two).bool_value());
 }
 
 TEST(ExprTest, IsNull) {

@@ -198,6 +198,19 @@ TEST_F(SqlEndToEndTest, FilterAndProject) {
   EXPECT_EQ(rows->rows[2][0].string_value(), "cat");
 }
 
+TEST_F(SqlEndToEndTest, NotInWithNullItemReturnsNoRows) {
+  // `x NOT IN (1, NULL)` is never TRUE: each row is either an IN match
+  // (FALSE) or unknown, since the NULL item might equal it.
+  auto rows = ExecuteSql(
+      "SELECT emp_id FROM emp WHERE emp_id NOT IN (1, NULL)", *db_);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), 0u);
+  // Without the NULL the same list keeps the four other rows.
+  rows = ExecuteSql("SELECT emp_id FROM emp WHERE emp_id NOT IN (1)", *db_);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), 4u);
+}
+
 TEST_F(SqlEndToEndTest, JoinWithOnClause) {
   auto rows = ExecuteSql(
       "SELECT e.name, d.dept_name FROM emp e JOIN dept d ON e.dept_id = "
