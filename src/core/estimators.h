@@ -37,8 +37,7 @@
 namespace qprog {
 
 /// Read-only view of the engine's spill debt at one checkpoint, populated by
-/// the ProgressMonitor from the operators' query-thread spill counters
-/// (never from SpillRun state a worker task may own). All figures are in
+/// the ProgressMonitor from the operators' spill counters. All figures are in
 /// work units of the paper's model: one unit per row written to a run, one
 /// per row read back.
 struct SpillSnapshot {

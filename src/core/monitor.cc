@@ -141,17 +141,7 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
   BoundsTracker tracker(plan_);
   std::vector<Pipeline> pipelines = DecomposePipelines(*plan_);
 
-  if (options_.eta_model != nullptr) {
-    options_.eta_model->OnRunStart();
-    if (options_.spill_manager != nullptr) {
-      const SpillDeviceModel& dm = options_.spill_manager->device_model();
-      if (dm.enabled()) {
-        options_.eta_model->SeedSpillDeviceRates(
-            static_cast<double>(dm.write_ns_per_byte),
-            static_cast<double>(dm.read_ns_per_byte));
-      }
-    }
-  }
+  if (options_.eta_model != nullptr) options_.eta_model->OnRunStart();
 
   if (telemetry != nullptr) {
     TraceEvent begin;
@@ -173,9 +163,8 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
     uint64_t cp_start = registry != nullptr ? MonotonicNanos() : 0;
     PlanBounds bounds = tracker.Compute(ctx);
     pc.bounds = &bounds;
-    // Spill-aware view for the estimators, from the operators' query-thread
-    // counters (checkpoints fire on the query thread, so this never races a
-    // worker task). Exposed only while something has actually spilled.
+    // Spill-aware view for the estimators, from the operators' counters.
+    // Exposed only while something has actually spilled.
     spill_snapshot = SpillSnapshot();
     for (const PhysicalOperator* op : plan_->nodes()) {
       ProgressState s;
@@ -207,8 +196,8 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
     }
     if (options_.eta_model != nullptr) {
       // Pending spill bytes: the re-read debt in bytes, estimated from the
-      // manager-wide observed bytes/row. Only priced into the band when a
-      // spill device model is seeded (see EtaModel::OnCheckpoint).
+      // manager-wide observed bytes/row. Only priced into the band when its
+      // spill device rates were seeded (see EtaModel::OnCheckpoint).
       double pending_bytes = 0;
       if (spill_snapshot.spill_rows_pending > 0 &&
           options_.spill_manager != nullptr) {

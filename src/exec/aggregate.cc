@@ -149,7 +149,6 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
       grace_({{&group_exprs_, "hashagg.build"}}, OversizedLeaf::kAdmitAlone) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(group_names.size() == group_exprs_.size());
-  set_is_linear(true);
 }
 
 void HashAggregate::DoOpen(ExecContext* ctx) {
@@ -201,7 +200,10 @@ void HashAggregate::Build(ExecContext* ctx) {
     AccumulateRow(aggregates_, &groups_.states.back(), row);
   }
   if (!ctx->ok()) return;  // partial aggregation: do not emit
-  if (spilled_ && !grace_.Refine(ctx, node_id())) return;
+  // The resident groups are emitted, then released before the first leaf
+  // loads (LoadNextPartition), so the leaves are sized against the headroom
+  // they leave behind.
+  if (spilled_ && !grace_.Refine(ctx, node_id(), charged_)) return;
   // A scalar aggregate produces one row even over empty input.
   if (group_exprs_.empty() && !any_input) {
     groups_.keys.Insert(Row());
@@ -322,7 +324,6 @@ StreamAggregate::StreamAggregate(OperatorPtr child,
       schema_(MakeAggSchema(group_names, aggregates_)) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(group_names.size() == group_exprs_.size());
-  set_is_linear(true);
 }
 
 void StreamAggregate::DoOpen(ExecContext* ctx) {

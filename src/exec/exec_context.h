@@ -20,41 +20,20 @@
 //    sites via ConsultFault().
 //
 // ---------------------------------------------------------------------------
-// Threading and memory-ordering contract (intra-query parallelism)
+// Threading contract
 //
-// With a WorkerPool attached (set_worker_pool), external Sort runs its
-// run-formation tasks on pool threads. The counter model is
-// *sharded-then-folded*, never concurrent:
-//
-//  * `rows_produced_`, `spill_work_`, `work_`, `buffered_rows_`, `status_`,
-//    the observer and the guard-check schedule are owned by the query thread
-//    (the thread driving Open/Next/Close). Worker tasks NEVER touch them.
-//    A task accumulates its spill work, telemetry events and errors in its
-//    own TaskContext shard (exec/worker_pool.h); the query thread folds each
-//    shard into this context at the task barrier, in task submission order.
-//    Folding happens-after task completion via the pool's queue mutex, so no
-//    synchronization beyond that is needed — and because fold order is
-//    submission order, total(Q), every checkpoint and the whole trace are
-//    byte-identical at every thread count.
-//  * The ProgressMonitor's observer runs inside CountRow/AddSpillWork on the
-//    query thread, so it always sees a consistent (Curr, LB, UB) snapshot:
-//    there is no moment where a checkpoint can observe counters mid-update.
-//  * `failed_` is the one flag worker tasks read (via TaskContext::ok(), to
-//    stop early when the query dies under them); it is therefore an atomic.
-//    It is only ever *written* by the query thread; relaxed ordering
-//    suffices because tasks use it purely as a stop hint — correctness comes
-//    from the fold, not from when a task notices.
-//  * QueryGuard::RequestCancel / cancel_requested are atomic by design and
-//    are polled by tasks directly for cooperative cancellation.
-//
-// The upshot: the "is this racy?" question for any counter is answered by
-// who may call the method — everything except failed_ and the guard's cancel
-// token is query-thread-only, and the TSan CI job enforces it.
+// Every member is owned by the query thread, the thread driving
+// Open/Next/Close: the work counters, the buffer account, the sticky status,
+// the observer and the guard-check schedule. The ProgressMonitor's observer
+// runs inside CountRow/AddSpillWork on that thread, so a checkpoint always
+// sees a consistent (Curr, LB, UB) snapshot. Every operator runs on that
+// thread, an attached worker pool notwithstanding (DESIGN.md §10). Other
+// threads write only the QueryGuard's cancel token and soft budget (a
+// canceller, the memory governor), both atomic by design.
 
 #ifndef QPROG_EXEC_EXEC_CONTEXT_H_
 #define QPROG_EXEC_EXEC_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -64,7 +43,6 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "exec/query_guard.h"
-#include "exec/work_context.h"
 #include "obs/telemetry.h"
 
 namespace qprog {
@@ -81,7 +59,7 @@ enum class ChargeVerdict {
   kFailed,   // sticky error raised (kill threshold, hard budget, or cascade)
 };
 
-class ExecContext final : public WorkContext {
+class ExecContext final {
  public:
   ExecContext() = default;
   ExecContext(const ExecContext&) = delete;
@@ -97,7 +75,7 @@ class ExecContext final : public WorkContext {
     buffered_rows_ = 0;
     leaf_rows_ = 0;
     peak_buffered_rows_ = 0;
-    failed_.store(false, std::memory_order_relaxed);
+    failed_ = false;
     status_ = OkStatus();
     next_observation_ = observer_ ? observation_interval_ : kNever;
     next_guard_check_ = guard_ ? guard_->check_interval() : kNever;
@@ -131,9 +109,7 @@ class ExecContext final : public WorkContext {
   /// Counts `n` units of spill I/O work at `node_id` (rows written to or
   /// re-read from a spill run). Unlike CountRow, spill work counts at every
   /// node including the root: a spilling root sort really does extra passes.
-  /// Query thread only — worker tasks log spill work into their TaskContext
-  /// shard, which replays through here at the fold.
-  void AddSpillWork(int node_id, uint64_t n) override {
+  void AddSpillWork(int node_id, uint64_t n) {
     QPROG_DCHECK(node_id >= 0 &&
                  static_cast<size_t>(node_id) < spill_work_.size());
     spill_work_[static_cast<size_t>(node_id)] += n;
@@ -147,9 +123,7 @@ class ExecContext final : public WorkContext {
   }
 
   /// Plan-wide spill work (the amount by which total(Q) has been revised
-  /// upward so far by spill passes). Query thread only, like every counter
-  /// read: the monitor's observer — the only concurrent-looking reader —
-  /// actually runs synchronously inside CountRow/AddSpillWork.
+  /// upward so far by spill passes).
   uint64_t total_spill_work() const {
     uint64_t sum = 0;
     for (uint64_t w : spill_work_) sum += w;
@@ -158,23 +132,19 @@ class ExecContext final : public WorkContext {
 
   // -- error channel ----------------------------------------------------------
 
-  /// True while no execution error has been recorded. Safe to call from any
-  /// thread (worker tasks poll it as a stop hint); see the contract above.
-  bool ok() const override { return !failed_.load(std::memory_order_relaxed); }
+  /// True while no execution error has been recorded.
+  bool ok() const { return !failed_; }
 
-  /// The sticky execution status; OK until the first RaiseError. Query
-  /// thread only (the value a task sees mid-flight could be torn).
+  /// The sticky execution status; OK until the first RaiseError.
   const Status& status() const { return status_; }
 
   /// Records an execution error. The first error wins; later ones (usually
-  /// cascade noise from operators shutting down) are dropped. Query thread
-  /// only — a worker task raises on its TaskContext and the fold brings the
-  /// error here.
-  void RaiseError(Status status) override {
+  /// cascade noise from operators shutting down) are dropped.
+  void RaiseError(Status status) {
     QPROG_DCHECK(!status.ok());
-    if (!failed_.load(std::memory_order_relaxed)) {
+    if (!failed_) {
       status_ = std::move(status);
-      failed_.store(true, std::memory_order_release);
+      failed_ = true;
     }
   }
 
@@ -194,7 +164,6 @@ class ExecContext final : public WorkContext {
     fault_injector_ = injector;
   }
   FaultInjector* fault_injector() const { return fault_injector_; }
-  FaultInjector* io_fault_injector() const override { return fault_injector_; }
 
   /// Consults the fault injector (if any) at a named site. Returns true when
   /// a fault fired — the fault's Status has been recorded as the execution
@@ -212,10 +181,10 @@ class ExecContext final : public WorkContext {
   void set_spill_manager(SpillManager* manager) { spill_manager_ = manager; }
   SpillManager* spill_manager() const { return spill_manager_; }
 
-  /// Attaches a worker pool (borrowed; may be null to remove): external sort
-  /// runs its run-formation tasks on it, inline without one. Nothing else
-  /// uses the pool, so results, total(Q) and traces are byte-identical at
-  /// every pool size, pool 0 included (DESIGN.md §10). Persists across Reset.
+  /// Attaches a worker pool (borrowed; may be null to remove). No operator
+  /// reads it today (see exec/worker_pool.h), so results, total(Q) and
+  /// traces are byte-identical at every pool size (DESIGN.md §10). Persists
+  /// across Reset.
   void set_worker_pool(WorkerPool* pool) { worker_pool_ = pool; }
   WorkerPool* worker_pool() const { return worker_pool_; }
 
@@ -312,29 +281,6 @@ class ExecContext final : public WorkContext {
   void set_telemetry(TelemetryCollector* telemetry) { telemetry_ = telemetry; }
   TelemetryCollector* telemetry() const { return telemetry_; }
 
-  // -- WorkContext telemetry forwarding (spill layer; query thread only) ------
-
-  void OnSpillEnd(int node, const std::string& phase, uint64_t rows,
-                  uint64_t bytes) override {
-    if (telemetry_ != nullptr) {
-      telemetry_->RecordSpillEnd(node, work_, phase, rows, bytes);
-    }
-  }
-  void OnSpillRead(int node, uint64_t rows) override {
-    if (telemetry_ != nullptr) telemetry_->RecordSpillRead(node, rows);
-  }
-  void OnIoRetry(int node, const char* site, uint64_t attempt) override {
-    if (telemetry_ != nullptr) {
-      telemetry_->RecordIoRetry(node, work_, site, attempt);
-    }
-  }
-  void OnIoFault(int node, const char* site,
-                 const std::string& message) override {
-    if (telemetry_ != nullptr) {
-      telemetry_->RecordFault(node, work_, site, message);
-    }
-  }
-
  private:
   static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
@@ -372,9 +318,7 @@ class ExecContext final : public WorkContext {
   TelemetryCollector* telemetry_ = nullptr;
   std::function<void(uint64_t)> observer_;
 
-  // Written by the query thread only; read by worker tasks as a stop hint
-  // (see the threading contract in the file comment).
-  std::atomic<bool> failed_{false};
+  bool failed_ = false;
   Status status_;
   QueryGuard* guard_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;

@@ -11,9 +11,10 @@ namespace qprog {
 class WorkerPool;
 
 struct ExecutionConfig {
-  /// Optional worker pool (borrowed) for intra-query parallelism: sort run
-  /// formation. Null runs the sort's run tasks inline; results, total(Q)
-  /// and traces are the same either way.
+  /// Optional worker pool (borrowed), passed through to the ExecContext. No
+  /// operator reads it today (see exec/worker_pool.h): every operator runs
+  /// on the query thread, so results, total(Q) and traces are the same with
+  /// or without one.
   WorkerPool* worker_pool = nullptr;
 };
 

@@ -86,18 +86,6 @@ void FaultInjector::Reset() {
   }
 }
 
-std::unique_ptr<FaultInjector> FaultInjector::Fork(uint64_t task_key) const {
-  // Golden-ratio mix so nearby task keys (partition 0, 1, 2, ...) land on
-  // well-separated seeds instead of correlated Bernoulli streams.
-  uint64_t mixed = seed_ ^ (task_key * 0x9E3779B97F4A7C15ull);
-  mixed ^= mixed >> 32;
-  auto fork = std::make_unique<FaultInjector>(mixed);
-  for (const auto& [site, state] : sites_) {
-    if (state.armed) fork->Arm(state.spec);
-  }
-  return fork;
-}
-
 const std::vector<std::string>& FaultInjector::KnownSites() {
   static const std::vector<std::string>* kSites = new std::vector<std::string>{
       faults::kSeqScanOpen,       faults::kSeqScanNext,

@@ -12,12 +12,15 @@
 // Reset() restores the injector to its initial state — hit counters zeroed,
 // RNG reseeded — so the same injector replays identically across runs; the
 // ProgressMonitor resets it at the start of every monitored run.
+//
+// A query has one injector, consulted only on its query thread (spill I/O
+// included), so its hit counters number every hit in program order and a
+// schedule replays identically at every worker-pool size.
 
 #ifndef QPROG_EXEC_FAULT_INJECTOR_H_
 #define QPROG_EXEC_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,14 +115,6 @@ class FaultInjector {
   /// Zeroes every hit counter and reseeds the RNG: the injector will replay
   /// the exact same fault schedule on the next run.
   void Reset();
-
-  /// Deterministic per-task fork for parallel execution: a new injector with
-  /// the same armed specs, fresh hit counters, and a seed mixed from this
-  /// injector's seed and `task_key`. Task keys are derived from the task's
-  /// *data identity* (partition index, run index) — never from thread IDs or
-  /// scheduling order — so a parallel run replays the same fault schedule at
-  /// every thread count. Fork the same key twice, get the same schedule.
-  std::unique_ptr<FaultInjector> Fork(uint64_t task_key) const;
 
   uint64_t seed() const { return seed_; }
 

@@ -13,7 +13,6 @@ Filter::Filter(OperatorPtr child, ExprPtr predicate)
     : child_(std::move(child)), predicate_(std::move(predicate)) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(predicate_ != nullptr);
-  set_is_linear(true);
 }
 
 void Filter::DoOpen(ExecContext* ctx) {
@@ -64,7 +63,6 @@ Project::Project(OperatorPtr child, std::vector<ExprPtr> exprs,
     fields.emplace_back(std::move(name), TypeId::kNull);
   }
   schema_ = Schema(std::move(fields));
-  set_is_linear(true);
 }
 
 void Project::DoOpen(ExecContext* ctx) {
@@ -113,7 +111,6 @@ std::string Project::label() const {
 Limit::Limit(OperatorPtr child, uint64_t limit)
     : child_(std::move(child)), limit_(limit) {
   QPROG_CHECK(child_ != nullptr);
-  set_is_linear(true);
 }
 
 void Limit::DoOpen(ExecContext* ctx) {

@@ -58,18 +58,21 @@ bool GracePartitions::Append(ExecContext* ctx, int node, size_t side,
   return true;
 }
 
-bool GracePartitions::Refine(ExecContext* ctx, int node) {
+bool GracePartitions::Refine(ExecContext* ctx, int node,
+                             uint64_t released_first) {
   for (std::vector<SpillRunPtr>& side_parts : parts_) {
     QPROG_DCHECK(side_parts.size() == static_cast<size_t>(kSpillFanout));
     for (SpillRunPtr& run : side_parts) {
       if (!run->FinishWrite(ctx, node)) return false;
     }
   }
-  // Capacity is the kill headroom above what the plan already holds at this
-  // instant, which the leaf loop enforces per row. A leaf at or under it
-  // can (barring later base growth) be rebuilt in memory; anything larger is
-  // re-split rather than loaded into a certain kill trip.
-  const uint64_t capacity = ctx->KillHeadroom();
+  // Capacity is the kill headroom the first leaf loads into: what the plan
+  // holds now, less what the operator releases before that load. The leaf
+  // loop enforces it per row. A leaf at or under it can (barring later base
+  // growth) be rebuilt in memory; anything larger is re-split rather than
+  // loaded into a certain kill trip.
+  uint64_t capacity = ctx->KillHeadroom();
+  if (capacity != QueryGuard::kNoLimit) capacity += released_first;
   leaves_.clear();
   leaves_.reserve(kSpillFanout);
   for (int p = 0; p < kSpillFanout; ++p) {

@@ -83,10 +83,12 @@ class GracePartitions {
 
   /// Seals the depth-0 partitions and flattens them into leaves(),
   /// re-splitting every partition whose first side exceeds the kill
-  /// headroom. Re-split runs are created on the query thread, so their
-  /// spill_begin events (carrying the depth) stay on the deterministic
-  /// trace. Returns ctx->ok().
-  bool Refine(ExecContext* ctx, int node);
+  /// headroom a leaf loads into: the headroom now plus `released_first`,
+  /// the rows the operator releases before it loads its first leaf (the
+  /// aggregate's resident groups). Re-split runs are created on the query
+  /// thread, so their spill_begin events (carrying the depth) stay on the
+  /// deterministic trace. Returns ctx->ok().
+  bool Refine(ExecContext* ctx, int node, uint64_t released_first);
   std::vector<GraceLeaf>& leaves() { return leaves_; }
 
   /// Rows appended to partition runs at every depth, and rows read back

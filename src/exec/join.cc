@@ -500,7 +500,7 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
     if (!ctx->ok()) return false;
     // Both sides written: seal and flatten the partition tree, re-splitting
     // any build partition the kill threshold could never admit.
-    if (!grace_.Refine(ctx, node_id())) return false;
+    if (!grace_.Refine(ctx, node_id(), 0)) return false;
   }
   for (;;) {
     if (!ctx->ok()) return false;

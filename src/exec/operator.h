@@ -78,8 +78,7 @@ struct ProgressState {
   /// advanced keeps (done + pending) consistent at every sampling instant: a
   /// checkpoint can fire from inside a read, after the work is counted but
   /// before any operator-side cursor moves, so a separate rows-read counter
-  /// would double-count the in-flight row. It also never reads SpillRun
-  /// counters a worker task may be mutating.
+  /// would double-count the in-flight row.
   void SetSpillPending(uint64_t rows_written) {
     const uint64_t total = 2 * rows_written;
     spill_rows_pending = total > spill_work_done ? total - spill_work_done : 0;
@@ -182,8 +181,9 @@ class PhysicalOperator {
   void set_estimated_rows(double rows) { estimated_rows_ = rows; }
 
   /// Linear operator flag (Section 5.4): production is at most the largest
-  /// input. True by construction for σ/π/γ/sort; set explicitly on joins
-  /// known to be foreign-key (linear) joins.
+  /// input. Read only for joins (the bounds walker and join labels), so set
+  /// it only on joins known to be foreign-key (linear) joins; σ/π/γ/sort are
+  /// bounded by their input without it.
   bool is_linear() const { return is_linear_; }
   void set_is_linear(bool linear) { is_linear_ = linear; }
 

@@ -7,25 +7,13 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "exec/fault_injector.h"
-#include "exec/worker_pool.h"
 
 namespace qprog {
-
-namespace {
-
-// Run-formation tasks in flight between barriers. A fixed constant — never
-// the pool size — so the fold points (and with them the trace) depend only
-// on the data. Also the memory bound: at most this many handed-off sort
-// buffers exist at once, over and above the charged in-memory buffer.
-constexpr size_t kInflightRunTasks = 8;
-
-}  // namespace
 
 Sort::Sort(OperatorPtr child, std::vector<SortKey> keys)
     : child_(std::move(child)), keys_(std::move(keys)) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(!keys_.empty());
-  set_is_linear(true);
 }
 
 void Sort::DoOpen(ExecContext* ctx) {
@@ -84,76 +72,26 @@ void Sort::SortRows(std::vector<Row>* rows) const {
 }
 
 void Sort::Materialize(ExecContext* ctx) {
-  struct PendingRun {
-    std::unique_ptr<TaskContext> tc;
-    uint64_t rows = 0;
-  };
-  // Declared before the group so that every early return drains the tasks
-  // (group destructor) before their TaskContexts are destroyed.
-  std::vector<PendingRun> pending;
-  // Without a pool the group runs each task inline at Submit; the op-log
-  // still folds at the barrier below, so the trace is the same either way.
-  TaskGroup group(ctx->worker_pool());
-  uint64_t run_seq = 0;
-  // Rows living in buffers handed to in-flight run tasks. Their charge was
-  // released at handoff (see flush_buffer), so this is the real memory the
-  // plan-wide account cannot see; flush_buffer folds early when it would
-  // push past the guard's kill threshold.
-  uint64_t handoff_rows = 0;
-
-  // Barrier + fold: replay each finished run task's log into the context in
-  // submission (= run) order. Folding stops at the first failed task. The
-  // operator's row counters advance only *after* a task's log lands, so a
-  // checkpoint firing mid-fold sees pending rows that undercount (sound: LB
+  // Run formation: when the next row would pass the soft budget, the buffer
+  // is sorted and written out as one sealed run, and its charge released
+  // before the next charge, so every run boundary depends on the data alone.
+  // The operator's row counter advances only once a run is sealed, so a
+  // checkpoint firing mid-write sees pending rows that undercount (sound: LB
   // stays a lower bound) and Curr/LB/UB stay monotone.
-  auto fold_pending = [&]() -> bool {
-    Status escaped = group.Wait();
-    for (PendingRun& p : pending) {
-      if (!ctx->ok()) break;
-      p.tc->FoldInto(ctx);
-      if (!ctx->ok()) break;
-      spilled_rows_ += p.rows;
-    }
-    pending.clear();
-    handoff_rows = 0;  // the barrier above freed every handed-off buffer
-    if (ctx->ok() && !escaped.ok()) ctx->RaiseError(std::move(escaped));
-    return ctx->ok();
-  };
-
-  // Handoff run formation: the query thread creates the run (spill_begin
-  // stays on the deterministic trace) and moves the buffer into a task that
-  // sorts, writes and seals it. Buffer charges release at handoff, before
-  // the next charge, so every run boundary depends on the data alone.
   auto flush_buffer = [&]() -> bool {
-    // Handed-off buffers are uncharged, but their real memory still answers
-    // to the guard's kill threshold: when this buffer would push the
-    // uncharged aggregate past it, barrier-and-fold first so the in-flight
-    // buffers are freed. The bound depends only on the data and the guard
-    // config — never the pool size — so fold points (and the trace) stay
-    // identical at every thread count. With kill == kNoLimit (the default)
-    // the pipeline runs free.
-    if (handoff_rows > ctx->KillHeadroom() && !fold_pending()) return false;
     SpillRunPtr run =
         ctx->spill_manager()->CreateRun(ctx, node_id(), "sort.run");
     if (run == nullptr) return false;
-    auto tc = std::make_unique<TaskContext>(ctx, kSortRunTaskTag | run_seq++);
-    TaskContext* tcp = tc.get();
-    SpillRun* run_ptr = run.get();
-    uint64_t n = rows_.size();
+    SortRows(&rows_);
+    for (const Row& row : rows_) {
+      if (!run->Append(ctx, node_id(), row)) return false;
+    }
+    if (!ctx->ok() || !run->FinishWrite(ctx, node_id())) return false;
+    spilled_rows_ += rows_.size();
     runs_.push_back(std::move(run));
-    pending.push_back(PendingRun{std::move(tc), n});
-    handoff_rows += n;
+    rows_.clear();
     ctx->ReleaseBufferedRows(charged_);
     charged_ = 0;
-    group.Submit([this, tcp, run_ptr, rows = std::move(rows_)]() mutable {
-      SortRows(&rows);
-      for (const Row& row : rows) {
-        if (!run_ptr->Append(tcp, node_id(), row)) return;
-      }
-      run_ptr->FinishWrite(tcp, node_id());
-    });
-    rows_ = std::vector<Row>();
-    if (pending.size() >= kInflightRunTasks) return fold_pending();
     return true;
   };
 
@@ -183,7 +121,6 @@ void Sort::Materialize(ExecContext* ctx) {
   // At least one run exists: flush the tail buffer too, so emission is a
   // uniform k-way merge of sorted runs.
   if (!rows_.empty() && !flush_buffer()) return;
-  if (!fold_pending()) return;
   merge_.resize(runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
     if (!runs_[i]->OpenRead(ctx, node_id())) return;

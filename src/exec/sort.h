@@ -2,19 +2,13 @@
 // stream aggregates). Consumes its whole input on first Next, then emits.
 //
 // Memory-adaptive: with a SpillManager attached, a buffer that would exceed
-// the guard's soft budget is handed off as a spill run, and once any run
-// exists the final emit phase becomes a k-way merge of sorted runs read back
-// from disk (classic external run-merge sort). Without a manager — or
-// without a guard — behavior is the original in-memory sort.
-//
-// One spill path at every pool size (DESIGN.md §10): the query thread
-// creates each run and moves the buffer into a TaskGroup task that sorts,
-// writes and seals it — on a WorkerPool thread when one is attached, inline
-// at Submit when not. Either way the task's spill I/O folds back in run
-// order at the same barriers, so rows, total(Q) and the trace are
-// byte-identical at every pool size, pool 0 included. The merge is one
-// level, on the query thread: a stable smallest-head-wins pass over every
-// run.
+// the guard's soft budget is sorted and written out as a spill run before
+// the next row is buffered, and once any run exists the final emit phase
+// becomes a k-way merge of sorted runs read back from disk (classic
+// external run-merge sort). Without a manager — or without a guard —
+// behavior is the original in-memory sort. Everything runs on the query
+// thread (DESIGN.md §10); the merge is one level, a stable
+// smallest-head-wins pass over every run.
 
 #ifndef QPROG_EXEC_SORT_H_
 #define QPROG_EXEC_SORT_H_
@@ -69,8 +63,8 @@ class Sort : public PhysicalOperator {
     bool valid = false;
   };
 
-  /// Buffers the input, handing each soft-budget-sized buffer to a run
-  /// task, then either sorts the rows in memory or opens the merge.
+  /// Buffers the input, sorting and writing each soft-budget-sized buffer
+  /// out as a run, then either sorts the rows in memory or opens the merge.
   void Materialize(ExecContext* ctx);
   /// Sorts `*rows` in place by keys_ (stable).
   void SortRows(std::vector<Row>* rows) const;
@@ -89,13 +83,11 @@ class Sort : public PhysicalOperator {
   size_t cursor_ = 0;
   uint64_t charged_ = 0;  // rows charged to the context's buffer budget
 
-  // External-sort state (empty/false when the input fit in memory). The row
-  // counter is query-thread-only: run tasks report theirs through the fold,
-  // so FillProgressState never reads a SpillRun a task may be writing.
+  // External-sort state (empty/false when the input fit in memory).
   std::vector<SpillRunPtr> runs_;
   std::vector<MergeSource> merge_;
   bool merging_ = false;
-  uint64_t spilled_rows_ = 0;  // input rows in folded runs
+  uint64_t spilled_rows_ = 0;  // input rows in sealed runs
 };
 
 }  // namespace qprog

@@ -24,27 +24,21 @@
 // operators own their runs, so DoClose — which the plan driver invokes even
 // on an aborted run — is all it takes to guarantee zero leaked temp files on
 // cancel, deadline, guard trip or injected fault. As a backstop against runs
-// whose destructor never fires (a worker task dying mid-write with ownership
-// of a run, or an abort path that drops a run on the floor), the manager
-// keeps a registry of every live temp-file path: CreateRun registers,
-// Discard unregisters, live_files() lets tests audit for leaks,
-// and ~SpillManager unlinks anything still registered.
+// whose destructor never fires (an abort path that drops a run on the
+// floor), the manager keeps a registry of every live temp-file path:
+// CreateRun registers, Discard unregisters, live_files() lets tests audit
+// for leaks, and ~SpillManager unlinks anything still registered.
 //
 // String ownership: a row read back from a run views VARCHAR bytes in the
-// run's own arena, filled without a lock because one thread at a time owns
-// the run. Discard moves the arena's chunks to the manager, so the rows an
-// operator built from a run stay valid after the run is gone, until the
-// manager — one per query — is destroyed (DESIGN.md §9).
+// run's own arena. Discard moves the arena's chunks to the manager, so the
+// rows an operator built from a run stay valid after the run is gone, until
+// the manager — one per query — is destroyed (DESIGN.md §9).
 //
-// Threading: runs perform their I/O against a WorkContext — the ExecContext
-// itself on the serial path, a per-task TaskContext (exec/worker_pool.h) on
-// a pool thread. One run is owned by exactly one context at a time; the
-// manager-wide SpillStats counters are atomics because runs on different
-// worker threads bump them concurrently (they are monitoring data, not part
-// of the deterministic work model). CreateRun, the only way to make a run,
-// is query-thread-only: run *identity* (and the spill_begin trace event) is
-// part of the deterministic trace, so operators create runs up front and
-// hand them to tasks.
+// Threading: runs are created, written and read on the query thread, against
+// that query's ExecContext, so spill work, trace events and the fault
+// injector's hit counts all land there in program order (DESIGN.md §10).
+// Only the monitoring surfaces — SpillStats and live_files() — may be read
+// from another thread.
 
 #ifndef QPROG_EXEC_SPILL_H_
 #define QPROG_EXEC_SPILL_H_
@@ -59,7 +53,6 @@
 #include <vector>
 
 #include "exec/exec_context.h"
-#include "exec/work_context.h"
 #include "storage/spill_file.h"
 #include "types/string_arena.h"
 #include "types/value.h"
@@ -78,22 +71,9 @@ struct SpillRetryPolicy {
   uint64_t backoff_spins = 512;
 };
 
-/// Simulated spill-device bandwidth, for benchmarking I/O overlap: each byte
-/// moved to/from a spill file accrues sleep debt at these rates, paid in
-/// >= 100us sleeps. Debt is per-run, so concurrent runs on worker threads
-/// overlap their "device time" exactly like real bandwidth-bound I/O — this
-/// is what lets bench/micro_parallel measure parallel speedup even on a
-/// single-core host. Default zero = off; the model adds latency, never
-/// changes results or traces.
-struct SpillDeviceModel {
-  uint64_t write_ns_per_byte = 0;
-  uint64_t read_ns_per_byte = 0;
-  bool enabled() const { return (write_ns_per_byte | read_ns_per_byte) != 0; }
-};
-
-/// Manager-wide counters, aggregated across all runs. Atomics: worker-thread
-/// runs update them concurrently. Monitoring data only — nothing in the
-/// deterministic work model reads them.
+/// Manager-wide counters, aggregated across all runs. Atomics, so a reader
+/// off the query thread may load them mid-run. Monitoring data only —
+/// nothing in the deterministic work model reads them.
 struct SpillStats {
   std::atomic<uint64_t> runs_created{0};
   std::atomic<uint64_t> runs_deleted{0};
@@ -113,9 +93,7 @@ struct SpillStats {
 ///
 /// All methods return false after raising the sticky error on the passed
 /// context — callers propagate by returning false themselves, and DoClose
-/// destroys the runs. A run may move between threads (created on the query
-/// thread, written/read by a task) but is only ever touched by one thread at
-/// a time, with the task barrier as the handoff point.
+/// destroys the runs.
 class SpillRun {
  public:
   ~SpillRun();
@@ -124,20 +102,20 @@ class SpillRun {
   SpillRun& operator=(const SpillRun&) = delete;
 
   /// Serializes and appends one row; counts one unit of spill work at `node`.
-  bool Append(WorkContext* wc, int node, const Row& row);
+  bool Append(ExecContext* ctx, int node, const Row& row);
 
   /// Ends the write phase and emits the spill_end trace event carrying this
   /// run's row and byte counts. Call once, after the last Append.
-  bool FinishWrite(WorkContext* wc, int node);
+  bool FinishWrite(ExecContext* ctx, int node);
 
   /// Rewinds to the first row for reading. May be called again to re-read.
-  bool OpenRead(WorkContext* wc, int node);
+  bool OpenRead(ExecContext* ctx, int node);
 
   /// Reads the next row; counts one unit of spill work at `node`. Returns
-  /// false at end of run *or* on error — check wc->ok() to tell them apart.
+  /// false at end of run *or* on error — check ctx->ok() to tell them apart.
   /// The row's VARCHARs view this run's string arena, which Discard hands
   /// to the manager: they stay valid until the SpillManager is destroyed.
-  bool ReadNext(WorkContext* wc, int node, Row* row);
+  bool ReadNext(ExecContext* ctx, int node, Row* row);
 
   /// Deletes the backing file now and hands the decoded strings to the
   /// manager (idempotent; destructor does it too).
@@ -147,9 +125,6 @@ class SpillRun {
   uint64_t rows_read() const { return rows_read_; }
   /// Rows written but not yet re-read — the run's pending spill work, which
   /// the bounds walker adds to UB (and LB: every spilled row must come back).
-  /// NOTE: while a task owns this run, these counters are in flux and must
-  /// not be read from the query thread; operators keep their own query-
-  /// thread-side pending counters for FillProgressState (DESIGN.md §10).
   uint64_t rows_pending() const { return rows_written_ - rows_read_; }
 
  private:
@@ -157,10 +132,6 @@ class SpillRun {
 
   SpillRun(SpillManager* manager, std::unique_ptr<SpillFile> file,
            std::string phase);
-
-  /// Accrues device-model sleep debt for bytes newly moved by file_ since
-  /// the last charge, and pays it off in >= 100us sleeps.
-  void ChargeDevice();
 
   SpillManager* manager_;
   std::unique_ptr<SpillFile> file_;
@@ -170,11 +141,6 @@ class SpillRun {
   uint64_t rows_read_ = 0;
   std::string scratch_;  // serialization buffer, reused across rows
   StringArena strings_;  // bytes of the VARCHARs ReadNext decoded
-  // Device-model bookkeeping: file byte counters as of the last charge, and
-  // unslept debt in nanoseconds. All zero-cost when the model is off.
-  uint64_t device_written_seen_ = 0;
-  uint64_t device_read_seen_ = 0;
-  uint64_t device_debt_ns_ = 0;
 };
 
 using SpillRunPtr = std::unique_ptr<SpillRun>;
@@ -189,8 +155,8 @@ class SpillManager {
                         SpillRetryPolicy policy = SpillRetryPolicy());
 
   /// Sweeps orphans: any registered temp file whose run never ran its
-  /// destructor is unlinked here, so even a task that died mid-write cannot
-  /// leak a qprog-spill-* file past the manager's lifetime.
+  /// destructor is unlinked here, so no qprog-spill-* file outlives the
+  /// manager.
   ~SpillManager();
 
   SpillManager(const SpillManager&) = delete;
@@ -218,11 +184,6 @@ class SpillManager {
   const std::string& dir() const { return dir_; }
   const SpillRetryPolicy& policy() const { return policy_; }
 
-  /// Simulated device bandwidth (see SpillDeviceModel). Benchmarks only;
-  /// configure before execution.
-  void set_device_model(SpillDeviceModel model) { device_model_ = model; }
-  const SpillDeviceModel& device_model() const { return device_model_; }
-
  private:
   friend class SpillRun;
 
@@ -231,12 +192,12 @@ class SpillManager {
   /// layer), retries only kUnavailable with doubling busy-wait backoff, and
   /// returns the first non-transient status (or the last transient one when
   /// the attempt budget runs out).
-  Status WithRetries(WorkContext* wc, int node, const char* site,
+  Status WithRetries(ExecContext* ctx, int node, const char* site,
                      const std::function<Status()>& attempt);
 
-  /// Records `status` as the sticky error on `wc`, attributed to `node` at
+  /// Records `status` as the sticky error on `ctx`, attributed to `node` at
   /// `site` in the telemetry.
-  void RaiseIoError(WorkContext* wc, int node, const char* site,
+  void RaiseIoError(ExecContext* ctx, int node, const char* site,
                     Status status);
 
   void RegisterLiveFile(const std::string& path);
@@ -247,7 +208,6 @@ class SpillManager {
   std::string dir_;
   SpillRetryPolicy policy_;
   SpillStats stats_;
-  SpillDeviceModel device_model_;
   mutable std::mutex live_files_mu_;
   std::unordered_set<std::string> live_files_;
   std::mutex strings_mu_;

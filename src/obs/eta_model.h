@@ -8,8 +8,8 @@
 //
 //   RateTracker — online EWMA mean + variance of the two work→time rates
 //     the band prices with: the aggregate ns per work unit (getnext call)
-//     observed between checkpoints, and ns per re-read spill byte seeded
-//     from the SpillDeviceModel.
+//     observed between checkpoints, and ns per re-read spill byte, seeded
+//     by a caller that knows the spill device's rate.
 //
 //   EtaModel — at every checkpoint converts the remaining-work interval into
 //     an [eta_lo, eta, eta_hi] wall-clock band by combining
@@ -94,8 +94,8 @@ class RateTracker {
                   alpha_);
   }
 
-  /// Spill re-read rate (ns/byte), seeded exactly from the SpillDeviceModel
-  /// when the engine simulates device bandwidth.
+  /// Spill re-read rate (ns/byte), seeded by a caller that knows the spill
+  /// device's rate.
   void SeedSpillReadRate(double read_ns_per_byte) {
     if (read_ns_per_byte > 0) spill_read_.Observe(read_ns_per_byte, alpha_);
   }
@@ -185,9 +185,8 @@ class EtaModel {
     last_ns_ = options_.now_fn();
   }
 
-  /// Seeds the spill re-read rate from the engine's SpillDeviceModel (only
-  /// meaningful when the device model is enabled); either rate being set
-  /// turns on the band's spill surcharge.
+  /// Seeds the spill device's byte rates; either rate being set turns on
+  /// the band's spill surcharge.
   void SeedSpillDeviceRates(double write_ns_per_byte,
                             double read_ns_per_byte) {
     rates_.SeedSpillReadRate(read_ns_per_byte);

@@ -205,7 +205,6 @@ Status SpillFile::SeekToStart() {
     return Internal(StringPrintf("spill rewind failed on \"%s\": %s",
                                  path_.c_str(), std::strerror(errno)));
   }
-  bytes_read_ = 0;
   return OkStatus();
 }
 
@@ -236,7 +235,6 @@ StatusOr<bool> SpillFile::ReadRecord(std::string* out) {
         StringPrintf("spill record checksum mismatch on \"%s\"",
                      path_.c_str()));
   }
-  bytes_read_ += sizeof(header) + header[0];
   return true;
 }
 

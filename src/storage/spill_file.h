@@ -75,8 +75,6 @@ class SpillFile {
   uint64_t records_written() const { return records_written_; }
   /// Bytes written to disk (framing included).
   uint64_t bytes_written() const { return bytes_written_; }
-  /// Bytes physically read from disk so far (framing included).
-  uint64_t bytes_read() const { return bytes_read_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -86,7 +84,6 @@ class SpillFile {
   std::string path_;
   uint64_t records_written_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t bytes_read_ = 0;
 };
 
 }  // namespace qprog

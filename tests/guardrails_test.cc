@@ -372,11 +372,9 @@ TEST(GuardrailsTest, EveryFaultSiteStopsItsOperator) {
                          std::make_unique<SeqScan>(&big), std::move(groups),
                          std::vector<std::string>{"g"}, std::move(aggs)));
                    }});
-  // Spill-layer sites: the plans spill under the case's tight budget. The
-  // sort opens and reads its runs on the query thread, so the shared
-  // injector sees those sites; it writes each run in a task against a forked
-  // injector, so the write case uses a Grace join, whose partition writes
-  // stay on the query thread.
+  // Spill-layer sites: the plans spill under the case's tight budget, and
+  // every spill site is consulted on the query thread's injector. The write
+  // case uses a Grace join, the open and read cases the sort.
   auto grace_join_plan = [&] {
     std::vector<ExprPtr> pk, bk;
     pk.push_back(eb::Col(0));

@@ -1,21 +1,19 @@
-// Intra-query parallelism tests (DESIGN.md §10): worker-pool primitives
-// (the inline null-pool group included), bit-identical results and
-// byte-identical traces at every pool size (transient write-fault retries
-// included), consistent and monotone (Curr, LB, UB) under concurrency,
-// clean cancellation mid-merge, and the one-level sort merge.
+// Pool-size independence tests (DESIGN.md §10): with a WorkerPool attached
+// or not, every operator runs on the query thread, so results, total(Q) and
+// traces are byte-identical at every pool size (transient write-fault
+// retries included); plus consistent and monotone (Curr, LB, UB), clean
+// cancellation mid-merge, the one-level sort merge and the recursive Grace
+// operators.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,66 +130,12 @@ StatusOr<std::vector<Row>> RunSpilling(
 }
 
 // ---------------------------------------------------------------------------
-// Pool primitives
+// Pool handle
 // ---------------------------------------------------------------------------
 
-TEST(WorkerPoolTest, RunsEveryTaskOnceAndWaitsIdempotently) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  TaskGroup group(&pool);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 64; ++i) {
-    group.Submit([&hits] { hits.fetch_add(1); });
-  }
-  EXPECT_TRUE(group.Wait().ok());
-  EXPECT_EQ(hits.load(), 64);
-  EXPECT_TRUE(group.Wait().ok());  // idempotent, nothing pending
-}
-
 TEST(WorkerPoolTest, ThreadCountClampsToAtLeastOne) {
-  WorkerPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  TaskGroup group(&pool);
-  std::atomic<int> hits{0};
-  group.Submit([&hits] { hits.fetch_add(1); });
-  EXPECT_TRUE(group.Wait().ok());
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(WorkerPoolTest, NullPoolRunsTasksInlineInSubmissionOrder) {
-  TaskGroup group(nullptr);
-  std::vector<int> order;
-  const std::thread::id caller = std::this_thread::get_id();
-  for (int i = 0; i < 5; ++i) {
-    group.Submit([&order, i, caller] {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      order.push_back(i);
-    });
-    // Inline: the task has finished before Submit returns.
-    EXPECT_EQ(order.size(), static_cast<size_t>(i) + 1);
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(group.Wait().ok());
-  EXPECT_TRUE(group.Wait().ok());  // idempotent, nothing pending
-
-  // An escaped exception is contained, later tasks still run, and every
-  // Wait reports the first escape as kInternal.
-  group.Submit([] { throw std::runtime_error("inline task blew up"); });
-  group.Submit([&order] { order.push_back(5); });
-  Status s = group.Wait();
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find("inline task blew up"), std::string::npos) << s;
-  EXPECT_EQ(group.Wait().code(), StatusCode::kInternal);
-  EXPECT_EQ(order.size(), 6u);
-}
-
-TEST(WorkerPoolTest, EscapedExceptionSurfacesAsInternal) {
-  WorkerPool pool(2);
-  TaskGroup group(&pool);
-  group.Submit([] { throw std::runtime_error("task blew up"); });
-  Status s = group.Wait();
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find("task blew up"), std::string::npos) << s;
+  EXPECT_EQ(WorkerPool(4).num_threads(), 4);
+  EXPECT_EQ(WorkerPool(0).num_threads(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,10 +198,10 @@ TEST(ParallelDeterminismTest, TransientWriteFaultRetriesAlikeAtEveryPoolSize) {
   //  * A spilling Grace join writes every partition row on the query thread
   //    at every pool size, so the site is consulted on the query thread's
   //    injector alone: exactly one retry.
-  //  * A spilling Sort writes each run in a task against an injector forked
-  //    from the run index, with or without a pool: every run of 37 rows or
-  //    more retries at its own hit 37. With a 3-attempt budget and a fault
-  //    that outlasts it, every pool size fails with the same status.
+  //  * A spilling Sort writes each run on the query thread too, so it
+  //    retries at the query injector's 37th spill.write hit. With a
+  //    3-attempt budget and a fault that outlasts it, every pool size fails
+  //    with the same status.
   Table probe = Keyed(400, 60);
   Table sort_input = Keyed(900, 101);
   Table build = Keyed(500, 60);
@@ -339,11 +283,88 @@ TEST(ParallelDeterminismTest, TransientWriteFaultRetriesAlikeAtEveryPoolSize) {
   }
 }
 
+TEST(ParallelDeterminismTest, SortRunWritesConsultTheQueryInjector) {
+  // A Sort writes its runs on the query thread, so every spill.write consult
+  // lands on the query's one injector at every pool size: one hit per row
+  // appended plus one per run sealed. A permanent fault armed at hit 100
+  // fires once, stopping the query at that hit, with the same status, fault
+  // event, row prefix and clean-up at pools {0, 1, 3}.
+  constexpr uint64_t kFailOnHit = 100;
+  Table t = Keyed(900, 101);
+  std::string reference;
+  for (int threads : {0, 1, 3}) {
+    for (bool armed : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (armed ? " armed" : " unarmed"));
+      std::string dir = MakeSpillDir("injector_p" + std::to_string(threads));
+      SpillManager spill(dir);
+      QueryGuard guard;
+      guard.set_max_buffered_rows(64);
+      FaultInjector fi(13);
+      if (armed) {
+        FaultSpec spec;
+        spec.site = faults::kSpillWrite;
+        spec.fail_on_hit = kFailOnHit;
+        fi.Arm(std::move(spec));
+      }
+      JsonlStringSink sink;
+      TelemetryCollector collector(&sink);
+      PhysicalPlan plan = SortPlan(&t);
+      ExecContext ctx;
+      ctx.set_guard(&guard);
+      ctx.set_spill_manager(&spill);
+      ctx.set_fault_injector(&fi);
+      ctx.set_telemetry(&collector);
+      std::unique_ptr<WorkerPool> pool;
+      if (threads > 0) {
+        pool = std::make_unique<WorkerPool>(threads);
+        ctx.set_worker_pool(pool.get());
+      }
+      exec::DriveResult r =
+          exec::Drive(&plan, {.ctx = &ctx, .collect_rows = true});
+      EXPECT_EQ(spill.live_runs(), 0u);
+      EXPECT_EQ(ctx.buffered_rows(), 0u);
+      EXPECT_EQ(CountSpillFiles(dir), 0);
+      std::filesystem::remove_all(dir);
+      const uint64_t hits = fi.hit_count(faults::kSpillWrite);
+      if (!armed) {
+        ASSERT_TRUE(r.ok()) << r.status;
+        EXPECT_GT(spill.stats().runs_created, 1u);
+        EXPECT_EQ(spill.stats().rows_written, 900u);
+        EXPECT_EQ(hits,
+                  spill.stats().rows_written + spill.stats().runs_created);
+        continue;
+      }
+      ASSERT_FALSE(r.ok()) << "the armed spill.write fault never fired";
+      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status;
+      EXPECT_EQ(hits, kFailOnHit) << "the fault fired off the query thread";
+      StatusOr<std::vector<TraceEvent>> events = ParseTraceJsonl(sink.data());
+      ASSERT_TRUE(events.ok()) << events.status();
+      std::string got = r.status.ToString() + "\n";
+      int fired = 0;
+      for (const TraceEvent& ev : events.value()) {
+        if (ev.kind != TraceEventKind::kFaultFired) continue;
+        ++fired;
+        got += std::to_string(ev.node) + " " + ev.name + " " +
+               std::to_string(ev.work) + "\n";
+      }
+      EXPECT_EQ(fired, 1);
+      got += testutil::RowsToString(r.rows);
+      if (reference.empty()) {
+        reference = got;
+      } else {
+        EXPECT_EQ(got, reference) << "status, fault event or rows diverged";
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, TracesAndScoresAreByteIdenticalAcrossPoolSizes) {
-  // The strongest statement of the fold design: the full typed trace — every
-  // checkpoint, spill event, bound refinement and estimator evaluation — is
-  // byte-identical at every pool size, no pool included, so estimator scores
-  // replayed from a parallel run's trace are the scores of the serial run.
+  // The strongest statement of pool-size independence: the full typed
+  // trace — every checkpoint, spill event, bound refinement and estimator
+  // evaluation — is byte-identical at every pool size, no pool included, so
+  // estimator scores replayed from a pooled run's trace are the scores of
+  // the run without a pool.
   Table t = Keyed(800, 97);
   std::string reference_trace;
   std::string reference_tsv;
@@ -388,8 +409,8 @@ TEST(ParallelDeterminismTest, TpchMatchesAtEveryPoolSizeWithAndWithoutKill) {
   // a finite kill threshold and with none, at pools {0, 1, 3}. The Grace
   // operators replay their leaves through one loop on the query thread at
   // every pool size, charging a rebuilt leaf outside the soft budget, and
-  // Sort takes its one task path, so the status, the rows, total(Q) and the
-  // monitored trace must not depend on the pool.
+  // Sort writes its runs there too, so the status, the rows, total(Q) and
+  // the monitored trace must not depend on the pool.
   constexpr uint64_t kSoftBudget = 64;
   Database db;
   tpch::TpchConfig config;
@@ -496,8 +517,9 @@ TEST(ParallelDeterminismTest, BoundsStayConsistentAndMonotoneUnderPool) {
     EXPECT_LE(cp.work_lb, cp.work_ub + 1e-9) << "at work=" << cp.work;
     EXPECT_LE(cp.work_lb, static_cast<double>(r.total_work) + 1e-9)
         << "LB exceeded the final total at work=" << cp.work;
-    // Monotonicity: folding task shards must never move a bound backwards —
-    // the operator-side pending counters advance only after each fold.
+    // Monotonicity: writing a sorted buffer out as a run must never move a
+    // bound backwards — the sort's pending counter advances only once the
+    // run is sealed.
     EXPECT_GE(cp.work, prev_work);
     EXPECT_GE(cp.work_lb, prev_lb - 1e-9) << "LB regressed at " << cp.work;
     EXPECT_GE(cp.work_ub, prev_ub - 1e-9) << "UB regressed at " << cp.work;
@@ -513,9 +535,9 @@ TEST(ParallelDeterminismTest, BoundsStayConsistentAndMonotoneUnderPool) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelSortTest, OneLevelMergeStaysStableAboveEightRuns) {
-  // 1200 rows against a 50-row budget: ~24 runs, more than the 8 run tasks
-  // in flight between folds, all read by the one query-thread merge — which
-  // must still preserve stable (key, arrival) order, with and without a pool.
+  // 1200 rows against a 50-row budget: ~24 runs, all read by the one
+  // query-thread merge — which must preserve stable (key, arrival) order,
+  // with and without a pool.
   std::vector<Row> rows;
   for (int64_t i = 0; i < 1200; ++i) rows.push_back({I(i % 7), I(i)});
   Table t = testutil::MakeTable("t", {"k", "arrival"}, std::move(rows));
@@ -560,10 +582,10 @@ TEST(ParallelSortTest, CancellationMidMergeLeavesNoResidue) {
       pool = std::make_unique<WorkerPool>(threads);
       ctx.set_worker_pool(pool.get());
     }
-    // 1500 scan rows land first; cancelling past that puts the stop inside
-    // the spill work that run tasks fold back and the merge reads.
+    // 1500 scan rows and their 1500 run writes land first; cancelling past
+    // that puts the stop inside the merge reads.
     ctx.SetWorkObserver(64, [&](uint64_t work) {
-      if (work >= 2048) guard.RequestCancel();
+      if (work >= 3500) guard.RequestCancel();
     });
     StatusOr<std::vector<Row>> got = DriveRows(&plan, &ctx);
     ASSERT_FALSE(got.ok()) << "cancellation ignored";
@@ -576,18 +598,15 @@ TEST(ParallelSortTest, CancellationMidMergeLeavesNoResidue) {
   }
 }
 
-TEST(ParallelSortTest, InputFaultWithRunTasksInFlightLeavesNoResidue) {
-  // A sort.build fault at input row 400, after seven runs were handed off
-  // and before the first fold (every 8 runs). The device model makes every
-  // run write take milliseconds, so with a pool the run tasks are still
-  // writing when the query thread stops: they must drain before their task
-  // contexts are destroyed, and nothing may leak.
+TEST(ParallelSortTest, InputFaultMidSpillLeavesNoResidue) {
+  // A sort.build fault at input row 400, after seven 50-row runs were
+  // written and sealed: the query stops with the injected error, the runs
+  // written so far are deleted, and nothing may leak.
   Table t = Keyed(1500, 113);
   for (int threads : {0, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::string dir = MakeSpillDir("infault_p" + std::to_string(threads));
     SpillManager spill(dir);
-    spill.set_device_model({2000, 2000});
     QueryGuard guard;
     guard.set_max_buffered_rows(50);
     FaultInjector fi(3);
@@ -609,6 +628,7 @@ TEST(ParallelSortTest, InputFaultWithRunTasksInFlightLeavesNoResidue) {
     ASSERT_FALSE(got.ok()) << "injected sort.build fault ignored";
     EXPECT_EQ(got.status().code(), StatusCode::kInternal) << got.status();
     EXPECT_EQ(spill.stats().runs_created, 7u);
+    EXPECT_EQ(spill.stats().rows_written, 350u);
     EXPECT_EQ(spill.live_runs(), 0u) << "failed run leaked spill runs";
     EXPECT_EQ(ctx.buffered_rows(), 0u) << "failed run leaked charges";
     EXPECT_EQ(CountSpillFiles(dir), 0) << "failed run leaked temp files";
@@ -643,10 +663,9 @@ TEST(ParallelMemoryBoundTest, OversizedPartitionTripsKillLikeSerial) {
 }
 
 TEST(ParallelMemoryBoundTest, SortKillThresholdBoundsHandedOffBuffers) {
-  // Kill just above the soft budget: the sort's handed-off run buffers
-  // (uncharged by design) would stack up to kInflightRunTasks x soft without
-  // the early-fold bound. With it, flush_buffer folds before the uncharged
-  // aggregate can pass the kill threshold — and the output must stay
+  // Kill just above the soft budget: the sort writes each buffer out as a
+  // run before it buffers the next, so its memory stays one charged buffer
+  // and the kill threshold never trips — and the output must stay
   // byte-identical to the run without a pool at every pool size.
   Table t = Keyed(900, 101);
   auto make = [&] { return SortPlan(&t); };
@@ -947,24 +966,33 @@ TEST(RecursiveGraceTest, AggregateAdmitsSingleKeySkewThatAbortsTheJoin) {
 }
 
 TEST(RecursiveGraceTest, AggregateAdmitsLeavesAloneAtTheDepthCap) {
-  // 300 partition-0 group keys x 3 rows, key-major. The first 64 keys fill
-  // the soft budget, so a 68-row kill threshold leaves 4 rows of headroom.
-  // Two spilled keys that share their partition at every level down to
-  // kMaxGraceDepth form a 6-row leaf no further pass may split: the
-  // aggregate admits it alone (its 2 groups fit) where the join would abort.
+  // 300 partition-0 group keys, key-major. The first 64 keys fill the soft
+  // budget and are released before the first leaf loads, so every leaf
+  // loads into the whole 68-row kill headroom. Two spilled keys that share
+  // their partition at every level down to kMaxGraceDepth carry 40 rows
+  // each, the others 3: their 80-row leaf exceeds the headroom at every
+  // level and no further pass may split it, so the aggregate admits it
+  // alone (its 2 groups fit) where the join would abort.
   std::vector<int64_t> keys = PartitionZeroKeys(300);
-  std::vector<Row> rows;
-  std::map<std::vector<size_t>, int> capped_leaves;
-  bool shared_leaf = false;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (int64_t r = 0; r < 3; ++r) rows.push_back({I(keys[i]), I(r)});
+  std::map<std::vector<size_t>, size_t> first_on_path;
+  size_t heavy_a = 0, heavy_b = 0;
+  for (size_t i = 64; i < keys.size() && heavy_b == 0; ++i) {
     std::vector<size_t> path;
     for (int level = 1; level <= kMaxGraceDepth; ++level) {
       path.push_back(GracePartitionOf(Row{I(keys[i])}, level));
     }
-    if (i >= 64 && ++capped_leaves[path] > 1) shared_leaf = true;
+    auto [it, inserted] = first_on_path.emplace(path, i);
+    if (!inserted) {
+      heavy_a = it->second;
+      heavy_b = i;
+    }
   }
-  ASSERT_TRUE(shared_leaf) << "no two spilled keys share a depth-cap leaf";
+  ASSERT_NE(heavy_b, 0u) << "no two spilled keys share a depth-cap leaf";
+  std::vector<Row> rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int64_t n = i == heavy_a || i == heavy_b ? 40 : 3;
+    for (int64_t r = 0; r < n; ++r) rows.push_back({I(keys[i]), I(r)});
+  }
   Table t = testutil::MakeTable("c", {"k", "v"}, std::move(rows));
   auto make = [&] { return AggPlan(&t); };
   std::vector<Row> in_memory = InMemoryRows(make());
@@ -991,10 +1019,12 @@ TEST(RecursiveGraceTest, AggregateAdmitsLeavesAloneAtTheDepthCap) {
 TEST(RecursiveGraceTest, GoldenDigestsPinSerialAndPooledGraceRuns) {
   // FNV-1a 64 over the telemetry trace plus the ordered rows of the depth-2
   // Grace join and the depth-2 aggregate re-split, serial and on four
-  // workers. The digests were recorded before the join and the aggregate
-  // shared one Grace module; any change to routing, leaf order, task keys or
-  // spill accounting shows up here. The leaf loop runs on the query thread
-  // at both pool sizes, so the digests coincide.
+  // workers. The join digest was recorded before the join and the aggregate
+  // shared one Grace module; any change to routing, leaf order or spill
+  // accounting shows up here, and so does the size of the aggregate's
+  // leaves, which are sized against the headroom left once its 64 resident
+  // groups are released. The leaf loop runs on the query thread at both
+  // pool sizes, so the digests coincide.
   auto [build, probe] = DepthTwoTables();
   Table agg_input = AggRecursionTable();
   auto join = [&] { return JoinPlan(&probe, &build); };
@@ -1008,8 +1038,8 @@ TEST(RecursiveGraceTest, GoldenDigestsPinSerialAndPooledGraceRuns) {
   const Golden kGolden[] = {
       {"join_p0", join, 0, 0xe3506d1016d37a7cULL},
       {"join_p4", join, 4, 0xe3506d1016d37a7cULL},
-      {"agg_p0", agg, 0, 0xde016025c16c7e54ULL},
-      {"agg_p4", agg, 4, 0xde016025c16c7e54ULL},
+      {"agg_p0", agg, 0, 0x00ff3899ec42cd13ULL},
+      {"agg_p4", agg, 4, 0x00ff3899ec42cd13ULL},
   };
   for (const Golden& g : kGolden) {
     SCOPED_TRACE(g.name);
@@ -1146,25 +1176,30 @@ TEST(ParallelAggregateTest, PooledReplayReleasesResidentGroupsFirst) {
   // The first 64 groups fill the soft budget and stay resident; the rest
   // spill. A 66-row kill threshold leaves room for the replay only once the
   // resident groups are released, as the leaf loop does before loading
-  // its first leaf. With a pool attached the same leaf loop runs, and it
-  // must finish with the rows of the run without a pool instead of aborting
-  // on kResourceExhausted.
+  // its first leaf, so refinement sizes the leaves against those 66 rows,
+  // not the 2 left beside the resident groups, and the run count stays
+  // small. With a pool attached the same leaf loop runs, and it must finish
+  // with the rows of the run without a pool instead of aborting on
+  // kResourceExhausted.
   std::vector<Row> rows;
   for (int64_t k : PartitionZeroKeys(2000)) rows.push_back({I(k), I(1)});
   Table t = testutil::MakeTable("z", {"k", "v"}, std::move(rows));
   auto make = [&] { return AggPlan(&t); };
+  uint64_t runs = 0;
   StatusOr<std::vector<Row>> serial =
-      RunSpilling(make, 64, "aggrelease_serial", 0, nullptr, 66);
+      RunSpilling(make, 64, "aggrelease_serial", 0, &runs, 66);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_EQ(serial.value().size(), 2000u);
+  EXPECT_LT(runs, 200u) << "leaves sized against the resident groups";
   std::string expected = testutil::RowsToString(serial.value());
   for (int threads : {1, 3}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     StatusOr<std::vector<Row>> got = RunSpilling(
-        make, 64, "aggrelease_p" + std::to_string(threads), threads, nullptr,
+        make, 64, "aggrelease_p" + std::to_string(threads), threads, &runs,
         66);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(testutil::RowsToString(got.value()), expected);
+    EXPECT_LT(runs, 200u) << "leaves sized against the resident groups";
   }
 }
 

@@ -588,10 +588,9 @@ TEST(SpillTest, ExplainAnalyzeRendersSpillStats) {
 // Retryable I/O: transient faults ride out, permanent faults fail cleanly
 // ---------------------------------------------------------------------------
 
-// The exact retry counts below need every spill write consulted on the
-// query thread's injector: a spilling Grace join writes its partitions there
-// at every pool size. (A Sort writes each run in a task whose injector is
-// forked from the run index; parallel_test covers that schedule.)
+// The exact retry counts below rely on every spill write being consulted on
+// the query thread's one injector, in program order: here a spilling Grace
+// join's partition writes, in parallel_test a Sort's run writes.
 
 TEST(SpillTest, TransientWriteFaultIsRetriedToCompletion) {
   Table t = Numbers(600);
