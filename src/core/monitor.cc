@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "exec/spill.h"
 #include "obs/eta_model.h"
 
 namespace qprog {
@@ -195,24 +194,8 @@ ProgressReport ProgressMonitor::Run(uint64_t checkpoint_interval) {
       }
     }
     if (options_.eta_model != nullptr) {
-      // Pending spill bytes: the re-read debt in bytes, estimated from the
-      // manager-wide observed bytes/row. Only priced into the band when its
-      // spill device rates were seeded (see EtaModel::OnCheckpoint).
-      double pending_bytes = 0;
-      if (spill_snapshot.spill_rows_pending > 0 &&
-          options_.spill_manager != nullptr) {
-        const SpillStats& ss = options_.spill_manager->stats();
-        uint64_t rows = ss.rows_written.load(std::memory_order_relaxed);
-        uint64_t bytes = ss.bytes_written.load(std::memory_order_relaxed);
-        if (rows > 0) {
-          pending_bytes =
-              static_cast<double>(spill_snapshot.spill_rows_pending) *
-              (static_cast<double>(bytes) / static_cast<double>(rows));
-        }
-      }
-      EtaBand band = options_.eta_model->OnCheckpoint(
-          work, bounds.work_lb, bounds.work_ub,
-          spill_snapshot.spill_rows_pending, pending_bytes);
+      EtaBand band = options_.eta_model->OnCheckpoint(work, bounds.work_lb,
+                                                      bounds.work_ub);
       cp.eta_seconds = band.eta_s;
       cp.eta_lo_seconds = band.eta_lo_s;
       cp.eta_hi_seconds = band.eta_hi_s;

@@ -6,10 +6,10 @@
 // *uncertainty* instead of a bare point estimate, in the spirit of Wu et
 // al.'s "Uncertainty Aware Query Execution Time Prediction" (PAPERS.md):
 //
-//   RateTracker — online EWMA mean + variance of the two work→time rates
-//     the band prices with: the aggregate ns per work unit (getnext call)
-//     observed between checkpoints, and ns per re-read spill byte, seeded
-//     by a caller that knows the spill device's rate.
+//   RateTracker — online EWMA mean + variance of the work→time rate the
+//     band prices with: the aggregate ns per work unit (getnext call)
+//     observed between checkpoints. Spill I/O is inside that rate, because
+//     spill work units are counted in the work measure.
 //
 //   EtaModel — at every checkpoint converts the remaining-work interval into
 //     an [eta_lo, eta, eta_hi] wall-clock band by combining
@@ -80,10 +80,7 @@ class RateTracker {
  public:
   explicit RateTracker(double alpha = 0.3) : alpha_(alpha) {}
 
-  void Reset() {
-    work_ = RateEstimate();
-    spill_read_ = RateEstimate();
-  }
+  void Reset() { work_ = RateEstimate(); }
 
   /// Aggregate rate: `delta_ns` wall nanoseconds bought `delta_work` units
   /// of the paper's work measure since the previous checkpoint.
@@ -94,20 +91,12 @@ class RateTracker {
                   alpha_);
   }
 
-  /// Spill re-read rate (ns/byte), seeded by a caller that knows the spill
-  /// device's rate.
-  void SeedSpillReadRate(double read_ns_per_byte) {
-    if (read_ns_per_byte > 0) spill_read_.Observe(read_ns_per_byte, alpha_);
-  }
-
   double alpha() const { return alpha_; }
   const RateEstimate& work_rate() const { return work_; }
-  const RateEstimate& spill_read_rate() const { return spill_read_; }
 
  private:
   double alpha_;
   RateEstimate work_;
-  RateEstimate spill_read_;
 };
 
 /// One wall-clock prediction: seconds until the query completes, with a
@@ -185,22 +174,10 @@ class EtaModel {
     last_ns_ = options_.now_fn();
   }
 
-  /// Seeds the spill device's byte rates; either rate being set turns on
-  /// the band's spill surcharge.
-  void SeedSpillDeviceRates(double write_ns_per_byte,
-                            double read_ns_per_byte) {
-    rates_.SeedSpillReadRate(read_ns_per_byte);
-    device_model_seeded_ = write_ns_per_byte > 0 || read_ns_per_byte > 0;
-  }
-
   /// Folds one checkpoint into the rates and returns the sanitized band.
   /// `work` is Curr, [`work_lb`, `work_ub`] the bounds-tracker interval on
-  /// total(Q); `spill_pending_units` / `spill_pending_bytes` describe spill
-  /// re-read debt (bytes only priced when device rates were seeded — spill
-  /// *work units* are already inside the bounds).
-  EtaBand OnCheckpoint(uint64_t work, double work_lb, double work_ub,
-                       uint64_t spill_pending_units,
-                       double spill_pending_bytes) {
+  /// total(Q); pending spill work units are already inside the bounds.
+  EtaBand OnCheckpoint(uint64_t work, double work_lb, double work_ub) {
     ++checkpoints_;
     uint64_t now = options_.now_fn();
     rates_.ObserveWork(work - last_work_, now - last_ns_);
@@ -229,14 +206,6 @@ class EtaModel {
     band.eta_s = rem_mid * r.mean / 1e9;
     band.eta_lo_s = rem_lo * lo_rate / 1e9;
     band.eta_hi_s = rem_hi * hi_rate / 1e9;
-    // Spill surcharge: pending re-reads priced at the device byte rate. Only
-    // when the device model was seeded — without it the aggregate work rate
-    // already absorbs spill I/O, and double-charging would bias eta_hi.
-    if (device_model_seeded_ && spill_pending_units > 0 &&
-        spill_pending_bytes > 0) {
-      double read_rate = rates_.spill_read_rate().mean;
-      band.eta_hi_s += spill_pending_bytes * read_rate / 1e9;
-    }
     // Calibration floor on the claimed interval (see EtaModelOptions).
     band.eta_lo_s =
         std::min(band.eta_lo_s, band.eta_s * (1.0 - options_.min_rel_width));
@@ -259,7 +228,6 @@ class EtaModel {
   uint64_t checkpoints_ = 0;
   uint64_t last_work_ = 0;
   uint64_t last_ns_ = 0;
-  bool device_model_seeded_ = false;
 };
 
 // ---------------------------------------------------------------------------

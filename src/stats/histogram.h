@@ -29,6 +29,11 @@ class Histogram {
 
   Histogram() = default;
 
+  /// Build counts a column's values in a hash table and sorts only the
+  /// distinct ones while the column holds at most one distinct value per
+  /// kRowsPerCountedValue rows; past that it sorts the column.
+  static constexpr uint64_t kRowsPerCountedValue = 16;
+
   /// Builds an equi-depth histogram with at most `num_buckets` buckets from
   /// the given column. Rows with NULL in the column are tallied separately.
   static Histogram Build(const Table& table, size_t column, size_t num_buckets);

@@ -183,7 +183,7 @@ TEST(RateEstimateTest, MatchesWestRecurrenceAndConstantHasZeroVariance) {
   EXPECT_DOUBLE_EQ(flat.var, 0.0);
 }
 
-TEST(RateTrackerTest, ZeroWorkDeltaIsIgnoredAndSpillRatesSeed) {
+TEST(RateTrackerTest, ZeroWorkDeltaIsIgnored) {
   RateTracker tracker(0.5);
   tracker.Reset();
   tracker.ObserveWork(0, 12345);  // no work bought: not a rate sample
@@ -191,12 +191,6 @@ TEST(RateTrackerTest, ZeroWorkDeltaIsIgnoredAndSpillRatesSeed) {
   tracker.ObserveWork(100, 200);  // 2 ns per unit
   EXPECT_TRUE(tracker.work_rate().warm());
   EXPECT_DOUBLE_EQ(tracker.work_rate().mean, 2.0);
-
-  EXPECT_FALSE(tracker.spill_read_rate().warm());
-  tracker.SeedSpillReadRate(0.0);  // no device model: stays cold
-  EXPECT_FALSE(tracker.spill_read_rate().warm());
-  tracker.SeedSpillReadRate(1.25);
-  EXPECT_DOUBLE_EQ(tracker.spill_read_rate().mean, 1.25);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +203,7 @@ TEST(EtaModelTest, InfiniteBeforeFirstCheckpointFiniteAfter) {
   EXPECT_FALSE(model.latest().finite());
 
   // First checkpoint: 500 of [1000, 2000] work units, 1ms elapsed.
-  EtaBand band = model.OnCheckpoint(500, 1000, 2000, 0, 0);
+  EtaBand band = model.OnCheckpoint(500, 1000, 2000);
   EXPECT_TRUE(band.finite());
   ExpectBandInvariant(band.eta_s, band.eta_lo_s, band.eta_hi_s);
   // 1ms bought 500 units -> 2000 ns/unit; remaining mid =
@@ -220,28 +214,10 @@ TEST(EtaModelTest, InfiniteBeforeFirstCheckpointFiniteAfter) {
   EXPECT_GE(band.eta_hi_s, band.eta_s * 1.25 - 1e-12);
 
   // Work complete: remaining collapses to zero everywhere.
-  band = model.OnCheckpoint(2000, 2000, 2000, 0, 0);
+  band = model.OnCheckpoint(2000, 2000, 2000);
   EXPECT_EQ(band.eta_s, 0.0);
   EXPECT_EQ(band.eta_lo_s, 0.0);
   EXPECT_EQ(band.eta_hi_s, 0.0);
-}
-
-TEST(EtaModelTest, SpillSurchargeOnlyWhenDeviceModelSeeded) {
-  EtaModel plain(DeterministicOptions());
-  plain.OnRunStart();
-  EtaBand no_device = plain.OnCheckpoint(100, 200, 400, 50, 1e6);
-
-  EtaModel seeded(DeterministicOptions());
-  seeded.OnRunStart();
-  seeded.SeedSpillDeviceRates(2.0, 4.0);  // 4 ns per re-read byte
-  EtaBand with_device = seeded.OnCheckpoint(100, 200, 400, 50, 1e6);
-
-  // Same work observations, so the point estimate matches; only the upper
-  // band pays the pending re-read debt (1e6 bytes * 4 ns = 4ms).
-  EXPECT_DOUBLE_EQ(no_device.eta_s, with_device.eta_s);
-  EXPECT_NEAR(with_device.eta_hi_s - no_device.eta_hi_s, 4e-3, 1e-9);
-  ExpectBandInvariant(with_device.eta_s, with_device.eta_lo_s,
-                      with_device.eta_hi_s);
 }
 
 // ---------------------------------------------------------------------------

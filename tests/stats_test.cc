@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "skyserver/skyserver.h"
@@ -17,6 +19,7 @@
 namespace qprog {
 namespace {
 
+using testutil::D;
 using testutil::I;
 using testutil::N;
 using testutil::S;
@@ -124,6 +127,152 @@ TEST(HistogramTest, LossyUnderBucketBudget) {
   }
 }
 
+// The sort-then-scan construction that Histogram::Build replaced, kept as the
+// reference its count path and its sort path must both reproduce.
+struct ReferenceHistogram {
+  std::vector<Histogram::Bucket> buckets;
+  uint64_t null_rows = 0;
+};
+
+ReferenceHistogram ReferenceBuild(const Table& table, size_t column,
+                                  size_t num_buckets) {
+  ReferenceHistogram h;
+  const Column& col = table.column(column);
+  col.Visit([&](auto view) {
+    using Key = typename decltype(view)::value_type;
+    std::vector<Key> values;
+    for (uint64_t i = 0; i < col.size(); ++i) {
+      if (col.is_null(i)) {
+        ++h.null_rows;
+      } else {
+        values.push_back(view[i]);
+      }
+    }
+    std::sort(values.begin(), values.end());
+    const uint64_t n = values.size();
+    const uint64_t depth =
+        std::max<uint64_t>(1, (n + num_buckets - 1) / num_buckets);
+    size_t begin = 0;
+    while (begin < n) {
+      size_t end = std::min<size_t>(begin + depth, n);
+      while (end < n && values[end] == values[end - 1]) ++end;
+      Histogram::Bucket b;
+      b.lower = decltype(view)::Box(values[begin]);
+      b.upper = decltype(view)::Box(values[end - 1]);
+      b.count = end - begin;
+      b.distinct = 1;
+      for (size_t i = begin + 1; i < end; ++i) {
+        if (values[i] != values[i - 1]) ++b.distinct;
+      }
+      h.buckets.push_back(std::move(b));
+      begin = end;
+    }
+  });
+  return h;
+}
+
+// Value number `k` of a domain of `type`. DOUBLE's value 0 is 0.0 or -0.0 as
+// `flip` says: the two are one value, so they share a run.
+Value DomainValue(TypeId type, int64_t k, bool flip,
+                  const std::vector<std::string>& strings) {
+  switch (type) {
+    case TypeId::kDouble:
+      if (k == 0) return D(flip ? -0.0 : 0.0);
+      return D((k % 2 == 0 ? -0.25 : 0.25) * static_cast<double>(k));
+    case TypeId::kDate:
+      return Value::Date(static_cast<int32_t>(9000 + 3 * k));
+    case TypeId::kBool:
+      return Value::Bool(k != 0);
+    case TypeId::kString:
+      return Value::String(strings[static_cast<size_t>(k)]);
+    default:
+      return I(k * 7 - 300);
+  }
+}
+
+// A one-column table of `rows` rows holding exactly `distinct` distinct
+// non-NULL values (each appears at least once) and about `null_share` NULLs.
+// Draws are skewed towards small value numbers, so heavy runs straddle
+// bucket edges.
+Table EquivalenceColumn(TypeId type, uint64_t rows, int64_t distinct,
+                        double null_share, uint64_t seed) {
+  std::vector<std::string> strings;
+  for (int64_t k = 0; k < distinct; ++k) {
+    strings.push_back("v" + std::to_string((k * 37) % 1000) + "_" +
+                      std::to_string(k));
+  }
+  Rng rng(seed);
+  Table t("t", Schema({Field("a", type)}));
+  for (uint64_t i = 0; i < rows; ++i) {
+    bool flip = rng.Uniform(2) == 0;
+    if (i < static_cast<uint64_t>(distinct)) {
+      t.AppendRow(
+          {DomainValue(type, static_cast<int64_t>(i), flip, strings)});
+    } else if (rng.UniformDouble(0, 1) < null_share) {
+      t.AppendRow({N()});
+    } else {
+      double u = rng.UniformDouble(0, 1);
+      int64_t k = std::min<int64_t>(
+          distinct - 1, static_cast<int64_t>(u * u * u * distinct));
+      t.AppendRow({DomainValue(type, k, flip, strings)});
+    }
+  }
+  return t;
+}
+
+void ExpectMatchesReference(const Table& t, size_t num_buckets,
+                            const std::string& what) {
+  Histogram got = Histogram::Build(t, 0, num_buckets);
+  ReferenceHistogram want = ReferenceBuild(t, 0, num_buckets);
+  EXPECT_EQ(got.null_rows(), want.null_rows) << what;
+  ASSERT_EQ(got.num_buckets(), want.buckets.size()) << what;
+  uint64_t distinct = 0;
+  for (size_t b = 0; b < want.buckets.size(); ++b) {
+    const Histogram::Bucket& g = got.bucket(b);
+    const Histogram::Bucket& w = want.buckets[b];
+    EXPECT_EQ(g.lower.type(), w.lower.type()) << what << " bucket " << b;
+    EXPECT_EQ(g.lower.Compare(w.lower), 0) << what << " bucket " << b;
+    EXPECT_EQ(g.upper.Compare(w.upper), 0) << what << " bucket " << b;
+    EXPECT_EQ(g.count, w.count) << what << " bucket " << b;
+    EXPECT_EQ(g.distinct, w.distinct) << what << " bucket " << b;
+    distinct += w.distinct;
+  }
+  EXPECT_EQ(got.TotalDistinct(), distinct) << what;
+}
+
+// Build counts a column while its distinct values are at most one per
+// kRowsPerCountedValue rows and sorts it past that; both sides of the
+// cutover must give the reference's buckets, null count and distinct count.
+TEST(HistogramTest, MatchesSortingReferenceOnBothSidesOfTheCutover) {
+  const uint64_t rows = 1600;
+  const int64_t cutover =
+      static_cast<int64_t>(rows / Histogram::kRowsPerCountedValue);
+  uint64_t seed = 100;
+  for (TypeId type : {TypeId::kInt64, TypeId::kDouble, TypeId::kDate,
+                      TypeId::kBool, TypeId::kString}) {
+    std::vector<int64_t> distincts = {1, 2};
+    if (type != TypeId::kBool) {
+      distincts = {1, 7, cutover - 1, cutover, cutover + 1, 700};
+    }
+    for (int64_t distinct : distincts) {
+      for (double null_share : {0.0, 0.25}) {
+        Table t =
+            EquivalenceColumn(type, rows, distinct, null_share, ++seed);
+        ASSERT_EQ(ReferenceBuild(t, 0, 1).buckets.at(0).distinct,
+                  static_cast<uint64_t>(distinct));
+        for (size_t num_buckets : {1, 3, 32}) {
+          ExpectMatchesReference(
+              t, num_buckets,
+              std::string(TypeIdToString(type)) + " distinct " +
+                  std::to_string(distinct) + " nulls " +
+                  std::to_string(null_share) + " buckets " +
+                  std::to_string(num_buckets));
+        }
+      }
+    }
+  }
+}
+
 // FNV-1a 64 over Histogram::ToString() of every column (32 buckets), one
 // digest per table.
 std::map<std::string, uint64_t> HistogramDigests(const Database& db) {
@@ -188,8 +337,8 @@ TEST_F(TpchStatsGoldenTest, HistogramsMatchPinnedDigests) {
 }
 
 TEST_F(TpchStatsGoldenTest, SampleStatisticsMatchPinnedDigests) {
-  // The reservoir rows plus each column's null count, distinct-hash count,
-  // min and max.
+  // The reservoir rows plus each column's null count, distinct count, min
+  // and max.
   std::map<std::string, uint64_t> digests;
   for (const std::string& name : db_->TableNames()) {
     auto stats =
